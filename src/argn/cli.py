@@ -104,11 +104,6 @@ def load_run_config(path: Optional[str]) -> dict:
     }
 
 
-def _jsonable_train_config(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def _cmd_train(args) -> int:
     model = ArgnModel(encoders.sub_columns, train_cfg.order_mode,
                       encoders=encoders, schema=schema)
     history = train(model, encoded, train_cfg)
-    model.train_config_echo = _jsonable_train_config(train_cfg)
+    model.train_config_echo = asdict(train_cfg)
     save_model(model, args.out)
     print(
         f"trained {model.d_total} sub-columns on {encoded.row_count} rows: "
@@ -221,7 +216,7 @@ def _cmd_dcr(args) -> int:
     with open(args.out_cdf, "w", encoding="utf-8") as fh:
         fh.write("distance,cdf_syn,cdf_test\n")
         for g, a, b in zip(grid, cdf_syn, cdf_test):
-            fh.write(f"{g!r},{a!r},{b!r}\n")
+            fh.write(f"{float(g)!r},{float(a)!r},{float(b)!r}\n")
     risk = 1 if integral > 0 else 0
     print(f"dcr_integral={integral!r} risk={risk}")
     return 0
@@ -238,7 +233,7 @@ def _cmd_audit(args) -> int:
     generator = argn_generator(cfg["train"], cfg["value_protection"], cfg["encoding"])
     report = run_audit(typed, generator, cfg["audit"], auto_target=args.auto_target)
     report["config"] = {
-        "train": _jsonable_train_config(cfg["train"]),
+        "train": asdict(cfg["train"]),
         "value_protection": asdict(cfg["value_protection"]),
     }
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -320,3 +315,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

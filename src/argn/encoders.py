@@ -635,9 +635,6 @@ class TableEncoders:
     def d_total(self) -> int:
         return len(self.sub_columns)
 
-    def parent_of(self, sub_index: int) -> str:
-        return self.sub_columns[sub_index].parent
-
     def encoder_for(self, column: str):
         for enc in self.encoders:
             if enc.column == column:

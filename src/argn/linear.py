@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .nn import Param, adam_step
 from .tables import RawTable, parse_datetime, parse_number
 
 OTHER_BUCKET = "__OTHER__"
@@ -43,30 +44,20 @@ class LogisticModel:
         self.sd = x.std(axis=0)
         self.sd[self.sd < 1e-12] = 1.0
         xs = self._standardize(x)
-        w = np.zeros((k, f))
-        b = np.zeros(k)
+        wb = Param("logistic", np.zeros(k * f + k))  # w (classes, features), then b
+        w, b = wb.value[: k * f].reshape(k, f), wb.value[k * f :]
+        gw, gb = wb.grad[: k * f].reshape(k, f), wb.grad[k * f :]
         onehot = np.zeros((n, k))
         onehot[np.arange(n), y] = 1.0
-        mw = np.zeros_like(w)
-        vw = np.zeros_like(w)
-        mb = np.zeros_like(b)
-        vb = np.zeros_like(b)
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
         for t in range(1, self.iters + 1):
             logits = xs @ w.T + b
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
             g = (p - onehot) / n
-            gw = g.T @ xs + self.l2 * w
-            gb = g.sum(axis=0)
-            mw = beta1 * mw + (1 - beta1) * gw
-            vw = beta2 * vw + (1 - beta2) * gw**2
-            mb = beta1 * mb + (1 - beta1) * gb
-            vb = beta2 * vb + (1 - beta2) * gb**2
-            c1, c2 = 1 - beta1**t, 1 - beta2**t
-            w -= self.lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-            b -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+            gw[...] = g.T @ xs + self.l2 * w
+            gb[...] = g.sum(axis=0)
+            adam_step(wb, self.lr, t)
         self.w, self.b = w, b
         return self
 
@@ -76,9 +67,6 @@ class LogisticModel:
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         return p / p.sum(axis=1, keepdims=True)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba(x).argmax(axis=1)
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, l2: float = 1e-6) -> tuple[np.ndarray, float]:

@@ -2,7 +2,8 @@
 
 Each sub-column i owns an embedding table E_i, a ReLU regressor (W_i, b_i)
 and a softmax predictor (V_i, c_i) whose output width equals the
-sub-column's cardinality. Regressors always consume the full concatenated
+sub-column's cardinality; all are views into one flat store, in that order
+per sub-column. Regressors always consume the full concatenated
 embedding vector; causality is enforced by zeroing the slots of sub-columns
 that do not precede the target in the current permutation, so a sub-column's
 output is bit-identical under any change to the masked inputs.
@@ -129,7 +130,8 @@ class ArgnModel:
         self.sizes = compute_layer_sizes([s.cardinality for s in self.sub_columns])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes.embed_dims)]).astype(np.int64)
         self.dropout_rate = 0.25
-        self.params: Optional[dict[str, Param]] = None
+        self.store: Optional[Param] = None  # every weight, flat; see allocate_params
+        self.params: Optional[dict[str, Param]] = None  # named views into the store
         self.trained = False
         self.training_meta: dict = {}
 
@@ -140,41 +142,38 @@ class ArgnModel:
     def slot(self, i: int) -> slice:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
-    def init_params(self, rng: np.random.Generator, dtype=np.float32) -> None:
-        params: dict[str, Param] = {}
+    def allocate_params(self, dtype=np.float32) -> None:
+        """Zeroed weights as views into one flat store (``self.store``), in
+        canonical order: per sub-column E, W, b, V, c."""
         width = self.sizes.context_width
+        shapes = []
         for i, sc in enumerate(self.sub_columns):
-            e_i = self.sizes.embed_dims[i]
-            r_i = self.sizes.regressor_dims[i]
-            d_i = sc.cardinality
-            params[f"E{i}"] = Param(f"E{i}", nn.glorot_uniform(rng, d_i, e_i, (d_i, e_i), dtype))
-            params[f"W{i}"] = Param(f"W{i}", nn.glorot_uniform(rng, width, r_i, (r_i, width), dtype))
-            params[f"b{i}"] = Param(f"b{i}", np.zeros(r_i, dtype=dtype))
-            params[f"V{i}"] = Param(f"V{i}", nn.glorot_uniform(rng, r_i, d_i, (d_i, r_i), dtype))
-            params[f"c{i}"] = Param(f"c{i}", np.zeros(d_i, dtype=dtype))
-        self.params = params
+            e_i, r_i, d_i = self.sizes.embed_dims[i], self.sizes.regressor_dims[i], sc.cardinality
+            shapes += [(f"E{i}", (d_i, e_i)), (f"W{i}", (r_i, width)), (f"b{i}", (r_i,)),
+                       (f"V{i}", (d_i, r_i)), (f"c{i}", (d_i,))]
+        total = sum(math.prod(shape) for _, shape in shapes)
+        self.store = Param("store", np.zeros(total, dtype=dtype))
+        self.params = {}
+        offset = 0
+        for name, shape in shapes:
+            part = slice(offset, offset + math.prod(shape))
+            self.params[name] = Param(name, self.store.value[part].reshape(shape),
+                                      self.store.grad[part].reshape(shape))
+            offset = part.stop
 
-    def param_list(self) -> list[Param]:
-        """Canonical parameter order: per sub-column E, W, b, V, c."""
-        out = []
-        for i in range(self.d_total):
-            for tag in ("E", "W", "b", "V", "c"):
-                out.append(self.params[f"{tag}{i}"])
-        return out
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: p.value.copy() for k, p in self.params.items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            p.value[...] = snap[k]
+    def init_params(self, rng: np.random.Generator, dtype=np.float32) -> None:
+        """Glorot-uniform E, W and V (drawn in canonical order); zero biases."""
+        self.allocate_params(dtype)
+        for p in self.params.values():
+            if p.value.ndim == 2:  # the Glorot limit is symmetric in fan-in and fan-out
+                p.value[...] = nn.glorot_uniform(rng, *p.value.shape, p.value.shape, dtype)
 
     # -- forward pieces -----------------------------------------------------
 
     def embed_rows(self, codes: np.ndarray) -> np.ndarray:
         """Full concatenated embedding matrix (n, sum of e_j) for encoded rows."""
         n = codes.shape[0]
-        full = np.zeros((n, self.sizes.context_width), dtype=self.params["E0"].value.dtype)
+        full = np.zeros((n, self.sizes.context_width), dtype=self.store.value.dtype)
         for j in range(self.d_total):
             table = self.params[f"E{j}"].value
             full[:, self.slot(j)] = table[codes[:, j]]
@@ -280,17 +279,15 @@ def negative_log_likelihood(model: ArgnModel, codes,
 
 
 def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int],
-                       rng: np.random.Generator) -> list[list[np.ndarray]]:
-    """Per-example gradients via batch-of-1 passes (simple, not fast)."""
-    plist = model.param_list()
+                       rng: np.random.Generator) -> list[np.ndarray]:
+    """Per-example flat gradients via batch-of-1 passes (simple, not fast)."""
+    grad = model.store.grad
     out = []
     for r in range(codes.shape[0]):
-        for p in plist:
-            p.zero_grad()
+        grad[...] = 0
         _batch_losses(model, codes[r : r + 1], order, True, rng, True)
-        out.append([p.grad.copy() for p in plist])
-    for p in plist:
-        p.zero_grad()
+        out.append(grad.copy())
+    grad[...] = 0
     return out
 
 
@@ -311,13 +308,12 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
 
     model.init_params(rng)
     model.dropout_rate = cfg.dropout_rate
-    plist = model.param_list()
 
     lr = cfg.initial_lr
     controller = PatienceController(cfg.patience_stop, cfg.patience_lr)
     canonical = tuple(range(model.d_total))
     history = {"train_loss": [], "val_loss": [], "lr": [], "val_indices": val_idx.copy()}
-    best_snapshot = model.snapshot()
+    best_weights = model.store.value.copy()
     step = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -331,12 +327,12 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
                 batch_loss = float(
                     _batch_losses(model, batch, order, False, None, False).mean()
                 )
-                nn.dp_sgd_step(plist, grads, cfg.dp, lr, rng)
+                nn.dp_sgd_step(model.store, grads, cfg.dp, lr, rng)
             else:
                 losses = _batch_losses(model, batch, order, True, rng, True)
                 batch_loss = float(losses.mean())
                 step += 1
-                nn.adam_step(plist, lr, step)
+                nn.adam_step(model.store, lr, step)
             if not math.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch} (lr={lr}); aborting"
@@ -350,13 +346,13 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
         history["val_loss"].append(val_loss)
         history["lr"].append(lr)
         if decision.new_best:
-            best_snapshot = model.snapshot()
+            best_weights[...] = model.store.value
         if decision.halve_lr:
             lr *= 0.5
         if decision.stop:
             break
 
-    model.restore(best_snapshot)
+    model.store.value[...] = best_weights
     model.trained = True
     model.training_meta = {
         "epochs_run": controller.epochs_seen,

@@ -5,6 +5,8 @@ Adam, and a DP-SGD step. Everything is plain numpy with hand-written
 backward passes; forward functions return a cache that the paired backward
 consumes. Inputs may be single vectors or batches (leading batch axis);
 gradients accumulate into ``Param.grad`` so multiple backward calls sum.
+A model's weights live in one flat ``Param`` store; the kernels get views
+into it, and Adam and DP-SGD update the whole store at once.
 
 Parameters default to float32. Tests run the same kernels in float64 to
 check analytic gradients against central finite differences.
@@ -17,24 +19,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+ADAM_BLOCK = 1 << 16  # elements per pass of adam_step: bounds its work buffer
+
 
 class Param:
-    """A trainable tensor with a same-shape gradient accumulator."""
+    """A trainable tensor with a same-shape gradient accumulator. ``value``
+    and ``grad`` may be views into a larger store."""
 
     __slots__ = ("name", "value", "grad", "m", "v")
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, grad: Optional[np.ndarray] = None):
         self.name = name
         self.value = np.asarray(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
         self.m: Optional[np.ndarray] = None  # Adam first moment
         self.v: Optional[np.ndarray] = None  # Adam second moment
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0
-
-    def copy_value(self) -> np.ndarray:
-        return self.value.copy()
 
 
 @dataclass
@@ -42,7 +41,6 @@ class DpConfig:
     enabled: bool = False
     clip_norm: float = 1.0
     noise_multiplier: float = 0.0
-    reported_epsilon: Optional[float] = None  # informational only, never computed
 
     def __post_init__(self):
         if self.clip_norm <= 0:
@@ -141,65 +139,76 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def adam_step(
-    params: Sequence[Param],
+    p: Param,
     lr: float,
     step: int,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard Adam with bias correction; zeroes gradients afterwards.
+    """Standard Adam with bias correction; zeroes the gradient afterwards.
 
-    A non-finite gradient anywhere rejects the whole step before any state
-    is touched.
+    In place, block by block: the moments are allocated on the first step,
+    and besides the finiteness mask the only temporary is one block-sized
+    work buffer (the gradient doubles as a second one); a full-size buffer
+    would raise the peak memory of every training by a copy of the weights.
+    The rounding equals ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    A non-finite gradient rejects the step before any state is touched.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise FloatingPointError(f"non-finite gradient in {p.name}; step rejected")
+    if not np.isfinite(p.grad).all():
+        raise FloatingPointError(f"non-finite gradient in {p.name}; step rejected")
+    if p.m is None:
+        p.m = np.zeros_like(p.value)
+        p.v = np.zeros_like(p.value)
     c1 = 1.0 - beta1**step
     c2 = 1.0 - beta2**step
-    for p in params:
-        if p.m is None:
-            p.m = np.zeros_like(p.value)
-            p.v = np.zeros_like(p.value)
-        p.m = beta1 * p.m + (1.0 - beta1) * p.grad
-        p.v = beta2 * p.v + (1.0 - beta2) * p.grad**2
-        m_hat = p.m / c1
-        v_hat = p.v / c2
-        p.value -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.value.dtype)
-        p.zero_grad()
+    value, grad, first, second = (a.reshape(-1) for a in (p.value, p.grad, p.m, p.v))
+    work = np.empty(min(value.size, ADAM_BLOCK), dtype=value.dtype)
+    for start in range(0, value.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, m, v = grad[block], first[block], second[block]
+        s = work[: g.size]
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=s)
+        v *= beta2
+        v += np.multiply(np.square(g, out=s), 1.0 - beta2, out=s)
+        denom = np.sqrt(np.divide(v, c2, out=s), out=s)
+        denom += eps
+        update = np.multiply(np.divide(m, c1, out=g), lr, out=g)
+        update /= denom
+        value[block] -= update
+    grad[...] = 0
 
 
 def dp_sgd_step(
-    params: Sequence[Param],
-    per_example_grads: Sequence[Sequence[np.ndarray]],
+    p: Param,
+    per_example_grads: Sequence[np.ndarray],
     dp: DpConfig,
     lr: float,
     rng: np.random.Generator,
 ) -> None:
-    """Clip each example's full gradient to norm <= C, sum, add N(0, (sigma*C)^2)
-    noise per coordinate, divide by the batch size, and take an SGD step."""
+    """Clip each example's full gradient (same shape as ``p.value``) to norm
+    <= C, sum, add N(0, (sigma*C)^2) noise per coordinate, divide by the
+    batch size, and take an SGD step."""
     if not dp.enabled:
         raise ValueError("dp_sgd_step called with dp.enabled = False")
     batch = len(per_example_grads)
     if batch == 0:
         raise ValueError("empty batch")
     c = dp.clip_norm
-    summed = [np.zeros_like(p.value, dtype=np.float64) for p in params]
-    for grads in per_example_grads:
-        sq = sum(float(np.sum(np.asarray(g, dtype=np.float64) ** 2)) for g in grads)
-        norm = np.sqrt(sq)
+    summed = np.zeros(p.value.shape, dtype=np.float64)
+    for g in per_example_grads:
+        g64 = np.array(g, dtype=np.float64)
+        norm = np.sqrt(float(np.sum(g64**2)))
         scale = min(1.0, c / norm) if norm > 0 else 1.0
-        for acc, g in zip(summed, grads):
-            acc += np.asarray(g, dtype=np.float64) * scale
-    for p, acc in zip(params, summed):
-        noisy = acc
-        if dp.noise_multiplier > 0:
-            noisy = acc + rng.normal(0.0, dp.noise_multiplier * c, size=acc.shape)
-        p.value -= (lr * noisy / batch).astype(p.value.dtype)
-        p.zero_grad()
+        g64 *= scale
+        summed += g64
+    if dp.noise_multiplier > 0:
+        summed += rng.normal(0.0, dp.noise_multiplier * c, size=summed.shape)
+    p.value -= (lr * summed / batch).astype(p.value.dtype)
+    p.grad[...] = 0
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape, dtype=np.float32) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Versioned binary model files.
 
 Layout: magic ``ARGN`` | u32 format version | u64 header length | UTF-8 JSON
-header | raw little-endian float32 weights in canonical parameter order (per
-sub-column: E, W, b, V, c). The header carries the schema, fitted encoders,
-sub-columns, order mode, a train-config echo, training metadata, and the
-weight-shape manifest; the weight section is byte-exact, so save -> load ->
-save reproduces identical files.
+header | the model's flat weight store as raw little-endian float32, which
+holds the weights in canonical order (per sub-column: E, W, b, V, c). The
+header carries the schema, fitted encoders, sub-columns, order mode, a
+train-config echo, training metadata, and the weight-shape manifest; the
+weight section is byte-exact, so save -> load -> save reproduces identical
+files. Loading checks magic, version, float count and shapes, rejects
+non-finite weights and sub-columns that differ from the encoders', and
+copies the weights into a freshly allocated store.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ def _schema_from_dict(d: Optional[dict]) -> Optional[TableSchema]:
 def save_model(model: ArgnModel, path: str) -> None:
     if model.params is None:
         raise ValueError("model has no parameters to save")
-    plist = model.param_list()
     header = {
         "schema": _schema_to_dict(model.schema),
         "encoders": model.encoders.to_dict() if model.encoders is not None else None,
@@ -76,7 +78,7 @@ def save_model(model: ArgnModel, path: str) -> None:
         "trained": model.trained,
         "train_config": getattr(model, "train_config_echo", None),
         "training_meta": model.training_meta,
-        "weights": [{"name": p.name, "shape": list(p.value.shape)} for p in plist],
+        "weights": [{"name": name, "shape": list(p.value.shape)} for name, p in model.params.items()],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -84,8 +86,7 @@ def save_model(model: ArgnModel, path: str) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for p in plist:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(model.store.value, dtype="<f4"))  # no bytes copy
 
 
 def load_model(path: str) -> ArgnModel:
@@ -112,6 +113,8 @@ def load_model(path: str) -> ArgnModel:
     subs = [
         SubColumn(s["name"], int(s["cardinality"]), s["parent"]) for s in header["sub_columns"]
     ]
+    if encoders is not None and subs != encoders.sub_columns:
+        raise ModelFileError(f"{path}: header sub-columns do not match the encoders")
     model = ArgnModel(
         subs,
         order_mode=header["order_mode"],
@@ -131,20 +134,17 @@ def load_model(path: str) -> ArgnModel:
     if found != expected or len(weight_bytes) % 4 != 0:
         raise ModelFileError(f"{path}: expected {expected} floats, found {found}")
     flat = np.frombuffer(weight_bytes, dtype="<f4")
+    if not np.isfinite(flat).all():
+        raise ModelFileError(f"{path}: non-finite weights")
 
-    model.init_params(np.random.default_rng(0))
-    plist = model.param_list()
-    if len(plist) != len(header["weights"]):
+    model.allocate_params()
+    if len(model.params) != len(header["weights"]):
         raise ModelFileError(f"{path}: weight manifest does not match the architecture")
-    offset = 0
-    for p, meta in zip(plist, header["weights"]):
+    for p, meta in zip(model.params.values(), header["weights"]):
         shape = tuple(meta["shape"])
         if p.value.shape != shape:
             raise ModelFileError(
                 f"{path}: weight {meta['name']}: stored shape {shape} != expected {p.value.shape}"
             )
-        size = int(np.prod(shape))
-        p.value = flat[offset : offset + size].reshape(shape).astype(np.float32)
-        p.grad = np.zeros_like(p.value)
-        offset += size
+    model.store.value[...] = flat
     return model

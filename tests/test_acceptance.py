@@ -103,7 +103,8 @@ def test_criterion_1_gradient_correctness():
                 return float(d @ y)
 
             _, cache = dense_forward(x, w, b, "relu")
-            w.zero_grad(), b.zero_grad()
+            w.grad[...] = 0
+            b.grad[...] = 0
             dx = dense_backward(d, cache, w, b)
             check(w.grad, central(dense_loss, w.value))
             check(b.grad, central(dense_loss, b.value))
@@ -118,7 +119,7 @@ def test_criterion_1_gradient_correctness():
                 return float(de @ y)
 
             _, cache = embedding_forward(idx, emb)
-            emb.zero_grad()
+            emb.grad[...] = 0
             embedding_backward(de, cache, emb)
             check(emb.grad, central(emb_loss, emb.value))
 
@@ -245,19 +246,19 @@ def test_criterion_6_privacy_mechanisms():
 
         # (c) DP-SGD: sigma=0 + huge clip == vanilla SGD; noise std = sigma*C/batch
         rng = np.random.default_rng(1)
-        grads = [[rng.normal(size=(4, 3))] for _ in range(8)]
+        grads = [rng.normal(size=(4, 3)) for _ in range(8)]
         p = Param("p", np.zeros((4, 3)))
-        dp_sgd_step([p], grads, DpConfig(enabled=True, clip_norm=1e12), lr=0.05, rng=rng)
-        vanilla = -0.05 * np.mean([g[0] for g in grads], axis=0)
+        dp_sgd_step(p, grads, DpConfig(enabled=True, clip_norm=1e12), lr=0.05, rng=rng)
+        vanilla = -0.05 * np.mean(grads, axis=0)
         assert np.abs(p.value - vanilla).max() < 1e-6
 
         sigma, c, batch = 1.0, 2.0, 4
-        zero = [[np.zeros(1)] for _ in range(batch)]
+        zero = [np.zeros(1) for _ in range(batch)]
         noise_rng = np.random.default_rng(2)
         deltas = np.empty(10_000)
         for i in range(deltas.size):
             q = Param("q", np.zeros(1))
-            dp_sgd_step([q], zero, DpConfig(enabled=True, clip_norm=c, noise_multiplier=sigma),
+            dp_sgd_step(q, zero, DpConfig(enabled=True, clip_norm=c, noise_multiplier=sigma),
                         lr=1.0, rng=noise_rng)
             deltas[i] = q.value[0]
         expected = sigma * c / batch
@@ -409,5 +410,4 @@ def test_criterion_10_reproducibility(tmp_path):
         with open(model_paths[0], "rb") as f1, open(resaved, "rb") as f2:
             assert f1.read() == f2.read()
         original = load_model(model_paths[0])
-        for p, q in zip(original.param_list(), loaded.param_list()):
-            assert p.value.tobytes() == q.value.tobytes()
+        assert original.store.value.tobytes() == loaded.store.value.tobytes()

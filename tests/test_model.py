@@ -15,6 +15,7 @@ from argn.model import (
     order_mask_matrix,
     train,
 )
+from test_nn import REL_TOL, central_diff, rel_err
 
 
 def subcols(cardinalities, prefix="x"):
@@ -206,8 +207,7 @@ def test_early_stop_restores_best_epoch_weights():
 def test_reproducibility_bit_exact():
     m1, _, _, _ = train_lookup(seed=3)
     m2, _, _, _ = train_lookup(seed=3)
-    for p1, p2 in zip(m1.param_list(), m2.param_list()):
-        assert p1.value.tobytes() == p2.value.tobytes()
+    assert m1.store.value.tobytes() == m2.store.value.tobytes()
 
 
 def test_any_order_valid_probabilities_for_all_orders(rng):
@@ -260,6 +260,39 @@ def test_nll_near_zero_for_learned_deterministic_column():
     assert np.mean(nll_x2_given_x1) < 0.15
 
 
+# -- whole-model gradient -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_full_model_gradient_matches_finite_differences(order):
+    """Every coordinate of the flat store in float64: the masked contexts, the
+    embedding scatter-add (codes repeat across rows), regressors and
+    predictors, checked block by block."""
+    from argn.model import _batch_losses
+
+    model = ArgnModel(subcols([3, 4, 2]))
+    model.init_params(np.random.default_rng(1), dtype=np.float64)
+    # random biases keep the first column's pre-activations off the ReLU kink
+    model.store.value[...] = np.random.default_rng(2).normal(scale=0.5, size=model.store.value.size)
+    codes = np.array([[0, 1, 1], [2, 3, 0], [0, 1, 1], [1, 0, 1], [2, 2, 0]], dtype=np.int32)
+
+    def loss():
+        return float(_batch_losses(model, codes, order, False, None, False).mean())
+
+    model.store.grad[...] = 0
+    _batch_losses(model, codes, order, False, None, True)
+    numeric = central_diff(loss, model.store.value, h=1e-6)
+    offset = 0
+    for name, p in model.params.items():
+        block = numeric[offset : offset + p.value.size].reshape(p.value.shape)
+        assert rel_err(p.grad, block) < REL_TOL, name
+        offset += p.value.size
+    assert offset == model.store.value.size
+    # the last sub-column in the order is never context: its embedding gets no gradient
+    assert not model.params[f"E{order[-1]}"].grad.any()
+    assert model.params[f"E{order[0]}"].grad.any()
+
+
 # -- training with DP --------------------------------------------------------------
 
 
@@ -277,7 +310,7 @@ def test_training_with_dp_runs_and_is_deterministic():
             dp=DpConfig(enabled=True, clip_norm=1.0, noise_multiplier=0.5),
         )
         train(model, encoded, cfg)
-        return np.concatenate([p.value.ravel() for p in model.param_list()])
+        return model.store.value.copy()
 
     a, b = run(), run()
     np.testing.assert_array_equal(a, b)

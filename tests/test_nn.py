@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from argn.nn import (
+    ADAM_BLOCK,
     DpConfig,
     Param,
     adam_step,
@@ -77,8 +78,8 @@ def test_dense_gradients_match_finite_differences(rng):
             return float(direction @ y)
 
         y, cache = dense_forward(x, w, b, "relu")
-        w.zero_grad()
-        b.zero_grad()
+        w.grad[...] = 0
+        b.grad[...] = 0
         dx = dense_backward(direction, cache, w, b)
 
         assert rel_err(w.grad, central_diff(loss, w.value)) < REL_TOL
@@ -119,7 +120,7 @@ def test_embedding_gradient_matches_finite_differences(rng):
         return float(direction @ y)
 
     _, cache = embedding_forward(idx, e)
-    e.zero_grad()
+    e.grad[...] = 0
     embedding_backward(direction, cache, e)
     assert rel_err(e.grad, central_diff(loss, e.value)) < REL_TOL
 
@@ -185,14 +186,14 @@ def test_dropout_inverted_scaling_preserves_expectation(rng):
 def test_adam_first_step_magnitude():
     p = Param("p", np.zeros(4, dtype=np.float64))
     p.grad[...] = 1.0
-    adam_step([p], lr=1e-3, step=1)
+    adam_step(p, lr=1e-3, step=1)
     np.testing.assert_allclose(p.value, -9.99999e-4, rtol=1e-5)
     np.testing.assert_array_equal(p.grad, 0.0)
 
 
 def test_adam_zero_grad_no_move():
     p = Param("p", np.ones(3))
-    adam_step([p], lr=1e-3, step=1)
+    adam_step(p, lr=1e-3, step=1)
     np.testing.assert_array_equal(p.value, 1.0)
 
 
@@ -201,17 +202,40 @@ def test_adam_deterministic():
         p = Param("p", np.linspace(0, 1, 5).astype(np.float32))
         for t in range(1, 4):
             p.grad[...] = np.float32(0.5)
-            adam_step([p], lr=1e-2, step=t)
+            adam_step(p, lr=1e-2, step=t)
         return p.value.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+def adam_reference(value, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam in expression form, one temporary per operation."""
+    m = np.zeros_like(value)
+    v = np.zeros_like(value)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g**2
+        value = value - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return value
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (2 * ADAM_BLOCK + 3,)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_rounds_like_the_expression_form(rng, dtype, shape):
+    value = rng.normal(size=shape).astype(dtype)
+    grads = [rng.normal(size=shape).astype(dtype) for _ in range(6)]
+    p = Param("p", value.copy())
+    for t, g in enumerate(grads, start=1):
+        p.grad[...] = g
+        adam_step(p, 1e-2, t)
+    assert p.value.tobytes() == adam_reference(value, grads, 1e-2).tobytes()
 
 
 def test_adam_rejects_non_finite():
     p = Param("p", np.ones(2))
     p.grad[...] = np.nan
     with pytest.raises(FloatingPointError):
-        adam_step([p], lr=1e-3, step=1)
+        adam_step(p, lr=1e-3, step=1)
     assert p.m is None  # no state was touched
 
 
@@ -223,16 +247,16 @@ def test_dp_clip_to_exact_norm(rng):
     c = 1.5
     g = np.full(4, 1.5)  # norm = 3.0 = 2C
     dp = DpConfig(enabled=True, clip_norm=c, noise_multiplier=0.0)
-    dp_sgd_step([p], [[g]], dp, lr=1.0, rng=rng)
+    dp_sgd_step(p, [g], dp, lr=1.0, rng=rng)
     assert np.linalg.norm(p.value) == pytest.approx(c, rel=1e-12)
 
 
 def test_dp_sigma_zero_matches_plain_sgd(rng):
-    grads = [[rng.normal(size=(3, 2))] for _ in range(8)]
+    grads = [rng.normal(size=(3, 2)) for _ in range(8)]
     p_dp = Param("p", np.zeros((3, 2)))
     dp = DpConfig(enabled=True, clip_norm=1e9, noise_multiplier=0.0)
-    dp_sgd_step([p_dp], grads, dp, lr=0.1, rng=rng)
-    mean_grad = np.mean([g[0] for g in grads], axis=0)
+    dp_sgd_step(p_dp, grads, dp, lr=0.1, rng=rng)
+    mean_grad = np.mean(grads, axis=0)
     np.testing.assert_allclose(p_dp.value, -0.1 * mean_grad, atol=1e-6)
 
 
@@ -241,10 +265,10 @@ def test_dp_noise_std_matches_sigma_c_over_batch():
     sigma, c, batch = 1.0, 2.0, 4
     dp = DpConfig(enabled=True, clip_norm=c, noise_multiplier=sigma)
     deltas = np.empty(10_000)
-    zero_grads = [[np.zeros(1)] for _ in range(batch)]
+    zero_grads = [np.zeros(1) for _ in range(batch)]
     for i in range(deltas.size):
         p = Param("p", np.zeros(1))
-        dp_sgd_step([p], zero_grads, dp, lr=1.0, rng=rng)
+        dp_sgd_step(p, zero_grads, dp, lr=1.0, rng=rng)
         deltas[i] = p.value[0]
     expected = sigma * c / batch
     assert abs(deltas.std() - expected) / expected < 0.05
@@ -254,13 +278,13 @@ def test_dp_empty_batch_errors(rng):
     p = Param("p", np.zeros(1))
     dp = DpConfig(enabled=True, clip_norm=1.0)
     with pytest.raises(ValueError, match="empty"):
-        dp_sgd_step([p], [], dp, lr=0.1, rng=rng)
+        dp_sgd_step(p, [], dp, lr=0.1, rng=rng)
 
 
 def test_dp_requires_enabled(rng):
     p = Param("p", np.zeros(1))
     with pytest.raises(ValueError):
-        dp_sgd_step([p], [[np.zeros(1)]], DpConfig(enabled=False), lr=0.1, rng=rng)
+        dp_sgd_step(p, [np.zeros(1)], DpConfig(enabled=False), lr=0.1, rng=rng)
 
 
 def test_dp_config_validation():

@@ -1,7 +1,16 @@
+import csv
 import json
+import os
+import struct
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import argn
 from argn.cli import cli
 from argn.encoders import EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, train
@@ -73,11 +82,57 @@ def test_truncated_weights(trained, tmp_path):
     path.write_bytes(blob[:-4])  # drop exactly one float
     with pytest.raises(ModelFileError, match=r"expected (\d+) floats, found"):
         load_model(str(path))
-    expected = sum(p.value.size for p in model.param_list())
+    expected = model.store.value.size
     try:
         load_model(str(path))
     except ModelFileError as exc:
         assert f"expected {expected} floats, found {expected - 1}" in str(exc)
+
+
+def assert_params_view_store(model):
+    """Each named weight and gradient is its canonical slice of the store."""
+    offset = 0
+    for p in model.params.values():
+        for view, flat in ((p.value, model.store.value), (p.grad, model.store.grad)):
+            assert np.shares_memory(view, flat)
+            assert view.flags.c_contiguous
+            address = flat.__array_interface__["data"][0] + offset * flat.itemsize
+            assert view.__array_interface__["data"][0] == address
+        offset += p.value.size
+    assert offset == model.store.value.size
+
+
+def test_params_are_views_of_the_flat_store(trained, tmp_path):
+    model, _ = trained  # trained: the best-epoch snapshot was restored
+    fresh = ArgnModel(model.sub_columns)
+    fresh.init_params(np.random.default_rng(0))
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    for m in (fresh, model, load_model(str(path))):
+        assert_params_view_store(m)
+
+
+def test_non_finite_weight_rejected(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+    with pytest.raises(ModelFileError, match="non-finite"):
+        load_model(str(path))
+
+
+def test_sub_columns_that_differ_from_the_encoders_rejected(trained, tmp_path):
+    model, _ = trained
+    subs = list(model.sub_columns)
+    subs[0] = replace(subs[0], cardinality=subs[0].cardinality + 1)
+    # header, manifest and weights agree with each other, not with the encoders
+    wrong = ArgnModel(subs, encoders=model.encoders, schema=model.schema)
+    wrong.init_params(np.random.default_rng(0))
+    path = tmp_path / "m.argn"
+    save_model(wrong, str(path))
+    with pytest.raises(ModelFileError, match="sub-columns"):
+        load_model(str(path))
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -141,8 +196,12 @@ def test_cli_dcr_flags_train_copy(data_csv, tmp_path, capsys):
                 "--test", holdout_path, "--out-cdf", out_cdf]) == 0
     printed = capsys.readouterr().out
     assert "risk=1" in printed
-    header = open(out_cdf).readline().strip()
-    assert header == "distance,cdf_syn,cdf_test"
+    with open(out_cdf, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["distance", "cdf_syn", "cdf_test"]
+    assert rows and all(len(row) == 3 for row in rows)
+    for row in rows:
+        [float(field) for field in row]  # plain numbers, not np.float64(...)
 
 
 def test_cli_evaluate_without_holdout_omits_integral(data_csv, tmp_path):
@@ -231,3 +290,17 @@ def test_cli_audit_end_to_end(tmp_path):
         assert 0.0 <= res["auc"] <= 1.0
         assert 0.0 <= res["accuracy"] <= 1.0
     assert report["config"]["value_protection"]["enabled"] is True
+
+
+def test_python_m_argn_cli_train_writes_the_model(data_csv, quick_config, tmp_path):
+    model_path = tmp_path / "m.argn"
+    src = str(Path(argn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "argn.cli", "train", "--data", data_csv,
+         "--config", quick_config, "--out", str(model_path), "--seed", "7"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_model(str(model_path)).trained
