@@ -17,15 +17,17 @@ import numpy as np
 
 from .encoders import EncodingOptions, encode_table, fit_encoders
 from .linear import LogisticModel, MixedFeatureMap
-from .metrics import mixed_association_matrix, _numeric_cells
+from .metrics import mixed_association_matrix
 from .model import ArgnModel, TrainConfig, train
 from .protect import ValueProtectionConfig, protect_table
 from .sampling import GenerationRequest, synthesize
 from .tables import RawTable, TableSchema
-from .util import mann_whitney_auc
+from .util import mann_whitney_auc, scan_rows
 
 META_ATTACKS = ("naive_gh", "hist_gh", "corr_gh", "logistic_gh", "query_based")
-DISTANCE_ATTACKS = ("closest_hamming", "closest_l2", "direct_lookup", "kernel_density")
+DISTANCE_METRICS = {"closest_hamming": "hamming", "closest_l2": "l2",
+                    "direct_lookup": "lookup", "kernel_density": "kde"}  # attack -> metric
+DISTANCE_ATTACKS = tuple(DISTANCE_METRICS)
 ALL_ATTACKS = META_ATTACKS + DISTANCE_ATTACKS
 
 _TRIAL_DOMAIN = 10
@@ -60,11 +62,6 @@ class AttackResult:
     accuracy: float
 
 
-def auc(scores, labels) -> float:
-    """Mann-Whitney AUC with midrank ties; needs both classes present."""
-    return mann_whitney_auc(scores, labels)
-
-
 def accuracy_at_median(scores, labels) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
@@ -75,7 +72,8 @@ def accuracy_at_median(scores, labels) -> float:
 def _result(name: str, scores, labels) -> AttackResult:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
-    return AttackResult(name, scores, labels, auc(scores, labels), accuracy_at_median(scores, labels))
+    return AttackResult(name, scores, labels, mann_whitney_auc(scores, labels),
+                        accuracy_at_median(scores, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +85,7 @@ def achilles_score(table: RawTable, k: int = 5) -> np.ndarray:
     """Mean cosine distance to the k nearest rows under one-hot + min-max
     encoding; larger = more distinct = more attackable. If any encoded row is
     all-zero, a constant bias coordinate is appended so cosine stays defined.
+    Rows are scanned in blocks, so memory is O(block x n), not O(n^2).
     """
     if not 0 < k < table.row_count:
         raise ValueError("need 0 < k < row_count")
@@ -96,11 +95,17 @@ def achilles_score(table: RawTable, k: int = 5) -> np.ndarray:
         x = np.hstack([x, np.ones((x.shape[0], 1))])
         norms = np.linalg.norm(x, axis=1)
     unit = x / norms[:, None]
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    dist = 1.0 - cos
-    np.fill_diagonal(dist, np.inf)
-    nearest = np.sort(dist, axis=1)[:, :k]
-    return nearest.mean(axis=1)
+
+    def block(rows: slice) -> np.ndarray:
+        dist = unit[rows] @ unit.T  # one SCAN_BLOCK x n buffer, updated in place
+        np.clip(dist, -1.0, 1.0, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        own = np.arange(rows.stop - rows.start)
+        dist[own, rows.start + own] = np.inf
+        dist.partition(k - 1, axis=1)
+        return np.sort(dist[:, :k], axis=1).mean(axis=1)
+
+    return scan_rows(table.row_count, block)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +156,9 @@ def build_shadow_trials(aux_pool: RawTable, target_row: Sequence[Optional[str]],
 
 class AttackContext:
     """Everything derived from the auxiliary pool that attacks may rely on:
-    feature vocabularies, fixed histogram bins, the Achilles-style encoding,
-    and the seeded counting-query subsets."""
+    the pool's column view (vocabularies, numeric ranges and the one-hot +
+    min-max encoding), fixed histogram bins per numeric column, and the
+    seeded counting-query subsets."""
 
     HIST_BINS = 10
 
@@ -160,24 +166,10 @@ class AttackContext:
         self.schema = aux_pool.schema
         self.target = list(target_row)
         self.feature_map = MixedFeatureMap(aux_pool)
-        self.cat_vocabs: dict[str, list[str]] = {}
-        self.num_edges: dict[str, np.ndarray] = {}
-        self.num_cols: list[str] = []
-        self.cat_cols: list[str] = []
-        for spec in self.schema.columns:
-            if spec.kind == "categorical":
-                self.cat_cols.append(spec.name)
-                self.cat_vocabs[spec.name] = sorted(
-                    {v for v in aux_pool.column_values(spec.name) if v is not None}
-                )
-            elif spec.kind in ("numeric", "datetime"):
-                self.num_cols.append(spec.name)
-                vals = _numeric_cells(aux_pool, spec.name, spec.kind)
-                vals = vals[np.isfinite(vals)]
-                lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 1.0)
-                if hi <= lo:
-                    hi = lo + 1.0
-                self.num_edges[spec.name] = np.linspace(lo, hi, self.HIST_BINS + 1)
+        self.num_edges = {
+            name: np.linspace(lo, hi if hi > lo else lo + 1.0, self.HIST_BINS + 1)
+            for name, (lo, hi) in self.feature_map.ranges.items()
+        }
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(_QUERY_DOMAIN,))
         )
@@ -187,46 +179,41 @@ class AttackContext:
             tuple(sorted(rng.choice(n_cols, size=s, replace=False))) for _ in range(cfg.n_queries)
         ]
 
-    def kind_of(self, name: str) -> str:
-        return self.schema.column(name).kind
 
-    def target_vector(self) -> np.ndarray:
-        schema = TableSchema(self.schema.columns, 1)
-        return self.feature_map.transform(RawTable(schema, [list(self.target)]))[0]
-
-    def encode_rows(self, table: RawTable) -> np.ndarray:
-        return self.feature_map.transform(table)
+def _target_matches(syn: RawTable, target: Sequence[Optional[str]]) -> np.ndarray:
+    """rows x columns: True where the synthetic cell equals the target's."""
+    cells = np.array(syn.cells, dtype=object).reshape(syn.row_count, len(target))
+    return cells == np.array(target, dtype=object)
 
 
 def extract_features(syn: RawTable, target_row, kind: str, ctx: AttackContext) -> np.ndarray:
     """Fixed-width feature vector of a synthetic table for one attack family."""
+    fmap = ctx.feature_map
     if kind == "naive_gh":
         feats = []
-        for name in ctx.num_cols:
-            vals = _numeric_cells(syn, name, ctx.kind_of(name))
+        for name in ctx.num_edges:
+            vals = fmap.values(syn, name)
             vals = vals[np.isfinite(vals)]
             if vals.size:
                 feats.extend([vals.mean(), float(np.median(vals)), vals.var()])
             else:
                 feats.extend([0.0, 0.0, 0.0])
         n = max(1, syn.row_count)
-        for name in ctx.cat_cols:
-            counts = _category_counts(syn, name, ctx.cat_vocabs[name])
-            feats.extend(counts / n)
+        for name in fmap.vocabs:
+            feats.extend(_category_counts(fmap, syn, name) / n)
         return np.array(feats)
     if kind == "hist_gh":
         feats = []
-        for name in ctx.num_cols:
-            vals = _numeric_cells(syn, name, ctx.kind_of(name))
+        for name, edges in ctx.num_edges.items():
+            vals = fmap.values(syn, name)
             missing = int(np.sum(~np.isfinite(vals)))
             vals = vals[np.isfinite(vals)]
-            edges = ctx.num_edges[name]
             clipped = np.clip(vals, edges[0], edges[-1])
             hist, _ = np.histogram(clipped, bins=edges)
             feats.extend(hist.astype(np.float64))
             feats.append(float(missing))
-        for name in ctx.cat_cols:
-            feats.extend(_category_counts(syn, name, ctx.cat_vocabs[name]))
+        for name in fmap.vocabs:
+            feats.extend(_category_counts(fmap, syn, name))
         return np.array(feats)
     if kind == "corr_gh":
         return mixed_association_matrix(_with_schema(syn, ctx.schema)).ravel()
@@ -236,27 +223,15 @@ def extract_features(syn: RawTable, target_row, kind: str, ctx: AttackContext) -
             extract_features(syn, target_row, "hist_gh", ctx),
         ])
     if kind == "query_based":
-        target = list(target_row)
-        feats = []
-        for cols in ctx.queries:
-            count = 0
-            for row in syn.cells:
-                if all(row[c] == target[c] for c in cols):
-                    count += 1
-            feats.append(float(count))
-        return np.array(feats)
+        matches = _target_matches(syn, list(target_row))
+        return np.array([float(matches[:, cols].all(axis=1).sum()) for cols in ctx.queries])
     raise ValueError(f"unknown feature kind {kind!r}")
 
 
-def _category_counts(table: RawTable, name: str, vocab: list[str]) -> np.ndarray:
-    index = {v: i for i, v in enumerate(vocab)}
-    counts = np.zeros(len(vocab) + 2)  # vocab..., OTHER, MISSING
-    for v in table.column_values(name):
-        if v is None:
-            counts[-1] += 1
-        else:
-            counts[index.get(v, len(vocab))] += 1
-    return counts
+def _category_counts(fmap: MixedFeatureMap, table: RawTable, name: str) -> np.ndarray:
+    """Counts per vocabulary entry, then OTHER, then MISSING."""
+    width = len(fmap.vocabs[name]) + 2
+    return np.bincount(fmap.codes(table, name), minlength=width).astype(np.float64)
 
 
 def _with_schema(table: RawTable, schema: TableSchema) -> RawTable:
@@ -361,28 +336,28 @@ def run_distance_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]],
     """
     if len(syn_sets_with_labels) < 2:
         raise ValueError("need at least 2 labeled synthetic sets")
-    name_map = {"hamming": "closest_hamming", "l2": "closest_l2",
-                "lookup": "direct_lookup", "kde": "kernel_density"}
-    if metric not in name_map:
+    attack_of = {m: a for a, m in DISTANCE_METRICS.items()}
+    if metric not in attack_of:
         raise ValueError(f"unknown distance metric {metric!r}")
     target = list(target_row)
-    target_vec = ctx.target_vector()
+    target_table = RawTable(TableSchema(ctx.schema.columns, 1), [target])
+    target_vec = ctx.feature_map.transform(target_table)[0]
     scores, labels = [], []
     for syn, member in syn_sets_with_labels:
         if metric == "hamming":
-            best = min(sum(1 for a, b in zip(row, target) if a != b) for row in syn.cells)
-            scores.append(-float(best))
+            mismatches = len(target) - _target_matches(syn, target).sum(axis=1)
+            scores.append(-float(mismatches.min()))
         elif metric == "lookup":
-            scores.append(1.0 if any(list(r) == target for r in syn.cells) else 0.0)
+            scores.append(1.0 if _target_matches(syn, target).all(axis=1).any() else 0.0)
         else:
-            x = ctx.encode_rows(_with_schema(syn, ctx.schema))
+            x = ctx.feature_map.transform(_with_schema(syn, ctx.schema))
             if metric == "l2":
                 d = np.linalg.norm(x - target_vec, axis=1)
                 scores.append(-float(d.min()))
             else:
                 scores.append(_kde_log_density(x, target_vec))
         labels.append(member)
-    return _result(name_map[metric], scores, labels)
+    return _result(attack_of[metric], scores, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +411,7 @@ def run_audit(data: RawTable, generator: Callable, cfg: AuditConfig,
             if attack in META_ATTACKS:
                 res = run_shadow_attack(trials, generator, attack, cfg, ctx, syn_sets=syn_sets)
             else:
-                metric = {"closest_hamming": "hamming", "closest_l2": "l2",
-                          "direct_lookup": "lookup", "kernel_density": "kde"}[attack]
-                res = run_distance_attack(labeled, target, metric, ctx)
+                res = run_distance_attack(labeled, target, DISTANCE_METRICS[attack], ctx)
             entry["attacks"][attack] = {"auc": res.auc, "accuracy": res.accuracy}
         report["targets"].append(entry)
     return report

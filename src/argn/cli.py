@@ -17,7 +17,7 @@ from typing import Optional
 
 from .audit import AuditConfig, argn_generator, run_audit
 from .encoders import EncodingOptions, encode_table, fit_encoders
-from .metrics import MixedDistanceSpec, dcr, dcr_cdf_curves, dcr_cdf_integral, evaluate_tables
+from .metrics import dcr, dcr_cdf_curves, dcr_cdf_integral, evaluate_tables
 from .model import ArgnModel, TrainConfig, train
 from .nn import DpConfig
 from .persist import load_model, save_model
@@ -208,9 +208,8 @@ def _cmd_dcr(args) -> int:
     train_tbl = _with_schema_of(schema, train_raw, args.train)
     syn = _with_schema_of(schema, read_csv(args.syn), args.syn)
     test = _with_schema_of(schema, read_csv(args.test), args.test)
-    spec = MixedDistanceSpec()
-    d_syn = dcr(train_tbl, syn, spec)
-    d_test = dcr(train_tbl, test, spec)
+    d_syn = dcr(train_tbl, syn)
+    d_test = dcr(train_tbl, test)
     integral = dcr_cdf_integral(d_syn, d_test)
     grid, cdf_syn, cdf_test = dcr_cdf_curves(d_syn, d_test)
     with open(args.out_cdf, "w", encoding="utf-8") as fh:

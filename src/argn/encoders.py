@@ -593,26 +593,6 @@ _ENCODER_TYPES = {
 }
 
 
-def fit_categorical(values) -> CategoryEncoder:
-    return CategoryEncoder.fit("value", values)
-
-
-def fit_percentile(values, n_bins: int = 100) -> PercentileEncoder:
-    return PercentileEncoder.fit("value", values, n_bins)
-
-
-def fit_digit_split(values) -> DigitEncoder:
-    return DigitEncoder.fit("value", values)
-
-
-def fit_datetime(values) -> DatetimeEncoder:
-    return DatetimeEncoder.fit("value", values)
-
-
-def fit_quadtile(lat_values, lon_values, min_tile_count: int = 100, max_depth: int = 12) -> QuadtileEncoder:
-    return QuadtileEncoder.fit("value", ("lat", "lon"), lat_values, lon_values, min_tile_count, max_depth)
-
-
 @dataclass(frozen=True)
 class EncodingOptions:
     n_bins: int = 100

@@ -1,7 +1,8 @@
 """Built-in classifiers/regressors used by the metric suite and the audit
 harness: multinomial logistic regression trained by full-batch Adam (zero
 init, fixed iteration count, fully deterministic) and closed-form ridge
-regression. Also the shared one-hot + min-max feature map for mixed tables.
+regression. Also MixedFeatureMap, the one per-column view of a mixed table
+that the metrics and the audit read columns through.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .nn import Param, adam_step
-from .tables import RawTable, parse_datetime, parse_number
-
-OTHER_BUCKET = "__OTHER__"
-MISSING_BUCKET = "__MISSING__"
+from .tables import RawTable, parse_column
 
 
 class LogisticModel:
@@ -86,70 +84,61 @@ def ridge_predict(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
 
 
 class MixedFeatureMap:
-    """One-hot categoricals + min-max scaled numerics, fitted on a reference
-    table. Unseen categories hit a dedicated OTHER bucket, missing cells a
-    MISSING bucket (categorical) or the scaled midpoint 0.5 (numeric).
-    Datetime columns are treated numerically via epoch seconds; latlong
-    sources are numeric columns already.
+    """The per-column view of a mixed table, fitted on a reference table.
+
+    ``codes`` gives a categorical column's one-hot index: the sorted
+    reference vocabulary, then OTHER for unseen values, then MISSING.
+    ``values`` gives a numeric or datetime column (datetimes as epoch
+    seconds) as float64 with NaN for missing or unparseable cells;
+    ``ranges`` holds each such column's finite reference (min, max).
+    ``transform`` one-hots the categoricals and min-max scales the numerics
+    (missing -> the midpoint 0.5). Latlong parents are skipped; their
+    decoded sources are numeric columns already.
     """
 
     def __init__(self, reference: RawTable, columns: Optional[Sequence[str]] = None):
         schema = reference.schema
         use = list(columns) if columns is not None else schema.names
-        self.columns: list[tuple[str, str]] = []  # (name, kind)
+        self.kinds: dict[str, str] = {}
         self.vocabs: dict[str, list[str]] = {}
         self.ranges: dict[str, tuple[float, float]] = {}
         for name in use:
-            spec = schema.column(name)
-            if spec.kind == "categorical":
-                vocab = sorted({v for v in reference.column_values(name) if v is not None})
-                self.vocabs[name] = vocab
-                self.columns.append((name, "categorical"))
-            elif spec.kind in ("numeric", "datetime"):
-                nums = self._numeric_values(reference.column_values(name), spec.kind)
+            kind = schema.column(name).kind
+            if kind == "latlong":
+                continue
+            self.kinds[name] = kind
+            if kind == "categorical":
+                self.vocabs[name] = sorted({v for v in reference.column_values(name) if v is not None})
+            else:
+                nums = self.values(reference, name)
                 finite = nums[np.isfinite(nums)]
                 lo = float(finite.min()) if finite.size else 0.0
                 hi = float(finite.max()) if finite.size else 1.0
                 self.ranges[name] = (lo, hi)
-                self.columns.append((name, spec.kind))
-            # latlong parents are skipped; their decoded sources are numeric
-        self.width = sum(
-            len(self.vocabs[n]) + 2 if k == "categorical" else 1 for n, k in self.columns
+
+    def codes(self, table: RawTable, name: str) -> np.ndarray:
+        index = {v: i for i, v in enumerate(self.vocabs[name])}
+        other = len(index)
+        return np.array(
+            [other + 1 if c is None else index.get(c, other) for c in table.column_values(name)],
+            dtype=np.int64,
         )
 
-    @staticmethod
-    def _numeric_values(cells, kind: str) -> np.ndarray:
-        if kind == "datetime":
-            out = []
-            for c in cells:
-                d = parse_datetime(c)
-                out.append(d.timestamp() if d is not None else np.nan)
-            return np.array(out, dtype=np.float64)
-        return np.array(
-            [x if (x := parse_number(c)) is not None else np.nan for c in cells],
-            dtype=np.float64,
-        )
+    def values(self, table: RawTable, name: str) -> np.ndarray:
+        return parse_column(table.column_values(name), self.kinds[name])
 
     def transform(self, table: RawTable) -> np.ndarray:
         n = table.row_count
         blocks = []
-        for name, kind in self.columns:
-            cells = table.column_values(name)
+        for name, kind in self.kinds.items():
             if kind == "categorical":
-                vocab = self.vocabs[name]
-                index = {v: i for i, v in enumerate(vocab)}
-                block = np.zeros((n, len(vocab) + 2))
-                for r, c in enumerate(cells):
-                    if c is None:
-                        block[r, len(vocab) + 1] = 1.0  # MISSING
-                    else:
-                        block[r, index.get(c, len(vocab))] = 1.0  # OTHER when unseen
-                blocks.append(block)
+                block = np.zeros((n, len(self.vocabs[name]) + 2))
+                block[np.arange(n), self.codes(table, name)] = 1.0
             else:
                 lo, hi = self.ranges[name]
                 span = hi - lo
-                nums = self._numeric_values(cells, kind)
+                nums = self.values(table, name)
                 scaled = (nums - lo) / span if span > 0 else np.zeros(n)
-                scaled = np.where(np.isnan(nums), 0.5, scaled)
-                blocks.append(scaled[:, None])
+                block = np.where(np.isnan(nums), 0.5, scaled)[:, None]
+            blocks.append(block)
         return np.hstack(blocks) if blocks else np.zeros((n, 0))

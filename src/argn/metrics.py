@@ -4,59 +4,43 @@ Columns are compared on their empirical distributions: JSD (base 2) for
 categoricals, 1-Wasserstein on min-max scaled values for numerics, and the
 Frobenius norm of mixed association-matrix differences. Detection and
 ML-efficiency use the built-in logistic/ridge models. DCR is an exact
-nearest-record scan under a mixed per-column distance; the CDF-difference
+nearest-record scan in row blocks under a mixed per-column distance (an l1
+sum over columns); the CDF-difference
 integral up to the holdout curve's 0.98 quantile flags generative
 overfitting (positive = risk).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
-from .tables import RawTable, TableSchema, parse_datetime, parse_number
-from .util import mann_whitney_auc, worker_count
+from .tables import RawTable, TableSchema, parse_column
+from .util import mann_whitney_auc, scan_rows
 
 MISSING_LABEL = "__MISSING__"
 
 
-def _as_categories(values) -> list[str]:
-    return [MISSING_LABEL if v is None else str(v) for v in values]
-
-
-def _as_floats(values) -> np.ndarray:
-    out = []
-    for v in values:
-        if isinstance(v, (int, float, np.floating)):
-            out.append(float(v))
-        else:
-            x = parse_number(v)
-            if x is not None:
-                out.append(x)
-    return np.array(out, dtype=np.float64)
+def _category_codes(cells) -> np.ndarray:
+    """Codes 0..k-1 in sorted category order; missing cells form their own
+    category."""
+    labels = np.array([MISSING_LABEL if v is None else str(v) for v in cells], dtype=object)
+    return np.unique(labels, return_inverse=True)[1].reshape(-1)
 
 
 def jsd(real_column, syn_column) -> float:
     """Jensen-Shannon divergence (base 2) between empirical category
     distributions over the union of categories; 0 = identical, 1 = disjoint."""
-    real = _as_categories(real_column)
-    syn = _as_categories(syn_column)
+    real, syn = list(real_column), list(syn_column)
     if not real or not syn:
         raise ValueError("jsd needs non-empty columns")
-    cats = sorted(set(real) | set(syn))
-    index = {c: i for i, c in enumerate(cats)}
-    p = np.zeros(len(cats))
-    q = np.zeros(len(cats))
-    for v in real:
-        p[index[v]] += 1
-    for v in syn:
-        q[index[v]] += 1
-    p /= p.sum()
-    q /= q.sum()
+    codes = _category_codes(real + syn)
+    k = int(codes.max()) + 1
+    p = np.bincount(codes[: len(real)], minlength=k) / len(real)
+    q = np.bincount(codes[len(real) :], minlength=k) / len(syn)
     m = (p + q) / 2.0
     div = 0.0
     for dist in (p, q):
@@ -67,9 +51,11 @@ def jsd(real_column, syn_column) -> float:
 
 def wasserstein1(real_column, syn_column) -> float:
     """1-Wasserstein distance between empirical distributions after min-max
-    scaling to [0,1] over the combined range (degenerate range -> 0)."""
-    a = _as_floats(real_column)
-    b = _as_floats(syn_column)
+    scaling to [0,1] over the combined range (degenerate range -> 0).
+    Non-finite values (missing cells) are dropped."""
+    a = np.asarray(real_column, dtype=np.float64)
+    b = np.asarray(syn_column, dtype=np.float64)
+    a, b = a[np.isfinite(a)], b[np.isfinite(b)]
     if a.size == 0 or b.size == 0:
         raise ValueError("wasserstein1 needs non-empty numeric columns")
     lo = min(a.min(), b.min())
@@ -101,48 +87,38 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
 
 
-def _correlation_ratio(groups: list[str], values: np.ndarray) -> float:
+def _correlation_ratio(codes: np.ndarray, values: np.ndarray) -> float:
+    """Correlation ratio of ``values`` grouped by the category ``codes``.
+    Groups are summed in code order, so the result is reproducible."""
     ok = np.isfinite(values)
     if ok.sum() < 2:
         return 0.0
-    values = values[ok]
-    labels = [g for g, keep in zip(groups, ok) if keep]
+    values, codes = values[ok], codes[ok]
     total_mean = values.mean()
     ss_total = float(np.sum((values - total_mean) ** 2))
     if ss_total < 1e-12:
         return 0.0
+    counts = np.bincount(codes)
+    groups = np.split(values[np.argsort(codes, kind="stable")], np.cumsum(counts)[:-1])
     ss_between = 0.0
-    for cat in set(labels):
-        sel = np.array([g == cat for g in labels])
-        ss_between += sel.sum() * (values[sel].mean() - total_mean) ** 2
+    for count, group in zip(counts, groups):
+        if count:
+            ss_between += count * (group.mean() - total_mean) ** 2
     return float(np.sqrt(ss_between / ss_total))
 
 
-def _cramers_v(a: list[str], b: list[str]) -> float:
-    cats_a = sorted(set(a))
-    cats_b = sorted(set(b))
-    if len(cats_a) < 2 or len(cats_b) < 2:
+def _cramers_v(a: np.ndarray, b: np.ndarray) -> float:
+    """Cramer's V of two columns of category codes 0..k-1."""
+    k_a, k_b = (int(codes.max()) + 1 if codes.size else 0 for codes in (a, b))
+    if k_a < 2 or k_b < 2:
         return 0.0
-    ia = {c: i for i, c in enumerate(cats_a)}
-    ib = {c: i for i, c in enumerate(cats_b)}
-    table = np.zeros((len(cats_a), len(cats_b)))
-    for x, y in zip(a, b):
-        table[ia[x], ib[y]] += 1
+    table = np.bincount(a * k_b + b, minlength=k_a * k_b).reshape(k_a, k_b).astype(np.float64)
     n = table.sum()
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         chi2 = np.nansum(np.where(expected > 0, (table - expected) ** 2 / expected, 0.0))
-    denom = n * (min(len(cats_a), len(cats_b)) - 1)
+    denom = n * (min(k_a, k_b) - 1)
     return float(np.sqrt(chi2 / denom)) if denom > 0 else 0.0
-
-
-def _numeric_cells(table: RawTable, name: str, kind: str) -> np.ndarray:
-    cells = table.column_values(name)
-    if kind == "datetime":
-        return np.array(
-            [d.timestamp() if (d := parse_datetime(c)) is not None else np.nan for c in cells]
-        )
-    return np.array([x if (x := parse_number(c)) is not None else np.nan for c in cells])
 
 
 def mixed_association_matrix(table: RawTable) -> np.ndarray:
@@ -155,9 +131,9 @@ def mixed_association_matrix(table: RawTable) -> np.ndarray:
     cats = {}
     for c in cols:
         if c.kind == "categorical":
-            cats[c.name] = _as_categories(table.column_values(c.name))
+            cats[c.name] = _category_codes(table.column_values(c.name))
         else:
-            numeric[c.name] = _numeric_cells(table, c.name, c.kind)
+            numeric[c.name] = parse_column(table.column_values(c.name), c.kind)
     mat = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
@@ -246,16 +222,9 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
     spec = real_train.schema.column(target_column)
     feature_cols = [n for n in real_train.schema.names if n != target_column]
 
-    def features(train_tbl: RawTable):
-        fmap = MixedFeatureMap(train_tbl, feature_cols)
-        return fmap
-
     if spec.kind == "categorical":
-        vocab = sorted(
-            {v for v in real_train.column_values(target_column) if v is not None}
-            | {v for v in syn_train.column_values(target_column) if v is not None}
-            | {v for v in real_test.column_values(target_column) if v is not None}
-        )
+        vocab = sorted({v for t in (real_train, syn_train, real_test)
+                        for v in t.column_values(target_column) if v is not None})
         index = {v: i for i, v in enumerate(vocab)}
 
         def labels(tbl: RawTable) -> np.ndarray:
@@ -265,7 +234,7 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
 
         out = {}
         for tag, train_tbl in (("synthetic", syn_train), ("baseline", real_train)):
-            fmap = features(train_tbl)
+            fmap = MixedFeatureMap(train_tbl, feature_cols)
             clf = LogisticModel().fit(
                 fmap.transform(train_tbl), labels(train_tbl), n_classes=len(vocab)
             )
@@ -280,14 +249,11 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
                 "baseline_macro_f1": out["baseline"]["macro_f1"]}
 
     def target_values(tbl: RawTable) -> np.ndarray:
-        return np.array(
-            [x if (x := parse_number(v)) is not None else 0.0
-             for v in tbl.column_values(target_column)]
-        )
+        return np.nan_to_num(parse_column(tbl.column_values(target_column), spec.kind))
 
     out = {}
     for tag, train_tbl in (("synthetic", syn_train), ("baseline", real_train)):
-        fmap = features(train_tbl)
+        fmap = MixedFeatureMap(train_tbl, feature_cols)
         w, b = fit_ridge(fmap.transform(train_tbl), target_values(train_tbl))
         pred = ridge_predict(fmap.transform(real_test), w, b)
         out[tag] = float(np.sqrt(np.mean((pred - target_values(real_test)) ** 2)))
@@ -299,52 +265,25 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixedDistanceSpec:
-    """Per-column mixed distance: 0/1 mismatch for categoricals, min-max scaled
-    |a-b| for numerics (range taken from the real/train table), aggregated as
-    a plain sum (l1, default) or sqrt of the summed squares (l2)."""
-
-    mode: str = "l1"
-
-    def __post_init__(self):
-        if self.mode not in ("l1", "l2"):
-            raise ValueError("mode must be 'l1' or 'l2'")
-
-
-def _column_blocks(train: RawTable, other: RawTable):
-    """Precompute per-column comparable representations for the DCR scan."""
+def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
+    """Per column (kind, train side, other side, span) for the DCR scan:
+    category codes, or parsed values with the train range as span."""
     blocks = []
-    for spec in train.schema.columns:
-        if spec.kind == "categorical":
-            vocab = {}
-            def code(v):
-                if v is None:
-                    return -1
-                if v not in vocab:
-                    vocab[v] = len(vocab)
-                return vocab[v]
-            a = np.array([code(v) for v in train.column_values(spec.name)], dtype=np.int64)
-            b = np.array([code(v) for v in other.column_values(spec.name)], dtype=np.int64)
-            blocks.append(("cat", a, b, 1.0))
-        elif spec.kind in ("numeric", "datetime"):
-            a = _numeric_cells(train, spec.name, spec.kind)
-            b = _numeric_cells(other, spec.name, spec.kind)
-            finite = a[np.isfinite(a)]
-            span = float(finite.max() - finite.min()) if finite.size else 0.0
-            blocks.append(("num", a, b, span if span > 0 else 1.0))
-        # latlong parents never appear in decoded tables
+    for name, kind in fmap.kinds.items():
+        if kind == "categorical":
+            blocks.append(("cat", fmap.codes(train, name), fmap.codes(other, name), 1.0))
+        else:
+            lo, hi = fmap.ranges[name]
+            span = hi - lo
+            blocks.append(("num", fmap.values(train, name), fmap.values(other, name),
+                           span if span > 0 else 1.0))
     return blocks
 
 
-def _dcr_chunk(blocks, mode: str, sl: slice, n_train: int) -> np.ndarray:
-    width = None
-    acc = None
+def _dcr_chunk(blocks, sl: slice, n_train: int) -> np.ndarray:
+    acc = np.zeros((sl.stop - sl.start, n_train))
     for kind, a, b, span in blocks:
         bb = b[sl]
-        if width is None:
-            width = len(bb)
-            acc = np.zeros((width, n_train))
         if kind == "cat":
             d = (bb[:, None] != a[None, :]).astype(np.float64)
         else:
@@ -354,31 +293,19 @@ def _dcr_chunk(blocks, mode: str, sl: slice, n_train: int) -> np.ndarray:
             either = miss_b[:, None] | miss_a[None, :]
             both = miss_b[:, None] & miss_a[None, :]
             d = np.where(both, 0.0, np.where(either, 1.0, d))
-        acc += d**2 if mode == "l2" else d
-    if acc is None:
-        return np.zeros(sl.stop - sl.start)
-    dist = np.sqrt(acc) if mode == "l2" else acc
-    return dist.min(axis=1)
+        acc += d
+    return acc.min(axis=1)
 
 
-def dcr(train: RawTable, other: RawTable, spec: MixedDistanceSpec = MixedDistanceSpec()) -> np.ndarray:
+def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     """For each row of ``other``, the exact minimum mixed distance to any
-    ``train`` row (full O(n*m) scan, chunked across worker threads)."""
+    ``train`` row: the sum over columns of a 0/1 mismatch for categoricals
+    and |a-b| scaled by the train range for numerics (a missing side costs
+    1, both missing 0). Full O(n*m) scan in row blocks across worker threads."""
     if train.schema.names != other.schema.names:
         raise ValueError("tables must share a schema")
-    blocks = _column_blocks(train, other)
-    n_other, n_train = other.row_count, train.row_count
-    if n_other == 0:
-        return np.zeros(0)
-    chunk = max(1, min(512, n_other))
-    slices = [slice(s, min(s + chunk, n_other)) for s in range(0, n_other, chunk)]
-    workers = min(worker_count(), len(slices))
-    if workers <= 1:
-        parts = [_dcr_chunk(blocks, spec.mode, sl, n_train) for sl in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda sl: _dcr_chunk(blocks, spec.mode, sl, n_train), slices))
-    return np.concatenate(parts)
+    blocks = _dcr_columns(MixedFeatureMap(train), train, other)
+    return scan_rows(other.row_count, lambda sl: _dcr_chunk(blocks, sl, train.row_count))
 
 
 def _empirical_cdf(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -442,9 +369,9 @@ def evaluate_tables(real: RawTable, syn: RawTable, holdout: Optional[RawTable] =
         if spec.kind == "categorical":
             jsd_cols[spec.name] = jsd(real.column_values(spec.name), syn.column_values(spec.name))
         elif spec.kind in ("numeric", "datetime"):
-            a = _numeric_cells(real, spec.name, spec.kind)
-            b = _numeric_cells(syn, spec.name, spec.kind)
-            wd_cols[spec.name] = wasserstein1(a[np.isfinite(a)], b[np.isfinite(b)])
+            real_vals, syn_vals = (parse_column(t.column_values(spec.name), spec.kind)
+                                   for t in (real, syn))
+            wd_cols[spec.name] = wasserstein1(real_vals, syn_vals)
     ml = ml_efficiency(real, syn, holdout if holdout is not None else real, target) if target else None
     integral = None
     if holdout is not None:

@@ -202,21 +202,9 @@ class ArgnModel:
         return nn.dense_backward(dh, cache_r, w, b)
 
 
-def masked_context(embeddings: Sequence[np.ndarray], order: Sequence[int], target: int) -> np.ndarray:
-    """Concatenate embeddings in canonical slot order, zeroing every slot whose
-    sub-column does not precede ``target`` in ``order``."""
-    d = len(embeddings)
-    position = {col: pos for pos, col in enumerate(order)}
-    if target not in position:
-        raise ValueError("target sub-column not in order")
-    keep = [position[j] < position[target] for j in range(d)]
-    parts = [np.asarray(e) if keep[j] else np.zeros_like(e) for j, e in enumerate(embeddings)]
-    return np.concatenate(parts, axis=-1)
-
-
 def order_mask_matrix(model: ArgnModel, order: Sequence[int]) -> np.ndarray:
-    """Row t = 0/1 slot mask for predicting order[t]; equals masked_context
-    semantics applied to the full embedding concatenation."""
+    """Row t = 0/1 slot mask for predicting order[t]: 1 on the slots of the
+    sub-columns that precede order[t] in ``order``."""
     d = model.d_total
     masks = np.zeros((d, model.sizes.context_width), dtype=np.float32)
     for t in range(1, d):

@@ -90,8 +90,19 @@ def save_model(model: ArgnModel, path: str) -> None:
 
 
 def load_model(path: str) -> ArgnModel:
+    """Load a model file; any malformed or damaged file raises ModelFileError."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _model_from_blob(blob, path)
+    except ModelFileError:
+        raise
+    except (ArithmeticError, AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        # undecodable or non-JSON header, missing fields, wrongly typed values
+        raise ModelFileError(f"{path}: malformed model header: {exc!r}") from exc
+
+
+def _model_from_blob(blob: bytes, path: str) -> ArgnModel:
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise ModelFileError(f"{path}: not an ARGN model file")
     (version,) = struct.unpack("<I", blob[4:8])

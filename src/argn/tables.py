@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 KINDS = ("categorical", "numeric", "datetime", "latlong")
 ENCODINGS = ("category_map", "percentile_bins", "digit_split", "datetime_parts", "quadtile")
 
@@ -161,6 +163,16 @@ def parse_datetime(cell: Optional[str]) -> Optional[datetime]:
         return datetime.fromisoformat(text)
     except ValueError:
         return None
+
+
+def parse_column(cells: Sequence[Optional[str]], kind: str) -> np.ndarray:
+    """float64 values of a numeric or datetime column (datetimes as epoch
+    seconds); missing and unparseable cells are NaN."""
+    if kind == "datetime":
+        vals = [d.timestamp() if (d := parse_datetime(c)) is not None else np.nan for c in cells]
+    else:
+        vals = [x if (x := parse_number(c)) is not None else np.nan for c in cells]
+    return np.array(vals, dtype=np.float64)
 
 
 def _fraction_parsing(values: list[Optional[str]], parser) -> float:

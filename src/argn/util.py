@@ -1,8 +1,14 @@
-"""Small shared helpers: thread budgeting and rank statistics."""
+"""Small shared helpers: thread budgeting, blocked row scans and rank
+statistics."""
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
+
+# Rows per block of a scan; a block's temporaries are SCAN_BLOCK x n_other.
+SCAN_BLOCK = 512
 
 
 def worker_count() -> int:
@@ -15,6 +21,20 @@ def worker_count() -> int:
     if n <= 0:
         n = min(os.cpu_count() or 1, 8)
     return max(1, n)
+
+
+def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Concatenated ``block_fn(rows)`` over consecutive blocks of at most
+    SCAN_BLOCK rows, run on up to worker_count() threads. Blocks are
+    independent, so the result does not depend on the thread count."""
+    slices = [slice(s, min(s + SCAN_BLOCK, n_rows)) for s in range(0, n_rows, SCAN_BLOCK)]
+    if not slices:
+        return np.zeros(0)
+    workers = min(worker_count(), len(slices))
+    if workers <= 1:
+        return np.concatenate([block_fn(sl) for sl in slices])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(block_fn, slices)))
 
 
 def midranks(values: np.ndarray) -> np.ndarray:

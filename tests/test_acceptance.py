@@ -20,7 +20,6 @@ from argn.audit import (
     AuditConfig,
     achilles_score,
     argn_generator,
-    auc,
     build_shadow_trials,
     generate_shadow_sets,
     run_distance_attack,
@@ -35,7 +34,6 @@ from argn.model import (
     TrainConfig,
     compute_layer_sizes,
     forward_column,
-    masked_context,
     train,
 )
 from argn.nn import (
@@ -52,8 +50,9 @@ from argn.persist import load_model, save_model
 from argn.protect import RARE_TOKEN, ValueProtectionConfig, protect_extreme_values, protect_rare_categories
 from argn.sampling import GenerationRequest, generate
 from argn.tables import write_csv
+from argn.util import mann_whitney_auc as auc
 from conftest import acceptance_table
-from test_model import lookup_table_data, subcols
+from test_model import lookup_table_data, masked_context, subcols
 
 
 @contextlib.contextmanager

@@ -6,13 +6,13 @@ from argn.audit import (
     AuditConfig,
     accuracy_at_median,
     achilles_score,
-    auc,
     build_shadow_trials,
     extract_features,
     run_distance_attack,
     run_shadow_attack,
 )
 from argn.tables import RawTable, TableSchema
+from argn.util import mann_whitney_auc as auc
 from conftest import make_table, mixed_sample_table
 
 
@@ -99,6 +99,42 @@ def test_achilles_permutation_equivariant(rng):
     perm = rng.permutation(25)
     shuffled = table.subset(perm)
     np.testing.assert_allclose(achilles_score(shuffled, 4), achilles_score(table, 4)[perm], atol=1e-9)
+
+
+def dense_achilles(table, k):
+    """The all-pairs formula: the full n x n cosine-distance matrix, sorted."""
+    from argn.linear import MixedFeatureMap
+
+    x = MixedFeatureMap(table).transform(table)
+    unit = x / np.linalg.norm(x, axis=1)[:, None]
+    dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(dist, np.inf)
+    return np.sort(dist, axis=1)[:, :k].mean(axis=1)
+
+
+def test_achilles_blocked_scan_matches_dense_formula(monkeypatch):
+    table = mixed_sample_table(1100, seed=3)  # three row blocks
+    scores = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("ARGN_THREADS", threads)
+        scores[threads] = achilles_score(table, k=5)
+    np.testing.assert_array_equal(scores["1"], scores["4"])
+    # a row block's GEMM may round a product's last bit unlike the n x n one
+    np.testing.assert_allclose(scores["1"], dense_achilles(table, 5), rtol=0, atol=1e-15)
+
+
+def test_achilles_memory_stays_below_one_dense_matrix(monkeypatch):
+    import tracemalloc
+
+    table = mixed_sample_table(4000, seed=2)
+    monkeypatch.setenv("ARGN_THREADS", "4")
+    tracemalloc.start()
+    try:
+        achilles_score(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 4000 * 8
 
 
 def test_achilles_k_validation():
@@ -190,15 +226,38 @@ def test_hist_features_sum_to_row_count(pool_and_target):
     feats = extract_features(syn, target, "hist_gh", ctx)
     # per numeric column: 10 bins + missing count; per categorical: vocab+other+missing
     offset = 0
-    for name in ctx.num_cols:
+    for name in ctx.num_edges:
         block = feats[offset : offset + 11]
         assert block.sum() == 57
         offset += 11
-    for name in ctx.cat_cols:
-        width = len(ctx.cat_vocabs[name]) + 2
+    for name in ctx.feature_map.vocabs:
+        width = len(ctx.feature_map.vocabs[name]) + 2
         assert feats[offset : offset + width].sum() == 57
         offset += width
     assert offset == len(feats)
+
+
+def test_exact_match_attacks_match_row_loops(rng):
+    cols = ["c0", "c1", "c2", "c3"]
+
+    def random_table(n):
+        return make_table({c: [None if r < 0.15 else f"v{int(r * 3)}" for r in rng.uniform(size=n)]
+                           for c in cols})
+
+    pool = random_table(60)
+    target = ["v1", None, "v2", "v0"]
+    cfg = AuditConfig(n_shadow=2, shadow_size=5, n_queries=12, subset_size=2, seed=0)
+    ctx = AttackContext(pool, target, cfg)
+    syn_sets = [random_table(40) for _ in range(4)]
+    for syn in syn_sets:
+        counts = [sum(all(row[c] == target[c] for c in q) for row in syn.cells) for q in ctx.queries]
+        np.testing.assert_array_equal(extract_features(syn, target, "query_based", ctx), counts)
+    labeled = [(syn, i % 2 == 0) for i, syn in enumerate(syn_sets)]
+    hamming = run_distance_attack(labeled, target, "hamming", ctx).scores
+    lookup = run_distance_attack(labeled, target, "lookup", ctx).scores
+    for syn, h, found in zip(syn_sets, hamming, lookup):
+        assert h == -min(sum(a != b for a, b in zip(row, target)) for row in syn.cells)
+        assert found == float(any(list(row) == target for row in syn.cells))
 
 
 # -- distance attacks ------------------------------------------------------------------

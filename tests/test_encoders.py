@@ -4,20 +4,43 @@ import numpy as np
 import pytest
 
 from argn.encoders import (
+    CategoryEncoder,
+    DatetimeEncoder,
+    DigitEncoder,
     EncodedTable,
     EncodingOptions,
+    PercentileEncoder,
+    QuadtileEncoder,
     decode_table,
     encode_table,
-    fit_categorical,
-    fit_datetime,
-    fit_digit_split,
     fit_encoders,
-    fit_percentile,
-    fit_quadtile,
 )
 from argn.tables import ColumnSpec, infer_schema
 
 from conftest import make_table
+
+
+# single-column fits under a placeholder column name
+
+
+def fit_categorical(values) -> CategoryEncoder:
+    return CategoryEncoder.fit("value", values)
+
+
+def fit_percentile(values, n_bins: int = 100) -> PercentileEncoder:
+    return PercentileEncoder.fit("value", values, n_bins)
+
+
+def fit_digit_split(values) -> DigitEncoder:
+    return DigitEncoder.fit("value", values)
+
+
+def fit_datetime(values) -> DatetimeEncoder:
+    return DatetimeEncoder.fit("value", values)
+
+
+def fit_quadtile(lat_values, lon_values, min_tile_count: int = 100, max_depth: int = 12) -> QuadtileEncoder:
+    return QuadtileEncoder.fit("value", ("lat", "lon"), lat_values, lon_values, min_tile_count, max_depth)
 
 
 # -- categorical -------------------------------------------------------------

@@ -10,12 +10,24 @@ from argn.model import (
     TrainConfig,
     compute_layer_sizes,
     forward_column,
-    masked_context,
     negative_log_likelihood,
     order_mask_matrix,
     train,
 )
 from test_nn import REL_TOL, central_diff, rel_err
+
+
+def masked_context(embeddings, order, target: int) -> np.ndarray:
+    """Masking oracle: concatenate embeddings in canonical slot order,
+    zeroing every slot whose sub-column does not precede ``target`` in
+    ``order``."""
+    d = len(embeddings)
+    position = {col: pos for pos, col in enumerate(order)}
+    if target not in position:
+        raise ValueError("target sub-column not in order")
+    keep = [position[j] < position[target] for j in range(d)]
+    parts = [np.asarray(e) if keep[j] else np.zeros_like(e) for j, e in enumerate(embeddings)]
+    return np.concatenate(parts, axis=-1)
 
 
 def subcols(cardinalities, prefix="x"):

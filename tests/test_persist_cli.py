@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import argn
 from argn.cli import cli
@@ -133,6 +135,57 @@ def test_sub_columns_that_differ_from_the_encoders_rejected(trained, tmp_path):
     save_model(wrong, str(path))
     with pytest.raises(ModelFileError, match="sub-columns"):
         load_model(str(path))
+
+
+@pytest.fixture(scope="module")
+def small_model_file(tmp_path_factory):
+    table = mixed_sample_table(60, seed=4)
+    encoders = fit_encoders(table, table.schema, EncodingOptions(n_bins=4))
+    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=table.schema)
+    model.init_params(np.random.default_rng(0))
+    path = tmp_path_factory.mktemp("fuzz") / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return path, blob, 16 + header_len
+
+
+def _damage(blob: bytes, header_end: int):
+    """Truncations anywhere, and one to four byte changes weighted towards
+    the header (magic, version, length and JSON); drawn as a small
+    description and applied by ``_apply``."""
+    position = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1))
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(blob) - 1)),
+        st.tuples(st.just("set_bytes"),
+                  st.lists(st.tuples(position, st.integers(0, 255)), min_size=1, max_size=4)),
+    )
+
+
+def _apply(blob: bytes, damage) -> bytes:
+    kind, arg = damage
+    if kind == "truncate":
+        return blob[:arg]
+    out = bytearray(blob)
+    for pos, value in arg:
+        out[pos] = value
+    return bytes(out)
+
+
+def test_load_model_raises_model_file_error_for_any_damage(small_model_file):
+    path, blob, header_end = small_model_file
+    damaged_path = path.with_name("damaged.argn")
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_damage(blob, header_end))
+    def check(damage):
+        damaged_path.write_bytes(_apply(blob, damage))
+        try:
+            load_model(str(damaged_path))
+        except ModelFileError:
+            pass
+
+    check()
 
 
 # -- CLI -----------------------------------------------------------------------------
