@@ -62,7 +62,10 @@ def _check_keys(block: dict, allowed, context: str) -> None:
 def _dataclass_from(block: dict, cls, context: str, **extra):
     allowed = {f.name for f in fields(cls)} - set(extra)
     _check_keys(block, allowed, context)
-    return cls(**block, **extra)
+    try:
+        return cls(**block, **extra)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {context} config: {exc}") from None
 
 
 def load_run_config(path: Optional[str]) -> dict:

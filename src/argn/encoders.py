@@ -105,12 +105,14 @@ class CategoryEncoder:
         return [self.inverse[int(c)] for c in codes[:, 0]]
 
     def to_dict(self) -> dict:
-        items = [["\0" if v is None else v, i] for v, i in self.mapping.items()]
+        items = [[v, i] for v, i in self.mapping.items()]  # MISSING is JSON null
         return {"type": "category", "column": self.column, "mapping": items}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CategoryEncoder":
-        mapping = {(None if v == "\0" else v): int(i) for v, i in d["mapping"]}
+        # files written before MISSING became null stored it as "\0"
+        legacy = all(v is not None for v, _ in d["mapping"])
+        mapping = {(None if legacy and v == "\0" else v): int(i) for v, i in d["mapping"]}
         return cls(d["column"], mapping)
 
 

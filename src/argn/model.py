@@ -18,6 +18,7 @@ end.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -66,6 +67,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience_stop", "patience_lr"):
+            if operator.index(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if operator.index(self.seed) < 0:
+            raise ValueError("seed must be >= 0")
+        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise ValueError("initial_lr must be finite and positive")
+        if not 0 <= self.dropout_rate < 1:
+            raise ValueError("dropout_rate must be in [0, 1)")
         if not 0 < self.val_fraction < 0.5:
             raise ValueError("val_fraction must be in (0, 0.5)")
         if self.order_mode not in ("any_order", "fixed"):
@@ -266,17 +276,54 @@ def negative_log_likelihood(model: ArgnModel, codes,
     return total / codes.shape[0]
 
 
+def _row_sq(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a, dtype=np.float64)
+
+
 def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int],
-                       rng: np.random.Generator) -> list[np.ndarray]:
-    """Per-example flat gradients via batch-of-1 passes (simple, not fast)."""
-    grad = model.store.grad
-    out = []
-    for r in range(codes.shape[0]):
-        grad[...] = 0
-        _batch_losses(model, codes[r : r + 1], order, True, rng, True)
-        out.append(grad.copy())
-    grad[...] = 0
-    return out
+                       rng: np.random.Generator, clip_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """One train-mode pass over a batch that leaves the clipped sum
+    sum_r min(1, C/|g_r|) g_r of the per-example gradients g_r in
+    ``model.store.grad``; returns the per-row losses and the norms |g_r|.
+
+    No g_r is formed, yet the norms are exact: within one example every W_i
+    and V_i is used once, so its gradient is an outer product with norm
+    |dy| |x|, and each embedding table gets gradient in one row only. The
+    dropout uniforms are drawn in one call, row by row, so the masks (and
+    every later draw) equal those of a batch-of-1 loop over the rows.
+    """
+    n = codes.shape[0]
+    full = model.embed_rows(codes)
+    masks = order_mask_matrix(model, order)
+    cuts = np.cumsum([0] + [model.sizes.regressor_dims[i] for i in order])
+    keep = nn.dropout_mask((n, int(cuts[-1])), model.dropout_rate, rng)
+    total, norm2 = np.zeros(n), np.zeros(n)
+    demb = np.zeros_like(full)
+    saved = []
+    for t, i in enumerate(order):
+        w, b, v, c = (model.params[f"{k}{i}"].value for k in "WbVc")
+        ctx, mask = full * masks[t], keep[:, cuts[t] : cuts[t + 1]]
+        pre = ctx @ w.T + b
+        h = np.maximum(pre, 0) * mask
+        losses, dlogits = nn.softmax_cross_entropy(h @ v.T + c, codes[:, i])
+        dpre = (dlogits @ v) * mask * (pre > 0)
+        demb += (dpre @ w) * masks[t]
+        total += losses
+        norm2 += _row_sq(dlogits) * (_row_sq(h) + 1) + _row_sq(dpre) * (_row_sq(ctx) + 1)
+        saved.append((h, dlogits, dpre))
+    norms = np.sqrt(norm2 + _row_sq(demb))
+    scale = (clip_norm / np.maximum(norms, clip_norm)).astype(full.dtype)[:, None]
+    for t, i in enumerate(order):
+        h, dlogits, dpre = saved[t]
+        dlogits, dpre = dlogits * scale, dpre * scale
+        model.params[f"W{i}"].grad += dpre.T @ (full * masks[t])
+        model.params[f"b{i}"].grad += dpre.sum(axis=0)
+        model.params[f"V{i}"].grad += dlogits.T @ h
+        model.params[f"c{i}"].grad += dlogits.sum(axis=0)
+    demb *= scale
+    for j in range(model.d_total):
+        np.add.at(model.params[f"E{j}"].grad, codes[:, j], demb[:, model.slot(j)])
+    return total, norms
 
 
 def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
@@ -311,16 +358,13 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
             batch = data[epoch_rows[start : start + cfg.batch_size]]
             order = tuple(rng.permutation(model.d_total)) if cfg.order_mode == "any_order" else model.fixed_order
             if cfg.dp.enabled:
-                grads = _per_example_grads(model, batch, order, rng)
-                batch_loss = float(
-                    _batch_losses(model, batch, order, False, None, False).mean()
-                )
-                nn.dp_sgd_step(model.store, grads, cfg.dp, lr, rng)
+                losses, _ = _per_example_grads(model, batch, order, rng, cfg.dp.clip_norm)
+                nn.dp_sgd_step(model.store, len(batch), cfg.dp, lr, rng)
             else:
                 losses = _batch_losses(model, batch, order, True, rng, True)
-                batch_loss = float(losses.mean())
                 step += 1
                 nn.adam_step(model.store, lr, step)
+            batch_loss = float(losses.mean())
             if not math.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch} (lr={lr}); aborting"

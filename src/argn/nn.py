@@ -14,8 +14,9 @@ check analytic gradients against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -43,10 +44,13 @@ class DpConfig:
     noise_multiplier: float = 0.0
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be non-negative")
+        if not isinstance(self.enabled, bool):  # the string "false" would turn DP on
+            raise TypeError("enabled must be true or false")
+        # min(1, C / norm) is 1 for a NaN C: a NaN must not silently turn clipping off
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError("clip_norm must be finite and positive")
+        if not (math.isfinite(self.noise_multiplier) and self.noise_multiplier >= 0):
+            raise ValueError("noise_multiplier must be finite and non-negative")
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -182,32 +186,21 @@ def adam_step(
     grad[...] = 0
 
 
-def dp_sgd_step(
-    p: Param,
-    per_example_grads: Sequence[np.ndarray],
-    dp: DpConfig,
-    lr: float,
-    rng: np.random.Generator,
-) -> None:
-    """Clip each example's full gradient (same shape as ``p.value``) to norm
-    <= C, sum, add N(0, (sigma*C)^2) noise per coordinate, divide by the
-    batch size, and take an SGD step."""
+def dp_sgd_step(p: Param, batch_size: int, dp: DpConfig, lr: float,
+                rng: np.random.Generator) -> None:
+    """Add N(0, (sigma*C)^2) noise per coordinate to ``p.grad``, which holds
+    the batch's sum of per-example gradients each clipped to norm <= C,
+    divide by the batch size, and take an SGD step."""
     if not dp.enabled:
         raise ValueError("dp_sgd_step called with dp.enabled = False")
-    batch = len(per_example_grads)
-    if batch == 0:
+    if batch_size < 1:
         raise ValueError("empty batch")
-    c = dp.clip_norm
-    summed = np.zeros(p.value.shape, dtype=np.float64)
-    for g in per_example_grads:
-        g64 = np.array(g, dtype=np.float64)
-        norm = np.sqrt(float(np.sum(g64**2)))
-        scale = min(1.0, c / norm) if norm > 0 else 1.0
-        g64 *= scale
-        summed += g64
-    if dp.noise_multiplier > 0:
-        summed += rng.normal(0.0, dp.noise_multiplier * c, size=summed.shape)
-    p.value -= (lr * summed / batch).astype(p.value.dtype)
+    std = dp.noise_multiplier * dp.clip_norm
+    noisy = rng.normal(0.0, std, size=p.grad.shape) if std > 0 else np.zeros(p.grad.shape)
+    noisy += p.grad
+    noisy *= lr
+    noisy /= batch_size
+    p.value -= noisy.astype(p.value.dtype)
     p.grad[...] = 0
 
 

@@ -247,17 +247,17 @@ def test_criterion_6_privacy_mechanisms():
         rng = np.random.default_rng(1)
         grads = [rng.normal(size=(4, 3)) for _ in range(8)]
         p = Param("p", np.zeros((4, 3)))
-        dp_sgd_step(p, grads, DpConfig(enabled=True, clip_norm=1e12), lr=0.05, rng=rng)
+        p.grad[...] = np.sum(grads, axis=0)
+        dp_sgd_step(p, len(grads), DpConfig(enabled=True, clip_norm=1e12), lr=0.05, rng=rng)
         vanilla = -0.05 * np.mean(grads, axis=0)
         assert np.abs(p.value - vanilla).max() < 1e-6
 
         sigma, c, batch = 1.0, 2.0, 4
-        zero = [np.zeros(1) for _ in range(batch)]
         noise_rng = np.random.default_rng(2)
         deltas = np.empty(10_000)
         for i in range(deltas.size):
             q = Param("q", np.zeros(1))
-            dp_sgd_step(q, zero, DpConfig(enabled=True, clip_norm=c, noise_multiplier=sigma),
+            dp_sgd_step(q, batch, DpConfig(enabled=True, clip_norm=c, noise_multiplier=sigma),
                         lr=1.0, rng=noise_rng)
             deltas[i] = q.value[0]
         expected = sigma * c / batch

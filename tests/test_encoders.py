@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -68,6 +69,18 @@ def test_categorical_round_trip(rng):
     enc = fit_categorical(["red", "green", "blue", None, "red"])
     codes = enc.encode(["blue", None, "red"])
     assert enc.decode(codes, rng) == ["blue", None, "red"]
+
+
+def test_categorical_dict_keeps_a_real_nul_apart_from_missing():
+    enc = fit_categorical(["\0", "a", None, "a"])
+    loaded = CategoryEncoder.from_dict(json.loads(json.dumps(enc.to_dict())))
+    assert loaded.mapping == enc.mapping == {"a": 0, "\0": 1, None: 2}
+    assert loaded.cardinality == 3
+
+
+def test_categorical_dict_reads_the_legacy_missing_sentinel():
+    legacy = {"type": "category", "column": "value", "mapping": [["a", 0], ["\0", 1]]}
+    assert CategoryEncoder.from_dict(legacy).mapping == {"a": 0, None: 1}
 
 
 # -- percentile --------------------------------------------------------------

@@ -202,6 +202,29 @@ def test_learnability_deterministic_pair():
         assert int(np.argmax(p)) == mapping[c]
 
 
+@pytest.mark.parametrize("bad", [
+    {"batch_size": 0},  # used to fail mid-run: range() arg 3 must not be zero
+    {"max_epochs": 0},  # used to write a model marked trained with val loss inf
+    {"patience_stop": 0},
+    {"patience_lr": 0},
+    {"dropout_rate": 1.0},
+    {"dropout_rate": -0.1},
+    {"initial_lr": 0.0},
+    {"initial_lr": math.nan},
+    {"initial_lr": math.inf},
+    {"seed": -1},  # used to fail mid-run in default_rng
+])
+def test_train_config_rejects_out_of_range_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [{"batch_size": 2.5}, {"seed": "7"}])
+def test_train_config_rejects_a_non_integer_count_or_seed(bad):
+    with pytest.raises(TypeError):
+        TrainConfig(**bad)
+
+
 def test_training_requires_rows():
     encoded, _ = lookup_table_data(n_rows=5)
     model = ArgnModel(encoded.sub_columns)
@@ -303,6 +326,99 @@ def test_full_model_gradient_matches_finite_differences(order):
     # the last sub-column in the order is never context: its embedding gets no gradient
     assert not model.params[f"E{order[-1]}"].grad.any()
     assert model.params[f"E{order[0]}"].grad.any()
+
+
+# -- DP-SGD: per-example gradients from one batched pass ---------------------------
+
+
+def per_example_grads_oracle(model, codes, order, rng):
+    """Batch-of-1 oracle: each row's train-mode loss and flat gradient from
+    its own pass (drawing its dropout masks from ``rng`` row by row)."""
+    from argn.model import _batch_losses
+
+    grad = model.store.grad
+    losses, grads = [], []
+    for r in range(codes.shape[0]):
+        grad[...] = 0
+        losses.append(float(_batch_losses(model, codes[r : r + 1], order, True, rng, True)[0]))
+        grads.append(grad.copy())
+    grad[...] = 0
+    return np.array(losses), np.array(grads)
+
+
+def ghost_case(dropout):
+    model = ArgnModel(subcols([3, 4, 2]))
+    model.init_params(np.random.default_rng(1), dtype=np.float64)
+    # random biases keep pre-activations off the ReLU kink and away from zero
+    model.store.value[...] = np.random.default_rng(2).normal(scale=0.5, size=model.store.value.size)
+    model.dropout_rate = dropout
+    codes = np.random.default_rng(3).integers(0, 2, size=(12, 3)).astype(np.int32)
+    return model, codes
+
+
+def norm_rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.25])
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_ghost_norms_and_clipped_sum_match_batch_of_one_oracle(order, dropout):
+    from argn.model import _per_example_grads
+
+    model, codes = ghost_case(dropout)
+    oracle_rng, ghost_rng = np.random.default_rng(5), np.random.default_rng(5)
+    oracle_losses, grads = per_example_grads_oracle(model, codes, order, oracle_rng)
+    oracle_norms = np.linalg.norm(grads, axis=1)
+    clip = float(np.median(oracle_norms))  # clips about half the rows
+    losses, norms = _per_example_grads(model, codes, order, ghost_rng, clip)
+    np.testing.assert_allclose(norms, oracle_norms, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(losses, oracle_losses, rtol=1e-12, atol=0)
+    scales = np.minimum(1.0, clip / oracle_norms)
+    assert 0 < (scales < 1).sum() < len(scales)
+    assert norm_rel_err(model.store.grad, scales @ grads) < 1e-10
+    # the dropout draws consumed the stream exactly as the row-by-row loop did
+    assert ghost_rng.random() == oracle_rng.random()
+
+
+def test_ghost_huge_clip_is_the_summed_gradient_and_one_row_clips_to_exact_norm():
+    from argn.model import _batch_losses, _per_example_grads
+
+    model, codes = ghost_case(0.0)
+    order = (2, 0, 1)
+    _batch_losses(model, codes, order, True, None, True)
+    summed = codes.shape[0] * model.store.grad  # the plain mean gradient times n
+    model.store.grad[...] = 0
+    _per_example_grads(model, codes, order, np.random.default_rng(0), 1e12)
+    assert norm_rel_err(model.store.grad, summed) < 1e-10
+
+    model.store.grad[...] = 0
+    _, (norm,) = _per_example_grads(model, codes[:1], order, np.random.default_rng(0), 1e12)
+    model.store.grad[...] = 0
+    _per_example_grads(model, codes[:1], order, np.random.default_rng(0), norm / 2)
+    assert np.linalg.norm(model.store.grad) == pytest.approx(norm / 2, rel=1e-12)
+
+
+def test_dp_batch_memory_stays_below_ten_copies_of_the_weights():
+    """One DP batch of 64 rows on a store of about a million floats: the
+    gradient sum lives in the store's own gradient buffer, with no copy of
+    the weights per example."""
+    import tracemalloc
+
+    from argn.nn import DpConfig
+
+    data = np.random.default_rng(0).integers(0, 3000, size=(72, 2)).astype(np.int32)
+    encoded = EncodedTable(subcols([3000, 3000]), data)  # 7 validation rows, 65 train rows
+    model = ArgnModel(encoded.sub_columns)
+    cfg = TrainConfig(batch_size=64, max_epochs=1, seed=0,
+                      dp=DpConfig(enabled=True, clip_norm=1.0, noise_multiplier=1.0))
+    tracemalloc.start()
+    try:
+        train(model, encoded, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.store.value.size > 500_000
+    assert peak < 10 * model.store.value.nbytes
 
 
 # -- training with DP --------------------------------------------------------------

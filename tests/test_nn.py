@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -247,7 +249,8 @@ def test_dp_clip_to_exact_norm(rng):
     c = 1.5
     g = np.full(4, 1.5)  # norm = 3.0 = 2C
     dp = DpConfig(enabled=True, clip_norm=c, noise_multiplier=0.0)
-    dp_sgd_step(p, [g], dp, lr=1.0, rng=rng)
+    p.grad[...] = g * (c / max(np.linalg.norm(g), c))  # the ghost pass's per-example clip
+    dp_sgd_step(p, 1, dp, lr=1.0, rng=rng)
     assert np.linalg.norm(p.value) == pytest.approx(c, rel=1e-12)
 
 
@@ -255,7 +258,8 @@ def test_dp_sigma_zero_matches_plain_sgd(rng):
     grads = [rng.normal(size=(3, 2)) for _ in range(8)]
     p_dp = Param("p", np.zeros((3, 2)))
     dp = DpConfig(enabled=True, clip_norm=1e9, noise_multiplier=0.0)
-    dp_sgd_step(p_dp, grads, dp, lr=0.1, rng=rng)
+    p_dp.grad[...] = np.sum(grads, axis=0)
+    dp_sgd_step(p_dp, len(grads), dp, lr=0.1, rng=rng)
     mean_grad = np.mean(grads, axis=0)
     np.testing.assert_allclose(p_dp.value, -0.1 * mean_grad, atol=1e-6)
 
@@ -265,10 +269,9 @@ def test_dp_noise_std_matches_sigma_c_over_batch():
     sigma, c, batch = 1.0, 2.0, 4
     dp = DpConfig(enabled=True, clip_norm=c, noise_multiplier=sigma)
     deltas = np.empty(10_000)
-    zero_grads = [np.zeros(1) for _ in range(batch)]
     for i in range(deltas.size):
         p = Param("p", np.zeros(1))
-        dp_sgd_step(p, zero_grads, dp, lr=1.0, rng=rng)
+        dp_sgd_step(p, batch, dp, lr=1.0, rng=rng)
         deltas[i] = p.value[0]
     expected = sigma * c / batch
     assert abs(deltas.std() - expected) / expected < 0.05
@@ -278,13 +281,13 @@ def test_dp_empty_batch_errors(rng):
     p = Param("p", np.zeros(1))
     dp = DpConfig(enabled=True, clip_norm=1.0)
     with pytest.raises(ValueError, match="empty"):
-        dp_sgd_step(p, [], dp, lr=0.1, rng=rng)
+        dp_sgd_step(p, 0, dp, lr=0.1, rng=rng)
 
 
 def test_dp_requires_enabled(rng):
     p = Param("p", np.zeros(1))
     with pytest.raises(ValueError):
-        dp_sgd_step(p, [np.zeros(1)], DpConfig(enabled=False), lr=0.1, rng=rng)
+        dp_sgd_step(p, 1, DpConfig(enabled=False), lr=0.1, rng=rng)
 
 
 def test_dp_config_validation():
@@ -292,3 +295,16 @@ def test_dp_config_validation():
         DpConfig(clip_norm=0.0)
     with pytest.raises(ValueError):
         DpConfig(noise_multiplier=-1.0)
+
+
+@pytest.mark.parametrize("field", ["clip_norm", "noise_multiplier"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dp_config_rejects_non_finite(field, bad):
+    # a NaN clip_norm used to pass and turn clipping off: min(1.0, nan) is 1.0
+    with pytest.raises(ValueError, match=field):
+        DpConfig(enabled=True, **{field: bad})
+
+
+def test_dp_config_rejects_a_non_boolean_enabled():
+    with pytest.raises(TypeError, match="enabled"):
+        DpConfig(enabled="false")  # a non-empty string is truthy: DP would silently run

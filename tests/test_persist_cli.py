@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -19,7 +20,7 @@ from argn.model import ArgnModel, TrainConfig, train
 from argn.persist import ModelFileError, load_model, save_model
 from argn.sampling import GenerationRequest, generate, synthesize
 from argn.tables import write_csv
-from conftest import mixed_sample_table
+from conftest import make_table, mixed_sample_table
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,19 @@ def test_loaded_model_generates_identically(trained, tmp_path):
     req = GenerationRequest(n_rows=50, seed=3)
     assert generate(model, req).data.tobytes() == generate(loaded, req).data.tobytes()
     assert synthesize(model, req).cells == synthesize(loaded, req).cells
+
+
+def test_a_real_nul_category_survives_save_and_load(tmp_path):
+    # MISSING used to be written as "\0", so a real "\0" category collided with it
+    table = make_table({"c": ["\0", "a", None, "a"], "d": ["x", "y", "x", "y"]})
+    encoders = fit_encoders(table, table.schema, EncodingOptions())
+    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=table.schema)
+    model.init_params(np.random.default_rng(0))
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert loaded.encoders.encoders[0].mapping == {"a": 0, "\0": 1, None: 2}
+    assert loaded.sub_columns == model.sub_columns
 
 
 def test_magic_mismatch(trained, tmp_path):
@@ -298,6 +312,23 @@ def test_cli_misspelled_config_key(data_csv, tmp_path):
     code = cli(["train", "--data", data_csv, "--config", str(bad),
                 "--out", str(tmp_path / "m.argn")])
     assert code == 1
+
+
+@pytest.mark.parametrize("block,bad", [
+    ("dp", {"enabled": True, "clip_norm": math.nan}),  # used to train with clipping off
+    ("dp", {"enabled": True, "clip_norm": "1.0"}),  # used to exit 2 mid-run
+    ("train", {"max_epochs": 0}),  # used to write a model with val loss inf
+    ("train", {"batch_size": 0}),  # used to exit 2 mid-run
+    ("train", {"seed": -1}),  # used to exit 2 mid-run
+    ("dp", {"enabled": "false"}),  # used to train with DP on
+])
+def test_cli_rejects_a_bad_config_value_before_training(data_csv, tmp_path, capsys, block, bad):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({block: bad}))
+    out = tmp_path / "m.argn"
+    assert cli(["train", "--data", data_csv, "--config", str(config), "--out", str(out)]) == 1
+    assert f"invalid {block} config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_runtime_failure_exits_two(tmp_path):
