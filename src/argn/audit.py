@@ -10,6 +10,7 @@ synthetic set directly against the target.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -46,6 +47,9 @@ class AuditConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("n_shadow", 2), ("shadow_size", 1), ("n_queries", 0), ("subset_size", 1)):
+            if operator.index(getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.n_shadow % 2 != 0:
             raise ValueError("n_shadow must be even (half member, half non-member)")
         unknown = [a for a in self.attacks if a not in ALL_ATTACKS]

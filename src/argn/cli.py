@@ -22,7 +22,7 @@ from .model import ArgnModel, TrainConfig, train
 from .nn import DpConfig
 from .persist import load_model, save_model
 from .protect import ValueProtectionConfig, protect_table
-from .sampling import GenerationRequest, synthesize
+from .sampling import GenerationRequest, synthesize_blocks
 from .tables import ColumnSpec, RawTable, TableSchema, infer_schema, read_csv, write_csv
 
 
@@ -168,16 +168,15 @@ def _expand_order(model, column_list: Optional[str]):
 
 def _cmd_generate(args) -> int:
     model = load_model(args.model)
-    req = GenerationRequest(
-        n_rows=args.n,
-        order=_expand_order(model, args.order),
-        conditions=_parse_conditions(args.condition),
-        temperature=args.temperature,
-        seed=args.seed,
-    )
-    table = synthesize(model, req)
-    write_csv(table, args.out)
-    print(f"wrote {table.row_count} synthetic rows -> {args.out}")
+    order = _expand_order(model, args.order)
+    conditions = _parse_conditions(args.condition)
+    try:
+        req = GenerationRequest(n_rows=args.n, order=order, conditions=conditions,
+                                temperature=args.temperature, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"generate: {exc}") from None
+    write_csv(synthesize_blocks(model, req), args.out)
+    print(f"wrote {req.n_rows} synthetic rows -> {args.out}")
     return 0
 
 

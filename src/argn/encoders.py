@@ -10,11 +10,15 @@ Every original column becomes one or more discrete sub-columns:
 All encoders reserve a MISSING slot so the model can generate nulls. The
 leading sub-column of a multi-part encoder carries the MISSING category;
 sibling sub-columns hold zeros for missing rows.
+
+Decoding is deterministic given the codes and ``n_draws`` uniforms per row
+(one per within-bin numeric value, two per lat/lon point).
 """
 
 from __future__ import annotations
 
 import calendar
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
@@ -71,11 +75,16 @@ class CategoryEncoder:
     """
 
     kind = "category_map"
+    n_draws = 0
 
     def __init__(self, column: str, mapping: dict[Optional[str], int]):
         self.column = column
         self.mapping = mapping
-        self.inverse = {i: v for v, i in mapping.items()}
+        if sorted(mapping.values()) != list(range(len(mapping))):
+            raise ValueError(f"column {column!r}: category codes are not 0..{len(mapping) - 1}")
+        self.by_code = np.empty(len(mapping), dtype=object)
+        for v, i in mapping.items():
+            self.by_code[i] = v
 
     @classmethod
     def fit(cls, column: str, values: Sequence[Optional[str]]) -> "CategoryEncoder":
@@ -101,8 +110,8 @@ class CategoryEncoder:
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
         return np.array([[self.mapping.get(v, self.mapping[None])] for v in values], dtype=np.int32)
 
-    def decode(self, codes: np.ndarray, rng: np.random.Generator) -> list[Optional[str]]:
-        return [self.inverse[int(c)] for c in codes[:, 0]]
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
+        return self.by_code[codes[:, 0]].tolist()
 
     def to_dict(self) -> dict:
         items = [[v, i] for v, i in self.mapping.items()]  # MISSING is JSON null
@@ -124,6 +133,7 @@ class PercentileEncoder:
     """
 
     kind = "percentile_bins"
+    n_draws = 1
 
     def __init__(self, column: str, edges: np.ndarray):
         edges = np.asarray(edges, dtype=np.float64)
@@ -173,18 +183,12 @@ class PercentileEncoder:
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
         return np.array([self.encode_value(v) for v in values], dtype=np.int32)
 
-    def decode(self, codes: np.ndarray, rng: np.random.Generator) -> list[Optional[str]]:
-        out: list[Optional[str]] = []
-        ks = codes[:, 0]
-        draws = rng.random(len(ks))
-        for k, u in zip(ks, draws):
-            k = int(k)
-            if k == self.missing_index:
-                out.append(None)
-            else:
-                lo, hi = self.edges[k], self.edges[k + 1]
-                out.append(repr(float(lo + u * (hi - lo))))
-        return out
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
+        k = codes[:, 0]
+        lo_index = np.minimum(k, self.n_value_bins - 1)
+        lo, hi = self.edges[lo_index], self.edges[lo_index + 1]
+        values = map(repr, (lo + u[:, 0] * (hi - lo)).tolist())
+        return [None if m else v for m, v in zip((k == self.missing_index).tolist(), values)]
 
     def to_dict(self) -> dict:
         return {"type": "percentile", "column": self.column, "edges": self.edges.tolist()}
@@ -211,6 +215,7 @@ class DigitEncoder:
     """
 
     kind = "digit_split"
+    n_draws = 0
 
     def __init__(self, column: str, has_sign: bool, n_digits: int, decimals: int):
         if n_digits < 1:
@@ -282,7 +287,7 @@ class DigitEncoder:
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
         return np.array([self.encode_value(v) for v in values], dtype=np.int32)
 
-    def decode(self, codes: np.ndarray, rng: np.random.Generator) -> list[Optional[str]]:
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
         out: list[Optional[str]] = []
         for row in codes:
             if int(row[0]) == self._missing_code:
@@ -330,6 +335,7 @@ class DatetimeEncoder:
     """
 
     kind = "datetime_parts"
+    n_draws = 0
 
     def __init__(self, column: str, parts: list[str], constants: dict[str, int],
                  year_min: int, year_max: int, has_time: bool):
@@ -395,7 +401,7 @@ class DatetimeEncoder:
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
         return np.array([self.encode_value(v) for v in values], dtype=np.int32)
 
-    def decode(self, codes: np.ndarray, rng: np.random.Generator) -> list[Optional[str]]:
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
         out: list[Optional[str]] = []
         for row in codes:
             if int(row[0]) == self._missing_code:
@@ -478,12 +484,15 @@ class QuadtileEncoder:
     """
 
     kind = "quadtile"
+    n_draws = 2
 
     def __init__(self, column: str, sources: tuple[str, str], leaves: list[str]):
         self.column = column
         self.sources = tuple(sources)
         self.leaves = sorted(leaves)
         self.leaf_index = {k: i for i, k in enumerate(self.leaves)}
+        # (lat_lo, lat_hi, lon_lo, lon_hi) per leaf, plus a dummy MISSING row
+        self.boxes = np.array([quadkey_box(k) for k in self.leaves] + [_ROOT_BOX])
 
     @classmethod
     def fit(
@@ -553,21 +562,14 @@ class QuadtileEncoder:
             [self.encode_pair(a, b) for a, b in zip(lat_values, lon_values)], dtype=np.int32
         )
 
-    def decode(self, codes: np.ndarray, rng: np.random.Generator):
+    def decode(self, codes: np.ndarray, u: np.ndarray):
         """Returns parallel (lat, lon) cell lists."""
-        lats: list[Optional[str]] = []
-        lons: list[Optional[str]] = []
-        draws = rng.random((len(codes), 2))
-        for row, (u1, u2) in zip(codes, draws):
-            k = int(row[0])
-            if k == self.missing_index:
-                lats.append(None)
-                lons.append(None)
-                continue
-            lat_lo, lat_hi, lon_lo, lon_hi = quadkey_box(self.leaves[k])
-            lats.append(repr(float(lat_lo + u1 * (lat_hi - lat_lo))))
-            lons.append(repr(float(lon_lo + u2 * (lon_hi - lon_lo))))
-        return lats, lons
+        box = self.boxes[codes[:, 0]]
+        missing = (codes[:, 0] == self.missing_index).tolist()
+        lat = map(repr, (box[:, 0] + u[:, 0] * (box[:, 1] - box[:, 0])).tolist())
+        lon = map(repr, (box[:, 2] + u[:, 1] * (box[:, 3] - box[:, 2])).tolist())
+        return ([None if m else v for m, v in zip(missing, lat)],
+                [None if m else v for m, v in zip(missing, lon)])
 
     def to_dict(self) -> dict:
         return {
@@ -601,6 +603,11 @@ class EncodingOptions:
     quad_min_tile: int = 100
     quad_max_depth: int = 12
 
+    def __post_init__(self):
+        for name, low in (("n_bins", 1), ("quad_min_tile", 1), ("quad_max_depth", 0)):
+            if operator.index(getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}")
+
 
 class TableEncoders:
     """Ordered per-column encoders for a schema, plus the derived sub-columns."""
@@ -616,6 +623,11 @@ class TableEncoders:
     @property
     def d_total(self) -> int:
         return len(self.sub_columns)
+
+    @property
+    def n_draws(self) -> int:
+        """Uniforms per row that decode_table hands to the decoders."""
+        return sum(enc.n_draws for enc in self.encoders)
 
     def encoder_for(self, column: str):
         for enc in self.encoders:
@@ -683,21 +695,21 @@ def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
     return EncodedTable(encoders.sub_columns, data)
 
 
-def decode_table(encoded: EncodedTable, encoders: TableEncoders, rng: np.random.Generator) -> RawTable:
+def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.ndarray) -> RawTable:
+    """``uniforms`` holds ``encoders.n_draws`` values in [0, 1) per row; each
+    decoder reads its own columns of it, in encoder order."""
     out_schema = encoders.output_schema()
     columns: dict[str, list[Optional[str]]] = {}
-    offset = 0
+    offset = draw = 0
     for spec, enc in zip(encoders.schema.columns, encoders.encoders):
         width = len(enc.sub_columns())
         codes = encoded.data[:, offset : offset + width]
+        u = uniforms[:, draw : draw + enc.n_draws]
         offset += width
+        draw += enc.n_draws
         if spec.kind == "latlong":
-            lats, lons = enc.decode(codes, rng)
-            columns[spec.sources[0]] = lats
-            columns[spec.sources[1]] = lons
+            columns[spec.sources[0]], columns[spec.sources[1]] = enc.decode(codes, u)
         else:
-            columns[spec.name] = enc.decode(codes, rng)
-    names = out_schema.names
-    cells = [[columns[n][i] for n in names] for i in range(encoded.row_count)]
-    schema = TableSchema(out_schema.columns, len(cells))
-    return RawTable(schema, cells)
+            columns[spec.name] = enc.decode(codes, u)
+    cells = list(map(list, zip(*(columns[n] for n in out_schema.names))))
+    return RawTable(TableSchema(out_schema.columns, encoded.row_count), cells)

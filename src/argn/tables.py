@@ -10,10 +10,11 @@ demote an otherwise numeric column.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -133,12 +134,16 @@ def read_csv(path: str, delimiter: str = ",") -> RawTable:
     return RawTable(_placeholder_schema(header, len(cells)), cells)
 
 
-def write_csv(table: RawTable, path: str, delimiter: str = ",") -> None:
+def write_csv(table: Union[RawTable, Iterable[RawTable]], path: str, delimiter: str = ",") -> None:
+    """Write a table, or blocks of rows under the first block's header, each
+    block as soon as it is produced. ``None`` cells are written empty."""
+    blocks = iter([table] if isinstance(table, RawTable) else table)
+    first = next(blocks)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(table.column_names)
-        for row in table.cells:
-            writer.writerow(["" if c is None else c for c in row])
+        writer.writerow(first.column_names)
+        for block in itertools.chain([first], blocks):
+            writer.writerows(block.cells)
 
 
 def parse_number(cell: Optional[str]) -> Optional[float]:

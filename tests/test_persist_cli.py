@@ -240,6 +240,62 @@ def test_cli_train_generate_deterministic(data_csv, quick_config, tmp_path):
         assert f1.read() == f2.read()
 
 
+@pytest.fixture(scope="module")
+def cli_model(data_csv, quick_config, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("gen") / "m.argn")
+    assert cli(["train", "--data", data_csv, "--config", quick_config,
+                "--out", path, "--seed", "7"]) == 0
+    return path
+
+
+def _generated_lines(model_path, n, out, seed=7):
+    assert cli(["generate", "--model", model_path, "-n", str(n), "--out", str(out),
+                "--seed", str(seed)]) == 0
+    with open(out, "rb") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("short,long", [(6, 12), (5000, 9000)])  # within / across a block
+def test_cli_generate_rows_do_not_depend_on_the_row_count(cli_model, tmp_path, short, long):
+    a = _generated_lines(cli_model, short, tmp_path / "a.csv")
+    b = _generated_lines(cli_model, long, tmp_path / "b.csv")
+    assert len(a) == short + 1 and len(b) == long + 1
+    assert a == b[: short + 1]
+
+
+def test_cli_generate_writes_what_synthesize_returns(cli_model, tmp_path):
+    lines = _generated_lines(cli_model, 4200, tmp_path / "cli.csv", seed=3)
+    write_csv(synthesize(load_model(cli_model), GenerationRequest(n_rows=4200, seed=3)),
+              str(tmp_path / "lib.csv"))
+    assert b"".join(lines) == (tmp_path / "lib.csv").read_bytes()
+    assert _generated_lines(cli_model, 0, tmp_path / "empty.csv") == [lines[0]]
+
+
+def test_cli_generate_memory_is_flat_in_the_row_count(cli_model, tmp_path):
+    import tracemalloc
+
+    load_model(cli_model)  # warm imports and caches outside the measurement
+    peaks = []
+    for n in (8_000, 40_000):
+        tracemalloc.start()
+        try:
+            assert cli(["generate", "--model", cli_model, "-n", str(n),
+                        "--out", str(tmp_path / "big.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("flags", [["-n", "-1"], ["-n", "3", "--temperature", "0"],
+                                   ["-n", "3", "--seed", "-1"]])
+def test_cli_generate_bad_request_exits_one(cli_model, tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    assert cli(["generate", "--model", cli_model, "--out", str(out), *flags]) == 1
+    assert "generate:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_generate_with_condition_and_order(data_csv, quick_config, tmp_path):
     model_path = str(tmp_path / "m.argn")
     out = str(tmp_path / "cond.csv")
@@ -321,6 +377,15 @@ def test_cli_misspelled_config_key(data_csv, tmp_path):
     ("train", {"batch_size": 0}),  # used to exit 2 mid-run
     ("train", {"seed": -1}),  # used to exit 2 mid-run
     ("dp", {"enabled": "false"}),  # used to train with DP on
+    ("encoding", {"n_bins": 0}),  # used to exit 2 after reading the data
+    ("encoding", {"n_bins": "x"}),
+    ("encoding", {"quad_min_tile": 0}),
+    ("encoding", {"quad_max_depth": -1}),
+    ("audit", {"n_shadow": 0}),  # used to exit 2 mid-audit
+    ("audit", {"n_shadow": -2}),
+    ("audit", {"shadow_size": 0}),
+    ("audit", {"n_queries": -1}),
+    ("audit", {"subset_size": 0}),
 ])
 def test_cli_rejects_a_bad_config_value_before_training(data_csv, tmp_path, capsys, block, bad):
     config = tmp_path / "bad.json"
@@ -329,6 +394,18 @@ def test_cli_rejects_a_bad_config_value_before_training(data_csv, tmp_path, caps
     assert cli(["train", "--data", data_csv, "--config", str(config), "--out", str(out)]) == 1
     assert f"invalid {block} config" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [{"encoding": {"n_bins": 0}}, {"audit": {"n_shadow": 0}},
+                                 {"audit": {"n_shadow": -2}}])
+def test_cli_audit_rejects_a_bad_config_value_before_running(data_csv, tmp_path, capsys, bad):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(bad))
+    report = tmp_path / "audit.json"
+    assert cli(["audit", "--data", data_csv, "--config", str(config),
+                "--report", str(report)]) == 1
+    assert f"invalid {next(iter(bad))} config" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_runtime_failure_exits_two(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import stats
 
+from argn import sampling
 from argn.encoders import EncodedTable, EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, forward_column, train
-from argn.sampling import GenerationRequest, generate, impute, synthesize
+from argn.sampling import GenerationRequest, _row_rng, generate, impute, synthesize
 from conftest import make_table
 
 from test_model import lookup_table_data, train_lookup
@@ -64,6 +66,66 @@ def test_row_independence_substreams(lookup_model):
     # generating more rows must not change earlier ones
     more = generate(model, GenerationRequest(n_rows=12, seed=9)).data
     np.testing.assert_array_equal(together, more[:6])
+
+
+# -- per-row uniform streams ---------------------------------------------------
+
+
+def test_row_rng_equals_numpys_per_row_streams():
+    # the generator objects the sampler built per row before: the reference
+    rows = [0, 1, 2, 999, 2**31, 2**32 - 1, *np.random.default_rng(0).integers(0, 2**32, 200)]
+    for seed in (0, 7, 2**32 - 1, 2**32 + 5, 2**64 - 1):
+        for domain in (0, 1):
+            expected = [np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(seed, spawn_key=(domain, r)))).random(6) for r in rows]
+            np.testing.assert_array_equal(_row_rng(seed, rows, 6, domain), expected)
+
+
+def test_row_rng_is_uniform():
+    u = _row_rng(3, range(250_000), 4).ravel()  # 10^6 draws
+    assert u.dtype == np.float64 and u.min() >= 0.0 and u.max() < 1.0
+    counts = np.bincount((u * 1000).astype(np.int64), minlength=1000)
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("other", [
+    dict(seed=6), dict(seed=5 + 2**32), dict(domain=1), dict(row_shift=1), dict(draw_shift=1),
+])
+def test_row_rng_streams_are_uncorrelated(other):
+    n = 200_000
+    base = _row_rng(5, range(n), 3, 0)[:, 0]
+    shift = other.get("row_shift", 0)
+    draws = _row_rng(other.get("seed", 5), range(shift, n + shift), 3, other.get("domain", 0))
+    u = draws[:, other.get("draw_shift", 0)]
+    assert abs(np.corrcoef(base, u)[0, 1]) < 4 / np.sqrt(n)
+    # and not merely decorrelated: a 2-D histogram of the pairs is uniform
+    joint = np.bincount((base * 20).astype(int) * 20 + (u * 20).astype(int), minlength=400)
+    assert stats.chisquare(joint).pvalue > 1e-3
+
+
+def test_row_rng_of_a_row_subset_equals_the_full_range():
+    full = _row_rng(9, range(1000), 3)
+    rows = [999, 0, 500, 17, 17]
+    np.testing.assert_array_equal(_row_rng(9, rows, 3), full[rows])
+    np.testing.assert_array_equal(_row_rng(9, range(1000), 2), full[:, :2])
+    assert _row_rng(9, range(0), 3).shape == (0, 3)
+
+
+def test_zero_probability_codes_are_never_drawn(monkeypatch):
+    encoded, _ = lookup_table_data(n_rows=100)
+    model = ArgnModel(encoded.sub_columns)
+    train(model, encoded, TrainConfig(batch_size=32, max_epochs=2, seed=0))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        for i in range(2):  # logits = c in every row; codes 0 and 9 get probability 0
+            model.params[f"V{i}"].value[...] = 0
+            model.params[f"c{i}"].value[:] = 3 * rng.normal(size=10)
+            model.params[f"c{i}"].value[[0, -1]] = -1e4
+        for u, expected in ((1.0 - 2.0**-53, 8), (0.0, 1)):
+            monkeypatch.setattr(sampling, "_row_rng",
+                                lambda seed, rows, k, domain=0: np.full((len(rows), k), u))
+            out = generate(model, GenerationRequest(n_rows=5, seed=0))
+            np.testing.assert_array_equal(out.data, expected)
 
 
 def test_requested_order_changes_sampling(lookup_model):
@@ -191,3 +253,6 @@ def test_temperature_validation():
         GenerationRequest(n_rows=1, temperature=0.0)
     with pytest.raises(ValueError):
         GenerationRequest(n_rows=-1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            GenerationRequest(n_rows=1, seed=seed)
