@@ -17,16 +17,14 @@ Decoding is deterministic given the codes and ``n_draws`` uniforms per row
 
 from __future__ import annotations
 
-import calendar
 import operator
 from dataclasses import dataclass
-from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .tables import ColumnSpec, RawTable, TableSchema, parse_datetime, parse_number
+from .tables import ColumnSpec, RawTable, TableSchema, parse_column
 
 MISSING = "__MISSING__"
 MAX_DECIMAL_PLACES = 6
@@ -102,12 +100,8 @@ class CategoryEncoder:
     def sub_columns(self) -> list[SubColumn]:
         return [SubColumn(self.column, self.cardinality, self.column)]
 
-    def encode_value(self, value: Optional[str]) -> list[int]:
-        if value not in self.mapping:
-            raise ValueError(f"column {self.column!r}: value {value!r} not in vocabulary")
-        return [self.mapping[value]]
-
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
+        """Codes of a column; values outside the vocabulary encode as MISSING."""
         return np.array([[self.mapping.get(v, self.mapping[None])] for v in values], dtype=np.int32)
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
@@ -146,7 +140,8 @@ class PercentileEncoder:
     def fit(cls, column: str, values: Sequence[Optional[str]], n_bins: int = 100) -> "PercentileEncoder":
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        nums = np.array([x for x in (parse_number(v) for v in values) if x is not None])
+        nums = parse_column(values, "numeric")
+        nums = nums[~np.isnan(nums)]
         if nums.size == 0:
             raise ValueError(f"column {column!r}: no numeric values to fit percentile bins")
         qs = np.quantile(nums, np.arange(n_bins + 1) / n_bins)
@@ -170,18 +165,10 @@ class PercentileEncoder:
     def sub_columns(self) -> list[SubColumn]:
         return [SubColumn(self.column, self.cardinality, self.column)]
 
-    def _bin_of(self, x: float) -> int:
-        j = int(np.searchsorted(self.edges, x, side="right")) - 1
-        return min(max(j, 0), self.n_value_bins - 1)
-
-    def encode_value(self, value: Optional[str]) -> list[int]:
-        x = parse_number(value)
-        if x is None:
-            return [self.missing_index]
-        return [self._bin_of(x)]
-
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        return np.array([self.encode_value(v) for v in values], dtype=np.int32)
+        x = parse_column(values, "numeric")
+        k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_value_bins - 1)
+        return np.where(np.isnan(x), self.missing_index, k).astype(np.int32)[:, None]
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
         k = codes[:, 0]
@@ -198,12 +185,15 @@ class PercentileEncoder:
         return cls(d["column"], np.array(d["edges"], dtype=np.float64))
 
 
-def _decimal_places(text: str) -> int:
-    try:
-        exp = Decimal(text).as_tuple().exponent
-    except InvalidOperation:
-        return 0
-    return max(0, -exp) if isinstance(exp, int) else 0
+def _magnitudes(decs: Sequence[Decimal], decimals: int) -> list[int]:
+    """|d| * 10**decimals of each value, rounded half up."""
+    scale = Decimal(10) ** decimals
+    return [int((d.copy_abs() * scale).to_integral_value(ROUND_HALF_UP)) for d in decs]
+
+
+def _strings(chars: np.ndarray) -> np.ndarray:
+    """One str per row of a uint8 matrix of ASCII codes."""
+    return np.ascontiguousarray(chars).view(f"S{chars.shape[1]}")[:, 0].astype(str)
 
 
 class DigitEncoder:
@@ -227,25 +217,22 @@ class DigitEncoder:
 
     @classmethod
     def fit(cls, column: str, values: Sequence[Optional[str]]) -> "DigitEncoder":
+        finite = ~np.isnan(parse_column(values, "numeric"))
         decs: list[Decimal] = []
-        decimals = 0
-        for v in values:
+        for v, ok in zip(values, finite):
             if v is None:
                 continue
             try:
-                parsed = float(v)
-            except ValueError:  # a present, unparseable cell counts as missing
+                d = Decimal(v.strip())
+            except InvalidOperation:  # a present, unparseable cell counts as missing
                 continue
-            if not np.isfinite(parsed):
+            if not ok:  # a number, but no finite float: inf, nan or out of range
                 raise ValueError(f"column {column!r}: non-finite value {v!r}")
-            decs.append(Decimal(v.strip()))
-            decimals = max(decimals, _decimal_places(v.strip()))
+            decs.append(d)
         if not decs:
             raise ValueError(f"column {column!r}: no numeric values to fit digit split")
-        decimals = min(decimals, MAX_DECIMAL_PLACES)
-        scale = Decimal(10) ** decimals
-        scaled = [int((d.copy_abs() * scale).to_integral_value(ROUND_HALF_UP)) for d in decs]
-        n_digits = max(1, len(str(max(scaled))))
+        decimals = min(max(0, -min(d.as_tuple().exponent for d in decs)), MAX_DECIMAL_PLACES)
+        n_digits = max(1, len(str(max(_magnitudes(decs, decimals)))))
         has_sign = any(d < 0 for d in decs)
         return cls(column, has_sign, n_digits, decimals)
 
@@ -254,59 +241,46 @@ class DigitEncoder:
         return self.n_digits + (1 if self.has_sign else 0)
 
     def sub_columns(self) -> list[SubColumn]:
-        subs = []
-        if self.has_sign:
-            subs.append(SubColumn(f"{self.column}#sign", 3, self.column))  # +, -, MISSING
-            subs.extend(
-                SubColumn(f"{self.column}#d{i}", 10, self.column) for i in range(self.n_digits)
-            )
-        else:
-            subs.append(SubColumn(f"{self.column}#d0", 11, self.column))  # 0-9 + MISSING
-            subs.extend(
-                SubColumn(f"{self.column}#d{i}", 10, self.column) for i in range(1, self.n_digits)
-            )
-        return subs
+        # the leading sub-column adds MISSING to the sign (+, -) or to the first digit
+        names = ["sign"] * self.has_sign + [f"d{i}" for i in range(self.n_digits)]
+        cards = [self._missing_code + 1] + [10] * (len(names) - 1)
+        return [SubColumn(f"{self.column}#{n}", c, self.column) for n, c in zip(names, cards)]
 
     @property
     def _missing_code(self) -> int:
         return 2 if self.has_sign else 10
 
-    def encode_value(self, value: Optional[str]) -> list[int]:
-        x = parse_number(value)
-        if x is None:
-            return [self._missing_code] + [0] * (self.n_sub_columns - 1)
-        d = Decimal(value.strip())
-        scale = Decimal(10) ** self.decimals
-        scaled = int((d.copy_abs() * scale).to_integral_value(ROUND_HALF_UP))
-        scaled = min(scaled, 10**self.n_digits - 1)
-        digits = [int(c) for c in str(scaled).zfill(self.n_digits)]
-        if self.has_sign:
-            return [1 if d < 0 else 0] + digits
-        return digits
-
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        return np.array([self.encode_value(v) for v in values], dtype=np.int32)
+        finite = ~np.isnan(parse_column(values, "numeric"))
+        decs = [Decimal(v.strip()) for v, ok in zip(values, finite) if ok]
+        cap = 10**self.n_digits - 1
+        text = "".join(str(min(m, cap)).zfill(self.n_digits) for m in _magnitudes(decs, self.decimals))
+        digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+        codes = np.zeros((len(finite), self.n_sub_columns), dtype=np.int32)
+        codes[:, 0] = self._missing_code
+        codes[finite, self.n_sub_columns - self.n_digits :] = digits.reshape(len(decs), self.n_digits)
+        if self.has_sign:
+            codes[finite, 0] = [d < 0 for d in decs]
+        return codes
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
-        out: list[Optional[str]] = []
-        for row in codes:
-            if int(row[0]) == self._missing_code:
-                out.append(None)
-                continue
-            digits = row[1:] if self.has_sign else row
-            magnitude = 0
-            for d in digits:
-                magnitude = magnitude * 10 + int(d)
-            negative = self.has_sign and int(row[0]) == 1
-            if self.decimals == 0:
-                text = str(magnitude)
-            else:
-                q = Decimal(magnitude) / (Decimal(10) ** self.decimals)
-                text = format(q, "f").rstrip("0").rstrip(".")
-                if text in ("", "-"):
-                    text = "0"
-            out.append(("-" + text) if negative and magnitude != 0 else text)
-        return out
+        """Text from the digit codes: the whole part without leading zeros,
+        then the fraction, if any is left, without trailing zeros."""
+        digits = codes[:, self.n_sub_columns - self.n_digits :]
+        width = max(self.n_digits, self.decimals + 1)
+        chars = np.full((len(codes), width), ord("0"), dtype=np.uint8)
+        chars[:, width - self.n_digits :] += digits.astype(np.uint8)
+        cut = width - self.decimals
+        whole = np.char.lstrip(_strings(chars[:, :cut]), "0")
+        text = np.where(whole == "", "0", whole)
+        if self.decimals:
+            frac = np.char.rstrip(_strings(chars[:, cut:]), "0")
+            text = np.where(frac == "", text, np.char.add(np.char.add(text, "."), frac))
+        if self.has_sign:
+            negative = (codes[:, 0] == 1) & digits.any(axis=1)
+            text = np.where(negative, np.char.add("-", text), text)
+        missing = (codes[:, 0] == self._missing_code).tolist()
+        return [None if m else t for m, t in zip(missing, text.tolist())]
 
     def to_dict(self) -> dict:
         return {
@@ -323,15 +297,33 @@ class DigitEncoder:
 
 
 _PART_ORDER = ("year", "month", "day", "hour", "minute", "second")
-_PART_DOMAIN = {"month": 12, "day": 31, "hour": 24, "minute": 60, "second": 60}
-_PART_BASE = {"month": 1, "day": 1, "hour": 0, "minute": 0, "second": 0}
+# (first value, number of values) of each part but the year
+_PART_SPAN = {"month": (1, 12), "day": (1, 31), "hour": (0, 24), "minute": (0, 60), "second": (0, 60)}
+
+
+def _calendar_parts(seconds: np.ndarray) -> dict[str, np.ndarray]:
+    """UTC calendar parts of epoch seconds, floored to the whole second (a
+    fraction within float64 resolution of the next second, under 16 us in
+    year 9999, reads as that second)."""
+    s = np.floor(seconds).astype(np.int64).astype("datetime64[s]")
+    day, month = s.astype("datetime64[D]"), s.astype("datetime64[M]")
+    clock = (s - day).astype(np.int64)
+    return {
+        "year": s.astype("datetime64[Y]").astype(np.int64) + 1970,
+        "month": month.astype(np.int64) % 12 + 1,
+        "day": (day - month.astype("datetime64[D]")).astype(np.int64) + 1,
+        "hour": clock // 3600,
+        "minute": clock // 60 % 60,
+        "second": clock % 60,
+    }
 
 
 class DatetimeEncoder:
     """Calendar decomposition; constant parts are dropped and restored on decode.
 
-    Year is encoded over its observed range, the other parts over their full
-    domain. Impossible day/month combinations clamp to the month's length.
+    Parts are UTC parts (``tables.parse_column``'s datetime rule). Year is
+    encoded over its observed range, the other parts over their full domain.
+    Impossible day/month combinations clamp to the month's length.
     """
 
     kind = "datetime_parts"
@@ -348,79 +340,61 @@ class DatetimeEncoder:
 
     @classmethod
     def fit(cls, column: str, values: Sequence[Optional[str]]) -> "DatetimeEncoder":
-        stamps = [d for d in (parse_datetime(v) for v in values) if d is not None]
-        if not stamps:
+        seconds = parse_column(values, "datetime")
+        seconds = seconds[~np.isnan(seconds)]
+        if seconds.size == 0:
             raise ValueError(f"column {column!r}: no parseable datetimes")
-        fields = {
-            "year": [d.year for d in stamps],
-            "month": [d.month for d in stamps],
-            "day": [d.day for d in stamps],
-            "hour": [d.hour for d in stamps],
-            "minute": [d.minute for d in stamps],
-            "second": [d.second for d in stamps],
-        }
-        parts = [p for p in _PART_ORDER if len(set(fields[p])) > 1]
-        constants = {p: fields[p][0] for p in _PART_ORDER if p not in parts}
+        fields = _calendar_parts(seconds)
+        parts = [p for p in _PART_ORDER if (fields[p] != fields[p][0]).any()]
+        constants = {p: int(fields[p][0]) for p in _PART_ORDER if p not in parts}
         if not parts:
             parts = ["year"]
             constants.pop("year")
         has_time = any(
             (p in parts) or constants.get(p, 0) != 0 for p in ("hour", "minute", "second")
         )
-        return cls(column, parts, constants, min(fields["year"]), max(fields["year"]), has_time)
+        years = fields["year"]
+        return cls(column, parts, constants, int(years.min()), int(years.max()), has_time)
 
-    def _part_cardinality(self, part: str) -> int:
+    def _span(self, part: str) -> tuple[int, int]:
         if part == "year":
-            return self.year_max - self.year_min + 1
-        return _PART_DOMAIN[part]
+            return self.year_min, self.year_max - self.year_min + 1
+        return _PART_SPAN[part]
 
     def sub_columns(self) -> list[SubColumn]:
-        subs = []
-        for i, p in enumerate(self.parts):
-            card = self._part_cardinality(p) + (1 if i == 0 else 0)  # MISSING on leading part
-            subs.append(SubColumn(f"{self.column}#{p}", card, self.column))
-        return subs
+        # MISSING on the leading part
+        return [SubColumn(f"{self.column}#{p}", self._span(p)[1] + (i == 0), self.column)
+                for i, p in enumerate(self.parts)]
 
     @property
     def _missing_code(self) -> int:
-        return self._part_cardinality(self.parts[0])
-
-    def encode_value(self, value: Optional[str]) -> list[int]:
-        d = parse_datetime(value)
-        if d is None:
-            return [self._missing_code] + [0] * (len(self.parts) - 1)
-        codes = []
-        for p in self.parts:
-            raw = getattr(d, p)
-            if p == "year":
-                codes.append(min(max(raw, self.year_min), self.year_max) - self.year_min)
-            else:
-                codes.append(raw - _PART_BASE[p])
-        return codes
+        return self._span(self.parts[0])[1]
 
     def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        return np.array([self.encode_value(v) for v in values], dtype=np.int32)
+        seconds = parse_column(values, "datetime")
+        present = ~np.isnan(seconds)
+        fields = _calendar_parts(seconds[present])
+        codes = np.zeros((len(seconds), len(self.parts)), dtype=np.int32)
+        codes[:, 0] = self._missing_code
+        for j, p in enumerate(self.parts):
+            first, count = self._span(p)
+            codes[present, j] = np.clip(fields[p] - first, 0, count - 1)  # clamps the year
+        return codes
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
-        out: list[Optional[str]] = []
-        for row in codes:
-            if int(row[0]) == self._missing_code:
-                out.append(None)
-                continue
-            fields = dict(self.constants)
-            for p, c in zip(self.parts, row):
-                if p == "year":
-                    fields[p] = self.year_min + int(c)
-                else:
-                    fields[p] = _PART_BASE[p] + int(c)
-            day_cap = calendar.monthrange(fields["year"], fields["month"])[1]
-            fields["day"] = min(fields["day"], day_cap)
-            stamp = datetime(**{k: fields[k] for k in _PART_ORDER})
-            if self.has_time:
-                out.append(stamp.strftime("%Y-%m-%d %H:%M:%S"))
-            else:
-                out.append(stamp.strftime("%Y-%m-%d"))
-        return out
+        fields = {p: np.full(len(codes), c, dtype=np.int64) for p, c in self.constants.items()}
+        for p, col in zip(self.parts, codes.T.astype(np.int64)):
+            fields[p] = col + self._span(p)[0]
+        month = ((fields["year"] - 1970) * 12 + fields["month"] - 1).astype("datetime64[M]")
+        first = month.astype("datetime64[D]")
+        day_cap = ((month + 1).astype("datetime64[D]") - first).astype(np.int64)
+        day = first + (np.minimum(fields["day"], day_cap) - 1)
+        clock = fields["hour"] * 3600 + fields["minute"] * 60 + fields["second"]
+        # datetime64 strings zero-pad the year to four digits
+        text = np.datetime_as_string(day.astype("datetime64[s]") + clock,
+                                     unit="s" if self.has_time else "D")
+        missing = (codes[:, 0] == self._missing_code).tolist()
+        return [None if m else t.replace("T", " ") for m, t in zip(missing, text.tolist())]
 
     def to_dict(self) -> dict:
         return {
@@ -444,27 +418,31 @@ class DatetimeEncoder:
 _ROOT_BOX = (-90.0, 90.0, -180.0, 180.0)  # lat_lo, lat_hi, lon_lo, lon_hi
 
 
-def _quad_child_box(box, digit: int):
+def _quad_digits(box, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Digit of the child tile under ``box`` that holds each point."""
+    lat_lo, lat_hi, lon_lo, lon_hi = box
+    return np.where(lat >= (lat_lo + lat_hi) / 2.0, 0, 2) + (lon >= (lon_lo + lon_hi) / 2.0)
+
+
+def _quad_child_box(box, digit):
+    """Box of child tile ``digit``; box and digit are scalars or one per point."""
     lat_lo, lat_hi, lon_lo, lon_hi = box
     mid_lat = (lat_lo + lat_hi) / 2.0
     mid_lon = (lon_lo + lon_hi) / 2.0
-    north = digit in (0, 1)
-    west = digit in (0, 2)
-    return (
-        mid_lat if north else lat_lo,
-        lat_hi if north else mid_lat,
-        lon_lo if west else mid_lon,
-        mid_lon if west else lon_hi,
-    )
+    north, east = digit < 2, digit % 2 == 1
+    return (np.where(north, mid_lat, lat_lo), np.where(north, lat_hi, mid_lat),
+            np.where(east, mid_lon, lon_lo), np.where(east, lon_hi, mid_lon))
 
 
-def _quad_digit(box, lat: float, lon: float) -> int:
-    lat_lo, lat_hi, lon_lo, lon_hi = box
-    north = lat >= (lat_lo + lat_hi) / 2.0
-    east = lon >= (lon_lo + lon_hi) / 2.0
-    if north:
-        return 1 if east else 0
-    return 3 if east else 2
+def _points(column: str, lat_values: Sequence[Optional[str]], lon_values: Sequence[Optional[str]]):
+    """(lat, lon) of the rows where both cells parse, and the mask of those rows."""
+    lat, lon = parse_column(lat_values, "numeric"), parse_column(lon_values, "numeric")
+    present = ~(np.isnan(lat) | np.isnan(lon))
+    bad = np.flatnonzero(present & ((np.abs(lat) > 90.0) | (np.abs(lon) > 180.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"column {column!r}: coordinate ({float(lat[i])}, {float(lon[i])}) out of range")
+    return lat[present], lon[present], present
 
 
 def quadkey_box(key: str):
@@ -490,7 +468,6 @@ class QuadtileEncoder:
         self.column = column
         self.sources = tuple(sources)
         self.leaves = sorted(leaves)
-        self.leaf_index = {k: i for i, k in enumerate(self.leaves)}
         # (lat_lo, lat_hi, lon_lo, lon_hi) per leaf, plus a dummy MISSING row
         self.boxes = np.array([quadkey_box(k) for k in self.leaves] + [_ROOT_BOX])
 
@@ -504,28 +481,19 @@ class QuadtileEncoder:
         min_tile_count: int = 100,
         max_depth: int = 12,
     ) -> "QuadtileEncoder":
-        pts = []
-        for a, b in zip(lat_values, lon_values):
-            lat, lon = parse_number(a), parse_number(b)
-            if lat is None or lon is None:
-                continue
-            if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-                raise ValueError(f"column {column!r}: coordinate ({lat}, {lon}) out of range")
-            pts.append((lat, lon))
-
+        lat, lon, _ = _points(column, lat_values, lon_values)
         leaves: list[str] = []
 
-        def split(key: str, box, points: list[tuple[float, float]]):
-            if len(points) >= min_tile_count and len(key) < max_depth:
-                buckets: list[list[tuple[float, float]]] = [[], [], [], []]
-                for p in points:
-                    buckets[_quad_digit(box, *p)].append(p)
-                for digit in range(4):
-                    split(key + str(digit), _quad_child_box(box, digit), buckets[digit])
+        def split(key: str, box, lat: np.ndarray, lon: np.ndarray):
+            if len(lat) >= min_tile_count and len(key) < max_depth:
+                digit = _quad_digits(box, lat, lon)
+                for d in range(4):
+                    inside = digit == d
+                    split(key + str(d), _quad_child_box(box, d), lat[inside], lon[inside])
             else:
                 leaves.append(key)
 
-        split("", _ROOT_BOX, pts)
+        split("", _ROOT_BOX, lat, lon)
         return cls(column, sources, leaves)
 
     @property
@@ -539,28 +507,28 @@ class QuadtileEncoder:
     def sub_columns(self) -> list[SubColumn]:
         return [SubColumn(f"{self.column}#tile", self.cardinality, self.column)]
 
-    def key_of(self, lat: float, lon: float) -> str:
-        key, box = "", _ROOT_BOX
-        while key not in self.leaf_index:
-            digit = _quad_digit(box, lat, lon)
-            box = _quad_child_box(box, digit)
-            key += str(digit)
-            if len(key) > 32:
-                raise RuntimeError("quadtile walk did not reach a leaf")
-        return key
+    def _leaf_codes(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+        """Leaf index of each point. The sorted leaf keys are prefix-free, so
+        the leaf that holds a point is the last key at or before its path."""
+        box, digits = _ROOT_BOX, []
+        for _ in range(1 + max(map(len, self.leaves), default=0)):
+            digits.append(_quad_digits(box, lat, lon))
+            box = _quad_child_box(box, digits[-1])
+        paths = _strings(np.array(digits, dtype=np.uint8).T + ord("0"))
+        keys = np.array(self.leaves)
+        code = np.searchsorted(keys, paths, side="right") - 1
+        if (code < 0).any() or not np.char.startswith(paths, keys[code]).all():
+            raise RuntimeError("quadtile walk did not reach a leaf")
+        return code
 
-    def encode_pair(self, lat_cell: Optional[str], lon_cell: Optional[str]) -> list[int]:
-        lat, lon = parse_number(lat_cell), parse_number(lon_cell)
-        if lat is None or lon is None:
-            return [self.missing_index]
-        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-            raise ValueError(f"column {self.column!r}: coordinate ({lat}, {lon}) out of range")
-        return [self.leaf_index[self.key_of(lat, lon)]]
+    def key_of(self, lat: float, lon: float) -> str:
+        return self.leaves[int(self._leaf_codes(np.array([lat]), np.array([lon]))[0])]
 
     def encode(self, lat_values, lon_values) -> np.ndarray:
-        return np.array(
-            [self.encode_pair(a, b) for a, b in zip(lat_values, lon_values)], dtype=np.int32
-        )
+        lat, lon, present = _points(self.column, lat_values, lon_values)
+        codes = np.full((len(present), 1), self.missing_index, dtype=np.int32)
+        codes[present, 0] = self._leaf_codes(lat, lon)
+        return codes
 
     def decode(self, codes: np.ndarray, u: np.ndarray):
         """Returns parallel (lat, lon) cell lists."""
@@ -658,39 +626,32 @@ class TableEncoders:
         return cls(schema, encs)
 
 
+def _sources(spec: ColumnSpec) -> tuple[str, ...]:
+    """The raw columns an encoder reads: a latlong's (lat, lon), else its own."""
+    return spec.sources if spec.kind == "latlong" else (spec.name,)
+
+
 def fit_encoders(raw: RawTable, schema: TableSchema, options: EncodingOptions = EncodingOptions()) -> TableEncoders:
     encoders = []
     for spec in schema.columns:
+        cells = [raw.column_values(c) for c in _sources(spec)]
         if spec.kind == "categorical":
-            encoders.append(CategoryEncoder.fit(spec.name, raw.column_values(spec.name)))
+            encoders.append(CategoryEncoder.fit(spec.name, *cells))
         elif spec.kind == "numeric" and spec.encoding == "percentile_bins":
-            encoders.append(PercentileEncoder.fit(spec.name, raw.column_values(spec.name), options.n_bins))
+            encoders.append(PercentileEncoder.fit(spec.name, *cells, options.n_bins))
         elif spec.kind == "numeric":
-            encoders.append(DigitEncoder.fit(spec.name, raw.column_values(spec.name)))
+            encoders.append(DigitEncoder.fit(spec.name, *cells))
         elif spec.kind == "datetime":
-            encoders.append(DatetimeEncoder.fit(spec.name, raw.column_values(spec.name)))
-        elif spec.kind == "latlong":
-            lat_col, lon_col = spec.sources
-            encoders.append(
-                QuadtileEncoder.fit(
-                    spec.name, spec.sources,
-                    raw.column_values(lat_col), raw.column_values(lon_col),
-                    options.quad_min_tile, options.quad_max_depth,
-                )
-            )
-        else:  # pragma: no cover - schema validation keeps us out of here
-            raise ValueError(f"unsupported column spec {spec}")
+            encoders.append(DatetimeEncoder.fit(spec.name, *cells))
+        else:  # latlong, the last kind schema validation lets through
+            encoders.append(QuadtileEncoder.fit(spec.name, spec.sources, *cells,
+                                                options.quad_min_tile, options.quad_max_depth))
     return TableEncoders(schema, encoders)
 
 
 def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
-    blocks = []
-    for spec, enc in zip(encoders.schema.columns, encoders.encoders):
-        if spec.kind == "latlong":
-            lat_col, lon_col = spec.sources
-            blocks.append(enc.encode(raw.column_values(lat_col), raw.column_values(lon_col)))
-        else:
-            blocks.append(enc.encode(raw.column_values(spec.name)))
+    blocks = [enc.encode(*(raw.column_values(c) for c in _sources(spec)))
+              for spec, enc in zip(encoders.schema.columns, encoders.encoders)]
     data = np.hstack(blocks) if blocks else np.zeros((raw.row_count, 0), dtype=np.int32)
     return EncodedTable(encoders.sub_columns, data)
 
@@ -707,9 +668,7 @@ def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.nd
         u = uniforms[:, draw : draw + enc.n_draws]
         offset += width
         draw += enc.n_draws
-        if spec.kind == "latlong":
-            columns[spec.sources[0]], columns[spec.sources[1]] = enc.decode(codes, u)
-        else:
-            columns[spec.name] = enc.decode(codes, u)
+        decoded = enc.decode(codes, u)  # a latlong decodes to (lat, lon) cells
+        columns.update(zip(_sources(spec), decoded if spec.kind == "latlong" else [decoded]))
     cells = list(map(list, zip(*(columns[n] for n in out_schema.names))))
     return RawTable(TableSchema(out_schema.columns, encoded.row_count), cells)

@@ -218,19 +218,33 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
                   target_column: str) -> dict:
     """Train-on-synthetic / test-on-real scores, with the train-on-real
     baseline alongside. Categorical target -> classification (AUC, macro-F1);
-    numeric target -> ridge regression (RMSE)."""
+    numeric target -> ridge regression (RMSE). Rows whose target is missing
+    (or, for a numeric target, unparseable) are left out of fitting and
+    scoring."""
     spec = real_train.schema.column(target_column)
     feature_cols = [n for n in real_train.schema.names if n != target_column]
 
+    def with_target(tbl: RawTable, side: str) -> RawTable:
+        cells = tbl.column_values(target_column)
+        if spec.kind == "categorical":
+            keep = np.array([v is not None for v in cells], dtype=bool)
+        else:
+            keep = ~np.isnan(parse_column(cells, spec.kind))
+        if not keep.any():
+            raise ValueError(f"ml_efficiency: no {side} row has a {target_column!r} value")
+        return tbl.subset(np.flatnonzero(keep).tolist())
+
+    real_train = with_target(real_train, "real train")
+    syn_train = with_target(syn_train, "synthetic")
+    real_test = with_target(real_test, "real test")
+
     if spec.kind == "categorical":
         vocab = sorted({v for t in (real_train, syn_train, real_test)
-                        for v in t.column_values(target_column) if v is not None})
+                        for v in t.column_values(target_column)})
         index = {v: i for i, v in enumerate(vocab)}
 
         def labels(tbl: RawTable) -> np.ndarray:
-            return np.array(
-                [index.get(v, 0) for v in tbl.column_values(target_column)], dtype=np.int64
-            )
+            return np.array([index[v] for v in tbl.column_values(target_column)], dtype=np.int64)
 
         out = {}
         for tag, train_tbl in (("synthetic", syn_train), ("baseline", real_train)):
@@ -249,7 +263,7 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
                 "baseline_macro_f1": out["baseline"]["macro_f1"]}
 
     def target_values(tbl: RawTable) -> np.ndarray:
-        return np.nan_to_num(parse_column(tbl.column_values(target_column), spec.kind))
+        return parse_column(tbl.column_values(target_column), spec.kind)
 
     out = {}
     for tag, train_tbl in (("synthetic", syn_train), ("baseline", real_train)):

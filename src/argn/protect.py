@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tables import RawTable, TableSchema, parse_datetime, parse_number
+from .tables import RawTable, TableSchema, parse_column
 
 RARE_TOKEN = "_RARE_"
 RANDOM_THRESHOLDS = ("random", "random(5,8)")
@@ -99,36 +99,17 @@ def protect_extreme_values(
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
     k = _threshold(cfg.extreme_k, rng)
-    parser = parse_datetime if kind == "datetime" else parse_number
-
-    by_value: dict = {}
-    for v in values:
-        if v is None:
-            continue
-        x = parser(v)
-        if x is None:
-            continue
-        if x not in by_value or v < by_value[x]:
-            by_value[x] = v  # deterministic representative text per distinct value
-    distinct = sorted(by_value)
+    x = parse_column(values, kind)
+    distinct = np.unique(x[~np.isnan(x)])
     if len(distinct) < 2 * k:
         return list(values)
 
-    lo_val, hi_val = distinct[k - 1], distinct[-k]
-    lo_text, hi_text = by_value[lo_val], by_value[hi_val]
-
-    out: list[Optional[str]] = []
-    for v in values:
-        x = parser(v) if v is not None else None
-        if x is None:
-            out.append(v)
-        elif x < lo_val:
-            out.append(lo_text)
-        elif x > hi_val:
-            out.append(hi_text)
-        else:
-            out.append(v)
-    return out
+    lo, hi = distinct[k - 1], distinct[-k]
+    out = np.array(values, dtype=object)
+    # the smallest text of a distinct value is its deterministic representative
+    out[x < lo] = min(out[x == lo])
+    out[x > hi] = min(out[x == hi])
+    return out.tolist()
 
 
 def protect_table(raw: RawTable, schema: TableSchema, cfg: ValueProtectionConfig) -> RawTable:
@@ -140,10 +121,8 @@ def protect_table(raw: RawTable, schema: TableSchema, cfg: ValueProtectionConfig
     for spec in schema.columns:
         if spec.kind == "categorical":
             columns[spec.name] = protect_rare_categories(columns[spec.name], cfg, rng)
-        elif spec.kind == "numeric":
-            columns[spec.name] = protect_extreme_values(columns[spec.name], cfg, rng, "numeric")
-        elif spec.kind == "datetime":
-            columns[spec.name] = protect_extreme_values(columns[spec.name], cfg, rng, "datetime")
+        elif spec.kind in ("numeric", "datetime"):
+            columns[spec.name] = protect_extreme_values(columns[spec.name], cfg, rng, spec.kind)
         # latlong columns pass through: quadtile density adaptation is the guard there
     names = raw.column_names
     cells = [[columns[n][i] for n in names] for i in range(raw.row_count)]

@@ -118,7 +118,10 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
             indices = model.encoders.sub_indices_of(key)
             if enc.kind == "quadtile":
                 raise ValueError(f"column {key!r}: conditioning on latlong columns is not supported")
-            codes = enc.encode_value(None if value == "" else str(value))
+            cell = None if value == "" else str(value)
+            if enc.kind == "category_map" and cell not in enc.mapping:
+                raise ValueError(f"column {key!r}: value {cell!r} not in vocabulary")
+            codes = enc.encode([cell])[0]
             for i, code in zip(indices, codes):
                 fixed[i] = int(code)
         else:

@@ -1,9 +1,10 @@
 """Delimited-text ingestion and column-type inference.
 
 Tables are held as row-major grids of optional strings; ``None`` marks a
-missing cell and the empty string on disk means missing. Type inference is
-deliberately tolerant: a column counts as numeric/datetime when at least 99%
-of its non-missing cells parse, so a handful of sentinel strings do not
+missing cell and the empty string on disk means missing. ``parse_column`` is
+the one place where numeric and datetime cells become numbers. Type inference
+is deliberately tolerant: a column counts as numeric/datetime when at least
+99% of its non-missing cells parse, so a handful of sentinel strings do not
 demote an otherwise numeric column.
 """
 
@@ -13,7 +14,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -171,21 +172,27 @@ def parse_datetime(cell: Optional[str]) -> Optional[datetime]:
 
 
 def parse_column(cells: Sequence[Optional[str]], kind: str) -> np.ndarray:
-    """float64 values of a numeric or datetime column (datetimes as epoch
-    seconds); missing and unparseable cells are NaN."""
+    """float64 values of a numeric or datetime column; missing and
+    unparseable cells are NaN.
+
+    Datetimes become epoch seconds under one rule: a naive cell is read as
+    UTC and a cell with an offset as its UTC instant, so the values never
+    depend on the host's time zone.
+    """
     if kind == "datetime":
-        vals = [d.timestamp() if (d := parse_datetime(c)) is not None else np.nan for c in cells]
+        vals = [np.nan if (d := parse_datetime(c)) is None
+                else (d if d.tzinfo else d.replace(tzinfo=timezone.utc)).timestamp()
+                for c in cells]
     else:
         vals = [x if (x := parse_number(c)) is not None else np.nan for c in cells]
     return np.array(vals, dtype=np.float64)
 
 
-def _fraction_parsing(values: list[Optional[str]], parser) -> float:
-    present = [v for v in values if v is not None]
-    if not present:
-        return 0.0
-    ok = sum(1 for v in present if parser(v) is not None)
-    return ok / len(present)
+def _parses(values: Sequence[Optional[str]], kind: str) -> bool:
+    """At least one cell is present and PARSE_THRESHOLD of the present ones parse."""
+    present = sum(v is not None for v in values)
+    ok = int(np.count_nonzero(~np.isnan(parse_column(values, kind))))
+    return present > 0 and ok / present >= PARSE_THRESHOLD
 
 
 def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = None) -> TableSchema:
@@ -235,13 +242,9 @@ def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = N
             ov = overrides[name]
             columns.append(ColumnSpec(ov.name, ov.kind, ov.encoding, null_freq, ov.sources))
             continue
-        if _fraction_parsing(values, parse_number) >= PARSE_THRESHOLD and any(
-            v is not None for v in values
-        ):
+        if _parses(values, "numeric"):
             columns.append(ColumnSpec(name, "numeric", "percentile_bins", null_freq))
-        elif _fraction_parsing(values, parse_datetime) >= PARSE_THRESHOLD and any(
-            v is not None for v in values
-        ):
+        elif _parses(values, "datetime"):
             columns.append(ColumnSpec(name, "datetime", "datetime_parts", null_freq))
         else:
             columns.append(ColumnSpec(name, "categorical", "category_map", null_freq))

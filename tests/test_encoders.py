@@ -1,8 +1,12 @@
 import json
 import math
+from datetime import datetime
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argn.encoders import (
     CategoryEncoder,
@@ -16,7 +20,7 @@ from argn.encoders import (
     encode_table,
     fit_encoders,
 )
-from argn.tables import ColumnSpec, infer_schema
+from argn.tables import ColumnSpec, infer_schema, parse_datetime, parse_number
 
 from conftest import make_table
 
@@ -102,23 +106,23 @@ def test_percentile_bin_of_500_matches_quantile_oracle():
     edges = [brute_quantile(sorted_vals, i / 100) for i in range(101)]
     expected = max(j for j in range(100) if edges[j] <= 500)
     assert expected == 49
-    assert enc.encode_value("500") == [49]
+    assert enc.encode(["500"])[0].tolist() == [49]
     np.testing.assert_allclose(enc.edges, edges)
 
 
 def test_percentile_constant_column():
     enc = fit_percentile(["5", "5", "5"])
     assert enc.cardinality == 2  # one value bin + MISSING
-    assert enc.encode_value("5") == [0]
-    assert enc.encode_value(None) == [1]
+    assert enc.encode(["5"])[0].tolist() == [0]
+    assert enc.encode([None])[0].tolist() == [1]
 
 
 def test_percentile_boundaries_and_clamping():
     enc = fit_percentile([str(i) for i in range(1, 1001)], n_bins=100)
-    assert enc.encode_value("1") == [0]
-    assert enc.encode_value("1000") == [enc.n_value_bins - 1]
-    assert enc.encode_value("-99") == [0]
-    assert enc.encode_value("5000") == [enc.n_value_bins - 1]
+    assert enc.encode(["1"])[0].tolist() == [0]
+    assert enc.encode(["1000"])[0].tolist() == [enc.n_value_bins - 1]
+    assert enc.encode(["-99"])[0].tolist() == [0]
+    assert enc.encode(["5000"])[0].tolist() == [enc.n_value_bins - 1]
 
 
 def test_percentile_rejects_bad_bins():
@@ -156,8 +160,8 @@ def test_digit_layout_no_negatives():
     enc = fit_digit_split(["42", "7"])
     assert not enc.has_sign
     assert enc.n_digits == 2
-    assert enc.encode_value("42") == [4, 2]
-    assert enc.encode_value("7") == [0, 7]
+    assert enc.encode(["42"])[0].tolist() == [4, 2]
+    assert enc.encode(["7"])[0].tolist() == [0, 7]
 
 
 def test_digit_layout_with_sign_and_decimals():
@@ -165,8 +169,8 @@ def test_digit_layout_with_sign_and_decimals():
     assert enc.has_sign
     assert enc.decimals == 2
     # sign, then digits of 150 zero-padded to width 3 (max scaled = 225)
-    assert enc.encode_value("-1.5") == [1, 1, 5, 0]
-    assert enc.encode_value("2.25") == [0, 2, 2, 5]
+    assert enc.encode(["-1.5"])[0].tolist() == [1, 1, 5, 0]
+    assert enc.encode(["2.25"])[0].tolist() == [0, 2, 2, 5]
 
 
 def test_digit_round_trip_exact(rng):
@@ -187,7 +191,15 @@ def test_digit_missing_slot_on_leading():
     subs = enc.sub_columns()
     assert subs[0].cardinality == 11
     assert subs[1].cardinality == 10
-    assert enc.encode_value(None)[0] == 10
+    assert enc.encode([None])[0].tolist()[0] == 10
+
+
+def test_digit_round_trip_keeps_trailing_zeros_of_whole_numbers(rng):
+    values = ["10", "2.25", "100", "-20", "0.5"]
+    enc = fit_digit_split(values)
+    u = rng.random((len(values), enc.n_draws))
+    assert enc.decode(enc.encode(values), u) == values
+    assert enc.decode(enc.encode(["30.0"]), u[:1]) == ["30"]
 
 
 def test_digit_rejects_non_finite():
@@ -230,6 +242,20 @@ def test_datetime_with_time_round_trips(rng):
     assert decoded == values
 
 
+def test_datetime_years_below_1000_are_zero_padded(rng):
+    values = ["0999-01-02", "1001-03-04"]
+    enc = fit_datetime(values)
+    decoded = enc.decode(enc.encode(values), rng.random((2, enc.n_draws)))
+    assert decoded == values
+    assert parse_datetime(decoded[0]) == datetime(999, 1, 2)
+
+
+def test_datetime_parts_are_utc_parts():
+    enc = fit_datetime(["2021-01-01 10:30:00", "2021-01-02 11:45:10"])
+    same = enc.encode(["2021-01-01 10:30:00", "2021-01-01T12:30:00+02:00"])
+    assert same[0].tolist() == same[1].tolist()
+
+
 # -- quadtile ----------------------------------------------------------------
 
 
@@ -268,7 +294,7 @@ def test_quadtile_leaves_partition(rng):
     for _ in range(200):
         p, q = rng.uniform(-90, 90), rng.uniform(-180, 180)
         key = enc.key_of(p, q)
-        assert key in enc.leaf_index
+        assert key in enc.leaves
         prefixes = [k for k in enc.leaves if key.startswith(k) or k.startswith(key)]
         assert prefixes == [key]
 
@@ -301,9 +327,9 @@ def test_encode_decode_table_round_trip(rng):
     assert decoded.column_values("when") == ["2021-01-01", "2021-02-03", None, "2021-03-04"]
     for orig, got in zip(["1", "2", "3", "4"], decoded.column_values("amount")):
         # percentile decode lands in the same bin, not on the same value
-        assert encoders.encoder_for("amount").encode_value(got) == encoders.encoder_for(
+        assert encoders.encoder_for("amount").encode([got])[0].tolist() == encoders.encoder_for(
             "amount"
-        ).encode_value(orig)
+        ).encode([orig])[0].tolist()
 
 
 def test_sub_columns_contiguous_per_parent():
@@ -339,3 +365,123 @@ def test_latlong_table_round_trip(rng):
     decoded = decode_table(encoded, encoders, rng.random((encoded.row_count, encoders.n_draws)))
     assert decoded.column_names == ["lat", "lon"]
     assert decoded.column_values("lat")[2] is None
+
+
+# -- column-wise encode against the per-cell oracle ---------------------------
+# The per-cell encode logic the column-wise encoders replaced, kept as their
+# reference: one parse and one Python call per cell.
+
+
+def percentile_encode_oracle(enc, value):
+    x = parse_number(value)
+    if x is None:
+        return [enc.missing_index]
+    j = int(np.searchsorted(enc.edges, x, side="right")) - 1
+    return [min(max(j, 0), enc.n_value_bins - 1)]
+
+
+def digit_encode_oracle(enc, value):
+    if parse_number(value) is None:
+        return [enc._missing_code] + [0] * (enc.n_sub_columns - 1)
+    d = Decimal(value.strip())
+    scale = Decimal(10) ** enc.decimals
+    scaled = int((d.copy_abs() * scale).to_integral_value(ROUND_HALF_UP))
+    scaled = min(scaled, 10**enc.n_digits - 1)
+    digits = [int(c) for c in str(scaled).zfill(enc.n_digits)]
+    return [1 if d < 0 else 0] + digits if enc.has_sign else digits
+
+
+def datetime_encode_oracle(enc, value):
+    d = parse_datetime(value)
+    if d is None:
+        return [enc._missing_code] + [0] * (len(enc.parts) - 1)
+    base = {"month": 1, "day": 1, "hour": 0, "minute": 0, "second": 0}
+    return [min(max(d.year, enc.year_min), enc.year_max) - enc.year_min if p == "year"
+            else getattr(d, p) - base[p] for p in enc.parts]
+
+
+def quadtile_encode_oracle(enc, lat_cell, lon_cell):
+    lat, lon = parse_number(lat_cell), parse_number(lon_cell)
+    if lat is None or lon is None:
+        return [enc.missing_index]
+    key, (lat_lo, lat_hi, lon_lo, lon_hi) = "", (-90.0, 90.0, -180.0, 180.0)
+    while key not in enc.leaves:
+        mid_lat, mid_lon = (lat_lo + lat_hi) / 2.0, (lon_lo + lon_hi) / 2.0
+        north, east = lat >= mid_lat, lon >= mid_lon
+        key += str((0 if north else 2) + east)
+        lat_lo, lat_hi = (mid_lat, lat_hi) if north else (lat_lo, mid_lat)
+        lon_lo, lon_hi = (mid_lon, lon_hi) if east else (lon_lo, mid_lon)
+    return [enc.leaves.index(key)]
+
+
+_garbage = st.sampled_from([None, "", " ", "abc", "1.2.3", "--1", "nan", "inf", "-Infinity", "1e999"])
+_number = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(-10**6, 10**6).map(lambda i: f"+{i}" if i >= 0 else str(i)),
+    st.decimals(-10**5, 10**5, places=3, allow_nan=False).map(str),
+    st.floats(-1e5, 1e5).map(lambda x: f"{x:.{abs(int(x)) % 5}f}"),
+    st.floats(-1e5, 1e5).map(lambda x: f" {x!r} "),
+    st.sampled_from(["-0", "0.000", "1e3", "-2.5E-2", "007", "10", "100", "0.0000025", "-1.0000005"]),
+)
+_fuzz = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@_fuzz
+@given(st.lists(st.sampled_from(["a", "b", "c", "", None]), min_size=1, max_size=30),
+       st.lists(st.sampled_from(["a", "b", "c", "d", None, ""]), max_size=30))
+def test_category_encode_matches_oracle(fit_cells, cells):
+    enc = fit_categorical(fit_cells)
+    expected = [[enc.mapping.get(v, enc.mapping[None])] for v in cells]
+    assert enc.encode(cells).reshape(len(cells), 1).tolist() == expected
+
+
+@_fuzz
+@given(st.lists(_number, min_size=1, max_size=40), st.lists(st.one_of(_number, _garbage), max_size=40),
+       st.integers(1, 12))
+def test_percentile_encode_matches_oracle(fit_cells, cells, n_bins):
+    enc = fit_percentile(fit_cells, n_bins)
+    cells = fit_cells + cells  # fitted values sit on the bin edges
+    codes = enc.encode(cells).reshape(len(cells), 1)
+    assert codes.tolist() == [percentile_encode_oracle(enc, v) for v in cells]
+
+
+@_fuzz
+@given(st.lists(_number, min_size=1, max_size=40), st.lists(st.one_of(_number, _garbage), max_size=40))
+def test_digit_encode_matches_oracle(fit_cells, cells):
+    enc = fit_digit_split(fit_cells)
+    codes = enc.encode(cells).reshape(len(cells), enc.n_sub_columns)
+    assert codes.tolist() == [digit_encode_oracle(enc, v) for v in cells]
+
+
+_naive_datetime = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda d: d.replace(microsecond=0))
+_datetime_cell = st.one_of(
+    _naive_datetime.map(lambda d: d.isoformat(sep=" ")),
+    _naive_datetime.map(lambda d: d.date().isoformat()),
+    st.sampled_from(["2021-03-14T02:30:00", "0001-01-01", "2020-02-29 23:59:59"]),
+)
+
+
+@_fuzz
+@given(st.lists(_datetime_cell, min_size=1, max_size=30),
+       st.lists(st.one_of(_datetime_cell, _garbage, st.just("2021-13-01")), max_size=30))
+def test_naive_datetime_encode_matches_oracle(fit_cells, cells):
+    enc = fit_datetime(fit_cells)
+    codes = enc.encode(cells).reshape(len(cells), len(enc.parts))
+    assert codes.tolist() == [datetime_encode_oracle(enc, v) for v in cells]
+
+
+# the sampled values lie on tile edges
+_lat = st.one_of(st.floats(-90, 90).map(repr), st.sampled_from(["0", "45", "-45", "22.5", "90", "-90"]))
+_lon = st.one_of(st.floats(-180, 180).map(repr), st.sampled_from(["0", "90", "-90", "45", "180", "-180"]))
+
+
+@_fuzz
+@given(st.lists(st.tuples(_lat, _lon), min_size=1, max_size=60),
+       st.lists(st.tuples(st.one_of(_lat, _garbage), st.one_of(_lon, _garbage)), max_size=40),
+       st.integers(1, 8), st.integers(0, 6))
+def test_quadtile_encode_matches_oracle(fit_points, points, min_tile, max_depth):
+    enc = fit_quadtile(*zip(*fit_points), min_tile_count=min_tile, max_depth=max_depth)
+    lat, lon = [p[0] for p in points], [p[1] for p in points]
+    codes = enc.encode(lat, lon).reshape(len(points), 1)
+    assert codes.tolist() == [quadtile_encode_oracle(enc, a, b) for a, b in points]

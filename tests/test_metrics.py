@@ -307,6 +307,32 @@ def test_ml_efficiency_ridge_exact_linear():
     assert res["rmse"] < 1e-6
 
 
+@pytest.mark.parametrize("target", ["label", "y"])
+def test_ml_efficiency_leaves_out_rows_with_a_missing_target(rng, target):
+    n = 240
+    x = rng.normal(size=n)
+    label = np.where(x + 0.5 * rng.normal(size=n) > 0, "hi", "lo")
+    y = 2.0 * x + 0.3 * rng.normal(size=n)
+    gone = rng.random(n) < 0.2
+    table = make_table(
+        {"x": [f"{v:.4f}" for v in x],
+         "label": [None if g else v for g, v in zip(gone, label)],
+         "y": ["" if g else f"{v:.4f}" for g, v in zip(gone, y)]},
+        kinds={"x": "numeric", "y": "numeric"},
+    )
+    train, syn, test = table.subset(range(80)), table.subset(range(80, 160)), table.subset(range(160, n))
+    kept = [t.subset([i for i in range(t.row_count) if not gone[start + i]])
+            for t, start in ((train, 0), (syn, 80), (test, 160))]
+    assert ml_efficiency(train, syn, test, target) == ml_efficiency(*kept, target)
+
+
+def test_ml_efficiency_without_any_target_value_raises():
+    table = make_table({"x": ["1", "2", "3", "4"], "label": ["a", "b", None, None]},
+                       kinds={"x": "numeric"})
+    with pytest.raises(ValueError, match="no synthetic row"):
+        ml_efficiency(table.subset([0, 1]), table.subset([2, 3]), table.subset([0, 1]), "label")
+
+
 def test_macro_f1_perfect_balanced():
     y = np.array([0, 0, 1, 1])
     assert macro_f1(y, y, 2) == 1.0

@@ -334,7 +334,7 @@ def test_cli_evaluate_without_holdout_omits_integral(data_csv, tmp_path):
     report_path = str(tmp_path / "report.json")
     assert cli(["evaluate", "--real", data_csv, "--syn", syn_path,
                 "--report", report_path]) == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["dcr_integral"] is None
     assert report["detection_auc"] is not None
     assert report["jsd"]["mean"] is not None
@@ -350,8 +350,19 @@ def test_cli_evaluate_with_holdout_reports_integral(data_csv, tmp_path):
     report_path = str(tmp_path / "report.json")
     assert cli(["evaluate", "--real", data_csv, "--syn", syn_path,
                 "--holdout", holdout_path, "--report", report_path]) == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert isinstance(report["dcr_integral"], float)
+
+
+def test_cli_dcr_reads_a_year_one_datetime_column(tmp_path):
+    when = ["0001-01-01", "1970-01-01", "2021-03-14", "2021-06-30 12:00:00", "9999-12-31"]
+    paths = []
+    for name, shift in (("train", 0), ("syn", 1), ("test", 2)):
+        rows = [[when[(i + shift) % 5], "ab"[i % 2]] for i in range(10)]
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text("when,kind\n" + "".join(f"{a},{b}\n" for a, b in rows))
+    assert cli(["dcr", "--train", str(paths[0]), "--syn", str(paths[1]),
+                "--test", str(paths[2]), "--out-cdf", str(tmp_path / "cdf.csv")]) == 0
 
 
 def test_cli_unknown_flag_exits_one(data_csv):
@@ -420,7 +431,7 @@ def test_cli_evaluate_with_target_reports_ml(data_csv, tmp_path):
     report_path = str(tmp_path / "ml.json")
     assert cli(["evaluate", "--real", data_csv, "--syn", syn_path,
                 "--target", "cat_b", "--report", report_path]) == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["ml_efficiency"]["task"] == "classification"
     assert 0.0 <= report["ml_efficiency"]["auc"] <= 1.0
 
@@ -442,7 +453,7 @@ def test_cli_audit_end_to_end(tmp_path):
     report_path = str(tmp_path / "audit.json")
     assert cli(["audit", "--data", data_path, "--config", config_path,
                 "--report", report_path, "--auto-target", "1"]) == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["n_shadow"] == 6
     assert len(report["targets"]) == 1
     attacks = report["targets"][0]["attacks"]

@@ -92,6 +92,12 @@ def test_extreme_datetime_clipping():
     assert min(out) == "2021-01-05"
 
 
+def test_extreme_datetime_clipping_mixes_naive_and_offset_cells():
+    values = [f"2020-01-{d:02d}" for d in range(1, 8)] + ["2020-02-01T00:00:00+02:00"]
+    out = protect_extreme_values(values, cfg(extreme_k=2), kind="datetime")
+    assert out == ["2020-01-02"] + values[1:7] + ["2020-01-07"]
+
+
 def test_random_threshold_range():
     seen = set()
     for seed in range(40):

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from datetime import datetime, timedelta
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import argn
 from argn.tables import (
     ColumnSpec,
     ParseError,
     RawTable,
     TableSchema,
     infer_schema,
+    parse_column,
     read_csv,
     write_csv,
 )
@@ -125,3 +134,53 @@ def read_back(columns: dict[str, list]):
         tuple(ColumnSpec(nm, "categorical", "category_map") for nm in names), n
     )
     return RawTable(schema, cells)
+
+
+# -- the datetime rule of parse_column -----------------------------------------
+
+
+def test_parse_column_reads_naive_cells_as_utc_and_offsets_as_their_utc_instant():
+    vals = parse_column(["1970-01-02", "2021-03-14 12:00:00", "2021-03-14T14:00:00+02:00",
+                         "0001-01-01", "not a date", None], "datetime")
+    assert vals[0] == 86400.0
+    assert vals[1] == vals[2] == (datetime(2021, 3, 14, 12) - datetime(1970, 1, 1)).total_seconds()
+    assert vals[3] == (datetime(1, 1, 1) - datetime(1970, 1, 1)).total_seconds()
+    assert np.isnan(vals[4:]).all()
+
+
+_TZ_SCRIPT = """
+import sys
+from argn.cli import cli
+from argn.tables import parse_column, read_csv
+real, syn, report = sys.argv[1:]
+print(parse_column(read_csv(real).column_values("when"), "datetime").tolist())
+sys.exit(cli(["evaluate", "--real", real, "--syn", syn, "--report", report]))
+"""
+
+
+def test_values_and_evaluate_report_do_not_depend_on_the_host_time_zone(tmp_path):
+    # hourly times across the 2021-03-14 daylight-saving switch of New York,
+    # whose local 02:00-02:59 does not exist
+    def times(start, step_minutes, n):
+        return [(start + timedelta(minutes=step_minutes * i)).isoformat(sep=" ") for i in range(n)]
+
+    n = 120
+    real = {"when": times(datetime(2021, 3, 13, 12), 60, n),
+            "amount": [str(i % 7) for i in range(n)], "kind": ["ab"[i % 2] for i in range(n)]}
+    syn = {"when": times(datetime(2021, 3, 13, 20), 45, n),
+           "amount": [str(i % 5) for i in range(n)], "kind": ["ab"[i % 3 % 2] for i in range(n)]}
+    paths = []
+    for name, cols in (("real", real), ("syn", syn)):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        write_csv(read_back(cols), paths[-1])
+    src = str(Path(argn.__file__).resolve().parents[1])
+    outputs = []
+    for tz in ("UTC", "America/New_York"):
+        report = tmp_path / f"report-{tz.replace('/', '_')}.json"
+        env = dict(os.environ, TZ=tz)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _TZ_SCRIPT, *paths, str(report)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, report.read_bytes()))
+    assert outputs[0] == outputs[1]
