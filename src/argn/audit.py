@@ -136,20 +136,19 @@ def build_shadow_trials(aux_pool: RawTable, target_row: Sequence[Optional[str]],
     if cfg.shadow_size > aux_pool.row_count:
         raise ValueError("shadow_size exceeds the auxiliary pool")
     target = list(target_row)
-    if any(list(r) == target for r in aux_pool.cells):
+    if _target_matches(aux_pool, target).all(axis=1).any():
         raise ValueError("target record must not be present in the auxiliary pool")
     trials = []
     for i in range(cfg.n_shadow):
         seed = _trial_seed(cfg.seed, i)
         rng = np.random.default_rng(seed)
-        picks = rng.choice(aux_pool.row_count, size=cfg.shadow_size, replace=False)
+        picks = rng.choice(aux_pool.row_count, size=cfg.shadow_size, replace=False).tolist()
         member = i % 2 == 0
         if member:
-            rows = [list(aux_pool.cells[j]) for j in picks[:-1]] + [target]
+            columns = [[col[j] for j in picks[:-1]] + [t] for col, t in zip(aux_pool.columns, target)]
         else:
-            rows = [list(aux_pool.cells[j]) for j in picks]
-        schema = TableSchema(aux_pool.schema.columns, len(rows))
-        trials.append(ShadowTrial(RawTable(schema, rows), member, seed))
+            columns = [[col[j] for j in picks] for col in aux_pool.columns]
+        trials.append(ShadowTrial(RawTable(aux_pool.schema, columns), member, seed))
     return trials
 
 
@@ -186,8 +185,7 @@ class AttackContext:
 
 def _target_matches(syn: RawTable, target: Sequence[Optional[str]]) -> np.ndarray:
     """rows x columns: True where the synthetic cell equals the target's."""
-    cells = np.array(syn.cells, dtype=object).reshape(syn.row_count, len(target))
-    return cells == np.array(target, dtype=object)
+    return np.array(syn.columns, dtype=object).T == np.array(target, dtype=object)
 
 
 def extract_features(syn: RawTable, target_row, kind: str, ctx: AttackContext) -> np.ndarray:
@@ -196,7 +194,7 @@ def extract_features(syn: RawTable, target_row, kind: str, ctx: AttackContext) -
     if kind == "naive_gh":
         feats = []
         for name in ctx.num_edges:
-            vals = fmap.values(syn, name)
+            vals = syn.values(name, fmap.kinds[name])
             vals = vals[np.isfinite(vals)]
             if vals.size:
                 feats.extend([vals.mean(), float(np.median(vals)), vals.var()])
@@ -209,7 +207,7 @@ def extract_features(syn: RawTable, target_row, kind: str, ctx: AttackContext) -
     if kind == "hist_gh":
         feats = []
         for name, edges in ctx.num_edges.items():
-            vals = fmap.values(syn, name)
+            vals = syn.values(name, fmap.kinds[name])
             missing = int(np.sum(~np.isfinite(vals)))
             vals = vals[np.isfinite(vals)]
             clipped = np.clip(vals, edges[0], edges[-1])
@@ -220,7 +218,7 @@ def extract_features(syn: RawTable, target_row, kind: str, ctx: AttackContext) -
             feats.extend(_category_counts(fmap, syn, name))
         return np.array(feats)
     if kind == "corr_gh":
-        return mixed_association_matrix(_with_schema(syn, ctx.schema)).ravel()
+        return mixed_association_matrix(syn).ravel()
     if kind == "logistic_gh":
         return np.concatenate([
             extract_features(syn, target_row, "naive_gh", ctx),
@@ -236,10 +234,6 @@ def _category_counts(fmap: MixedFeatureMap, table: RawTable, name: str) -> np.nd
     """Counts per vocabulary entry, then OTHER, then MISSING."""
     width = len(fmap.vocabs[name]) + 2
     return np.bincount(fmap.codes(table, name), minlength=width).astype(np.float64)
-
-
-def _with_schema(table: RawTable, schema: TableSchema) -> RawTable:
-    return RawTable(TableSchema(schema.columns, table.row_count), table.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +338,7 @@ def run_distance_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]],
     if metric not in attack_of:
         raise ValueError(f"unknown distance metric {metric!r}")
     target = list(target_row)
-    target_table = RawTable(TableSchema(ctx.schema.columns, 1), [target])
+    target_table = RawTable(ctx.schema, [[cell] for cell in target])
     target_vec = ctx.feature_map.transform(target_table)[0]
     scores, labels = [], []
     for syn, member in syn_sets_with_labels:
@@ -354,7 +348,7 @@ def run_distance_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]],
         elif metric == "lookup":
             scores.append(1.0 if _target_matches(syn, target).all(axis=1).any() else 0.0)
         else:
-            x = ctx.feature_map.transform(_with_schema(syn, ctx.schema))
+            x = ctx.feature_map.transform(syn)
             if metric == "l2":
                 d = np.linalg.norm(x - target_vec, axis=1)
                 scores.append(-float(d.min()))
@@ -370,19 +364,22 @@ def run_distance_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]],
 
 
 def argn_generator(train_cfg: TrainConfig, protection: Optional[ValueProtectionConfig] = None,
-                   options: EncodingOptions = EncodingOptions()) -> Callable:
+                   options: EncodingOptions = EncodingOptions(),
+                   schema: Optional[TableSchema] = None) -> Callable:
     """Returns a (table, seed) -> synthetic table closure running the full
-    pipeline: value protection, encoder fit, training, sampling, decode."""
+    pipeline: value protection, encoder fit, training, sampling, decode.
+    ``schema`` is the one encoders are fitted for (default: the table's own);
+    its latlong columns read their source columns of the table."""
 
     def generate_synthetic(table: RawTable, seed: int) -> RawTable:
-        schema = table.schema
+        fit_schema = schema or table.schema
         working = table
         if protection is not None and protection.enabled:
-            working = protect_table(table, schema, replace(protection, rng_seed=seed))
-        encoders = fit_encoders(working, schema, options)
+            working = protect_table(table, fit_schema, replace(protection, rng_seed=seed))
+        encoders = fit_encoders(working, fit_schema, options)
         encoded = encode_table(working, encoders)
         model = ArgnModel(encoders.sub_columns, train_cfg.order_mode,
-                          encoders=encoders, schema=schema)
+                          encoders=encoders, schema=fit_schema)
         train(model, encoded, replace(train_cfg, seed=seed))
         return synthesize(model, GenerationRequest(n_rows=table.row_count, seed=seed))
 
@@ -404,7 +401,7 @@ def run_audit(data: RawTable, generator: Callable, cfg: AuditConfig,
     report = {"n_shadow": cfg.n_shadow, "shadow_size": cfg.shadow_size,
               "seed": cfg.seed, "targets": []}
     for row_index in targets:
-        target = list(data.cells[row_index])
+        target = [col[row_index] for col in data.columns]
         pool = data.subset([i for i in range(data.row_count) if i != row_index])
         ctx = AttackContext(pool, target, cfg)
         trials = build_shadow_trials(pool, target, cfg)

@@ -181,9 +181,9 @@ def _cmd_generate(args) -> int:
 
 
 def _with_schema_of(reference_schema: TableSchema, table: RawTable, label: str) -> RawTable:
-    if table.column_names != [c.name for c in reference_schema.columns]:
+    if table.column_names != reference_schema.names:
         raise ValueError(f"{label}: columns do not match the real table")
-    return RawTable(TableSchema(reference_schema.columns, table.row_count), table.cells)
+    return table.retyped(reference_schema)
 
 
 def _cmd_evaluate(args) -> int:
@@ -192,8 +192,7 @@ def _cmd_evaluate(args) -> int:
     real = _with_schema_of(schema, real_raw, args.real)
     syn = _with_schema_of(schema, read_csv(args.syn), args.syn)
     holdout = _with_schema_of(schema, read_csv(args.holdout), args.holdout) if args.holdout else None
-    report = evaluate_tables(real, syn, holdout=holdout, target=args.target, seed=args.seed)
-    payload = report.to_dict()
+    payload = evaluate_tables(real, syn, holdout=holdout, target=args.target, seed=args.seed)
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -230,8 +229,9 @@ def _cmd_audit(args) -> int:
         raise UsageError("audit needs --data or a 'data' entry in the config")
     table = read_csv(data_path)
     schema = infer_schema(table, cfg["overrides"])
-    typed = RawTable(TableSchema(schema.columns, table.row_count), table.cells)
-    generator = argn_generator(cfg["train"], cfg["value_protection"], cfg["encoding"])
+    # the audited rows keep the raw columns, as decoded shadow tables do
+    typed = table.retyped(schema.raw_schema())
+    generator = argn_generator(cfg["train"], cfg["value_protection"], cfg["encoding"], schema)
     report = run_audit(typed, generator, cfg["audit"], auto_target=args.auto_target)
     report["config"] = {
         "train": asdict(cfg["train"]),

@@ -606,17 +606,6 @@ class TableEncoders:
     def sub_indices_of(self, column: str) -> list[int]:
         return [i for i, s in enumerate(self.sub_columns) if s.parent == column]
 
-    def output_schema(self) -> TableSchema:
-        """Schema of decoded tables: latlong expands back to its source columns."""
-        cols: list[ColumnSpec] = []
-        for spec in self.schema.columns:
-            if spec.kind == "latlong":
-                cols.append(ColumnSpec(spec.sources[0], "numeric", "percentile_bins"))
-                cols.append(ColumnSpec(spec.sources[1], "numeric", "percentile_bins"))
-            else:
-                cols.append(spec)
-        return TableSchema(tuple(cols), self.schema.row_count)
-
     def to_dict(self) -> dict:
         return {"encoders": [e.to_dict() for e in self.encoders]}
 
@@ -658,9 +647,9 @@ def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
 
 def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.ndarray) -> RawTable:
     """``uniforms`` holds ``encoders.n_draws`` values in [0, 1) per row; each
-    decoder reads its own columns of it, in encoder order."""
-    out_schema = encoders.output_schema()
-    columns: dict[str, list[Optional[str]]] = {}
+    decoder reads its own columns of it, in encoder order. The table has the
+    raw columns of the schema (``TableSchema.raw_schema``)."""
+    columns: list[list[Optional[str]]] = []
     offset = draw = 0
     for spec, enc in zip(encoders.schema.columns, encoders.encoders):
         width = len(enc.sub_columns())
@@ -669,6 +658,5 @@ def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.nd
         offset += width
         draw += enc.n_draws
         decoded = enc.decode(codes, u)  # a latlong decodes to (lat, lon) cells
-        columns.update(zip(_sources(spec), decoded if spec.kind == "latlong" else [decoded]))
-    cells = list(map(list, zip(*(columns[n] for n in out_schema.names))))
-    return RawTable(TableSchema(out_schema.columns, encoded.row_count), cells)
+        columns.extend(decoded if spec.kind == "latlong" else [decoded])
+    return RawTable(encoders.schema.raw_schema(), columns)

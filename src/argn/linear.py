@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .nn import Param, adam_step
-from .tables import RawTable, parse_column
+from .tables import RawTable
 
 
 class LogisticModel:
@@ -88,9 +88,9 @@ class MixedFeatureMap:
 
     ``codes`` gives a categorical column's one-hot index: the sorted
     reference vocabulary, then OTHER for unseen values, then MISSING.
-    ``values`` gives a numeric or datetime column (datetimes as epoch
-    seconds) as float64 with NaN for missing or unparseable cells;
-    ``ranges`` holds each such column's finite reference (min, max).
+    ``ranges`` holds the finite (min, max) of each numeric or datetime
+    column's ``RawTable.values`` on the reference (datetimes as epoch
+    seconds).
     ``transform`` one-hots the categoricals and min-max scales the numerics
     (missing -> the midpoint 0.5). Latlong parents are skipped; their
     decoded sources are numeric columns already.
@@ -110,7 +110,7 @@ class MixedFeatureMap:
             if kind == "categorical":
                 self.vocabs[name] = sorted({v for v in reference.column_values(name) if v is not None})
             else:
-                nums = self.values(reference, name)
+                nums = reference.values(name, kind)
                 finite = nums[np.isfinite(nums)]
                 lo = float(finite.min()) if finite.size else 0.0
                 hi = float(finite.max()) if finite.size else 1.0
@@ -124,9 +124,6 @@ class MixedFeatureMap:
             dtype=np.int64,
         )
 
-    def values(self, table: RawTable, name: str) -> np.ndarray:
-        return parse_column(table.column_values(name), self.kinds[name])
-
     def transform(self, table: RawTable) -> np.ndarray:
         n = table.row_count
         blocks = []
@@ -137,7 +134,7 @@ class MixedFeatureMap:
             else:
                 lo, hi = self.ranges[name]
                 span = hi - lo
-                nums = self.values(table, name)
+                nums = table.values(name, kind)
                 scaled = (nums - lo) / span if span > 0 else np.zeros(n)
                 block = np.where(np.isnan(nums), 0.5, scaled)[:, None]
             blocks.append(block)

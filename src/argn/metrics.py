@@ -12,13 +12,12 @@ overfitting (positive = risk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
-from .tables import RawTable, TableSchema, parse_column
+from .tables import RawTable, concat
 from .util import mann_whitney_auc, scan_rows
 
 MISSING_LABEL = "__MISSING__"
@@ -133,7 +132,7 @@ def mixed_association_matrix(table: RawTable) -> np.ndarray:
         if c.kind == "categorical":
             cats[c.name] = _category_codes(table.column_values(c.name))
         else:
-            numeric[c.name] = parse_column(table.column_values(c.name), c.kind)
+            numeric[c.name] = table.values(c.name, c.kind)
     mat = np.zeros((k, k))
     for i in range(k):
         for j in range(i, k):
@@ -178,8 +177,7 @@ def detection_score(real: RawTable, syn: RawTable, seed: int = 0) -> float:
     from synthetic (1) rows; 0.5 means indistinguishable."""
     if real.row_count < 100 or syn.row_count < 100:
         raise ValueError("detection_score needs at least 100 rows per table")
-    cells = [list(r) for r in real.cells] + [list(r) for r in syn.cells]
-    stacked = RawTable(TableSchema(real.schema.columns, len(cells)), cells)
+    stacked = concat([real, syn])
     fmap = MixedFeatureMap(stacked)
     x = fmap.transform(stacked)
     y = np.array([0] * real.row_count + [1] * syn.row_count)
@@ -225,11 +223,10 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
     feature_cols = [n for n in real_train.schema.names if n != target_column]
 
     def with_target(tbl: RawTable, side: str) -> RawTable:
-        cells = tbl.column_values(target_column)
         if spec.kind == "categorical":
-            keep = np.array([v is not None for v in cells], dtype=bool)
+            keep = np.array([v is not None for v in tbl.column_values(target_column)], dtype=bool)
         else:
-            keep = ~np.isnan(parse_column(cells, spec.kind))
+            keep = ~np.isnan(tbl.values(target_column, spec.kind))
         if not keep.any():
             raise ValueError(f"ml_efficiency: no {side} row has a {target_column!r} value")
         return tbl.subset(np.flatnonzero(keep).tolist())
@@ -262,15 +259,12 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
                 "baseline_auc": out["baseline"]["auc"],
                 "baseline_macro_f1": out["baseline"]["macro_f1"]}
 
-    def target_values(tbl: RawTable) -> np.ndarray:
-        return parse_column(tbl.column_values(target_column), spec.kind)
-
     out = {}
     for tag, train_tbl in (("synthetic", syn_train), ("baseline", real_train)):
         fmap = MixedFeatureMap(train_tbl, feature_cols)
-        w, b = fit_ridge(fmap.transform(train_tbl), target_values(train_tbl))
+        w, b = fit_ridge(fmap.transform(train_tbl), train_tbl.values(target_column, spec.kind))
         pred = ridge_predict(fmap.transform(real_test), w, b)
-        out[tag] = float(np.sqrt(np.mean((pred - target_values(real_test)) ** 2)))
+        out[tag] = float(np.sqrt(np.mean((pred - real_test.values(target_column, spec.kind)) ** 2)))
     return {"task": "regression", "rmse": out["synthetic"], "baseline_rmse": out["baseline"]}
 
 
@@ -289,7 +283,7 @@ def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
         else:
             lo, hi = fmap.ranges[name]
             span = hi - lo
-            blocks.append(("num", fmap.values(train, name), fmap.values(other, name),
+            blocks.append(("num", train.values(name, kind), other.values(name, kind),
                            span if span > 0 else 1.0))
     return blocks
 
@@ -354,49 +348,29 @@ def dcr_cdf_integral(dcr_train_syn, dcr_train_test) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvalReport:
-    jsd_per_column: dict
-    jsd_mean: Optional[float]
-    wd_per_column: dict
-    wd_mean: Optional[float]
-    association_l2: float
-    detection_auc: float
-    ml: Optional[dict] = None
-    dcr_integral: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "jsd": {"per_column": self.jsd_per_column, "mean": self.jsd_mean},
-            "wasserstein": {"per_column": self.wd_per_column, "mean": self.wd_mean},
-            "association_l2": self.association_l2,
-            "detection_auc": self.detection_auc,
-            "ml_efficiency": self.ml,
-            "dcr_integral": self.dcr_integral,
-        }
-
-
 def evaluate_tables(real: RawTable, syn: RawTable, holdout: Optional[RawTable] = None,
-                    target: Optional[str] = None, seed: int = 0) -> EvalReport:
+                    target: Optional[str] = None, seed: int = 0) -> dict:
+    """The fidelity report: per-column JSD and Wasserstein with their means,
+    the association-matrix distance, the detection AUC, and ML efficiency
+    (with ``target``) and the DCR integral (with ``holdout``)."""
     jsd_cols, wd_cols = {}, {}
     for spec in real.schema.columns:
         if spec.kind == "categorical":
             jsd_cols[spec.name] = jsd(real.column_values(spec.name), syn.column_values(spec.name))
         elif spec.kind in ("numeric", "datetime"):
-            real_vals, syn_vals = (parse_column(t.column_values(spec.name), spec.kind)
-                                   for t in (real, syn))
-            wd_cols[spec.name] = wasserstein1(real_vals, syn_vals)
+            wd_cols[spec.name] = wasserstein1(real.values(spec.name, spec.kind),
+                                              syn.values(spec.name, spec.kind))
     ml = ml_efficiency(real, syn, holdout if holdout is not None else real, target) if target else None
     integral = None
     if holdout is not None:
         integral = dcr_cdf_integral(dcr(real, syn), dcr(real, holdout))
-    return EvalReport(
-        jsd_per_column=jsd_cols,
-        jsd_mean=float(np.mean(list(jsd_cols.values()))) if jsd_cols else None,
-        wd_per_column=wd_cols,
-        wd_mean=float(np.mean(list(wd_cols.values()))) if wd_cols else None,
-        association_l2=association_l2(real, syn),
-        detection_auc=detection_score(real, syn, seed),
-        ml=ml,
-        dcr_integral=integral,
-    )
+    return {
+        "jsd": {"per_column": jsd_cols,
+                "mean": float(np.mean(list(jsd_cols.values()))) if jsd_cols else None},
+        "wasserstein": {"per_column": wd_cols,
+                        "mean": float(np.mean(list(wd_cols.values()))) if wd_cols else None},
+        "association_l2": association_l2(real, syn),
+        "detection_auc": detection_score(real, syn, seed),
+        "ml_efficiency": ml,
+        "dcr_integral": integral,
+    }

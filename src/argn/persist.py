@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -34,19 +35,7 @@ class ModelFileError(ValueError):
 def _schema_to_dict(schema: Optional[TableSchema]) -> Optional[dict]:
     if schema is None:
         return None
-    return {
-        "row_count": schema.row_count,
-        "columns": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "encoding": c.encoding,
-                "null_frequency": c.null_frequency,
-                "sources": list(c.sources) if c.sources else None,
-            }
-            for c in schema.columns
-        ],
-    }
+    return {"columns": [asdict(c) for c in schema.columns]}
 
 
 def _schema_from_dict(d: Optional[dict]) -> Optional[TableSchema]:
@@ -59,7 +48,7 @@ def _schema_from_dict(d: Optional[dict]) -> Optional[TableSchema]:
         )
         for c in d["columns"]
     )
-    return TableSchema(cols, d["row_count"])
+    return TableSchema(cols)
 
 
 def save_model(model: ArgnModel, path: str) -> None:

@@ -117,13 +117,11 @@ def protect_table(raw: RawTable, schema: TableSchema, cfg: ValueProtectionConfig
     if not cfg.enabled:
         return raw
     rng = np.random.default_rng(cfg.rng_seed)
-    columns = {name: raw.column_values(name) for name in raw.column_names}
+    columns = dict(zip(raw.column_names, raw.columns))
     for spec in schema.columns:
         if spec.kind == "categorical":
             columns[spec.name] = protect_rare_categories(columns[spec.name], cfg, rng)
         elif spec.kind in ("numeric", "datetime"):
             columns[spec.name] = protect_extreme_values(columns[spec.name], cfg, rng, spec.kind)
         # latlong columns pass through: quadtile density adaptation is the guard there
-    names = raw.column_names
-    cells = [[columns[n][i] for n in names] for i in range(raw.row_count)]
-    return RawTable(raw.schema, cells)
+    return RawTable(raw.schema, list(columns.values()))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoders import EncodedTable, decode_table
 from .model import ArgnModel
-from .tables import RawTable, TableSchema
+from .tables import RawTable, concat, parse_column
 
 _ROW_DOMAIN = 0
 _DECODE_DOMAIN = 1
@@ -106,8 +106,10 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
     """Normalize conditions to {sub-column index: category code}.
 
     String keys are parent columns whose raw value is pushed through the
-    fitted encoder (fixing every sub-column of that parent); int keys fix a
-    single sub-column directly.
+    fitted encoder (fixing every sub-column of that parent); the empty string
+    conditions on missing, and any other value must be in the vocabulary or
+    parse to a finite number or datetime. Int keys fix a single sub-column
+    directly.
     """
     fixed: dict[int, int] = {}
     for key, value in conditions.items():
@@ -121,6 +123,9 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
             cell = None if value == "" else str(value)
             if enc.kind == "category_map" and cell not in enc.mapping:
                 raise ValueError(f"column {key!r}: value {cell!r} not in vocabulary")
+            kind = "datetime" if enc.kind == "datetime_parts" else "numeric"
+            if enc.kind != "category_map" and cell is not None and np.isnan(parse_column([cell], kind)[0]):
+                raise ValueError(f"column {key!r}: value {cell!r} is not a finite {kind} value")
             codes = enc.encode([cell])[0]
             for i, code in zip(indices, codes):
                 fixed[i] = int(code)
@@ -254,6 +259,4 @@ def synthesize_blocks(model: ArgnModel, req: GenerationRequest) -> Iterator[RawT
 
 def synthesize(model: ArgnModel, req: GenerationRequest) -> RawTable:
     """generate() then decode back to the original column format."""
-    blocks = list(synthesize_blocks(model, req))
-    cells = [row for block in blocks for row in block.cells]
-    return RawTable(TableSchema(blocks[0].schema.columns, len(cells)), cells)
+    return concat(list(synthesize_blocks(model, req)))

@@ -1,8 +1,9 @@
 """Delimited-text ingestion and column-type inference.
 
-Tables are held as row-major grids of optional strings; ``None`` marks a
+Tables are held column-major as lists of optional strings; ``None`` marks a
 missing cell and the empty string on disk means missing. ``parse_column`` is
-the one place where numeric and datetime cells become numbers. Type inference
+the one place where numeric and datetime cells become numbers, and
+``RawTable.values`` calls it at most once per column and kind. Type inference
 is deliberately tolerant: a column counts as numeric/datetime when at least
 99% of its non-missing cells parse, so a handful of sentinel strings do not
 demote an otherwise numeric column.
@@ -61,7 +62,6 @@ class ColumnSpec:
 @dataclass(frozen=True)
 class TableSchema:
     columns: tuple[ColumnSpec, ...]
-    row_count: int
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
@@ -78,46 +78,97 @@ class TableSchema:
                 return c
         raise KeyError(name)
 
+    def raw_schema(self) -> "TableSchema":
+        """Schema of the raw columns, as decoded tables hold them: each
+        latlong column becomes its (lat, lon) source columns, numeric."""
+        cols: list[ColumnSpec] = []
+        for spec in self.columns:
+            if spec.kind == "latlong":
+                cols.extend(ColumnSpec(src, "numeric", "percentile_bins") for src in spec.sources)
+            else:
+                cols.append(spec)
+        return TableSchema(tuple(cols))
 
-@dataclass
+
 class RawTable:
-    schema: TableSchema
-    cells: list[list[Optional[str]]]
+    """Cells held column-major: ``columns[j]`` lists the cells of
+    ``schema.columns[j]``, and every column has ``row_count`` cells.
 
-    def __post_init__(self):
-        width = len(self.schema.columns)
-        for i, row in enumerate(self.cells):
-            if len(row) != width:
-                raise ValueError(f"row {i}: expected {width} cells, got {len(row)}")
+    Columns are not modified after construction. ``values`` parses a column
+    at most once per kind; a subset, a concatenation or a re-typed table
+    reads the parses of the tables it was made from, and keeps them alive.
+    """
+
+    def __init__(self, schema: TableSchema, columns: Sequence[Sequence[Optional[str]]]):
+        if len(columns) != len(schema.columns):
+            raise ValueError(f"expected {len(schema.columns)} columns, got {len(columns)}")
+        lengths = sorted({len(c) for c in columns})
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+        self.schema = schema
+        self.columns = list(columns)
+        self._index = {name: j for j, name in enumerate(schema.names)}
+        self._parsed: dict[tuple[str, str], np.ndarray] = {}
+        # (table, rows) whose rows this table stacks; values are gathered from their parses
+        self._parts: list[tuple[RawTable, Union[np.ndarray, slice]]] = []
 
     @property
     def row_count(self) -> int:
-        return len(self.cells)
+        return len(self.columns[0]) if self.columns else 0
 
     @property
     def column_names(self) -> list[str]:
         return self.schema.names
 
-    def column_values(self, name: str) -> list[Optional[str]]:
-        idx = self.schema.names.index(name)
-        return [row[idx] for row in self.cells]
+    @property
+    def cells(self) -> list[list[Optional[str]]]:
+        """A row-major copy of the cells."""
+        return [list(row) for row in zip(*self.columns)]
+
+    def column_values(self, name: str) -> Sequence[Optional[str]]:
+        return self.columns[self._index[name]]
+
+    def values(self, name: str, kind: str) -> np.ndarray:
+        """Read-only ``parse_column`` values of a column, parsed once per kind."""
+        key = (name, kind)
+        if key not in self._parsed:
+            if self._parts:
+                vals = np.concatenate([t.values(name, kind)[rows] for t, rows in self._parts])
+            else:
+                vals = parse_column(self.column_values(name), kind)
+            vals.flags.writeable = False
+            self._parsed[key] = vals
+        return self._parsed[key]
 
     def subset(self, row_indices: Iterable[int]) -> "RawTable":
-        rows = [list(self.cells[i]) for i in row_indices]
-        schema = TableSchema(self.schema.columns, len(rows))
-        return RawTable(schema, rows)
+        rows = list(row_indices)
+        out = RawTable(self.schema, [[col[i] for i in rows] for col in self.columns])
+        out._parts = [(self, np.asarray(rows, dtype=np.intp))]
+        return out
+
+    def retyped(self, schema: TableSchema) -> "RawTable":
+        """The columns ``schema`` names, picked by name and typed by it; the
+        result shares this table's columns and parses."""
+        out = RawTable(schema, [self.column_values(name) for name in schema.names])
+        out._parsed, out._parts = self._parsed, self._parts
+        return out
 
 
-def _placeholder_schema(names: Sequence[str], row_count: int) -> TableSchema:
-    cols = tuple(ColumnSpec(n, "categorical", "category_map") for n in names)
-    return TableSchema(cols, row_count)
+def concat(tables: Sequence[RawTable]) -> RawTable:
+    """The tables' rows one after another, under the first table's schema."""
+    names = tables[0].column_names
+    out = RawTable(tables[0].schema, [
+        list(itertools.chain.from_iterable(t.column_values(n) for t in tables)) for n in names
+    ])
+    out._parts = [(t, slice(None)) for t in tables]
+    return out
 
 
 def read_csv(path: str, delimiter: str = ",") -> RawTable:
     """Read a delimited file (header row mandatory, RFC-4180 quoting).
 
     Empty cells come back as ``None``. Ragged rows fail with the offending
-    physical line number.
+    physical line number. Every column is read as categorical.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -125,14 +176,15 @@ def read_csv(path: str, delimiter: str = ",") -> RawTable:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
-        cells: list[list[Optional[str]]] = []
+        rows: list[list[Optional[str]]] = []
         for row in reader:
             if len(row) != len(header):
                 raise ParseError(
                     f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
-            cells.append([c if c != "" else None for c in row])
-    return RawTable(_placeholder_schema(header, len(cells)), cells)
+            rows.append([c if c != "" else None for c in row])
+    schema = TableSchema(tuple(ColumnSpec(n, "categorical", "category_map") for n in header))
+    return RawTable(schema, [list(c) for c in zip(*rows)] if rows else [[] for _ in header])
 
 
 def write_csv(table: Union[RawTable, Iterable[RawTable]], path: str, delimiter: str = ",") -> None:
@@ -144,7 +196,7 @@ def write_csv(table: Union[RawTable, Iterable[RawTable]], path: str, delimiter: 
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(first.column_names)
         for block in itertools.chain([first], blocks):
-            writer.writerows(block.cells)
+            writer.writerows(zip(*block.columns))
 
 
 def parse_number(cell: Optional[str]) -> Optional[float]:
@@ -188,11 +240,9 @@ def parse_column(cells: Sequence[Optional[str]], kind: str) -> np.ndarray:
     return np.array(vals, dtype=np.float64)
 
 
-def _parses(values: Sequence[Optional[str]], kind: str) -> bool:
+def _parses(values: np.ndarray, present: int) -> bool:
     """At least one cell is present and PARSE_THRESHOLD of the present ones parse."""
-    present = sum(v is not None for v in values)
-    ok = int(np.count_nonzero(~np.isnan(parse_column(values, kind))))
-    return present > 0 and ok / present >= PARSE_THRESHOLD
+    return present > 0 and np.count_nonzero(~np.isnan(values)) / present >= PARSE_THRESHOLD
 
 
 def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = None) -> TableSchema:
@@ -217,35 +267,26 @@ def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = N
         elif key not in names:
             raise ValueError(f"override references unknown column {key!r}")
 
-    columns: list[ColumnSpec] = []
-    emitted_latlong: set[str] = set()
+    n = table.row_count
+    columns: dict[str, ColumnSpec] = {}  # by output name, placed at its first source
     for name in names:
-        if name in consumed:
-            ov_name = consumed[name]
-            if ov_name in emitted_latlong:
-                continue
-            spec = overrides[ov_name]
-            values = [
-                None if (a is None or b is None) else a
-                for a, b in zip(table.column_values(spec.sources[0]), table.column_values(spec.sources[1]))
-            ]
-            null_freq = sum(1 for v in values if v is None) / max(1, len(values))
-            columns.append(
-                ColumnSpec(ov_name, "latlong", "quadtile", null_freq, spec.sources)
-            )
-            emitted_latlong.add(ov_name)
+        key = consumed.get(name, name)
+        if key in columns:
             continue
-
-        values = table.column_values(name)
-        null_freq = sum(1 for v in values if v is None) / max(1, len(values))
-        if name in overrides:
-            ov = overrides[name]
-            columns.append(ColumnSpec(ov.name, ov.kind, ov.encoding, null_freq, ov.sources))
+        ov = overrides.get(key)
+        if ov is not None and ov.kind == "latlong":
+            lat, lon = (table.column_values(src) for src in ov.sources)
+            null_freq = sum(a is None or b is None for a, b in zip(lat, lon)) / n
+            columns[key] = ColumnSpec(key, "latlong", "quadtile", null_freq, ov.sources)
             continue
-        if _parses(values, "numeric"):
-            columns.append(ColumnSpec(name, "numeric", "percentile_bins", null_freq))
-        elif _parses(values, "datetime"):
-            columns.append(ColumnSpec(name, "datetime", "datetime_parts", null_freq))
+        present = sum(v is not None for v in table.column_values(name))
+        null_freq = (n - present) / n
+        if ov is not None:
+            columns[key] = ColumnSpec(ov.name, ov.kind, ov.encoding, null_freq, ov.sources)
+        elif _parses(table.values(name, "numeric"), present):
+            columns[key] = ColumnSpec(name, "numeric", "percentile_bins", null_freq)
+        elif _parses(table.values(name, "datetime"), present):
+            columns[key] = ColumnSpec(name, "datetime", "datetime_parts", null_freq)
         else:
-            columns.append(ColumnSpec(name, "categorical", "category_map", null_freq))
-    return TableSchema(tuple(columns), table.row_count)
+            columns[key] = ColumnSpec(name, "categorical", "category_map", null_freq)
+    return TableSchema(tuple(columns.values()))

@@ -21,12 +21,8 @@ def make_table(columns: dict[str, list], kinds: dict[str, str] | None = None) ->
             "datetime": "datetime_parts",
         }[kind]
         specs.append(ColumnSpec(n, kind, encoding))
-    n_rows = len(columns[names[0]])
-    cells = [
-        [None if columns[n][r] is None else str(columns[n][r]) for n in names]
-        for r in range(n_rows)
-    ]
-    return RawTable(TableSchema(tuple(specs), n_rows), cells)
+    cells = [[None if v is None else str(v) for v in columns[n]] for n in names]
+    return RawTable(TableSchema(tuple(specs)), cells)
 
 
 def mixed_sample_table(n_rows: int, seed: int) -> RawTable:

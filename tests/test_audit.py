@@ -11,7 +11,7 @@ from argn.audit import (
     run_distance_attack,
     run_shadow_attack,
 )
-from argn.tables import RawTable, TableSchema
+from argn.tables import RawTable
 from argn.util import mann_whitney_auc as auc
 from conftest import make_table, mixed_sample_table
 
@@ -202,8 +202,7 @@ def test_query_feature_counts_exact_match(pool_and_target):
     n_cols = len(pool.column_names)
     cfg = AuditConfig(n_shadow=2, shadow_size=10, n_queries=5, subset_size=n_cols, seed=0)
     ctx = AttackContext(pool, target, cfg)
-    syn = RawTable(TableSchema(pool.schema.columns, 3),
-                   [list(target), list(pool.cells[0]), list(pool.cells[1])])
+    syn = RawTable(pool.schema, [list(c) for c in zip(target, pool.cells[0], pool.cells[1])])
     feats = extract_features(syn, target, "query_based", ctx)
     np.testing.assert_array_equal(feats, np.ones(5))  # full-width subset matches once
 
@@ -397,11 +396,11 @@ def test_accuracy_at_median_constant_scores():
 
 def test_full_audit_deterministic(pool_and_target):
     from argn.audit import run_audit
-    from argn.tables import RawTable, TableSchema
+    from argn.tables import RawTable
 
     pool, target = pool_and_target
     cells = [list(target)] + [list(r) for r in pool.cells[:99]]
-    data = RawTable(TableSchema(pool.schema.columns, len(cells)), cells)
+    data = RawTable(pool.schema, [list(c) for c in zip(*cells)])
     cfg = AuditConfig(n_shadow=4, shadow_size=30, seed=5,
                       attacks=("naive_gh", "direct_lookup"), n_queries=8, subset_size=2)
 

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import argn
+import argn.audit
 from argn.cli import cli
 from argn.encoders import EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, train
 from argn.persist import ModelFileError, load_model, save_model
 from argn.sampling import GenerationRequest, generate, synthesize
 from argn.tables import write_csv
-from conftest import make_table, mixed_sample_table
+from conftest import acceptance_table, make_table, mixed_sample_table
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +204,27 @@ def test_load_model_raises_model_file_error_for_any_damage(small_model_file):
     check()
 
 
+def test_a_model_file_whose_schema_still_has_a_row_count_loads(trained, tmp_path):
+    # files written before the row count left the schema carry it in the header
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    assert "row_count" not in header["schema"]
+    header["schema"]["row_count"] = 300
+    old = json.dumps(header).encode("utf-8")
+    old_path = tmp_path / "old.argn"
+    old_path.write_bytes(blob[:8] + struct.pack("<Q", len(old)) + old + blob[16 + header_len :])
+    loaded = load_model(str(old_path))
+    assert loaded.schema == model.schema
+    assert loaded.store.value.tobytes() == model.store.value.tobytes()
+    resaved = tmp_path / "resaved.argn"
+    save_model(loaded, str(resaved))
+    assert resaved.read_bytes() == blob
+
+
 # -- CLI -----------------------------------------------------------------------------
 
 
@@ -307,6 +330,24 @@ def test_cli_generate_with_condition_and_order(data_csv, quick_config, tmp_path)
 
     rows = read_csv(out)
     assert all(v == "pos" for v in rows.column_values("cat_b"))
+
+
+@pytest.mark.parametrize("value", ["abc", "1e400"])
+def test_cli_generate_rejects_a_numeric_condition_that_does_not_parse(cli_model, tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    assert cli(["generate", "--model", cli_model, "-n", "5", "--out", str(out),
+                "--condition", f"num_a={value}"]) == 2
+    assert f"num_a': value '{value}' is not a finite numeric value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_generate_conditions_on_missing_with_an_empty_value(cli_model, tmp_path):
+    from argn.tables import read_csv
+
+    out = tmp_path / "x.csv"
+    assert cli(["generate", "--model", cli_model, "-n", "20", "--out", str(out),
+                "--condition", "num_a="]) == 0
+    assert list(read_csv(str(out)).column_values("num_a")) == [None] * 20
 
 
 def test_cli_dcr_flags_train_copy(data_csv, tmp_path, capsys):
@@ -462,6 +503,63 @@ def test_cli_audit_end_to_end(tmp_path):
         assert 0.0 <= res["auc"] <= 1.0
         assert 0.0 <= res["accuracy"] <= 1.0
     assert report["config"]["value_protection"]["enabled"] is True
+
+
+def test_cli_audit_with_a_latlong_override(tmp_path):
+    # the source columns are apart and out of order, as in a raw file
+    rng = np.random.default_rng(3)
+    n = 300
+    table = make_table({
+        "lon": [f"{v:.3f}" for v in rng.uniform(9, 17, n)],
+        "cat": [f"c{v}" for v in rng.integers(0, 4, n)],
+        "lat": [f"{v:.3f}" for v in rng.uniform(46, 49, n)],
+        "num": [f"{v:.2f}" for v in rng.normal(size=n)],
+    })
+    data_path = tmp_path / "geo.csv"
+    write_csv(table, str(data_path))
+    config_path = tmp_path / "geo.json"
+    config_path.write_text(json.dumps({
+        "overrides": {"loc": {"kind": "latlong", "sources": ["lat", "lon"]}},
+        "train": {"max_epochs": 2, "batch_size": 32},
+        "encoding": {"n_bins": 10, "quad_min_tile": 20},
+        "audit": {"n_shadow": 4, "shadow_size": 60, "n_queries": 5, "seed": 0},
+    }))
+    report_path = tmp_path / "audit.json"
+    assert cli(["audit", "--data", str(data_path), "--config", str(config_path),
+                "--report", str(report_path), "--auto-target", "1"]) == 0
+    attacks = json.loads(report_path.read_text())["targets"][0]["attacks"]
+    assert set(attacks) == set(argn.audit.ALL_ATTACKS)
+    assert all(0.0 <= res["auc"] <= 1.0 for res in attacks.values())
+
+
+def test_cli_evaluate_and_dcr_parse_each_cell_list_once_per_kind(tmp_path, monkeypatch):
+    real, syn, holdout = (acceptance_table(n, seed) for n, seed in ((400, 1), (300, 2), (200, 3)))
+    syn = make_table({name: [None if (i % 9 == 0 and name in ("cat_b", "num_a")) else v
+                             for i, v in enumerate(syn.column_values(name))]
+                      for name in syn.column_names})
+    paths = {}
+    for name, table in (("real", real), ("syn", syn), ("holdout", holdout)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_csv(table, paths[name])
+    seen = Counter()
+    original = argn.tables.parse_column
+
+    def counting(cells, kind):
+        seen[tuple(cells), kind] += 1
+        return original(cells, kind)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("argn.")]:
+        if getattr(module, "parse_column", None) is original:
+            monkeypatch.setattr(module, "parse_column", counting)
+    for target in ("cat_b", "num_a"):
+        assert cli(["evaluate", "--real", paths["real"], "--syn", paths["syn"],
+                    "--holdout", paths["holdout"], "--target", target,
+                    "--report", str(tmp_path / "report.json")]) == 0
+        assert seen and max(seen.values()) == 1, [k for k, v in seen.items() if v > 1][:1]
+        seen.clear()
+    assert cli(["dcr", "--train", paths["real"], "--syn", paths["syn"], "--test", paths["holdout"],
+                "--out-cdf", str(tmp_path / "cdf.csv")]) == 0
+    assert seen and max(seen.values()) == 1
 
 
 def test_python_m_argn_cli_train_writes_the_model(data_csv, quick_config, tmp_path):

@@ -29,10 +29,8 @@ def build_everything_table(n_rows=240, seed=0):
         cells[r][0] = None
         cells[r][3] = None
     names = list(cols)
-    schema = TableSchema(
-        tuple(ColumnSpec(n, "categorical", "category_map") for n in names), n_rows
-    )
-    return RawTable(schema, cells)
+    schema = TableSchema(tuple(ColumnSpec(n, "categorical", "category_map") for n in names))
+    return RawTable(schema, [list(c) for c in zip(*cells)])
 
 
 @pytest.fixture(scope="module")

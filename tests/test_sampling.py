@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,6 +8,7 @@ from argn import sampling
 from argn.encoders import EncodedTable, EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, forward_column, train
 from argn.sampling import GenerationRequest, _row_rng, generate, impute, synthesize
+from argn.tables import TableSchema
 from conftest import make_table
 
 from test_model import lookup_table_data, train_lookup
@@ -144,6 +147,37 @@ def test_condition_by_unknown_vocab_value_errors():
     train(model, encoded, TrainConfig(batch_size=10, max_epochs=2, seed=0))
     with pytest.raises(ValueError, match="city.*atlantis"):
         generate(model, GenerationRequest(n_rows=2, conditions={"city": "atlantis"}))
+
+
+@pytest.fixture(scope="module")
+def condition_model():
+    n = 40
+    table = make_table({"amount": [str(i % 9) for i in range(n)],
+                        "digits": [f"{i % 13}.5" for i in range(n)],
+                        "when": [f"2021-0{1 + i % 9}-1{i % 10}" for i in range(n)]},
+                       kinds={"amount": "numeric", "digits": "numeric", "when": "datetime"})
+    schema = TableSchema(tuple(replace(c, encoding="digit_split") if c.name == "digits" else c
+                               for c in table.schema.columns))
+    encoders = fit_encoders(table, schema, EncodingOptions(n_bins=4))
+    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=schema)
+    train(model, encode_table(table, encoders), TrainConfig(batch_size=16, max_epochs=1, seed=0))
+    return model
+
+
+@pytest.mark.parametrize("column,value", [("amount", "abc"), ("amount", "1e400"), ("amount", "nan"),
+                                          ("digits", "abc"), ("digits", "-inf"),
+                                          ("when", "2021-13-45"), ("when", "soon")])
+def test_condition_by_a_value_that_does_not_parse_errors(condition_model, column, value):
+    with pytest.raises(ValueError, match=f"{column}.*{value}.*not a finite"):
+        generate(condition_model, GenerationRequest(n_rows=2, conditions={column: value}))
+
+
+def test_condition_by_an_empty_value_means_missing_and_a_parsed_value_is_kept(condition_model):
+    req = GenerationRequest(n_rows=6, conditions={"amount": "", "digits": "7.5", "when": ""}, seed=0)
+    out = synthesize(condition_model, req)
+    assert out.column_values("amount") == [None] * 6
+    assert out.column_values("when") == [None] * 6
+    assert out.column_values("digits") == ["7.5"] * 6
 
 
 def test_fixed_order_model_rejects_other_orders():

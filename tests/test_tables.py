@@ -58,9 +58,8 @@ def test_round_trip(tmp_path, rng):
     cells = [[values[2 * i], values[2 * i + 1]] for i in range(n)]
     schema = TableSchema(
         (ColumnSpec("a", "categorical", "category_map"), ColumnSpec("b", "categorical", "category_map")),
-        n,
     )
-    table = RawTable(schema, cells)
+    table = RawTable(schema, [list(c) for c in zip(*cells)])
     path = str(tmp_path / "round.csv")
     write_csv(table, path)
     back = read_csv(path)
@@ -128,12 +127,8 @@ def test_infer_deterministic():
 
 def read_back(columns: dict[str, list]):
     names = list(columns)
-    n = len(columns[names[0]])
-    cells = [[columns[c][r] for c in names] for r in range(n)]
-    schema = TableSchema(
-        tuple(ColumnSpec(nm, "categorical", "category_map") for nm in names), n
-    )
-    return RawTable(schema, cells)
+    schema = TableSchema(tuple(ColumnSpec(nm, "categorical", "category_map") for nm in names))
+    return RawTable(schema, [list(columns[c]) for c in names])
 
 
 # -- the datetime rule of parse_column -----------------------------------------
@@ -184,3 +179,84 @@ def test_values_and_evaluate_report_do_not_depend_on_the_host_time_zone(tmp_path
         assert proc.returncode == 0, proc.stderr
         outputs.append((proc.stdout, report.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+# -- the column-major table -------------------------------------------------------
+
+
+def _mixed(n=30):
+    cols = {"a": [None if i % 7 == 0 else f"{i * 0.5}" for i in range(n)],
+            "b": [f"c{i % 3}" for i in range(n)],
+            "when": [f"2021-01-{1 + i % 28:02d}" for i in range(n)]}
+    schema = TableSchema((ColumnSpec("a", "numeric", "percentile_bins"),
+                          ColumnSpec("b", "categorical", "category_map"),
+                          ColumnSpec("when", "datetime", "datetime_parts")))
+    return RawTable(schema, [cols[c] for c in schema.names])
+
+
+def test_table_rejects_ragged_columns_and_a_width_other_than_its_schema():
+    schema = TableSchema((ColumnSpec("a", "categorical", "category_map"),
+                          ColumnSpec("b", "categorical", "category_map")))
+    with pytest.raises(ValueError, match="differ in length"):
+        RawTable(schema, [["x", "y"], ["z"]])
+    with pytest.raises(ValueError, match="expected 2 columns, got 1"):
+        RawTable(schema, [["x", "y"]])
+    with pytest.raises(ValueError, match="expected 2 columns, got 3"):
+        RawTable(schema, [["x"], ["y"], ["z"]])
+    assert RawTable(schema, [[], []]).row_count == 0
+
+
+def test_values_are_read_only_and_parsed_once_per_kind(monkeypatch):
+    table = _mixed()
+    calls = []
+    original = argn.tables.parse_column
+    monkeypatch.setattr(argn.tables, "parse_column",
+                        lambda cells, kind: calls.append(kind) or original(cells, kind))
+    a = table.values("a", "numeric")
+    assert table.values("a", "numeric") is a and calls == ["numeric"]
+    np.testing.assert_array_equal(a, parse_column(table.column_values("a"), "numeric"))
+    table.values("when", "datetime")
+    table.values("when", "numeric")
+    assert calls == ["numeric", "datetime", "numeric"]
+    for vals in (a, table.subset([3, 1]).values("a", "numeric")):
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 1.0
+
+
+def test_subset_concat_and_retyped_values_equal_parsing_their_own_cells(monkeypatch):
+    table = _mixed()
+    rows = [5, 0, 7, 7, 29]
+    parsed_before = table.values("a", "numeric")  # the subset gathers from it
+    sub = table.subset(rows)
+    assert sub.cells == [table.cells[i] for i in rows]
+    late = table.subset(rows)
+    calls = []
+    original = argn.tables.parse_column
+    monkeypatch.setattr(argn.tables, "parse_column",
+                        lambda cells, kind: calls.append(kind) or original(cells, kind))
+    for name, kind in (("a", "numeric"), ("when", "datetime")):
+        expected = original(sub.column_values(name), kind)
+        np.testing.assert_array_equal(sub.values(name, kind), expected)
+        np.testing.assert_array_equal(late.subset([1, 0]).values(name, kind), expected[[1, 0]])
+    assert calls == ["datetime"]  # "a" was parsed before; "when" once, by the source table
+    np.testing.assert_array_equal(parsed_before[rows], sub.values("a", "numeric"))
+
+    stacked = argn.tables.concat([table, sub])
+    assert stacked.cells == table.cells + sub.cells
+    np.testing.assert_array_equal(stacked.values("a", "numeric"),
+                                  original(stacked.column_values("a"), "numeric"))
+    schema = TableSchema((ColumnSpec("when", "datetime", "datetime_parts"),
+                          ColumnSpec("a", "numeric", "percentile_bins")))
+    retyped = table.retyped(schema)
+    assert retyped.column_names == ["when", "a"] and retyped.row_count == table.row_count
+    assert retyped.values("a", "numeric") is table.values("a", "numeric")
+    assert calls == ["datetime"]
+
+
+def test_raw_schema_puts_latlong_sources_back_as_numeric_columns():
+    schema = TableSchema((ColumnSpec("loc", "latlong", "quadtile", 0.1, ("lat", "lon")),
+                          ColumnSpec("cat", "categorical", "category_map", 0.2)))
+    raw = schema.raw_schema()
+    assert raw.names == ["lat", "lon", "cat"]
+    assert [c.kind for c in raw.columns] == ["numeric", "numeric", "categorical"]
+    assert raw.columns[2] is schema.columns[1]

@@ -1,0 +1,60 @@
+"""Digests of every seeded CLI output of one benchmark workload.
+
+    python3 tools/seeded_outputs.py --workload narrow --seed 7 --work /tmp/argn-out
+
+Writes the workload's inputs into ``--work`` with ``bench/inputs.setup``,
+runs every verb once in this process as ``bench/run.py --trace 1`` does
+(with its output gate), and prints one ``sha256  name`` line per output.
+A model file gets two lines, ``name:header`` for its JSON header and
+``name:weights`` for its weight section, so a header-only change shows on
+its own. Two checkouts that print the same lines wrote the same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import struct
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import inputs  # noqa: E402  (bench/inputs.py)
+import run  # noqa: E402  (bench/run.py)
+
+
+def digests(name: str, path: Path) -> list[tuple[str, str]]:
+    """(sha256, label) per output; model files split into header and weights."""
+    blob = path.read_bytes()
+    if not name.endswith(".argn"):
+        return [(hashlib.sha256(blob).hexdigest(), name)]
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return [(hashlib.sha256(blob[:16 + header_len]).hexdigest(), f"{name}:header"),
+            (hashlib.sha256(blob[16 + header_len:]).hexdigest(), f"{name}:weights")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(inputs.WORKLOADS), required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--work", required=True, help="directory for the inputs and outputs")
+    args = parser.parse_args(argv)
+
+    w = inputs.WORKLOADS[args.workload]
+    work = Path(args.work)
+    inputs.setup(w, args.seed, str(work))
+    failed = [r for r in run.run_pass(w, args.seed, work, work) if not r.ok]
+    for r in failed:
+        print(f"FAILED {r.verb}: {r.error} (log in {work / 'verbs.log'})", file=sys.stderr)
+    if failed:
+        return 2
+    for verb in run.VERBS:
+        for digest, label in digests(run.OUTPUTS[verb], work / run.OUTPUTS[verb]):
+            print(f"{digest}  {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
