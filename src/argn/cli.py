@@ -22,7 +22,7 @@ from .model import ArgnModel, TrainConfig, train
 from .nn import DpConfig
 from .persist import load_model, save_model
 from .protect import ValueProtectionConfig, protect_table
-from .sampling import GenerationRequest, synthesize_blocks
+from .sampling import GenerationRequest, _resolve_conditions, synthesize_blocks
 from .tables import ColumnSpec, RawTable, TableSchema, infer_schema, read_csv, write_csv
 
 
@@ -173,6 +173,7 @@ def _cmd_generate(args) -> int:
     try:
         req = GenerationRequest(n_rows=args.n, order=order, conditions=conditions,
                                 temperature=args.temperature, seed=args.seed)
+        _resolve_conditions(model, conditions)  # a bad value is a usage error
     except ValueError as exc:
         raise UsageError(f"generate: {exc}") from None
     write_csv(synthesize_blocks(model, req), args.out)

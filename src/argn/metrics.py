@@ -18,16 +18,19 @@ import numpy as np
 
 from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
 from .tables import RawTable, concat
-from .util import mann_whitney_auc, scan_rows
+from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
 MISSING_LABEL = "__MISSING__"
+
+SCAN_BYTES = 8 << 20  # per row-block buffer of DCR and association; DCR: 512 rows to 2,048 train rows
 
 
 def _category_codes(cells) -> np.ndarray:
     """Codes 0..k-1 in sorted category order; missing cells form their own
     category."""
-    labels = np.array([MISSING_LABEL if v is None else str(v) for v in cells], dtype=object)
-    return np.unique(labels, return_inverse=True)[1].reshape(-1)
+    labels = [MISSING_LABEL if v is None else str(v) for v in cells]
+    index = {label: i for i, label in enumerate(sorted(set(labels)))}
+    return np.array([index[label] for label in labels], dtype=np.int64)
 
 
 def jsd(real_column, syn_column) -> float:
@@ -75,78 +78,82 @@ def wasserstein1(real_column, syn_column) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    ok = np.isfinite(x) & np.isfinite(y)
-    x, y = x[ok], y[ok]
-    if x.size < 2:
-        return 0.0
-    sx, sy = x.std(), y.std()
-    if sx < 1e-12 or sy < 1e-12:
-        return 0.0
-    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-
-
-def _correlation_ratio(codes: np.ndarray, values: np.ndarray) -> float:
-    """Correlation ratio of ``values`` grouped by the category ``codes``.
-    Groups are summed in code order, so the result is reproducible."""
-    ok = np.isfinite(values)
-    if ok.sum() < 2:
-        return 0.0
-    values, codes = values[ok], codes[ok]
-    total_mean = values.mean()
-    ss_total = float(np.sum((values - total_mean) ** 2))
-    if ss_total < 1e-12:
-        return 0.0
-    counts = np.bincount(codes)
-    groups = np.split(values[np.argsort(codes, kind="stable")], np.cumsum(counts)[:-1])
-    ss_between = 0.0
-    for count, group in zip(counts, groups):
-        if count:
-            ss_between += count * (group.mean() - total_mean) ** 2
-    return float(np.sqrt(ss_between / ss_total))
-
-
-def _cramers_v(a: np.ndarray, b: np.ndarray) -> float:
-    """Cramer's V of two columns of category codes 0..k-1."""
-    k_a, k_b = (int(codes.max()) + 1 if codes.size else 0 for codes in (a, b))
-    if k_a < 2 or k_b < 2:
-        return 0.0
-    table = np.bincount(a * k_b + b, minlength=k_a * k_b).reshape(k_a, k_b).astype(np.float64)
-    n = table.sum()
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+def _pairwise_correlation(centred: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each numeric pair over the rows where both are
+    present: counts and means from GEMMs of the masked centred values, then a
+    corrected pass around each pair's means in SCAN_BYTES row blocks (a column
+    constant where its partner is present gets std 0, not rounding noise)."""
+    n, p = centred.shape
+    mask = present.astype(np.float64)
+    pairs = mask.T @ mask
+    means = np.divide(centred.T @ mask, pairs, out=np.zeros((p, p)), where=pairs > 0)  # [j, l]: mean of j
+    dev_sum, sq_sum, co_sum = np.zeros((3, p, p))
+    rows = max(1, SCAN_BYTES // (8 * max(p * p, 1)))
+    for s in range(0, n, rows):
+        both = mask[s : s + rows, :, None] * mask[s : s + rows, None, :]
+        dev = (centred[s : s + rows, :, None] - means) * both
+        dev_sum += dev.sum(axis=0)
+        sq_sum += (dev * dev).sum(axis=0)
+        co_sum += (dev * dev.transpose(0, 2, 1)).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        chi2 = np.nansum(np.where(expected > 0, (table - expected) ** 2 / expected, 0.0))
-    denom = n * (min(k_a, k_b) - 1)
-    return float(np.sqrt(chi2 / denom)) if denom > 0 else 0.0
+        std = np.sqrt(np.maximum(sq_sum - dev_sum**2 / pairs, 0.0) / pairs)
+        cov = (co_sum - dev_sum * dev_sum.T / pairs) / pairs
+        ok = (pairs >= 2) & (std >= 1e-12) & (std.T >= 1e-12)
+        return np.where(ok, cov / (std * std.T), 0.0)
 
 
 def mixed_association_matrix(table: RawTable) -> np.ndarray:
     """Pairwise association over the table's categorical/numeric/datetime
     columns: Pearson (num-num), correlation ratio (cat-num), Cramer's V
-    (cat-cat). Constant columns contribute zero associations."""
+    (cat-cat). Missing is a category of its own; numeric pairs use the rows
+    where both are present. Constant columns contribute zero associations.
+    Per categorical column, bincounts give its contingency tables with all
+    later ones and its group sums and counts of every centred numeric."""
     cols = [c for c in table.schema.columns if c.kind in ("categorical", "numeric", "datetime")]
-    k = len(cols)
-    numeric = {}
-    cats = {}
-    for c in cols:
-        if c.kind == "categorical":
-            cats[c.name] = _category_codes(table.column_values(c.name))
-        else:
-            numeric[c.name] = table.values(c.name, c.kind)
-    mat = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            a, b = cols[i], cols[j]
-            if a.name in numeric and b.name in numeric:
-                val = _pearson(numeric[a.name], numeric[b.name]) if i != j else 1.0
-            elif a.name in cats and b.name in cats:
-                val = _cramers_v(cats[a.name], cats[b.name]) if i != j else 1.0
-            elif a.name in cats:
-                val = _correlation_ratio(cats[a.name], numeric[b.name])
-            else:
-                val = _correlation_ratio(cats[b.name], numeric[a.name])
-            mat[i, j] = mat[j, i] = val
-    return mat
+    cat = [i for i, c in enumerate(cols) if c.kind == "categorical"]
+    num = [i for i, c in enumerate(cols) if c.kind != "categorical"]
+    n, kc, p = table.row_count, len(cat), len(num)
+    codes = np.zeros((n, kc), dtype=np.int64)
+    for j, i in enumerate(cat):
+        codes[:, j] = _category_codes(table.column_values(cols[i].name))
+    sizes = codes.max(axis=0) + 1 if n else np.zeros(kc, dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    offset = codes + starts[:-1]
+
+    # numeric columns centred on their finite mean, missing cells zeroed
+    centred, present = np.zeros((n, p)), np.zeros((n, p), dtype=bool)
+    ss_total = np.zeros(p)
+    for j, i in enumerate(num):
+        x = table.values(cols[i].name, cols[i].kind)
+        present[:, j] = ok = np.isfinite(x)
+        if ok.any():
+            centred[ok, j] = dev = x[ok] - x[ok].mean()
+            ss_total[j] = np.sum(dev**2)
+
+    counts = np.bincount(offset.ravel(), minlength=int(starts[-1]))
+    chi2, between = np.zeros((kc, kc)), np.zeros((kc, p))
+    for j in range(kc):
+        k, later, width = int(sizes[j]), int(starts[j + 1]), int(starts[-1] - starts[j + 1])
+        if width:
+            table_j = np.bincount((codes[:, j, None] * width + offset[:, j + 1 :] - later).ravel(),
+                                  minlength=k * width).reshape(k, width)
+            expected = np.outer(counts[starts[j] : later], counts[later:]) / n
+            cells = ((table_j - expected) ** 2 / expected).sum(axis=0)
+            chi2[j, j + 1 :] = np.add.reduceat(cells, starts[j + 1 : -1] - later)
+        groups = (codes[:, j, None] * p + np.arange(p)).ravel()
+        sums = np.bincount(groups, weights=centred.ravel(), minlength=k * p).reshape(k, p)
+        group_n = np.bincount(groups, weights=present.ravel(), minlength=k * p).reshape(k, p)
+        between[j] = np.sum(np.divide(sums**2, group_n, out=np.zeros((k, p)), where=group_n > 0), axis=0)
+
+    mat = np.zeros((len(cols), len(cols)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dof = n * (np.minimum.outer(sizes, sizes) - 1)
+        mat[np.ix_(cat, cat)] = np.where(dof > 0, np.sqrt((chi2 + chi2.T) / dof), 0.0)
+        eta = np.where((present.sum(axis=0) >= 2) & (ss_total >= 1e-12), np.sqrt(between / ss_total), 0.0)
+    mat[np.ix_(cat, num)], mat[np.ix_(num, cat)] = eta, eta.T
+    mat[np.ix_(num, num)] = _pairwise_correlation(centred, present)
+    np.fill_diagonal(mat, 1.0)
+    return np.clip(mat, -1.0, 1.0)
 
 
 def association_l2(real: RawTable, syn: RawTable) -> float:
@@ -274,34 +281,39 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
 
 
 def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
-    """Per column (kind, train side, other side, span) for the DCR scan:
-    category codes, or parsed values with the train range as span."""
+    """Per column (kind, train side, other side, span, missing train rows,
+    missing other rows): category codes, or values with non-finite cells 0."""
     blocks = []
     for name, kind in fmap.kinds.items():
         if kind == "categorical":
-            blocks.append(("cat", fmap.codes(train, name), fmap.codes(other, name), 1.0))
-        else:
-            lo, hi = fmap.ranges[name]
-            span = hi - lo
-            blocks.append(("num", train.values(name, kind), other.values(name, kind),
-                           span if span > 0 else 1.0))
+            blocks.append(("cat", fmap.codes(train, name), fmap.codes(other, name), 1.0, None, None))
+            continue
+        lo, hi = fmap.ranges[name]
+        a, b = train.values(name, kind), other.values(name, kind)
+        ok_a, ok_b = np.isfinite(a), np.isfinite(b)
+        blocks.append(("num", np.where(ok_a, a, 0.0), np.where(ok_b, b, 0.0),
+                       hi - lo if hi > lo else 1.0, np.flatnonzero(~ok_a), ~ok_b))
     return blocks
 
 
 def _dcr_chunk(blocks, sl: slice, n_train: int) -> np.ndarray:
+    """Minimum over train rows of the summed column distances, for the
+    ``other`` rows in ``sl``; three block-sized buffers serve every column."""
     acc = np.zeros((sl.stop - sl.start, n_train))
-    for kind, a, b, span in blocks:
-        bb = b[sl]
+    work = np.empty_like(acc)
+    unequal = np.empty(acc.shape, dtype=bool)
+    for kind, a, b, span, miss_a, miss_b in blocks:
         if kind == "cat":
-            d = (bb[:, None] != a[None, :]).astype(np.float64)
-        else:
-            miss_b = ~np.isfinite(bb)
-            miss_a = ~np.isfinite(a)
-            d = np.abs(np.nan_to_num(bb)[:, None] - np.nan_to_num(a)[None, :]) / span
-            either = miss_b[:, None] | miss_a[None, :]
-            both = miss_b[:, None] & miss_a[None, :]
-            d = np.where(both, 0.0, np.where(either, 1.0, d))
-        acc += d
+            acc += np.not_equal(b[sl, None], a[None, :], out=unequal)
+            continue
+        np.subtract(b[sl, None], a[None, :], out=work)
+        np.abs(work, out=work)
+        np.divide(work, span, out=work)
+        miss_rows = np.flatnonzero(miss_b[sl])
+        work[miss_rows] = 1.0
+        work[:, miss_a] = 1.0
+        work[np.ix_(miss_rows, miss_a)] = 0.0
+        acc += work
     return acc.min(axis=1)
 
 
@@ -309,11 +321,14 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     """For each row of ``other``, the exact minimum mixed distance to any
     ``train`` row: the sum over columns of a 0/1 mismatch for categoricals
     and |a-b| scaled by the train range for numerics (a missing side costs
-    1, both missing 0). Full O(n*m) scan in row blocks across worker threads."""
+    1, both missing 0). Full O(n*m) scan across worker threads, in row blocks
+    whose buffers stay within SCAN_BYTES each."""
     if train.schema.names != other.schema.names:
         raise ValueError("tables must share a schema")
     blocks = _dcr_columns(MixedFeatureMap(train), train, other)
-    return scan_rows(other.row_count, lambda sl: _dcr_chunk(blocks, sl, train.row_count))
+    n_train = train.row_count
+    rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * max(n_train, 1))))
+    return scan_rows(other.row_count, lambda sl: _dcr_chunk(blocks, sl, n_train), rows)
 
 
 def _empirical_cdf(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ KINDS = ("categorical", "numeric", "datetime", "latlong")
 ENCODINGS = ("category_map", "percentile_bins", "digit_split", "datetime_parts", "quadtile")
 
 PARSE_THRESHOLD = 0.99
+PARSE_PREFIX = 64  # plus 2% of the rows: cells parsed to rule a column out early
 
 
 class ParseError(ValueError):
@@ -240,9 +241,15 @@ def parse_column(cells: Sequence[Optional[str]], kind: str) -> np.ndarray:
     return np.array(vals, dtype=np.float64)
 
 
-def _parses(values: np.ndarray, present: int) -> bool:
-    """At least one cell is present and PARSE_THRESHOLD of the present ones parse."""
-    return present > 0 and np.count_nonzero(~np.isnan(values)) / present >= PARSE_THRESHOLD
+def _parses(table: RawTable, name: str, kind: str, present: int) -> bool:
+    """At least one cell is present and PARSE_THRESHOLD of the present ones
+    parse. A prefix is parsed first; when its failures alone rule the
+    threshold out, the rest of the column is not parsed."""
+    cells = table.column_values(name)
+    head = cells[: PARSE_PREFIX + len(cells) // 50]
+    failed = sum(c is not None for c in head) - np.count_nonzero(~np.isnan(parse_column(head, kind)))
+    return (present > 0 and (present - failed) / present >= PARSE_THRESHOLD
+            and np.count_nonzero(~np.isnan(table.values(name, kind))) / present >= PARSE_THRESHOLD)
 
 
 def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = None) -> TableSchema:
@@ -283,9 +290,9 @@ def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = N
         null_freq = (n - present) / n
         if ov is not None:
             columns[key] = ColumnSpec(ov.name, ov.kind, ov.encoding, null_freq, ov.sources)
-        elif _parses(table.values(name, "numeric"), present):
+        elif _parses(table, name, "numeric", present):
             columns[key] = ColumnSpec(name, "numeric", "percentile_bins", null_freq)
-        elif _parses(table.values(name, "datetime"), present):
+        elif _parses(table, name, "datetime", present):
             columns[key] = ColumnSpec(name, "datetime", "datetime_parts", null_freq)
         else:
             columns[key] = ColumnSpec(name, "categorical", "category_map", null_freq)

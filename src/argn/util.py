@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-# Rows per block of a scan; a block's temporaries are SCAN_BLOCK x n_other.
+# Default rows per block of a scan; a block's temporaries are SCAN_BLOCK x n_other.
 SCAN_BLOCK = 512
 
 
@@ -23,11 +23,12 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray]) -> np.ndarray:
+def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray],
+              block: int = SCAN_BLOCK) -> np.ndarray:
     """Concatenated ``block_fn(rows)`` over consecutive blocks of at most
-    SCAN_BLOCK rows, run on up to worker_count() threads. Blocks are
+    ``block`` rows, run on up to worker_count() threads. Blocks are
     independent, so the result does not depend on the thread count."""
-    slices = [slice(s, min(s + SCAN_BLOCK, n_rows)) for s in range(0, n_rows, SCAN_BLOCK)]
+    slices = [slice(s, min(s + block, n_rows)) for s in range(0, n_rows, block)]
     if not slices:
         return np.zeros(0)
     workers = min(worker_count(), len(slices))

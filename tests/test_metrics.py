@@ -5,9 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 import argn
+import argn.metrics
+import argn.tables
+from argn.linear import MixedFeatureMap
 from argn.metrics import (
     association_l2,
     dcr,
@@ -19,6 +24,7 @@ from argn.metrics import (
     mixed_association_matrix,
     wasserstein1,
 )
+from argn.metrics import _category_codes
 from conftest import make_table
 
 
@@ -217,6 +223,159 @@ def test_association_matches_loop_oracles(rng):
     )
     expected = np.sqrt(between / np.sum((values - values.mean()) ** 2))
     assert mat[0, 2] == pytest.approx(expected, rel=1e-12)
+
+
+# The per-pair association formulas the whole-matrix kernel replaced, kept
+# as its oracle.
+
+
+def oracle_pearson(x: np.ndarray, y: np.ndarray) -> float:
+    ok = np.isfinite(x) & np.isfinite(y)
+    x, y = x[ok], y[ok]
+    if x.size < 2:
+        return 0.0
+    sx, sy = x.std(), y.std()
+    if sx < 1e-12 or sy < 1e-12:
+        return 0.0
+    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+
+
+def oracle_correlation_ratio(codes: np.ndarray, values: np.ndarray) -> float:
+    ok = np.isfinite(values)
+    if ok.sum() < 2:
+        return 0.0
+    values, codes = values[ok], codes[ok]
+    total_mean = values.mean()
+    ss_total = float(np.sum((values - total_mean) ** 2))
+    if ss_total < 1e-12:
+        return 0.0
+    counts = np.bincount(codes)
+    groups = np.split(values[np.argsort(codes, kind="stable")], np.cumsum(counts)[:-1])
+    ss_between = 0.0
+    for count, group in zip(counts, groups):
+        if count:
+            ss_between += count * (group.mean() - total_mean) ** 2
+    return float(np.sqrt(ss_between / ss_total))
+
+
+def oracle_cramers_v(a: np.ndarray, b: np.ndarray) -> float:
+    k_a, k_b = (int(codes.max()) + 1 if codes.size else 0 for codes in (a, b))
+    if k_a < 2 or k_b < 2:
+        return 0.0
+    table = np.bincount(a * k_b + b, minlength=k_a * k_b).reshape(k_a, k_b).astype(np.float64)
+    n = table.sum()
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi2 = np.nansum(np.where(expected > 0, (table - expected) ** 2 / expected, 0.0))
+    denom = n * (min(k_a, k_b) - 1)
+    return float(np.sqrt(chi2 / denom)) if denom > 0 else 0.0
+
+
+def oracle_association_matrix(table) -> np.ndarray:
+    cols = [c for c in table.schema.columns if c.kind in ("categorical", "numeric", "datetime")]
+    k = len(cols)
+    numeric, cats = {}, {}
+    for c in cols:
+        if c.kind == "categorical":
+            cats[c.name] = _category_codes(table.column_values(c.name))
+        else:
+            numeric[c.name] = table.values(c.name, c.kind)
+    mat = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            a, b = cols[i], cols[j]
+            if a.name in numeric and b.name in numeric:
+                val = oracle_pearson(numeric[a.name], numeric[b.name]) if i != j else 1.0
+            elif a.name in cats and b.name in cats:
+                val = oracle_cramers_v(cats[a.name], cats[b.name]) if i != j else 1.0
+            elif a.name in cats:
+                val = oracle_correlation_ratio(cats[a.name], numeric[b.name])
+            else:
+                val = oracle_correlation_ratio(cats[b.name], numeric[a.name])
+            mat[i, j] = mat[j, i] = val
+    return mat
+
+
+EPOCH = 1_600_000_000
+
+
+@st.composite
+def association_tables(draw):
+    """Small mixed tables with missing cells, single-category and constant
+    columns, columns constant only where a partner is present, and epoch
+    seconds near 1.6e9 (whole-second steps of 10^6, the scale of dates)."""
+    n = draw(st.integers(0, 24))
+    columns, kinds, numeric = {}, {}, []
+
+    def cells(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    for j in range(draw(st.integers(1, 5))):
+        name = f"c{j}"
+        style = draw(st.sampled_from(["cat", "single", "num", "const", "epoch", "partner"]))
+        if style == "partner" and not numeric:
+            style = "num"
+        if style == "cat":
+            columns[name] = cells(st.sampled_from(["a", "b", "c", None]))
+        elif style == "single":
+            columns[name] = ["a"] * n
+        elif style == "num":
+            columns[name] = cells(st.one_of(st.none(), st.integers(-4, 4).map(str),
+                                            st.integers(-300, 300).map(lambda v: f"{v / 100:.2f}")))
+        elif style == "const":
+            columns[name] = cells(st.sampled_from([None, "2.5"]))
+        elif style == "epoch":
+            columns[name] = cells(st.one_of(st.none(), st.integers(0, 40).map(lambda v: str(EPOCH + v * 10**6))))
+        else:  # constant where the partner is present, free elsewhere
+            partner = columns[draw(st.sampled_from(numeric))]
+            free = cells(st.one_of(st.none(), st.integers(-9, 9).map(str)))
+            columns[name] = ["7" if cell is not None else other for cell, other in zip(partner, free)]
+        if style not in ("cat", "single"):
+            kinds[name] = "numeric"
+            numeric.append(name)
+    return make_table(columns, kinds)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(association_tables())
+def test_association_matrix_matches_pair_loop_oracle(table):
+    got = mixed_association_matrix(table)
+    np.testing.assert_allclose(got, oracle_association_matrix(table), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("columns,kinds", [
+    ({"x": [], "c": []}, {"x": "numeric"}),
+    ({"x": ["1.5"], "y": ["2"], "c": ["a"]}, {"x": "numeric", "y": "numeric"}),
+    ({"c": ["a"] * 6, "d": list("aabbcc"), "x": list("123456")}, {"x": "numeric"}),
+    ({"x": ["2.5"] * 5 + [None], "y": list("12345") + ["9"]}, {"x": "numeric", "y": "numeric"}),
+    ({"x": list("12") + [None, "4", None], "y": ["7", "7", "3", "7", "9"]},
+     {"x": "numeric", "y": "numeric"}),
+    ({"x": [str(EPOCH + v * 3600) for v in (0, 5, 2, 9, 4, 4)], "y": list("130545"), "c": list("aabbab")},
+     {"x": "numeric", "y": "numeric"}),
+    # category counts (1, 2) x (1, 3, 3, 1, 2), each pair at its expected count: chi-squared is 0
+    ({"c": [f"a{i}" for i, a in enumerate((1, 2)) for b in (1, 3, 3, 1, 2) for _ in range(a * b)],
+      "d": [f"b{j}" for a in (1, 2) for j, b in enumerate((1, 3, 3, 1, 2)) for _ in range(a * b)]}, {}),
+])
+def test_association_matrix_matches_oracle_on_edge_tables(columns, kinds):
+    table = make_table(columns, kinds)
+    np.testing.assert_allclose(mixed_association_matrix(table), oracle_association_matrix(table),
+                               rtol=0, atol=1e-12)
+
+
+def test_association_is_shift_invariant_at_epoch_scale(rng):
+    """Centring keeps epoch seconds (~1.6e9) from cancelling in the moments."""
+    x = rng.integers(0, 10**6, size=200)
+    y = x + rng.integers(0, 10**5, size=200)
+    c = [f"g{v // 250_000}" for v in x]
+    kinds = {"x": "numeric", "y": "numeric"}
+    near = mixed_association_matrix(make_table({"x": [str(v) for v in x], "y": [str(v) for v in y],
+                                                "c": c}, kinds))
+    far = mixed_association_matrix(make_table({"x": [str(EPOCH + v) for v in x], "y": [str(v) for v in y],
+                                               "c": c}, kinds))
+    assert near[0, 1] == pytest.approx(float(np.corrcoef(x, y)[0, 1]), abs=1e-13)
+    np.testing.assert_allclose(far, near, rtol=0, atol=1e-13)
+    assert 0.5 < far[0, 2] < 1.0
 
 
 def test_association_matrix_independent_of_string_hash():
@@ -421,6 +580,88 @@ def test_dcr_thread_count_does_not_change_result(rng, monkeypatch):
     monkeypatch.setenv("ARGN_THREADS", "4")
     b = dcr(train, other)
     np.testing.assert_array_equal(a, b)
+
+
+def oracle_dcr(train, other):
+    """The DCR kernel before it worked in place: one float64 temporary per
+    operation and column, over all ``other`` rows at once."""
+    fmap = MixedFeatureMap(train)
+    acc = np.zeros((other.row_count, train.row_count))
+    for name, kind in fmap.kinds.items():
+        if kind == "categorical":
+            d = (fmap.codes(other, name)[:, None] != fmap.codes(train, name)[None, :]).astype(np.float64)
+        else:
+            lo, hi = fmap.ranges[name]
+            span = hi - lo if hi - lo > 0 else 1.0
+            a, b = train.values(name, kind), other.values(name, kind)
+            miss_b = ~np.isfinite(b)
+            miss_a = ~np.isfinite(a)
+            with np.errstate(over="ignore"):  # inf became +-1.8e308 here
+                d = np.abs(np.nan_to_num(b)[:, None] - np.nan_to_num(a)[None, :]) / span
+            either = miss_b[:, None] | miss_a[None, :]
+            both = miss_b[:, None] & miss_a[None, :]
+            d = np.where(both, 0.0, np.where(either, 1.0, d))
+        acc += d
+    return acc.min(axis=1)
+
+
+def _with_infinities(monkeypatch):
+    """Let numeric cells "inf" and "-inf" parse to infinities, as values
+    parsed elsewhere may hold them."""
+    parse = argn.tables.parse_column
+
+    def parse_with_inf(cells, kind):
+        vals = parse(cells, kind)
+        for i, cell in enumerate(cells):
+            if cell in ("inf", "-inf"):
+                vals[i] = float(cell)
+        return vals
+
+    monkeypatch.setattr(argn.tables, "parse_column", parse_with_inf)
+
+
+def nonfinite_mixed(rng, n):
+    def num(scale):
+        return [None if r < 0.1 else "inf" if r < 0.15 else "-inf" if r < 0.2 else f"{v * scale:.3f}"
+                for r, v in zip(rng.uniform(size=n), rng.normal(size=n))]
+
+    return make_table(
+        {"n1": num(1.0), "c1": [f"k{int(v)}" for v in rng.integers(0, 4, size=n)],
+         "n2": num(1e3), "c2": [None if v == 0 else f"m{int(v)}" for v in rng.integers(0, 3, size=n)]},
+        kinds={"n1": "numeric", "n2": "numeric"},
+    )
+
+
+def test_dcr_matches_parent_kernel_bitwise_with_nan_and_inf(rng, monkeypatch):
+    _with_infinities(monkeypatch)
+    for _ in range(3):
+        train, other = nonfinite_mixed(rng, 700), nonfinite_mixed(rng, 1100)
+        assert np.isinf(train.values("n1", "numeric")).any()
+        assert np.isinf(other.values("n2", "numeric")).any()
+        assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
+
+
+def test_dcr_blocks_stay_within_the_byte_budget(monkeypatch):
+    n_train = 1_000_000
+    train = make_table({"x": ["1"] * n_train}, kinds={"x": "numeric"})
+    other = make_table({"x": ["2"] * 50}, kinds={"x": "numeric"})
+    blocks = []
+
+    def record(columns, sl, n):
+        blocks.append((sl.stop - sl.start, n))
+        return np.zeros(sl.stop - sl.start)
+
+    monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
+    assert dcr(train, other).shape == (50,)
+    assert sum(rows for rows, _ in blocks) == 50
+    assert all(rows * n * 8 <= argn.metrics.SCAN_BYTES for rows, n in blocks)
+
+
+def test_dcr_does_not_depend_on_the_byte_budget(rng, monkeypatch):
+    train, other = random_mixed(rng, 300), random_mixed(rng, 1200)
+    wide = dcr(train, other)
+    monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 300 * 7)  # 7-row blocks
+    assert np.array_equal(dcr(train, other), wide)
 
 
 # -- DCR CDF integral --------------------------------------------------------------------

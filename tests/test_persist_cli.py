@@ -336,8 +336,16 @@ def test_cli_generate_with_condition_and_order(data_csv, quick_config, tmp_path)
 def test_cli_generate_rejects_a_numeric_condition_that_does_not_parse(cli_model, tmp_path, capsys, value):
     out = tmp_path / "x.csv"
     assert cli(["generate", "--model", cli_model, "-n", "5", "--out", str(out),
-                "--condition", f"num_a={value}"]) == 2
+                "--condition", f"num_a={value}"]) == 1
     assert f"num_a': value '{value}' is not a finite numeric value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_generate_rejects_a_category_outside_the_vocabulary(cli_model, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli(["generate", "--model", cli_model, "-n", "5", "--out", str(out),
+                "--condition", "cat_b=zzz"]) == 1
+    assert "generate: column 'cat_b': value 'zzz' not in vocabulary" in capsys.readouterr().err
     assert not out.exists()
 
 

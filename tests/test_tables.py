@@ -6,9 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import argn
 from argn.tables import (
+    PARSE_PREFIX,
+    PARSE_THRESHOLD,
     ColumnSpec,
     ParseError,
     RawTable,
@@ -251,6 +255,65 @@ def test_subset_concat_and_retyped_values_equal_parsing_their_own_cells(monkeypa
     assert retyped.column_names == ["when", "a"] and retyped.row_count == table.row_count
     assert retyped.values("a", "numeric") is table.values("a", "numeric")
     assert calls == ["datetime"]
+
+
+def _raw_table(columns):
+    schema = TableSchema(tuple(ColumnSpec(name, "categorical", "category_map") for name in columns))
+    return RawTable(schema, list(columns.values()))
+
+
+def _counting_parse(monkeypatch):
+    parsed = {"numeric": 0, "datetime": 0}
+    original = argn.tables.parse_column
+
+    def count(cells, kind):
+        parsed[kind] += len(cells)
+        return original(cells, kind)
+
+    monkeypatch.setattr(argn.tables, "parse_column", count)
+    return parsed
+
+
+def test_infer_schema_parses_only_a_prefix_of_a_categorical_column(monkeypatch, rng):
+    n = 2000
+    table = _raw_table({"c": [f"city{v}" for v in rng.integers(0, 50, size=n)],
+                        "x": [f"{v:.3f}" for v in rng.normal(size=n)]})
+    parsed = _counting_parse(monkeypatch)
+    schema = infer_schema(table)
+    assert [c.kind for c in schema.columns] == ["categorical", "numeric"]
+    prefix = PARSE_PREFIX + n // 50
+    assert parsed["datetime"] <= prefix  # column c only
+    assert parsed["numeric"] <= prefix + prefix + n  # c's prefix; x's prefix and all of x
+
+
+def _kind_by_parsing_everything(cells):
+    present = sum(c is not None for c in cells)
+    for kind in ("numeric", "datetime"):
+        parsed = np.count_nonzero(~np.isnan(parse_column(cells, kind)))
+        if present and parsed / present >= PARSE_THRESHOLD:
+            return kind
+    return "categorical"
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 700), st.sampled_from(["numeric", "datetime"]), st.integers(0, 20),
+       st.floats(0, 0.5), st.booleans(), st.integers(0, 2**32 - 1))
+@example(200, "numeric", 2, 0.0, True, 0)  # exactly at the threshold, failures in the prefix
+@example(100, "datetime", 1, 0.0, True, 0)
+@example(100, "numeric", 2, 0.0, True, 0)  # just below it
+def test_infer_schema_kinds_equal_parsing_every_cell(n, kind, garbage, missing, front, seed):
+    """Unparseable cells around the 1% threshold, first or scattered."""
+    rng = np.random.default_rng(seed)
+    if kind == "numeric":
+        cells = [f"{v:.2f}" for v in rng.normal(size=n)]
+    else:
+        cells = [f"2021-{1 + v % 12:02d}-{1 + v % 28:02d}" for v in rng.integers(0, 400, size=n)]
+    cells = [None if r < missing else c for r, c in zip(rng.random(n), cells)]
+    where = np.arange(n) if front else rng.permutation(n)
+    for i in where[: min(garbage, n)]:
+        cells[i] = "n/a"
+    table = _raw_table({"x": cells})
+    assert infer_schema(table).columns[0].kind == _kind_by_parsing_everything(cells)
 
 
 def test_raw_schema_puts_latlong_sources_back_as_numeric_columns():
