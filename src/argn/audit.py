@@ -22,7 +22,7 @@ from .metrics import mixed_association_matrix
 from .model import ArgnModel, TrainConfig, train
 from .protect import ValueProtectionConfig, protect_table
 from .sampling import GenerationRequest, synthesize
-from .tables import RawTable, TableSchema
+from .tables import RawTable, TableSchema, concat
 from .util import mann_whitney_auc, scan_rows
 
 META_ATTACKS = ("naive_gh", "hist_gh", "corr_gh", "logistic_gh", "query_based")
@@ -132,11 +132,12 @@ def _trial_seed(base_seed: int, index: int) -> int:
 def build_shadow_trials(aux_pool: RawTable, target_row: Sequence[Optional[str]],
                         cfg: AuditConfig) -> list[ShadowTrial]:
     """n_shadow trials of shadow_size rows each; even trials append the target
-    (member), odd trials substitute one more random pool row."""
+    (member), odd trials substitute one more random pool row. A trial's
+    values are gathered from the pool's and the target's parses."""
     if cfg.shadow_size > aux_pool.row_count:
         raise ValueError("shadow_size exceeds the auxiliary pool")
-    target = list(target_row)
-    if _target_matches(aux_pool, target).all(axis=1).any():
+    target = RawTable(aux_pool.schema, [[cell] for cell in target_row])
+    if _target_matches(aux_pool, list(target_row)).all(axis=1).any():
         raise ValueError("target record must not be present in the auxiliary pool")
     trials = []
     for i in range(cfg.n_shadow):
@@ -144,11 +145,8 @@ def build_shadow_trials(aux_pool: RawTable, target_row: Sequence[Optional[str]],
         rng = np.random.default_rng(seed)
         picks = rng.choice(aux_pool.row_count, size=cfg.shadow_size, replace=False).tolist()
         member = i % 2 == 0
-        if member:
-            columns = [[col[j] for j in picks[:-1]] + [t] for col, t in zip(aux_pool.columns, target)]
-        else:
-            columns = [[col[j] for j in picks] for col in aux_pool.columns]
-        trials.append(ShadowTrial(RawTable(aux_pool.schema, columns), member, seed))
+        rows = concat([aux_pool.subset(picks[:-1]), target]) if member else aux_pool.subset(picks)
+        trials.append(ShadowTrial(rows, member, seed))
     return trials
 
 

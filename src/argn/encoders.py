@@ -11,22 +11,24 @@ All encoders reserve a MISSING slot so the model can generate nulls. The
 leading sub-column of a multi-part encoder carries the MISSING category;
 sibling sub-columns hold zeros for missing rows.
 
-Decoding is deterministic given the codes and ``n_draws`` uniforms per row
-(one per within-bin numeric value, two per lat/lon point).
+Encoders fit on and encode a ``RawTable``: numbers come from
+``RawTable.values``, which parses each column once, and text from
+``column_values``. Decoding is deterministic given the codes and ``n_draws``
+uniforms per row (one per within-bin numeric value, two per lat/lon point).
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .tables import ColumnSpec, RawTable, TableSchema, parse_column
+from .tables import RawTable, TableSchema
 
-MISSING = "__MISSING__"
 MAX_DECIMAL_PLACES = 6
 
 
@@ -85,10 +87,8 @@ class CategoryEncoder:
             self.by_code[i] = v
 
     @classmethod
-    def fit(cls, column: str, values: Sequence[Optional[str]]) -> "CategoryEncoder":
-        counts: dict[Optional[str], int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
+    def fit(cls, column: str, table: RawTable) -> "CategoryEncoder":
+        counts = Counter(table.column_values(column))
         counts.setdefault(None, 0)
         ordered = sorted(counts, key=lambda v: (-counts[v], v is None, v if v is not None else ""))
         return cls(column, {v: i for i, v in enumerate(ordered)})
@@ -100,9 +100,10 @@ class CategoryEncoder:
     def sub_columns(self) -> list[SubColumn]:
         return [SubColumn(self.column, self.cardinality, self.column)]
 
-    def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        """Codes of a column; values outside the vocabulary encode as MISSING."""
-        return np.array([[self.mapping.get(v, self.mapping[None])] for v in values], dtype=np.int32)
+    def encode(self, table: RawTable) -> np.ndarray:
+        """Codes of the column; values outside the vocabulary encode as MISSING."""
+        cells = table.column_values(self.column)
+        return np.array([[self.mapping.get(v, self.mapping[None])] for v in cells], dtype=np.int32)
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
         return self.by_code[codes[:, 0]].tolist()
@@ -137,10 +138,10 @@ class PercentileEncoder:
         self.edges = edges
 
     @classmethod
-    def fit(cls, column: str, values: Sequence[Optional[str]], n_bins: int = 100) -> "PercentileEncoder":
+    def fit(cls, column: str, table: RawTable, n_bins: int = 100) -> "PercentileEncoder":
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        nums = parse_column(values, "numeric")
+        nums = table.values(column, "numeric")
         nums = nums[~np.isnan(nums)]
         if nums.size == 0:
             raise ValueError(f"column {column!r}: no numeric values to fit percentile bins")
@@ -165,8 +166,8 @@ class PercentileEncoder:
     def sub_columns(self) -> list[SubColumn]:
         return [SubColumn(self.column, self.cardinality, self.column)]
 
-    def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        x = parse_column(values, "numeric")
+    def encode(self, table: RawTable) -> np.ndarray:
+        x = table.values(self.column, "numeric")
         k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_value_bins - 1)
         return np.where(np.isnan(x), self.missing_index, k).astype(np.int32)[:, None]
 
@@ -216,19 +217,16 @@ class DigitEncoder:
         self.decimals = decimals
 
     @classmethod
-    def fit(cls, column: str, values: Sequence[Optional[str]]) -> "DigitEncoder":
-        finite = ~np.isnan(parse_column(values, "numeric"))
-        decs: list[Decimal] = []
-        for v, ok in zip(values, finite):
-            if v is None:
-                continue
+    def fit(cls, column: str, table: RawTable) -> "DigitEncoder":
+        cells, missing = table.column_values(column), np.isnan(table.values(column, "numeric"))
+        for v in (v for v, m in zip(cells, missing) if m and v is not None):
             try:
-                d = Decimal(v.strip())
+                Decimal(v.strip())
             except InvalidOperation:  # a present, unparseable cell counts as missing
                 continue
-            if not ok:  # a number, but no finite float: inf, nan or out of range
-                raise ValueError(f"column {column!r}: non-finite value {v!r}")
-            decs.append(d)
+            # a number, but no finite float: inf, nan or out of range
+            raise ValueError(f"column {column!r}: non-finite value {v!r}")
+        decs = [Decimal(v.strip()) for v, m in zip(cells, missing) if not m]
         if not decs:
             raise ValueError(f"column {column!r}: no numeric values to fit digit split")
         decimals = min(max(0, -min(d.as_tuple().exponent for d in decs)), MAX_DECIMAL_PLACES)
@@ -250,9 +248,9 @@ class DigitEncoder:
     def _missing_code(self) -> int:
         return 2 if self.has_sign else 10
 
-    def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        finite = ~np.isnan(parse_column(values, "numeric"))
-        decs = [Decimal(v.strip()) for v, ok in zip(values, finite) if ok]
+    def encode(self, table: RawTable) -> np.ndarray:
+        finite = ~np.isnan(table.values(self.column, "numeric"))
+        decs = [Decimal(v.strip()) for v, ok in zip(table.column_values(self.column), finite) if ok]
         cap = 10**self.n_digits - 1
         text = "".join(str(min(m, cap)).zfill(self.n_digits) for m in _magnitudes(decs, self.decimals))
         digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
@@ -339,8 +337,8 @@ class DatetimeEncoder:
         self.has_time = has_time
 
     @classmethod
-    def fit(cls, column: str, values: Sequence[Optional[str]]) -> "DatetimeEncoder":
-        seconds = parse_column(values, "datetime")
+    def fit(cls, column: str, table: RawTable) -> "DatetimeEncoder":
+        seconds = table.values(column, "datetime")
         seconds = seconds[~np.isnan(seconds)]
         if seconds.size == 0:
             raise ValueError(f"column {column!r}: no parseable datetimes")
@@ -370,8 +368,8 @@ class DatetimeEncoder:
     def _missing_code(self) -> int:
         return self._span(self.parts[0])[1]
 
-    def encode(self, values: Sequence[Optional[str]]) -> np.ndarray:
-        seconds = parse_column(values, "datetime")
+    def encode(self, table: RawTable) -> np.ndarray:
+        seconds = table.values(self.column, "datetime")
         present = ~np.isnan(seconds)
         fields = _calendar_parts(seconds[present])
         codes = np.zeros((len(seconds), len(self.parts)), dtype=np.int32)
@@ -434,9 +432,9 @@ def _quad_child_box(box, digit):
             np.where(east, mid_lon, lon_lo), np.where(east, lon_hi, mid_lon))
 
 
-def _points(column: str, lat_values: Sequence[Optional[str]], lon_values: Sequence[Optional[str]]):
-    """(lat, lon) of the rows where both cells parse, and the mask of those rows."""
-    lat, lon = parse_column(lat_values, "numeric"), parse_column(lon_values, "numeric")
+def _points(column: str, table: RawTable, sources: tuple[str, str]):
+    """(lat, lon) of the rows where both source cells parse, and the mask of those rows."""
+    lat, lon = (table.values(src, "numeric") for src in sources)
     present = ~(np.isnan(lat) | np.isnan(lon))
     bad = np.flatnonzero(present & ((np.abs(lat) > 90.0) | (np.abs(lon) > 180.0)))
     if bad.size:
@@ -476,12 +474,11 @@ class QuadtileEncoder:
         cls,
         column: str,
         sources: tuple[str, str],
-        lat_values: Sequence[Optional[str]],
-        lon_values: Sequence[Optional[str]],
+        table: RawTable,
         min_tile_count: int = 100,
         max_depth: int = 12,
     ) -> "QuadtileEncoder":
-        lat, lon, _ = _points(column, lat_values, lon_values)
+        lat, lon, _ = _points(column, table, sources)
         leaves: list[str] = []
 
         def split(key: str, box, lat: np.ndarray, lon: np.ndarray):
@@ -524,8 +521,8 @@ class QuadtileEncoder:
     def key_of(self, lat: float, lon: float) -> str:
         return self.leaves[int(self._leaf_codes(np.array([lat]), np.array([lon]))[0])]
 
-    def encode(self, lat_values, lon_values) -> np.ndarray:
-        lat, lon, present = _points(self.column, lat_values, lon_values)
+    def encode(self, table: RawTable) -> np.ndarray:
+        lat, lon, present = _points(self.column, table, self.sources)
         codes = np.full((len(present), 1), self.missing_index, dtype=np.int32)
         codes[present, 0] = self._leaf_codes(lat, lon)
         return codes
@@ -601,7 +598,7 @@ class TableEncoders:
         for enc in self.encoders:
             if enc.column == column:
                 return enc
-        raise KeyError(column)
+        raise ValueError(f"unknown column {column!r}")
 
     def sub_indices_of(self, column: str) -> list[int]:
         return [i for i, s in enumerate(self.sub_columns) if s.parent == column]
@@ -615,32 +612,27 @@ class TableEncoders:
         return cls(schema, encs)
 
 
-def _sources(spec: ColumnSpec) -> tuple[str, ...]:
-    """The raw columns an encoder reads: a latlong's (lat, lon), else its own."""
-    return spec.sources if spec.kind == "latlong" else (spec.name,)
-
-
 def fit_encoders(raw: RawTable, schema: TableSchema, options: EncodingOptions = EncodingOptions()) -> TableEncoders:
+    """One encoder per schema column, fitted on the raw table's cells and
+    values; a latlong column reads its (lat, lon) source columns."""
     encoders = []
     for spec in schema.columns:
-        cells = [raw.column_values(c) for c in _sources(spec)]
         if spec.kind == "categorical":
-            encoders.append(CategoryEncoder.fit(spec.name, *cells))
+            encoders.append(CategoryEncoder.fit(spec.name, raw))
         elif spec.kind == "numeric" and spec.encoding == "percentile_bins":
-            encoders.append(PercentileEncoder.fit(spec.name, *cells, options.n_bins))
+            encoders.append(PercentileEncoder.fit(spec.name, raw, options.n_bins))
         elif spec.kind == "numeric":
-            encoders.append(DigitEncoder.fit(spec.name, *cells))
+            encoders.append(DigitEncoder.fit(spec.name, raw))
         elif spec.kind == "datetime":
-            encoders.append(DatetimeEncoder.fit(spec.name, *cells))
+            encoders.append(DatetimeEncoder.fit(spec.name, raw))
         else:  # latlong, the last kind schema validation lets through
-            encoders.append(QuadtileEncoder.fit(spec.name, spec.sources, *cells,
+            encoders.append(QuadtileEncoder.fit(spec.name, spec.sources, raw,
                                                 options.quad_min_tile, options.quad_max_depth))
     return TableEncoders(schema, encoders)
 
 
 def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
-    blocks = [enc.encode(*(raw.column_values(c) for c in _sources(spec)))
-              for spec, enc in zip(encoders.schema.columns, encoders.encoders)]
+    blocks = [enc.encode(raw) for enc in encoders.encoders]
     data = np.hstack(blocks) if blocks else np.zeros((raw.row_count, 0), dtype=np.int32)
     return EncodedTable(encoders.sub_columns, data)
 

@@ -20,16 +20,14 @@ from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
 from .tables import RawTable, concat
 from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
-MISSING_LABEL = "__MISSING__"
-
 SCAN_BYTES = 8 << 20  # per row-block buffer of DCR and association; DCR: 512 rows to 2,048 train rows
 
 
 def _category_codes(cells) -> np.ndarray:
-    """Codes 0..k-1 in sorted category order; missing cells form their own
-    category."""
-    labels = [MISSING_LABEL if v is None else str(v) for v in cells]
-    index = {label: i for i, label in enumerate(sorted(set(labels)))}
+    """Codes 0..k-1: missing cells, when there are any, form the first
+    category of their own, then the categories follow in sorted order."""
+    labels = [None if v is None else str(v) for v in cells]
+    index = {label: i for i, label in enumerate(sorted(set(labels), key=lambda v: (v is not None, v or "")))}
     return np.array([index[label] for label in labels], dtype=np.int64)
 
 

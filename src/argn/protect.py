@@ -1,19 +1,20 @@
 """Pre-encoding privacy transforms: rare-category and extreme-value protection.
 
-Both transforms run on the raw string cells before any encoder is fitted, so
-the protected values are all the downstream model ever sees. Thresholds are
+Both transforms run on the raw cells before any encoder is fitted, so the
+protected values are all the downstream model ever sees. Thresholds are
 either fixed (default 8, chosen for reproducibility) or drawn uniformly from
 [5, 8] per column.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tables import RawTable, TableSchema, parse_column
+from .tables import RawTable, TableSchema
 
 RARE_TOKEN = "_RARE_"
 RANDOM_THRESHOLDS = ("random", "random(5,8)")
@@ -50,78 +51,75 @@ def protect_rare_categories(
     values: Sequence[Optional[str]],
     cfg: ValueProtectionConfig,
     rng: Optional[np.random.Generator] = None,
-) -> list[Optional[str]]:
+) -> Sequence[Optional[str]]:
     """Replace categories rarer than the threshold.
 
     token mode substitutes the literal `_RARE_` placeholder; resample mode
     draws a replacement from the empirical distribution of the surviving
     categories (falling back to the token when nothing survives). Missing
-    cells are untouched.
+    cells are untouched, and without rare categories ``values`` itself comes
+    back.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
     t = _threshold(cfg.rare_min_count, rng)
-    counts: dict[str, int] = {}
-    for v in values:
-        if v is not None:
-            counts[v] = counts.get(v, 0) + 1
+    counts = Counter(v for v in values if v is not None)
     rare = {v for v, c in counts.items() if c < t}
     if not rare:
-        return list(values)
+        return values
 
-    if cfg.rare_mode == "resample":
-        donors = sorted(v for v in counts if v not in rare)
-        if donors:
-            weights = np.array([counts[v] for v in donors], dtype=np.float64)
-            weights /= weights.sum()
-            out: list[Optional[str]] = []
-            for v in values:
-                if v is not None and v in rare:
-                    out.append(donors[int(rng.choice(len(donors), p=weights))])
-                else:
-                    out.append(v)
-            return out
-        # no non-rare category to draw from - degrade to the token
-
-    return [RARE_TOKEN if (v is not None and v in rare) else v for v in values]
-
-
-def protect_extreme_values(
-    values: Sequence[Optional[str]],
-    cfg: ValueProtectionConfig,
-    rng: Optional[np.random.Generator] = None,
-    kind: str = "numeric",
-) -> list[Optional[str]]:
-    """Clip values beyond the k-th largest/smallest *distinct* value.
-
-    Replacements reuse the clip value's original cell text, so formatting is
-    preserved. Columns with fewer than 2k distinct values come back
-    unchanged.
-    """
-    rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
-    k = _threshold(cfg.extreme_k, rng)
-    x = parse_column(values, kind)
-    distinct = np.unique(x[~np.isnan(x)])
-    if len(distinct) < 2 * k:
-        return list(values)
-
-    lo, hi = distinct[k - 1], distinct[-k]
     out = np.array(values, dtype=object)
-    # the smallest text of a distinct value is its deterministic representative
-    out[x < lo] = min(out[x == lo])
-    out[x > hi] = min(out[x == hi])
+    at = np.flatnonzero([v in rare for v in values])
+    out[at] = RARE_TOKEN
+    donors = sorted(v for v in counts if v not in rare)
+    if cfg.rare_mode == "resample" and donors:  # without donors, resample degrades to the token
+        weights = np.array([counts[v] for v in donors], dtype=np.float64)
+        weights /= weights.sum()
+        out[at] = np.array(donors, dtype=object)[rng.choice(len(donors), size=len(at), p=weights)]
     return out.tolist()
 
 
+def protect_extreme_values(
+    raw: RawTable,
+    name: str,
+    cfg: ValueProtectionConfig,
+    rng: Optional[np.random.Generator] = None,
+    kind: str = "numeric",
+) -> tuple[Sequence[Optional[str]], np.ndarray]:
+    """Clip the ``kind`` values of a column beyond its k-th largest/smallest
+    *distinct* value; returns the column's cells and their values.
+
+    Replacements reuse the clip value's original cell text, so formatting is
+    preserved and the values of a replaced cell are the parse of that text.
+    Columns with fewer than 2k distinct values come back unchanged: the
+    table's own cells and values.
+    """
+    rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
+    k = _threshold(cfg.extreme_k, rng)
+    cells, x = raw.column_values(name), raw.values(name, kind)
+    distinct = np.unique(x[~np.isnan(x)])
+    if len(distinct) < 2 * k:
+        return cells, x
+
+    out, clipped = np.array(cells, dtype=object), x.copy()
+    for beyond, bound in ((x < distinct[k - 1], distinct[k - 1]), (x > distinct[-k], distinct[-k])):
+        # the smallest text of a distinct value is its deterministic representative
+        rep = min(np.flatnonzero(x == bound), key=out.__getitem__)
+        out[beyond], clipped[beyond] = out[rep], x[rep]
+    return out.tolist(), clipped
+
+
 def protect_table(raw: RawTable, schema: TableSchema, cfg: ValueProtectionConfig) -> RawTable:
-    """Apply per-kind protection to every applicable column of a table."""
+    """Apply per-kind protection to every applicable column of a table; the
+    columns it leaves unchanged keep the input's parses."""
     if not cfg.enabled:
         return raw
     rng = np.random.default_rng(cfg.rng_seed)
-    columns = dict(zip(raw.column_names, raw.columns))
+    columns, parsed = {}, {}
     for spec in schema.columns:
         if spec.kind == "categorical":
-            columns[spec.name] = protect_rare_categories(columns[spec.name], cfg, rng)
+            columns[spec.name] = protect_rare_categories(raw.column_values(spec.name), cfg, rng)
         elif spec.kind in ("numeric", "datetime"):
-            columns[spec.name] = protect_extreme_values(columns[spec.name], cfg, rng, spec.kind)
+            columns[spec.name], parsed[spec.name, spec.kind] = protect_extreme_values(
+                raw, spec.name, cfg, rng, spec.kind)
         # latlong columns pass through: quadtile density adaptation is the guard there
-    return RawTable(raw.schema, list(columns.values()))
+    return raw.with_columns(columns, parsed)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoders import EncodedTable, decode_table
 from .model import ArgnModel
-from .tables import RawTable, concat, parse_column
+from .tables import RawTable, TableSchema, concat
 
 _ROW_DOMAIN = 0
 _DECODE_DOMAIN = 1
@@ -117,17 +117,16 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
             if model.encoders is None:
                 raise ValueError("model has no encoders; condition by sub-column index instead")
             enc = model.encoders.encoder_for(key)
-            indices = model.encoders.sub_indices_of(key)
+            spec = model.encoders.schema.column(key)
             if enc.kind == "quadtile":
                 raise ValueError(f"column {key!r}: conditioning on latlong columns is not supported")
             cell = None if value == "" else str(value)
             if enc.kind == "category_map" and cell not in enc.mapping:
                 raise ValueError(f"column {key!r}: value {cell!r} not in vocabulary")
-            kind = "datetime" if enc.kind == "datetime_parts" else "numeric"
-            if enc.kind != "category_map" and cell is not None and np.isnan(parse_column([cell], kind)[0]):
-                raise ValueError(f"column {key!r}: value {cell!r} is not a finite {kind} value")
-            codes = enc.encode([cell])[0]
-            for i, code in zip(indices, codes):
+            row = RawTable(TableSchema((spec,)), [[cell]])
+            if enc.kind != "category_map" and cell is not None and np.isnan(row.values(key, spec.kind)[0]):
+                raise ValueError(f"column {key!r}: value {cell!r} is not a finite {spec.kind} value")
+            for i, code in zip(model.encoders.sub_indices_of(key), enc.encode(row)[0]):
                 fixed[i] = int(code)
         else:
             i = int(key)

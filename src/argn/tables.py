@@ -96,8 +96,9 @@ class RawTable:
     ``schema.columns[j]``, and every column has ``row_count`` cells.
 
     Columns are not modified after construction. ``values`` parses a column
-    at most once per kind; a subset, a concatenation or a re-typed table
-    reads the parses of the tables it was made from, and keeps them alive.
+    at most once per kind; a subset, a concatenation, a re-typed table or
+    the untouched columns of ``with_columns`` read the parses of the tables
+    they were made from, and keep them alive.
     """
 
     def __init__(self, schema: TableSchema, columns: Sequence[Sequence[Optional[str]]]):
@@ -110,8 +111,8 @@ class RawTable:
         self.columns = list(columns)
         self._index = {name: j for j, name in enumerate(schema.names)}
         self._parsed: dict[tuple[str, str], np.ndarray] = {}
-        # (table, rows) whose rows this table stacks; values are gathered from their parses
-        self._parts: list[tuple[RawTable, Union[np.ndarray, slice]]] = []
+        # per column, the (table, rows) pieces it stacks; its values are gathered from their parses
+        self._parts: dict[str, list[tuple[RawTable, Union[np.ndarray, slice]]]] = {}
 
     @property
     def row_count(self) -> int:
@@ -133,8 +134,8 @@ class RawTable:
         """Read-only ``parse_column`` values of a column, parsed once per kind."""
         key = (name, kind)
         if key not in self._parsed:
-            if self._parts:
-                vals = np.concatenate([t.values(name, kind)[rows] for t, rows in self._parts])
+            if name in self._parts:
+                vals = np.concatenate([t.values(name, kind)[rows] for t, rows in self._parts[name]])
             else:
                 vals = parse_column(self.column_values(name), kind)
             vals.flags.writeable = False
@@ -144,7 +145,20 @@ class RawTable:
     def subset(self, row_indices: Iterable[int]) -> "RawTable":
         rows = list(row_indices)
         out = RawTable(self.schema, [[col[i] for i in rows] for col in self.columns])
-        out._parts = [(self, np.asarray(rows, dtype=np.intp))]
+        out._parts = dict.fromkeys(self.column_names, [(self, np.asarray(rows, dtype=np.intp))])
+        return out
+
+    def with_columns(self, columns: dict[str, Sequence[Optional[str]]],
+                     parsed: dict[tuple[str, str], np.ndarray]) -> "RawTable":
+        """This table with some columns' cells replaced; ``parsed`` gives
+        (column, kind) values equal to ``parse_column`` of the new cells. A
+        column left out, or given its own cells, reads this table's parses."""
+        new = [columns.get(n, c) for n, c in zip(self.column_names, self.columns)]
+        out = RawTable(self.schema, new)
+        out._parts = {n: [(self, slice(None))] for n, a, b in zip(self.column_names, new, self.columns) if a is b}
+        for key, vals in parsed.items():
+            vals.flags.writeable = False
+            out._parsed[key] = vals
         return out
 
     def retyped(self, schema: TableSchema) -> "RawTable":
@@ -161,7 +175,7 @@ def concat(tables: Sequence[RawTable]) -> RawTable:
     out = RawTable(tables[0].schema, [
         list(itertools.chain.from_iterable(t.column_values(n) for t in tables)) for n in names
     ])
-    out._parts = [(t, slice(None)) for t in tables]
+    out._parts = dict.fromkeys(names, [(t, slice(None)) for t in tables])
     return out
 
 

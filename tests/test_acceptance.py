@@ -51,7 +51,7 @@ from argn.protect import RARE_TOKEN, ValueProtectionConfig, protect_extreme_valu
 from argn.sampling import GenerationRequest, generate
 from argn.tables import write_csv
 from argn.util import mann_whitney_auc as auc
-from conftest import acceptance_table
+from conftest import acceptance_table, make_table
 from test_model import lookup_table_data, masked_context, subcols
 
 
@@ -237,8 +237,8 @@ def test_criterion_6_privacy_mechanisms():
         assert RARE_TOKEN in counts
 
         # (b) extreme-value protection k=5 on 1..100
-        clipped = protect_extreme_values(
-            [str(i) for i in range(1, 101)], ValueProtectionConfig(extreme_k=5)
+        clipped, _ = protect_extreme_values(
+            make_table({"x": [str(i) for i in range(1, 101)]}), "x", ValueProtectionConfig(extreme_k=5)
         )
         nums = [float(v) for v in clipped]
         assert max(nums) == 96.0 and min(nums) == 5.0

@@ -176,6 +176,24 @@ def test_shadow_trials_deterministic(pool_and_target):
         assert ta.seed == tb.seed
 
 
+def test_shadow_trials_gather_the_parses_of_the_pool(pool_and_target, monkeypatch):
+    import argn.tables
+
+    pool, target = pool_and_target
+    numeric = ("num_a", "num_b")
+    for name in numeric:
+        pool.values(name, "numeric")
+    calls = []
+    original = argn.tables.parse_column
+    monkeypatch.setattr(argn.tables, "parse_column",
+                        lambda cells, kind: calls.append(len(cells)) or original(cells, kind))
+    for trial in build_shadow_trials(pool, target, AuditConfig(n_shadow=6, shadow_size=40)):
+        for name in numeric:
+            np.testing.assert_array_equal(trial.rows.values(name, "numeric"),
+                                          original(trial.rows.column_values(name), "numeric"))
+    assert calls == [1, 1]  # the target row, once per column
+
+
 def test_shadow_trials_reject_target_in_pool(pool_and_target):
     pool, _ = pool_and_target
     cfg = AuditConfig(n_shadow=2, shadow_size=10)

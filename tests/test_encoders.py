@@ -28,24 +28,33 @@ from conftest import make_table
 # single-column fits under a placeholder column name
 
 
+def column(values):
+    """A one-column table of the cells under the placeholder name."""
+    return make_table({"value": list(values)})
+
+
+def lat_lon(lat_values, lon_values):
+    return make_table({"lat": list(lat_values), "lon": list(lon_values)})
+
+
 def fit_categorical(values) -> CategoryEncoder:
-    return CategoryEncoder.fit("value", values)
+    return CategoryEncoder.fit("value", column(values))
 
 
 def fit_percentile(values, n_bins: int = 100) -> PercentileEncoder:
-    return PercentileEncoder.fit("value", values, n_bins)
+    return PercentileEncoder.fit("value", column(values), n_bins)
 
 
 def fit_digit_split(values) -> DigitEncoder:
-    return DigitEncoder.fit("value", values)
+    return DigitEncoder.fit("value", column(values))
 
 
 def fit_datetime(values) -> DatetimeEncoder:
-    return DatetimeEncoder.fit("value", values)
+    return DatetimeEncoder.fit("value", column(values))
 
 
 def fit_quadtile(lat_values, lon_values, min_tile_count: int = 100, max_depth: int = 12) -> QuadtileEncoder:
-    return QuadtileEncoder.fit("value", ("lat", "lon"), lat_values, lon_values, min_tile_count, max_depth)
+    return QuadtileEncoder.fit("value", ("lat", "lon"), lat_lon(lat_values, lon_values), min_tile_count, max_depth)
 
 
 # -- categorical -------------------------------------------------------------
@@ -71,7 +80,7 @@ def test_categorical_tie_lexicographic():
 
 def test_categorical_round_trip(rng):
     enc = fit_categorical(["red", "green", "blue", None, "red"])
-    codes = enc.encode(["blue", None, "red"])
+    codes = enc.encode(column(["blue", None, "red"]))
     assert enc.decode(codes, rng.random((3, enc.n_draws))) == ["blue", None, "red"]
 
 
@@ -106,23 +115,23 @@ def test_percentile_bin_of_500_matches_quantile_oracle():
     edges = [brute_quantile(sorted_vals, i / 100) for i in range(101)]
     expected = max(j for j in range(100) if edges[j] <= 500)
     assert expected == 49
-    assert enc.encode(["500"])[0].tolist() == [49]
+    assert enc.encode(column(["500"]))[0].tolist() == [49]
     np.testing.assert_allclose(enc.edges, edges)
 
 
 def test_percentile_constant_column():
     enc = fit_percentile(["5", "5", "5"])
     assert enc.cardinality == 2  # one value bin + MISSING
-    assert enc.encode(["5"])[0].tolist() == [0]
-    assert enc.encode([None])[0].tolist() == [1]
+    assert enc.encode(column(["5"]))[0].tolist() == [0]
+    assert enc.encode(column([None]))[0].tolist() == [1]
 
 
 def test_percentile_boundaries_and_clamping():
     enc = fit_percentile([str(i) for i in range(1, 1001)], n_bins=100)
-    assert enc.encode(["1"])[0].tolist() == [0]
-    assert enc.encode(["1000"])[0].tolist() == [enc.n_value_bins - 1]
-    assert enc.encode(["-99"])[0].tolist() == [0]
-    assert enc.encode(["5000"])[0].tolist() == [enc.n_value_bins - 1]
+    assert enc.encode(column(["1"]))[0].tolist() == [0]
+    assert enc.encode(column(["1000"]))[0].tolist() == [enc.n_value_bins - 1]
+    assert enc.encode(column(["-99"]))[0].tolist() == [0]
+    assert enc.encode(column(["5000"]))[0].tolist() == [enc.n_value_bins - 1]
 
 
 def test_percentile_rejects_bad_bins():
@@ -142,7 +151,7 @@ def test_percentile_bin_stability(rng):
     for k in range(enc.n_value_bins):
         codes = np.full((50, 1), k, dtype=np.int32)
         decoded = enc.decode(codes, rng.random((50, enc.n_draws)))
-        again = enc.encode(decoded)
+        again = enc.encode(column(decoded))
         assert np.all(again[:, 0] == k)
 
 
@@ -160,8 +169,8 @@ def test_digit_layout_no_negatives():
     enc = fit_digit_split(["42", "7"])
     assert not enc.has_sign
     assert enc.n_digits == 2
-    assert enc.encode(["42"])[0].tolist() == [4, 2]
-    assert enc.encode(["7"])[0].tolist() == [0, 7]
+    assert enc.encode(column(["42"]))[0].tolist() == [4, 2]
+    assert enc.encode(column(["7"]))[0].tolist() == [0, 7]
 
 
 def test_digit_layout_with_sign_and_decimals():
@@ -169,20 +178,20 @@ def test_digit_layout_with_sign_and_decimals():
     assert enc.has_sign
     assert enc.decimals == 2
     # sign, then digits of 150 zero-padded to width 3 (max scaled = 225)
-    assert enc.encode(["-1.5"])[0].tolist() == [1, 1, 5, 0]
-    assert enc.encode(["2.25"])[0].tolist() == [0, 2, 2, 5]
+    assert enc.encode(column(["-1.5"]))[0].tolist() == [1, 1, 5, 0]
+    assert enc.encode(column(["2.25"]))[0].tolist() == [0, 2, 2, 5]
 
 
 def test_digit_round_trip_exact(rng):
     enc = fit_digit_split(["123"])
-    codes = enc.encode(["123"])
+    codes = enc.encode(column(["123"]))
     assert enc.decode(codes, rng.random((1, enc.n_draws))) == ["123"]
 
 
 def test_digit_round_trip_mixed(rng):
     values = ["-1.5", "2.25", "0", "10.01", None]
     enc = fit_digit_split(values)
-    decoded = enc.decode(enc.encode(values), rng.random((len(values), enc.n_draws)))
+    decoded = enc.decode(enc.encode(column(values)), rng.random((len(values), enc.n_draws)))
     assert decoded == ["-1.5", "2.25", "0", "10.01", None]
 
 
@@ -191,15 +200,15 @@ def test_digit_missing_slot_on_leading():
     subs = enc.sub_columns()
     assert subs[0].cardinality == 11
     assert subs[1].cardinality == 10
-    assert enc.encode([None])[0].tolist()[0] == 10
+    assert enc.encode(column([None]))[0].tolist()[0] == 10
 
 
 def test_digit_round_trip_keeps_trailing_zeros_of_whole_numbers(rng):
     values = ["10", "2.25", "100", "-20", "0.5"]
     enc = fit_digit_split(values)
     u = rng.random((len(values), enc.n_draws))
-    assert enc.decode(enc.encode(values), u) == values
-    assert enc.decode(enc.encode(["30.0"]), u[:1]) == ["30"]
+    assert enc.decode(enc.encode(column(values)), u) == values
+    assert enc.decode(enc.encode(column(["30.0"])), u[:1]) == ["30"]
 
 
 def test_digit_rejects_non_finite():
@@ -238,21 +247,21 @@ def test_datetime_pure_dates_have_no_time_parts():
 def test_datetime_with_time_round_trips(rng):
     values = ["2021-01-01 10:30:00", "2021-01-02 11:45:10", None]
     enc = fit_datetime(values)
-    decoded = enc.decode(enc.encode(values), rng.random((len(values), enc.n_draws)))
+    decoded = enc.decode(enc.encode(column(values)), rng.random((len(values), enc.n_draws)))
     assert decoded == values
 
 
 def test_datetime_years_below_1000_are_zero_padded(rng):
     values = ["0999-01-02", "1001-03-04"]
     enc = fit_datetime(values)
-    decoded = enc.decode(enc.encode(values), rng.random((2, enc.n_draws)))
+    decoded = enc.decode(enc.encode(column(values)), rng.random((2, enc.n_draws)))
     assert decoded == values
     assert parse_datetime(decoded[0]) == datetime(999, 1, 2)
 
 
 def test_datetime_parts_are_utc_parts():
     enc = fit_datetime(["2021-01-01 10:30:00", "2021-01-02 11:45:10"])
-    same = enc.encode(["2021-01-01 10:30:00", "2021-01-01T12:30:00+02:00"])
+    same = enc.encode(column(["2021-01-01 10:30:00", "2021-01-01T12:30:00+02:00"]))
     assert same[0].tolist() == same[1].tolist()
 
 
@@ -272,7 +281,7 @@ def test_quadtile_dense_point_hits_max_depth():
     enc = fit_quadtile(lat, lon, min_tile_count=100, max_depth=12)
     key = enc.key_of(10.0, 20.0)
     assert len(key) == 12
-    assert enc.encode(lat, lon)[:, 0].max() == enc.encode(lat, lon)[:, 0].min()
+    assert enc.encode(lat_lon(lat, lon))[:, 0].max() == enc.encode(lat_lon(lat, lon))[:, 0].min()
 
 
 def test_quadtile_no_split_single_root():
@@ -301,7 +310,7 @@ def test_quadtile_leaves_partition(rng):
 
 def test_quadtile_decode_inside_box(rng):
     enc = fit_quadtile(["45", "-45"], ["90", "-90"], min_tile_count=2, max_depth=3)
-    codes = enc.encode(["45"], ["90"])
+    codes = enc.encode(lat_lon(["45"], ["90"]))
     lats, lons = enc.decode(codes, rng.random((1, enc.n_draws)))
     assert enc.key_of(float(lats[0]), float(lons[0])) == enc.key_of(45.0, 90.0)
 
@@ -327,9 +336,9 @@ def test_encode_decode_table_round_trip(rng):
     assert decoded.column_values("when") == ["2021-01-01", "2021-02-03", None, "2021-03-04"]
     for orig, got in zip(["1", "2", "3", "4"], decoded.column_values("amount")):
         # percentile decode lands in the same bin, not on the same value
-        assert encoders.encoder_for("amount").encode([got])[0].tolist() == encoders.encoder_for(
-            "amount"
-        ).encode([orig])[0].tolist()
+        enc = encoders.encoder_for("amount")
+        assert enc.encode(make_table({"amount": [got]}))[0].tolist() == enc.encode(
+            make_table({"amount": [orig]}))[0].tolist()
 
 
 def test_sub_columns_contiguous_per_parent():
@@ -432,7 +441,7 @@ _fuzz = settings(max_examples=60, derandomize=True, database=None, deadline=None
 def test_category_encode_matches_oracle(fit_cells, cells):
     enc = fit_categorical(fit_cells)
     expected = [[enc.mapping.get(v, enc.mapping[None])] for v in cells]
-    assert enc.encode(cells).reshape(len(cells), 1).tolist() == expected
+    assert enc.encode(column(cells)).reshape(len(cells), 1).tolist() == expected
 
 
 @_fuzz
@@ -441,7 +450,7 @@ def test_category_encode_matches_oracle(fit_cells, cells):
 def test_percentile_encode_matches_oracle(fit_cells, cells, n_bins):
     enc = fit_percentile(fit_cells, n_bins)
     cells = fit_cells + cells  # fitted values sit on the bin edges
-    codes = enc.encode(cells).reshape(len(cells), 1)
+    codes = enc.encode(column(cells)).reshape(len(cells), 1)
     assert codes.tolist() == [percentile_encode_oracle(enc, v) for v in cells]
 
 
@@ -449,7 +458,7 @@ def test_percentile_encode_matches_oracle(fit_cells, cells, n_bins):
 @given(st.lists(_number, min_size=1, max_size=40), st.lists(st.one_of(_number, _garbage), max_size=40))
 def test_digit_encode_matches_oracle(fit_cells, cells):
     enc = fit_digit_split(fit_cells)
-    codes = enc.encode(cells).reshape(len(cells), enc.n_sub_columns)
+    codes = enc.encode(column(cells)).reshape(len(cells), enc.n_sub_columns)
     assert codes.tolist() == [digit_encode_oracle(enc, v) for v in cells]
 
 
@@ -467,7 +476,7 @@ _datetime_cell = st.one_of(
        st.lists(st.one_of(_datetime_cell, _garbage, st.just("2021-13-01")), max_size=30))
 def test_naive_datetime_encode_matches_oracle(fit_cells, cells):
     enc = fit_datetime(fit_cells)
-    codes = enc.encode(cells).reshape(len(cells), len(enc.parts))
+    codes = enc.encode(column(cells)).reshape(len(cells), len(enc.parts))
     assert codes.tolist() == [datetime_encode_oracle(enc, v) for v in cells]
 
 
@@ -483,5 +492,5 @@ _lon = st.one_of(st.floats(-180, 180).map(repr), st.sampled_from(["0", "90", "-9
 def test_quadtile_encode_matches_oracle(fit_points, points, min_tile, max_depth):
     enc = fit_quadtile(*zip(*fit_points), min_tile_count=min_tile, max_depth=max_depth)
     lat, lon = [p[0] for p in points], [p[1] for p in points]
-    codes = enc.encode(lat, lon).reshape(len(points), 1)
+    codes = enc.encode(lat_lon(lat, lon)).reshape(len(points), 1)
     assert codes.tolist() == [quadtile_encode_oracle(enc, a, b) for a, b in points]

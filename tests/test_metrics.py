@@ -40,6 +40,11 @@ def test_jsd_disjoint_is_one():
     assert jsd(["a", "a"], ["b", "b"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_jsd_keeps_missing_apart_from_a_literal_missing_label():
+    assert jsd(["__MISSING__"] * 10, [None] * 10) == pytest.approx(1.0, abs=1e-12)
+    assert _category_codes(["b", None, "__MISSING__", "a", None]).tolist() == [3, 0, 1, 2, 0]
+
+
 def test_jsd_hand_formula():
     # P = {a: .5, b: .5}, Q = {a: 1}; M = {a: .75, b: .25}
     expected = 0.5 * (0.5 * np.log2(0.5 / 0.75) + 0.5 * np.log2(0.5 / 0.25)) + 0.5 * (

@@ -249,6 +249,37 @@ def quick_config(tmp_path_factory):
     return str(path)
 
 
+def test_cli_train_parses_no_column_outside_infer_schema(data_csv, tmp_path, monkeypatch):
+    import argn.cli
+    import argn.tables
+
+    calls = {"infer": [], "outside": []}
+    where = ["outside"]
+    original_parse, original_infer = argn.tables.parse_column, argn.cli.infer_schema
+
+    def parse(cells, kind):
+        calls[where[-1]].append(kind)
+        return original_parse(cells, kind)
+
+    def infer(*args, **kwargs):
+        where.append("infer")
+        try:
+            return original_infer(*args, **kwargs)
+        finally:
+            where.pop()
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("argn")]:
+        if getattr(module, "parse_column", None) is original_parse:
+            monkeypatch.setattr(module, "parse_column", parse)
+    monkeypatch.setattr(argn.cli, "infer_schema", infer)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"train": {"max_epochs": 1, "batch_size": 64},
+                                  "value_protection": {"extreme_k": 3, "rare_min_count": 5}}))
+    assert cli(["train", "--data", data_csv, "--config", str(config),
+                "--out", str(tmp_path / "m.argn")]) == 0
+    assert "numeric" in calls["infer"] and calls["outside"] == []
+
+
 def test_cli_train_generate_deterministic(data_csv, quick_config, tmp_path):
     model_path = str(tmp_path / "m.argn")
     out1 = str(tmp_path / "s1.csv")
@@ -330,6 +361,14 @@ def test_cli_generate_with_condition_and_order(data_csv, quick_config, tmp_path)
 
     rows = read_csv(out)
     assert all(v == "pos" for v in rows.column_values("cat_b"))
+
+
+@pytest.mark.parametrize("flags", [["--condition", "nosuch=1"], ["--order", "nosuch"]])
+def test_cli_generate_unknown_column_exits_one(cli_model, tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    assert cli(["generate", "--model", cli_model, "-n", "5", "--out", str(out), *flags]) == 1
+    assert "unknown column 'nosuch'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "1e400"])

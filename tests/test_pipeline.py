@@ -11,6 +11,8 @@ from argn.protect import ValueProtectionConfig, protect_table
 from argn.sampling import GenerationRequest, generate, synthesize
 from argn.tables import ColumnSpec, RawTable, TableSchema, infer_schema
 
+from conftest import make_table
+
 
 def build_everything_table(n_rows=240, seed=0):
     rng = np.random.default_rng(seed)
@@ -33,21 +35,42 @@ def build_everything_table(n_rows=240, seed=0):
     return RawTable(schema, [list(c) for c in zip(*cells)])
 
 
+OVERRIDES = {
+    "count": ColumnSpec("count", "numeric", "digit_split"),
+    "loc": ColumnSpec("loc", "latlong", "quadtile", sources=("lat", "lon")),
+}
+PROTECTION = ValueProtectionConfig(rare_min_count=2, extreme_k=8)
+OPTIONS = EncodingOptions(n_bins=12, quad_min_tile=40, quad_max_depth=4)
+
+
 @pytest.fixture(scope="module")
 def everything_model():
     raw = build_everything_table()
-    overrides = {
-        "count": ColumnSpec("count", "numeric", "digit_split"),
-        "loc": ColumnSpec("loc", "latlong", "quadtile", sources=("lat", "lon")),
-    }
-    schema = infer_schema(raw, overrides)
-    protected = protect_table(raw, schema, ValueProtectionConfig(rare_min_count=2, extreme_k=8))
-    options = EncodingOptions(n_bins=12, quad_min_tile=40, quad_max_depth=4)
-    encoders = fit_encoders(protected, schema, options)
+    schema = infer_schema(raw, OVERRIDES)
+    protected = protect_table(raw, schema, PROTECTION)
+    encoders = fit_encoders(protected, schema, OPTIONS)
     encoded = encode_table(protected, encoders)
     model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=schema)
     train(model, encoded, TrainConfig(batch_size=64, max_epochs=4, seed=0))
     return model, raw, encoded
+
+
+def test_protect_fit_and_encode_parse_no_column_again(monkeypatch):
+    import argn.tables
+
+    raw = build_everything_table()
+    schema = infer_schema(raw, OVERRIDES)
+    for name in raw.column_names:
+        for kind in ("numeric", "datetime"):
+            raw.values(name, kind)
+    calls = []
+    original = argn.tables.parse_column
+    monkeypatch.setattr(argn.tables, "parse_column",
+                        lambda cells, kind: calls.append(kind) or original(cells, kind))
+    protected = protect_table(raw, schema, PROTECTION)
+    assert protected.column_values("amount") != raw.column_values("amount")  # clipped
+    encode_table(protected, fit_encoders(protected, schema, OPTIONS))
+    assert calls == []
 
 
 def test_all_kinds_present(everything_model):
@@ -82,7 +105,7 @@ def test_condition_on_digit_parent_fixes_all_sub_columns(everything_model):
     model, _, _ = everything_model
     out = generate(model, GenerationRequest(n_rows=40, conditions={"count": "123"}, seed=1))
     idx = model.encoders.sub_indices_of("count")
-    expected = model.encoders.encoder_for("count").encode(["123"])[0].tolist()
+    expected = model.encoders.encoder_for("count").encode(make_table({"count": ["123"]}))[0].tolist()
     for pos, code in zip(idx, expected):
         assert np.all(out.data[:, pos] == code)
 
