@@ -158,8 +158,8 @@ def build_shadow_trials(aux_pool: RawTable, target_row: Sequence[Optional[str]],
 class AttackContext:
     """Everything derived from the auxiliary pool that attacks may rely on:
     the pool's column view (vocabularies, numeric ranges and the one-hot +
-    min-max encoding), fixed histogram bins per numeric column, and the
-    seeded counting-query subsets."""
+    min-max encoding) and the target's vector in it, fixed histogram bins
+    per numeric column, and the seeded counting-query subsets."""
 
     HIST_BINS = 10
 
@@ -167,6 +167,8 @@ class AttackContext:
         self.schema = aux_pool.schema
         self.target = list(target_row)
         self.feature_map = MixedFeatureMap(aux_pool)
+        target = RawTable(self.schema, [[cell] for cell in self.target])
+        self.target_vec = self.feature_map.transform(target)[0]
         self.num_edges = {
             name: np.linspace(lo, hi if hi > lo else lo + 1.0, self.HIST_BINS + 1)
             for name, (lo, hi) in self.feature_map.ranges.items()
@@ -328,7 +330,8 @@ def run_distance_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]],
 
     hamming: -min per-column mismatch count; l2: -min Euclidean distance on
     the one-hot + min-max encoding; lookup: exact-match indicator; kde:
-    Gaussian KDE log-density at the target.
+    Gaussian KDE log-density at the target. l2 and kde read the target's
+    vector from ``ctx``, which was made for the same target row.
     """
     if len(syn_sets_with_labels) < 2:
         raise ValueError("need at least 2 labeled synthetic sets")
@@ -336,8 +339,6 @@ def run_distance_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]],
     if metric not in attack_of:
         raise ValueError(f"unknown distance metric {metric!r}")
     target = list(target_row)
-    target_table = RawTable(ctx.schema, [[cell] for cell in target])
-    target_vec = ctx.feature_map.transform(target_table)[0]
     scores, labels = [], []
     for syn, member in syn_sets_with_labels:
         if metric == "hamming":
@@ -348,10 +349,10 @@ def run_distance_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]],
         else:
             x = ctx.feature_map.transform(syn)
             if metric == "l2":
-                d = np.linalg.norm(x - target_vec, axis=1)
+                d = np.linalg.norm(x - ctx.target_vec, axis=1)
                 scores.append(-float(d.min()))
             else:
-                scores.append(_kde_log_density(x, target_vec))
+                scores.append(_kde_log_density(x, ctx.target_vec))
         labels.append(member)
     return _result(attack_of[metric], scores, labels)
 

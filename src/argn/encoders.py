@@ -11,16 +11,16 @@ All encoders reserve a MISSING slot so the model can generate nulls. The
 leading sub-column of a multi-part encoder carries the MISSING category;
 sibling sub-columns hold zeros for missing rows.
 
-Encoders fit on and encode a ``RawTable``: numbers come from
-``RawTable.values``, which parses each column once, and text from
-``column_values``. Decoding is deterministic given the codes and ``n_draws``
-uniforms per row (one per within-bin numeric value, two per lat/lon point).
+Encoders fit on and encode a ``RawTable``: numbers come from its ``values``,
+categories from its ``categories`` and digit text from ``column_values``.
+Decoding is deterministic given the codes and ``n_draws`` uniforms per row
+(one per within-bin numeric value, two per lat/lon point); number decoders
+give values, which ``decode_table`` writes as text and keeps.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from typing import Optional, Sequence
@@ -88,7 +88,8 @@ class CategoryEncoder:
 
     @classmethod
     def fit(cls, column: str, table: RawTable) -> "CategoryEncoder":
-        counts = Counter(table.column_values(column))
+        vocab, codes = table.categories(column)
+        counts = dict(zip(vocab.tolist(), np.bincount(codes, minlength=len(vocab)).tolist()))
         counts.setdefault(None, 0)
         ordered = sorted(counts, key=lambda v: (-counts[v], v is None, v if v is not None else ""))
         return cls(column, {v: i for i, v in enumerate(ordered)})
@@ -102,8 +103,9 @@ class CategoryEncoder:
 
     def encode(self, table: RawTable) -> np.ndarray:
         """Codes of the column; values outside the vocabulary encode as MISSING."""
-        cells = table.column_values(self.column)
-        return np.array([[self.mapping.get(v, self.mapping[None])] for v in cells], dtype=np.int32)
+        vocab, codes = table.categories(self.column)
+        lut = np.array([self.mapping.get(v, self.mapping[None]) for v in vocab.tolist()], dtype=np.int32)
+        return lut[codes][:, None]
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
         return self.by_code[codes[:, 0]].tolist()
@@ -171,12 +173,12 @@ class PercentileEncoder:
         k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_value_bins - 1)
         return np.where(np.isnan(x), self.missing_index, k).astype(np.int32)[:, None]
 
-    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
+    def decode_values(self, codes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The decoded values and the mask of MISSING rows."""
         k = codes[:, 0]
         lo_index = np.minimum(k, self.n_value_bins - 1)
         lo, hi = self.edges[lo_index], self.edges[lo_index + 1]
-        values = map(repr, (lo + u[:, 0] * (hi - lo)).tolist())
-        return [None if m else v for m, v in zip((k == self.missing_index).tolist(), values)]
+        return lo + u[:, 0] * (hi - lo), k == self.missing_index
 
     def to_dict(self) -> dict:
         return {"type": "percentile", "column": self.column, "edges": self.edges.tolist()}
@@ -527,14 +529,12 @@ class QuadtileEncoder:
         codes[present, 0] = self._leaf_codes(lat, lon)
         return codes
 
-    def decode(self, codes: np.ndarray, u: np.ndarray):
-        """Returns parallel (lat, lon) cell lists."""
+    def decode_values(self, codes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The decoded lat and lon values and the mask of MISSING rows."""
         box = self.boxes[codes[:, 0]]
-        missing = (codes[:, 0] == self.missing_index).tolist()
-        lat = map(repr, (box[:, 0] + u[:, 0] * (box[:, 1] - box[:, 0])).tolist())
-        lon = map(repr, (box[:, 2] + u[:, 1] * (box[:, 3] - box[:, 2])).tolist())
-        return ([None if m else v for m, v in zip(missing, lat)],
-                [None if m else v for m, v in zip(missing, lon)])
+        lat = box[:, 0] + u[:, 0] * (box[:, 1] - box[:, 0])
+        lon = box[:, 2] + u[:, 1] * (box[:, 3] - box[:, 2])
+        return lat, lon, codes[:, 0] == self.missing_index
 
     def to_dict(self) -> dict:
         return {
@@ -640,8 +640,11 @@ def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
 def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.ndarray) -> RawTable:
     """``uniforms`` holds ``encoders.n_draws`` values in [0, 1) per row; each
     decoder reads its own columns of it, in encoder order. The table has the
-    raw columns of the schema (``TableSchema.raw_schema``)."""
+    raw columns of the schema (``TableSchema.raw_schema``). Percentile and
+    quadtile decoders give values, written as ``repr`` cells, and the table
+    holds those values: their parse (NaN where missing or not finite)."""
     columns: list[list[Optional[str]]] = []
+    parsed: dict[tuple[str, str], np.ndarray] = {}
     offset = draw = 0
     for spec, enc in zip(encoders.schema.columns, encoders.encoders):
         width = len(enc.sub_columns())
@@ -649,6 +652,11 @@ def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.nd
         u = uniforms[:, draw : draw + enc.n_draws]
         offset += width
         draw += enc.n_draws
-        decoded = enc.decode(codes, u)  # a latlong decodes to (lat, lon) cells
-        columns.extend(decoded if spec.kind == "latlong" else [decoded])
-    return RawTable(encoders.schema.raw_schema(), columns)
+        if enc.kind in ("percentile_bins", "quadtile"):  # a latlong decodes to its (lat, lon) sources
+            *points, missing = enc.decode_values(codes, u)
+            for name, x in zip(spec.sources or [spec.name], points):
+                columns.append([None if m else v for m, v in zip(missing.tolist(), map(repr, x.tolist()))])
+                parsed[name, "numeric"] = np.where(missing | ~np.isfinite(x), np.nan, x)
+        else:
+            columns.append(enc.decode(codes, u))
+    return RawTable(encoders.schema.raw_schema(), columns).with_columns({}, parsed)

@@ -108,7 +108,7 @@ class MixedFeatureMap:
                 continue
             self.kinds[name] = kind
             if kind == "categorical":
-                self.vocabs[name] = sorted({v for v in reference.column_values(name) if v is not None})
+                self.vocabs[name] = [v for v in reference.categories(name)[0].tolist() if v is not None]
             else:
                 nums = reference.values(name, kind)
                 finite = nums[np.isfinite(nums)]
@@ -119,10 +119,9 @@ class MixedFeatureMap:
     def codes(self, table: RawTable, name: str) -> np.ndarray:
         index = {v: i for i, v in enumerate(self.vocabs[name])}
         other = len(index)
-        return np.array(
-            [other + 1 if c is None else index.get(c, other) for c in table.column_values(name)],
-            dtype=np.int64,
-        )
+        vocab, codes = table.categories(name)
+        return np.array([other + 1 if v is None else index.get(v, other) for v in vocab.tolist()],
+                        dtype=np.int64)[codes]
 
     def transform(self, table: RawTable) -> np.ndarray:
         n = table.row_count

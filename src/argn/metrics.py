@@ -17,28 +17,21 @@ from typing import Optional
 import numpy as np
 
 from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
-from .tables import RawTable, concat
+from .tables import RawTable, concat, factorize
 from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
 SCAN_BYTES = 8 << 20  # per row-block buffer of DCR and association; DCR: 512 rows to 2,048 train rows
 
 
-def _category_codes(cells) -> np.ndarray:
-    """Codes 0..k-1: missing cells, when there are any, form the first
-    category of their own, then the categories follow in sorted order."""
-    labels = [None if v is None else str(v) for v in cells]
-    index = {label: i for i, label in enumerate(sorted(set(labels), key=lambda v: (v is not None, v or "")))}
-    return np.array([index[label] for label in labels], dtype=np.int64)
-
-
 def jsd(real_column, syn_column) -> float:
     """Jensen-Shannon divergence (base 2) between empirical category
-    distributions over the union of categories; 0 = identical, 1 = disjoint."""
+    distributions over the union of categories, missing one of its own;
+    0 = identical, 1 = disjoint."""
     real, syn = list(real_column), list(syn_column)
     if not real or not syn:
         raise ValueError("jsd needs non-empty columns")
-    codes = _category_codes(real + syn)
-    k = int(codes.max()) + 1
+    vocab, codes = factorize(real + syn)
+    k = len(vocab)
     p = np.bincount(codes[: len(real)], minlength=k) / len(real)
     q = np.bincount(codes[len(real) :], minlength=k) / len(syn)
     m = (p + q) / 2.0
@@ -113,7 +106,7 @@ def mixed_association_matrix(table: RawTable) -> np.ndarray:
     n, kc, p = table.row_count, len(cat), len(num)
     codes = np.zeros((n, kc), dtype=np.int64)
     for j, i in enumerate(cat):
-        codes[:, j] = _category_codes(table.column_values(cols[i].name))
+        codes[:, j] = table.categories(cols[i].name)[1]
     sizes = codes.max(axis=0) + 1 if n else np.zeros(kc, dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(sizes)])
     offset = codes + starts[:-1]
@@ -241,21 +234,15 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
     real_test = with_target(real_test, "real test")
 
     if spec.kind == "categorical":
-        vocab = sorted({v for t in (real_train, syn_train, real_test)
-                        for v in t.column_values(target_column)})
-        index = {v: i for i, v in enumerate(vocab)}
-
-        def labels(tbl: RawTable) -> np.ndarray:
-            return np.array([index[v] for v in tbl.column_values(target_column)], dtype=np.int64)
+        tables = (syn_train, real_train, real_test)
+        vocab, codes = factorize([v for t in tables for v in t.column_values(target_column)])
+        y_syn, y_real, y_test = np.split(codes, np.cumsum([t.row_count for t in tables])[:-1])
 
         out = {}
-        for tag, train_tbl in (("synthetic", syn_train), ("baseline", real_train)):
+        for tag, train_tbl, y_train in (("synthetic", syn_train, y_syn), ("baseline", real_train, y_real)):
             fmap = MixedFeatureMap(train_tbl, feature_cols)
-            clf = LogisticModel().fit(
-                fmap.transform(train_tbl), labels(train_tbl), n_classes=len(vocab)
-            )
+            clf = LogisticModel().fit(fmap.transform(train_tbl), y_train, n_classes=len(vocab))
             proba = clf.predict_proba(fmap.transform(real_test))
-            y_test = labels(real_test)
             out[tag] = {
                 "auc": _classification_auc(proba, y_test),
                 "macro_f1": macro_f1(y_test, proba.argmax(axis=1), len(vocab)),

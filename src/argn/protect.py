@@ -8,13 +8,12 @@ either fixed (default 8, chosen for reproducibility) or drawn uniformly from
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tables import RawTable, TableSchema
+from .tables import RawTable, TableSchema, factorize
 
 RARE_TOKEN = "_RARE_"
 RANDOM_THRESHOLDS = ("random", "random(5,8)")
@@ -62,19 +61,21 @@ def protect_rare_categories(
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
     t = _threshold(cfg.rare_min_count, rng)
-    counts = Counter(v for v in values if v is not None)
-    rare = {v for v, c in counts.items() if c < t}
-    if not rare:
+    vocab, codes = factorize(values)
+    counts = np.bincount(codes, minlength=len(vocab))
+    present = np.array([v is not None for v in vocab.tolist()], dtype=bool)
+    rare = present & (counts < t)
+    if not rare.any():
         return values
 
-    out = np.array(values, dtype=object)
-    at = np.flatnonzero([v in rare for v in values])
+    out = vocab[codes]
+    at = np.flatnonzero(rare[codes])
     out[at] = RARE_TOKEN
-    donors = sorted(v for v in counts if v not in rare)
-    if cfg.rare_mode == "resample" and donors:  # without donors, resample degrades to the token
-        weights = np.array([counts[v] for v in donors], dtype=np.float64)
+    donors = present & ~rare  # in sorted order, as the vocabulary is
+    if cfg.rare_mode == "resample" and donors.any():  # without donors, resample degrades to the token
+        weights = counts[donors].astype(np.float64)
         weights /= weights.sum()
-        out[at] = np.array(donors, dtype=object)[rng.choice(len(donors), size=len(at), p=weights)]
+        out[at] = vocab[donors][rng.choice(np.count_nonzero(donors), size=len(at), p=weights)]
     return out.tolist()
 
 

@@ -1,12 +1,12 @@
 """Delimited-text ingestion and column-type inference.
 
 Tables are held column-major as lists of optional strings; ``None`` marks a
-missing cell and the empty string on disk means missing. ``parse_column`` is
-the one place where numeric and datetime cells become numbers, and
-``RawTable.values`` calls it at most once per column and kind. Type inference
-is deliberately tolerant: a column counts as numeric/datetime when at least
-99% of its non-missing cells parse, so a handful of sentinel strings do not
-demote an otherwise numeric column.
+missing cell and the empty string on disk means missing. ``parse_column`` and
+``factorize`` are the one places where cells become numbers and category
+codes; ``RawTable.values`` and ``RawTable.categories`` call them at most once
+per column (and kind). Type inference is deliberately tolerant: a column
+counts as numeric/datetime when at least 99% of its non-missing cells parse,
+so a handful of sentinel strings do not demote an otherwise numeric column.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ class RawTable:
         self.columns = list(columns)
         self._index = {name: j for j, name in enumerate(schema.names)}
         self._parsed: dict[tuple[str, str], np.ndarray] = {}
+        self._categories: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # per column, the (table, rows) pieces it stacks; its values are gathered from their parses
         self._parts: dict[str, list[tuple[RawTable, Union[np.ndarray, slice]]]] = {}
 
@@ -142,6 +143,15 @@ class RawTable:
             self._parsed[key] = vals
         return self._parsed[key]
 
+    def categories(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``factorize`` of a column's cells, computed once and shared only with
+        re-typed tables (others factorize their own cells); the codes are read-only."""
+        if name not in self._categories:
+            vocab, codes = factorize(self.column_values(name))
+            codes.flags.writeable = False
+            self._categories[name] = vocab, codes
+        return self._categories[name]
+
     def subset(self, row_indices: Iterable[int]) -> "RawTable":
         rows = list(row_indices)
         out = RawTable(self.schema, [[col[i] for i in rows] for col in self.columns])
@@ -151,8 +161,8 @@ class RawTable:
     def with_columns(self, columns: dict[str, Sequence[Optional[str]]],
                      parsed: dict[tuple[str, str], np.ndarray]) -> "RawTable":
         """This table with some columns' cells replaced; ``parsed`` gives
-        (column, kind) values equal to ``parse_column`` of the new cells. A
-        column left out, or given its own cells, reads this table's parses."""
+        (column, kind) values equal to ``parse_column`` of its cells. Other
+        parses of a column left out, or given its own cells, are this table's."""
         new = [columns.get(n, c) for n, c in zip(self.column_names, self.columns)]
         out = RawTable(self.schema, new)
         out._parts = {n: [(self, slice(None))] for n, a, b in zip(self.column_names, new, self.columns) if a is b}
@@ -163,9 +173,9 @@ class RawTable:
 
     def retyped(self, schema: TableSchema) -> "RawTable":
         """The columns ``schema`` names, picked by name and typed by it; the
-        result shares this table's columns and parses."""
+        result shares this table's columns, parses and categories."""
         out = RawTable(schema, [self.column_values(name) for name in schema.names])
-        out._parsed, out._parts = self._parsed, self._parts
+        out._parsed, out._parts, out._categories = self._parsed, self._parts, self._categories
         return out
 
 
@@ -212,6 +222,16 @@ def write_csv(table: Union[RawTable, Iterable[RawTable]], path: str, delimiter: 
         writer.writerow(first.column_names)
         for block in itertools.chain([first], blocks):
             writer.writerows(zip(*block.columns))
+
+
+def factorize(cells: Sequence[Optional[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """(vocab, codes): the distinct cells, ``None`` first when one is missing, then the
+    sorted texts, as an object array; and the int32 codes with ``vocab[codes]`` the cells."""
+    distinct = dict.fromkeys(cells)
+    vocab = [None] * (None in distinct) + sorted(c for c in distinct if c is not None)
+    index = {v: i for i, v in enumerate(vocab)}
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
+    return np.array(vocab, dtype=object), codes
 
 
 def parse_number(cell: Optional[str]) -> Optional[float]:

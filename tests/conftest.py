@@ -25,6 +25,11 @@ def make_table(columns: dict[str, list], kinds: dict[str, str] | None = None) ->
     return RawTable(TableSchema(tuple(specs)), cells)
 
 
+def table_rows(table: RawTable) -> list[list]:
+    """The table's cells, row by row."""
+    return [list(row) for row in zip(*table.columns)]
+
+
 def mixed_sample_table(n_rows: int, seed: int) -> RawTable:
     """Correlated mixed-type table used across training/metric/audit tests.
 

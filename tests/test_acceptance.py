@@ -51,7 +51,7 @@ from argn.protect import RARE_TOKEN, ValueProtectionConfig, protect_extreme_valu
 from argn.sampling import GenerationRequest, generate
 from argn.tables import write_csv
 from argn.util import mann_whitney_auc as auc
-from conftest import acceptance_table, make_table
+from conftest import acceptance_table, make_table, table_rows
 from test_model import lookup_table_data, masked_context, subcols
 
 
@@ -345,7 +345,7 @@ def test_criterion_8_dcr_overfitting_direction(frozen_tables, protected_model_se
 def test_criterion_9_membership_inference(frozen_tables):
     data, _ = frozen_tables
     target_idx = int(np.argmax(achilles_score(data)))
-    target = list(data.cells[target_idx])
+    target = list(table_rows(data)[target_idx])
     pool = data.subset([i for i in range(data.row_count) if i != target_idx])
     cfg = AuditConfig(n_shadow=64, shadow_size=400, n_queries=100, subset_size=3, seed=0)
     ctx = AttackContext(pool, target, cfg)

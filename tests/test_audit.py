@@ -13,7 +13,7 @@ from argn.audit import (
 )
 from argn.tables import RawTable
 from argn.util import mann_whitney_auc as auc
-from conftest import make_table, mixed_sample_table
+from conftest import make_table, mixed_sample_table, table_rows
 
 
 # -- AUC -----------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_achilles_k_validation():
 @pytest.fixture(scope="module")
 def pool_and_target():
     data = mixed_sample_table(400, seed=1)
-    target = list(data.cells[0])
+    target = list(table_rows(data)[0])
     pool = data.subset(range(1, 400))
     return pool, target
 
@@ -162,7 +162,7 @@ def test_shadow_trials_balance_and_sizes(pool_and_target):
     assert sum(t.member for t in trials) == 5
     assert all(t.rows.row_count == 50 for t in trials)
     for t in trials:
-        contains = any(list(r) == target for r in t.rows.cells)
+        contains = any(list(r) == target for r in table_rows(t.rows))
         assert contains == t.member
 
 
@@ -172,7 +172,7 @@ def test_shadow_trials_deterministic(pool_and_target):
     a = build_shadow_trials(pool, target, cfg)
     b = build_shadow_trials(pool, target, cfg)
     for ta, tb in zip(a, b):
-        assert ta.rows.cells == tb.rows.cells
+        assert table_rows(ta.rows) == table_rows(tb.rows)
         assert ta.seed == tb.seed
 
 
@@ -198,7 +198,7 @@ def test_shadow_trials_reject_target_in_pool(pool_and_target):
     pool, _ = pool_and_target
     cfg = AuditConfig(n_shadow=2, shadow_size=10)
     with pytest.raises(ValueError, match="must not be present"):
-        build_shadow_trials(pool, list(pool.cells[3]), cfg)
+        build_shadow_trials(pool, list(table_rows(pool)[3]), cfg)
 
 
 def test_shadow_trials_pool_too_small(pool_and_target):
@@ -220,7 +220,7 @@ def test_query_feature_counts_exact_match(pool_and_target):
     n_cols = len(pool.column_names)
     cfg = AuditConfig(n_shadow=2, shadow_size=10, n_queries=5, subset_size=n_cols, seed=0)
     ctx = AttackContext(pool, target, cfg)
-    syn = RawTable(pool.schema, [list(c) for c in zip(target, pool.cells[0], pool.cells[1])])
+    syn = RawTable(pool.schema, [list(c) for c in zip(target, table_rows(pool)[0], table_rows(pool)[1])])
     feats = extract_features(syn, target, "query_based", ctx)
     np.testing.assert_array_equal(feats, np.ones(5))  # full-width subset matches once
 
@@ -267,14 +267,14 @@ def test_exact_match_attacks_match_row_loops(rng):
     ctx = AttackContext(pool, target, cfg)
     syn_sets = [random_table(40) for _ in range(4)]
     for syn in syn_sets:
-        counts = [sum(all(row[c] == target[c] for c in q) for row in syn.cells) for q in ctx.queries]
+        counts = [sum(all(row[c] == target[c] for c in q) for row in table_rows(syn)) for q in ctx.queries]
         np.testing.assert_array_equal(extract_features(syn, target, "query_based", ctx), counts)
     labeled = [(syn, i % 2 == 0) for i, syn in enumerate(syn_sets)]
     hamming = run_distance_attack(labeled, target, "hamming", ctx).scores
     lookup = run_distance_attack(labeled, target, "lookup", ctx).scores
     for syn, h, found in zip(syn_sets, hamming, lookup):
-        assert h == -min(sum(a != b for a, b in zip(row, target)) for row in syn.cells)
-        assert found == float(any(list(row) == target for row in syn.cells))
+        assert h == -min(sum(a != b for a, b in zip(row, target)) for row in table_rows(syn))
+        assert found == float(any(list(row) == target for row in table_rows(syn)))
 
 
 # -- distance attacks ------------------------------------------------------------------
@@ -417,7 +417,7 @@ def test_full_audit_deterministic(pool_and_target):
     from argn.tables import RawTable
 
     pool, target = pool_and_target
-    cells = [list(target)] + [list(r) for r in pool.cells[:99]]
+    cells = [list(target)] + [list(r) for r in table_rows(pool)[:99]]
     data = RawTable(pool.schema, [list(c) for c in zip(*cells)])
     cfg = AuditConfig(n_shadow=4, shadow_size=30, seed=5,
                       attacks=("naive_gh", "direct_lookup"), n_queries=8, subset_size=2)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import argn.tables
 from argn.encoders import (
     CategoryEncoder,
     DatetimeEncoder,
@@ -16,11 +18,20 @@ from argn.encoders import (
     EncodingOptions,
     PercentileEncoder,
     QuadtileEncoder,
+    TableEncoders,
     decode_table,
     encode_table,
     fit_encoders,
 )
-from argn.tables import ColumnSpec, infer_schema, parse_datetime, parse_number
+from argn.tables import (
+    ColumnSpec,
+    TableSchema,
+    factorize,
+    infer_schema,
+    parse_column,
+    parse_datetime,
+    parse_number,
+)
 
 from conftest import make_table
 
@@ -150,14 +161,14 @@ def test_percentile_bin_stability(rng):
     enc = fit_percentile(vals, n_bins=25)
     for k in range(enc.n_value_bins):
         codes = np.full((50, 1), k, dtype=np.int32)
-        decoded = enc.decode(codes, rng.random((50, enc.n_draws)))
-        again = enc.encode(column(decoded))
+        x, _ = enc.decode_values(codes, rng.random((50, enc.n_draws)))
+        again = enc.encode(column(map(repr, x.tolist())))
         assert np.all(again[:, 0] == k)
 
 
 def test_percentile_decode_within_bin(rng):
     enc = fit_percentile([str(i) for i in range(100)], n_bins=10)
-    decoded = enc.decode(np.array([[3]], dtype=np.int32), rng.random((1, enc.n_draws)))
+    decoded, _ = enc.decode_values(np.array([[3]], dtype=np.int32), rng.random((1, enc.n_draws)))
     x = float(decoded[0])
     assert enc.edges[3] <= x < enc.edges[4]
 
@@ -311,7 +322,7 @@ def test_quadtile_leaves_partition(rng):
 def test_quadtile_decode_inside_box(rng):
     enc = fit_quadtile(["45", "-45"], ["90", "-90"], min_tile_count=2, max_depth=3)
     codes = enc.encode(lat_lon(["45"], ["90"]))
-    lats, lons = enc.decode(codes, rng.random((1, enc.n_draws)))
+    lats, lons, _ = enc.decode_values(codes, rng.random((1, enc.n_draws)))
     assert enc.key_of(float(lats[0]), float(lons[0])) == enc.key_of(45.0, 90.0)
 
 
@@ -381,6 +392,17 @@ def test_latlong_table_round_trip(rng):
 # reference: one parse and one Python call per cell.
 
 
+def category_fit_oracle(cells):
+    counts = Counter(cells)
+    counts.setdefault(None, 0)
+    ordered = sorted(counts, key=lambda v: (-counts[v], v is None, v if v is not None else ""))
+    return {v: i for i, v in enumerate(ordered)}
+
+
+def category_encode_oracle(enc, value):
+    return [enc.mapping.get(value, enc.mapping[None])]
+
+
 def percentile_encode_oracle(enc, value):
     x = parse_number(value)
     if x is None:
@@ -444,6 +466,22 @@ def test_category_encode_matches_oracle(fit_cells, cells):
     assert enc.encode(column(cells)).reshape(len(cells), 1).tolist() == expected
 
 
+_category = st.sampled_from([None, "", "a", "a\x00", "__MISSING__", "b", "\u00e9"])
+
+
+@_fuzz
+@given(st.lists(_category, max_size=30), st.lists(_category, max_size=30))
+def test_category_fit_and_encode_match_the_per_cell_oracle(fit_cells, cells):
+    """Frequency order with lexicographic ties and MISSING last among equals;
+    cells outside the fitted vocabulary (here those only in ``cells``)
+    encode as MISSING."""
+    table = column(fit_cells)
+    enc = CategoryEncoder.fit("value", table)
+    assert enc.mapping == category_fit_oracle(fit_cells)
+    for t, t_cells in ((table, fit_cells), (column(cells), cells)):
+        assert enc.encode(t).tolist() == [category_encode_oracle(enc, v) for v in t_cells]
+
+
 @_fuzz
 @given(st.lists(_number, min_size=1, max_size=40), st.lists(st.one_of(_number, _garbage), max_size=40),
        st.integers(1, 12))
@@ -494,3 +532,77 @@ def test_quadtile_encode_matches_oracle(fit_points, points, min_tile, max_depth)
     lat, lon = [p[0] for p in points], [p[1] for p in points]
     codes = enc.encode(lat_lon(lat, lon)).reshape(len(points), 1)
     assert codes.tolist() == [quadtile_encode_oracle(enc, a, b) for a, b in points]
+
+
+# -- decoded tables hold the values they formatted ---------------------------
+
+
+def _decoded(encoders, rows, seed, extreme_u=False):
+    rng = np.random.default_rng(seed)
+    codes = np.stack([rng.integers(0, sc.cardinality, size=rows) for sc in encoders.sub_columns], axis=1)
+    u = rng.random((rows, encoders.n_draws))
+    if extreme_u:
+        u[::2] = 0.0
+    return decode_table(EncodedTable(encoders.sub_columns, codes), encoders, u)
+
+
+def _assert_values_are_the_parse_of_the_cells(table, names, monkeypatch):
+    calls = []
+    original = argn.tables.parse_column
+    monkeypatch.setattr(argn.tables, "parse_column",
+                        lambda cells, kind: calls.append(kind) or original(cells, kind))
+    values = {name: table.values(name, "numeric") for name in names}
+    assert calls == []
+    for name, got in values.items():
+        want = original(table.column_values(name), "numeric")
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def mixed_encoders():
+    """Encoders of every kind, fitted on a table with missing cells."""
+    rng = np.random.default_rng(5)
+    n = 300
+    table = make_table({
+        "color": [None if i % 9 == 0 else f"c{i % 4}" for i in range(n)],
+        "amount": [None if i % 7 == 0 else repr(float(x)) for i, x in enumerate(rng.normal(size=n))],
+        "count": [str(int(x)) for x in rng.integers(-50, 500, size=n)],
+        "when": [f"2021-0{1 + i % 9}-{1 + i % 28:02d} 0{i % 10}:00:00" for i in range(n)],
+        "lat": [None if i % 11 == 0 else repr(float(x)) for i, x in enumerate(rng.uniform(-60, 60, n))],
+        "lon": [repr(float(x)) for x in rng.uniform(-170, 170, n)],
+    }, kinds={"amount": "numeric", "count": "numeric", "when": "datetime"})
+    overrides = {"count": ColumnSpec("count", "numeric", "digit_split"),
+                 "loc": ColumnSpec("loc", "latlong", "quadtile", sources=("lat", "lon"))}
+    schema = infer_schema(table, overrides)
+    return fit_encoders(table, schema, EncodingOptions(n_bins=10, quad_min_tile=20))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_decoded_tables_hold_the_parse_of_their_cells_and_their_categories(mixed_encoders, rows, seed):
+    decoded = _decoded(mixed_encoders, rows, seed)
+    assert decoded.column_names == ["color", "amount", "count", "when", "lat", "lon"]
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_values_are_the_parse_of_the_cells(decoded, ["amount", "lat", "lon"], mp)
+    # decoded blocks stacked as ``synthesize`` stacks them
+    blocks = argn.tables.concat([decoded, _decoded(mixed_encoders, 3, seed + 1)])
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_values_are_the_parse_of_the_cells(blocks, ["amount", "lat", "lon"], mp)
+    for t in (decoded, blocks):
+        for name in t.column_names:
+            vocab, codes = t.categories(name)
+            want_vocab, want_codes = factorize(t.column_values(name))
+            assert vocab.tolist() == want_vocab.tolist()
+            np.testing.assert_array_equal(codes, want_codes)
+
+
+def test_decoded_values_are_nan_where_a_bin_too_wide_for_float64_writes_inf_or_nan(monkeypatch):
+    schema = TableSchema((ColumnSpec("x", "numeric", "percentile_bins"),))
+    encoders = TableEncoders(schema, [PercentileEncoder("x", np.array([-1.7e308, 0.0, 1.7e308]))])
+    wide = TableEncoders(schema, [PercentileEncoder("x", np.array([-1.7e308, 1.7e308]))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        decoded = [_decoded(encoders, 50, 3), _decoded(wide, 50, 3, extreme_u=True)]
+    cells = decoded[1].column_values("x")
+    assert {"inf", "nan"} <= set(cells) and None in cells
+    for table in decoded:
+        _assert_values_are_the_parse_of_the_cells(table, ["x"], monkeypatch)

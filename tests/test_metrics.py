@@ -24,8 +24,8 @@ from argn.metrics import (
     mixed_association_matrix,
     wasserstein1,
 )
-from argn.metrics import _category_codes
-from conftest import make_table
+from argn.tables import factorize
+from conftest import make_table, table_rows
 
 
 # -- JSD ---------------------------------------------------------------------
@@ -42,7 +42,7 @@ def test_jsd_disjoint_is_one():
 
 def test_jsd_keeps_missing_apart_from_a_literal_missing_label():
     assert jsd(["__MISSING__"] * 10, [None] * 10) == pytest.approx(1.0, abs=1e-12)
-    assert _category_codes(["b", None, "__MISSING__", "a", None]).tolist() == [3, 0, 1, 2, 0]
+    assert factorize(["b", None, "__MISSING__", "a", None])[1].tolist() == [3, 0, 1, 2, 0]
 
 
 def test_jsd_hand_formula():
@@ -276,13 +276,21 @@ def oracle_cramers_v(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(chi2 / denom)) if denom > 0 else 0.0
 
 
+def oracle_category_codes(cells) -> np.ndarray:
+    """Codes 0..k-1, one cell at a time: missing cells, when there are any,
+    form the first category, then the texts follow in sorted order."""
+    labels = [None if v is None else str(v) for v in cells]
+    index = {label: i for i, label in enumerate(sorted(set(labels), key=lambda v: (v is not None, v or "")))}
+    return np.array([index[label] for label in labels], dtype=np.int64)
+
+
 def oracle_association_matrix(table) -> np.ndarray:
     cols = [c for c in table.schema.columns if c.kind in ("categorical", "numeric", "datetime")]
     k = len(cols)
     numeric, cats = {}, {}
     for c in cols:
         if c.kind == "categorical":
-            cats[c.name] = _category_codes(table.column_values(c.name))
+            cats[c.name] = oracle_category_codes(table.column_values(c.name))
         else:
             numeric[c.name] = table.values(c.name, c.kind)
     mat = np.zeros((k, k))
@@ -525,9 +533,9 @@ def naive_dcr(train_tbl, other_tbl):
             span = max(vals) - min(vals) if vals else 0.0
             ranges[name] = span if span > 0 else 1.0
     out = []
-    for row_o in other_tbl.cells:
+    for row_o in table_rows(other_tbl):
         best = np.inf
-        for row_t in train_tbl.cells:
+        for row_t in table_rows(train_tbl):
             total = 0.0
             for j, name in enumerate(train_tbl.column_names):
                 a, b = row_t[j], row_o[j]
@@ -585,6 +593,29 @@ def test_dcr_thread_count_does_not_change_result(rng, monkeypatch):
     monkeypatch.setenv("ARGN_THREADS", "4")
     b = dcr(train, other)
     np.testing.assert_array_equal(a, b)
+
+
+def oracle_feature_map_codes(fmap, table, name):
+    """One-hot index of each cell, one cell at a time: the sorted reference
+    vocabulary, then OTHER for an unseen text, then MISSING."""
+    index = {v: i for i, v in enumerate(fmap.vocabs[name])}
+    other = len(index)
+    return [other + 1 if c is None else index.get(c, other) for c in table.column_values(name)]
+
+
+_category = st.sampled_from([None, "", "a", "a\x00", "__MISSING__", "b", "\u00e9"])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.lists(_category, max_size=30), st.lists(_category, max_size=30))
+def test_feature_map_codes_match_the_per_cell_oracle(reference_cells, cells):
+    reference = make_table({"c": reference_cells})
+    fmap = MixedFeatureMap(reference)
+    assert fmap.vocabs["c"] == sorted({v for v in reference_cells if v is not None})
+    for table in (reference, make_table({"c": cells})):
+        codes = fmap.codes(table, "c")
+        assert codes.dtype == np.int64
+        assert codes.tolist() == oracle_feature_map_codes(fmap, table, "c")
 
 
 def oracle_dcr(train, other):

@@ -20,3 +20,8 @@ def test_seeded_outputs_prints_one_digest_per_output(tmp_path):
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     assert len({line.split()[0] for line in lines}) == len(lines)
+    counts = [line.split("  ") for line in proc.stderr.splitlines() if line.startswith("parse_column  ")]
+    assert [c[1] for c in counts] == ["train", "train_dp", "generate", "evaluate", "dcr", "audit"]
+    assert all(c[2].isdigit() and c[3].isdigit() for c in counts)
+    calls = {c[1]: int(c[2]) for c in counts}
+    assert calls["generate"] == 0 and calls["train"] > 0

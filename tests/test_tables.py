@@ -17,11 +17,13 @@ from argn.tables import (
     ParseError,
     RawTable,
     TableSchema,
+    factorize,
     infer_schema,
     parse_column,
     read_csv,
     write_csv,
 )
+from conftest import table_rows
 
 
 def write_lines(tmp_path, lines, name="data.csv"):
@@ -35,13 +37,13 @@ def test_read_csv_basic(tmp_path):
     table = read_csv(path)
     assert table.row_count == 3
     assert table.column_names == ["a", "b"]
-    assert table.cells[0] == ["1", "x"]
+    assert table_rows(table)[0] == ["1", "x"]
 
 
 def test_read_csv_trailing_empty_field_is_missing(tmp_path):
     path = write_lines(tmp_path, ["a,b", "1,"])
     table = read_csv(path)
-    assert table.cells[0] == ["1", None]
+    assert table_rows(table)[0] == ["1", None]
 
 
 def test_read_csv_ragged_row_names_line(tmp_path):
@@ -53,7 +55,7 @@ def test_read_csv_ragged_row_names_line(tmp_path):
 def test_read_csv_quoted_fields(tmp_path):
     path = write_lines(tmp_path, ['a,b', '"hello, world","line"'])
     table = read_csv(path)
-    assert table.cells[0] == ["hello, world", "line"]
+    assert table_rows(table)[0] == ["hello, world", "line"]
 
 
 def test_round_trip(tmp_path, rng):
@@ -67,7 +69,7 @@ def test_round_trip(tmp_path, rng):
     path = str(tmp_path / "round.csv")
     write_csv(table, path)
     back = read_csv(path)
-    assert back.cells == table.cells
+    assert table_rows(back) == table_rows(table)
     assert back.column_names == table.column_names
 
 
@@ -232,7 +234,7 @@ def test_subset_concat_and_retyped_values_equal_parsing_their_own_cells(monkeypa
     rows = [5, 0, 7, 7, 29]
     parsed_before = table.values("a", "numeric")  # the subset gathers from it
     sub = table.subset(rows)
-    assert sub.cells == [table.cells[i] for i in rows]
+    assert table_rows(sub) == [table_rows(table)[i] for i in rows]
     late = table.subset(rows)
     calls = []
     original = argn.tables.parse_column
@@ -246,7 +248,7 @@ def test_subset_concat_and_retyped_values_equal_parsing_their_own_cells(monkeypa
     np.testing.assert_array_equal(parsed_before[rows], sub.values("a", "numeric"))
 
     stacked = argn.tables.concat([table, sub])
-    assert stacked.cells == table.cells + sub.cells
+    assert table_rows(stacked) == table_rows(table) + table_rows(sub)
     np.testing.assert_array_equal(stacked.values("a", "numeric"),
                                   original(stacked.column_values("a"), "numeric"))
     schema = TableSchema((ColumnSpec("when", "datetime", "datetime_parts"),
@@ -255,6 +257,56 @@ def test_subset_concat_and_retyped_values_equal_parsing_their_own_cells(monkeypa
     assert retyped.column_names == ["when", "a"] and retyped.row_count == table.row_count
     assert retyped.values("a", "numeric") is table.values("a", "numeric")
     assert calls == ["datetime"]
+
+
+# cells that a fixed-width numpy string array or a missing-label scheme would merge
+CATEGORY_CELLS = st.sampled_from([None, "", "a", "a\x00", "__MISSING__", "b", "B", "\u00e9"])
+
+
+def _expected_factorization(cells):
+    present = sorted({c for c in cells if c is not None})
+    return [None] * (None in cells) + present
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(CATEGORY_CELLS, max_size=30))
+def test_factorize_gives_missing_first_then_the_sorted_texts(cells):
+    vocab, codes = factorize(cells)
+    assert codes.dtype == np.int32 and codes.shape == (len(cells),)
+    assert vocab.dtype == object and vocab.tolist() == _expected_factorization(cells)
+    assert vocab[codes].tolist() == cells
+    assert all(type(v) is str for v in vocab[codes] if v is not None)
+
+
+def _assert_categories_are_factorized(table):
+    for name in table.column_names:
+        vocab, codes = table.categories(name)
+        want_vocab, want_codes = factorize(table.column_values(name))
+        assert vocab.tolist() == want_vocab.tolist()
+        np.testing.assert_array_equal(codes, want_codes)
+        assert table.categories(name)[1] is codes
+        with pytest.raises(ValueError, match="read-only"):
+            codes[:1] = 0
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(CATEGORY_CELLS, min_size=n, max_size=n), st.lists(CATEGORY_CELLS, min_size=n, max_size=n),
+    st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n if n else 0),
+    st.lists(CATEGORY_CELLS, min_size=n, max_size=n))))
+def test_categories_of_derived_tables_equal_factorizing_their_cells(drawn):
+    a, b, rows, new_b = drawn
+    schema = TableSchema((ColumnSpec("a", "categorical", "category_map"),
+                          ColumnSpec("b", "categorical", "category_map")))
+    table = RawTable(schema, [a, b])
+    table.categories("a")  # computed on the source before anything is derived from it
+    sub = table.subset(rows)
+    retyped = table.retyped(TableSchema(schema.columns[::-1]))
+    derived = [table, sub, argn.tables.concat([table, sub, table]), retyped,
+               table.with_columns({"b": new_b}, {}), table.with_columns({"b": table.column_values("b")}, {})]
+    for t in derived:
+        _assert_categories_are_factorized(t)
+    assert retyped.categories("a") is table.categories("a")  # a re-typed table shares them
 
 
 def _raw_table(columns):

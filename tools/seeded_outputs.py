@@ -8,11 +8,16 @@ runs every verb once in this process as ``bench/run.py --trace 1`` does
 A model file gets two lines, ``name:header`` for its JSON header and
 ``name:weights`` for its weight section, so a header-only change shows on
 its own. Two checkouts that print the same lines wrote the same bytes.
+
+On stderr it prints one ``parse_column  verb  calls  cells`` line per verb:
+the calls to ``argn.tables.parse_column`` that verb made, and the cells
+they parsed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import struct
 import sys
@@ -21,6 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import argn.cli  # noqa: E402
+import argn.tables  # noqa: E402
 import inputs  # noqa: E402  (bench/inputs.py)
 import run  # noqa: E402  (bench/run.py)
 
@@ -35,6 +42,30 @@ def digests(name: str, path: Path) -> list[tuple[str, str]]:
             (hashlib.sha256(blob[16 + header_len:]).hexdigest(), f"{name}:weights")]
 
 
+@contextlib.contextmanager
+def parse_counts():
+    """Yields a list that gains one [calls, cells] per CLI run, in run order,
+    counting that run's ``parse_column`` calls; every caller resolves the
+    name through ``argn.tables`` at call time."""
+    per_run: list[list[int]] = []
+    parse, cli = argn.tables.parse_column, argn.cli.cli
+
+    def counted_parse(cells, kind):
+        per_run[-1][0] += 1
+        per_run[-1][1] += len(cells)
+        return parse(cells, kind)
+
+    def counted_cli(argv):
+        per_run.append([0, 0])
+        return cli(argv)
+
+    argn.tables.parse_column, argn.cli.cli = counted_parse, counted_cli
+    try:
+        yield per_run
+    finally:
+        argn.tables.parse_column, argn.cli.cli = parse, cli
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(inputs.WORKLOADS), required=True)
@@ -45,7 +76,10 @@ def main(argv=None) -> int:
     w = inputs.WORKLOADS[args.workload]
     work = Path(args.work)
     inputs.setup(w, args.seed, str(work))
-    failed = [r for r in run.run_pass(w, args.seed, work, work) if not r.ok]
+    with parse_counts() as counts:
+        failed = [r for r in run.run_pass(w, args.seed, work, work) if not r.ok]
+    for verb, (calls, cells) in zip(run.VERBS, counts):
+        print(f"parse_column  {verb}  {calls}  {cells}", file=sys.stderr)
     for r in failed:
         print(f"FAILED {r.verb}: {r.error} (log in {work / 'verbs.log'})", file=sys.stderr)
     if failed:
