@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .encoders import EncodingOptions, encode_table, fit_encoders
-from .linear import LogisticModel, MixedFeatureMap
+from .linear import MixedFeatureMap, feature_major, fit_logistic_stack, one_hot, softmax_class_major, standardizer
 from .metrics import mixed_association_matrix
 from .model import ArgnModel, TrainConfig, train
 from .protect import ValueProtectionConfig, protect_table
@@ -124,20 +124,25 @@ class ShadowTrial:
     seed: int
 
 
+def _one_row(schema: TableSchema, cells: Sequence[Optional[str]]) -> RawTable:
+    return RawTable(schema, [[cell] for cell in cells])
+
+
 def _trial_seed(base_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(_TRIAL_DOMAIN, index))
     return int(ss.generate_state(1)[0])
 
 
-def build_shadow_trials(aux_pool: RawTable, target_row: Sequence[Optional[str]],
+def build_shadow_trials(aux_pool: RawTable, target_row: Union[Sequence[Optional[str]], RawTable],
                         cfg: AuditConfig) -> list[ShadowTrial]:
     """n_shadow trials of shadow_size rows each; even trials append the target
-    (member), odd trials substitute one more random pool row. A trial's
-    values are gathered from the pool's and the target's parses."""
+    (its cells, or a one-row table such as ``AttackContext.target_table``),
+    odd trials substitute one more random pool row. A trial's values are
+    gathered from the pool's and the target's parses."""
     if cfg.shadow_size > aux_pool.row_count:
         raise ValueError("shadow_size exceeds the auxiliary pool")
-    target = RawTable(aux_pool.schema, [[cell] for cell in target_row])
-    if _target_matches(aux_pool, list(target_row)).all(axis=1).any():
+    target = target_row if isinstance(target_row, RawTable) else _one_row(aux_pool.schema, target_row)
+    if _target_matches(aux_pool, [col[0] for col in target.columns]).all(axis=1).any():
         raise ValueError("target record must not be present in the auxiliary pool")
     trials = []
     for i in range(cfg.n_shadow):
@@ -158,8 +163,9 @@ def build_shadow_trials(aux_pool: RawTable, target_row: Sequence[Optional[str]],
 class AttackContext:
     """Everything derived from the auxiliary pool that attacks may rely on:
     the pool's column view (vocabularies, numeric ranges and the one-hot +
-    min-max encoding) and the target's vector in it, fixed histogram bins
-    per numeric column, and the seeded counting-query subsets."""
+    min-max encoding), the target as a one-row table (member trials append
+    it) and as a vector in that view, fixed histogram bins per numeric
+    column, and the seeded counting-query subsets."""
 
     HIST_BINS = 10
 
@@ -167,8 +173,8 @@ class AttackContext:
         self.schema = aux_pool.schema
         self.target = list(target_row)
         self.feature_map = MixedFeatureMap(aux_pool)
-        target = RawTable(self.schema, [[cell] for cell in self.target])
-        self.target_vec = self.feature_map.transform(target)[0]
+        self.target_table = _one_row(self.schema, self.target)
+        self.target_vec = self.feature_map.transform(self.target_table)[0]
         self.num_edges = {
             name: np.linspace(lo, hi if hi > lo else lo + 1.0, self.HIST_BINS + 1)
             for name, (lo, hi) in self.feature_map.ranges.items()
@@ -245,9 +251,13 @@ def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int,
                       n_folds: int = 4) -> np.ndarray:
     """Leave-25%-out scores: each fold is scored by a logistic meta-classifier
     trained on the remaining trials, so every trial gets a held-out score.
+    A fold whose training trials hold one class only scores 0.5.
 
     Folds are stratified by label; otherwise the meta-classifier's class
     prior would leak fold composition into the scores and bias the AUC.
+    The folds' classifiers are fitted in one lockstep stack: each sees every
+    trial, standardized by its training trials' moments, with the held-out
+    trials weighted 0, and scores them from its final forward pass.
     """
     n = len(labels)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_FOLD_DOMAIN,)))
@@ -256,17 +266,17 @@ def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int,
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
         fold_of[idx] = np.arange(len(idx)) % n_folds
-    scores = np.zeros(n)
-    for f in range(n_folds):
-        fold = np.flatnonzero(fold_of == f)
-        if fold.size == 0:
-            continue
-        train_idx = np.flatnonzero(fold_of != f)
-        if len(np.unique(labels[train_idx])) < 2:
-            scores[fold] = 0.5
-            continue
-        clf = LogisticModel().fit(features[train_idx], labels[train_idx].astype(np.int64), 2)
-        scores[fold] = clf.predict_proba(features[fold])[:, 1]
+    scores = np.full(n, 0.5)
+    folds = [f for f in range(n_folds)
+             if (fold_of == f).any() and len(np.unique(labels[fold_of != f])) == 2]
+    if not folds:
+        return scores
+    train = fold_of[None, :] != np.array(folds)[:, None]  # (folds, trials)
+    xt = np.stack([feature_major(features, *standardizer(features[mask])) for mask in train])
+    w, b = fit_logistic_stack(xt, one_hot(labels.astype(np.int64), 2)[None], train / train.sum(axis=1, keepdims=True))
+    proba = softmax_class_major(w, b, xt)
+    for i, mask in enumerate(train):
+        scores[~mask] = proba[i, 1, ~mask]
     return scores
 
 
@@ -403,7 +413,7 @@ def run_audit(data: RawTable, generator: Callable, cfg: AuditConfig,
         target = [col[row_index] for col in data.columns]
         pool = data.subset([i for i in range(data.row_count) if i != row_index])
         ctx = AttackContext(pool, target, cfg)
-        trials = build_shadow_trials(pool, target, cfg)
+        trials = build_shadow_trials(pool, ctx.target_table, cfg)
         syn_sets = generate_shadow_sets(trials, generator)
         labeled = [(syn, t.member) for syn, t in zip(syn_sets, trials)]
         entry = {"row_index": row_index, "attacks": {}}

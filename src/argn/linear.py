@@ -15,8 +15,68 @@ from .nn import Param, adam_step
 from .tables import RawTable
 
 
+def standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and standard deviation; a constant feature gets sd 1."""
+    mu, sd = x.mean(axis=0), x.std(axis=0)
+    sd[sd < 1e-12] = 1.0
+    return mu, sd
+
+
+def feature_major(x: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """The standardized design (features, rows) of rows ``x``."""
+    return np.ascontiguousarray(((np.asarray(x, dtype=np.float64) - mu) / sd).T)
+
+
+def one_hot(y: np.ndarray, k: int) -> np.ndarray:
+    """Class-major one-hot (k, n) of labels in [0, k)."""
+    out = np.zeros((k, len(y)))
+    out[y, np.arange(len(y))] = 1.0
+    return out
+
+
+def softmax_class_major(w: np.ndarray, b: np.ndarray, xt: np.ndarray, out: Optional[np.ndarray] = None,
+                        top: Optional[np.ndarray] = None) -> np.ndarray:
+    """Class probabilities ``out`` (B, k, n) of weights ``w`` (B, k, f) and
+    biases ``b`` (B, k, 1) on the feature-major designs ``xt`` (B, f, n);
+    ``top`` (B, 1, n) is work space. The max and the sum run over the short
+    class axis, each an elementwise pass over rows of length n."""
+    out = np.matmul(w, xt, out=out)
+    out += b
+    out -= out.max(axis=1, keepdims=True, out=top)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True, out=top)
+    return out
+
+
+def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray, l2: float = 1e-4,
+                       lr: float = 0.05, iters: int = 400) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax regressions on a stack of B standardized feature-major designs
+    ``xt`` (B, f, n), fitted in lockstep by full-batch Adam from zero, with
+    class-major targets ``onehot`` (B or 1, k, n) and row weights ``weight``
+    (B, n) that scale each row's loss gradient (1/n for a plain fit, 0 for a
+    row the fit must not see). Returns weights (B, k, f) and biases (B, k, 1)."""
+    stack, f, n = xt.shape
+    k = onehot.shape[1]
+    size = stack * k * f
+    wb = Param("logistic", np.zeros(size + stack * k))  # all weights, then all biases
+    w, b = wb.value[:size].reshape(stack, k, f), wb.value[size:].reshape(stack, k, 1)
+    gw, gb = wb.grad[:size].reshape(stack, k, f), wb.grad[size:].reshape(stack, k, 1)
+    g, top, decay = np.empty((stack, k, n)), np.empty((stack, 1, n)), np.empty_like(w)
+    x, weight = xt.transpose(0, 2, 1), weight[:, None, :]
+    for t in range(1, iters + 1):
+        softmax_class_major(w, b, xt, g, top)
+        g -= onehot
+        g *= weight
+        np.matmul(g, x, out=gw)
+        gw += np.multiply(w, l2, out=decay)
+        g.sum(axis=2, keepdims=True, out=gb)
+        adam_step(wb, lr, t)
+    return w, b
+
+
 class LogisticModel:
-    """Softmax regression; binary problems are the 2-class special case."""
+    """Softmax regression; binary problems are the 2-class special case.
+    ``fit`` is the one-problem case of ``fit_logistic_stack``."""
 
     def __init__(self, l2: float = 1e-4, lr: float = 0.05, iters: int = 400):
         self.l2 = l2
@@ -28,43 +88,24 @@ class LogisticModel:
         self.sd: Optional[np.ndarray] = None
         self.n_classes = 0
 
-    def _standardize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mu) / self.sd
-
     def fit(self, x: np.ndarray, y: np.ndarray, n_classes: Optional[int] = None) -> "LogisticModel":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        n, f = x.shape
-        k = int(n_classes if n_classes is not None else y.max() + 1)
-        k = max(k, 2)
+        n = len(x)
+        k = max(int(n_classes if n_classes is not None else y.max() + 1), 2)
+        if ((y < 0) | (y >= k)).any():
+            raise ValueError(f"labels must lie in [0, {k})")
         self.n_classes = k
-        self.mu = x.mean(axis=0)
-        self.sd = x.std(axis=0)
-        self.sd[self.sd < 1e-12] = 1.0
-        xs = self._standardize(x)
-        wb = Param("logistic", np.zeros(k * f + k))  # w (classes, features), then b
-        w, b = wb.value[: k * f].reshape(k, f), wb.value[k * f :]
-        gw, gb = wb.grad[: k * f].reshape(k, f), wb.grad[k * f :]
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
-        for t in range(1, self.iters + 1):
-            logits = xs @ w.T + b
-            logits -= logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            g = (p - onehot) / n
-            gw[...] = g.T @ xs + self.l2 * w
-            gb[...] = g.sum(axis=0)
-            adam_step(wb, self.lr, t)
-        self.w, self.b = w, b
+        self.mu, self.sd = standardizer(x)
+        xt = feature_major(x, self.mu, self.sd)[None]
+        w, b = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n), self.l2, self.lr, self.iters)
+        self.w, self.b = w[0], b[0, :, 0]
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        xs = self._standardize(np.asarray(x, dtype=np.float64))
-        logits = xs @ self.w.T + self.b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        return p / p.sum(axis=1, keepdims=True)
+        """(rows, classes) probabilities."""
+        xt = feature_major(x, self.mu, self.sd)[None]
+        return softmax_class_major(self.w[None], self.b[None, :, None], xt)[0].T
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, l2: float = 1e-6) -> tuple[np.ndarray, float]:

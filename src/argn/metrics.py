@@ -12,6 +12,7 @@ overfitting (positive = risk).
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -281,12 +282,12 @@ def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
     return blocks
 
 
-def _dcr_chunk(blocks, sl: slice, n_train: int) -> np.ndarray:
+def _dcr_chunk(blocks, sl: slice, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Minimum over train rows of the summed column distances, for the
-    ``other`` rows in ``sl``; three block-sized buffers serve every column."""
-    acc = np.zeros((sl.stop - sl.start, n_train))
-    work = np.empty_like(acc)
-    unequal = np.empty(acc.shape, dtype=bool)
+    ``other`` rows in ``sl``; the three (rows, n_train) work ``buffers``
+    serve every column, and their first rows every block."""
+    acc, work, unequal = (buf[: sl.stop - sl.start] for buf in buffers)
+    acc.fill(0.0)
     for kind, a, b, span, miss_a, miss_b in blocks:
         if kind == "cat":
             acc += np.not_equal(b[sl, None], a[None, :], out=unequal)
@@ -307,13 +308,23 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     ``train`` row: the sum over columns of a 0/1 mismatch for categoricals
     and |a-b| scaled by the train range for numerics (a missing side costs
     1, both missing 0). Full O(n*m) scan across worker threads, in row blocks
-    whose buffers stay within SCAN_BYTES each."""
+    whose buffers stay within SCAN_BYTES each; each worker thread allocates
+    its buffers once, for all of its blocks."""
     if train.schema.names != other.schema.names:
         raise ValueError("tables must share a schema")
     blocks = _dcr_columns(MixedFeatureMap(train), train, other)
     n_train = train.row_count
-    rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * max(n_train, 1))))
-    return scan_rows(other.row_count, lambda sl: _dcr_chunk(blocks, sl, n_train), rows)
+    rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * max(n_train, 1)), other.row_count))
+    buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # per worker thread
+
+    def chunk(sl: slice) -> np.ndarray:
+        mine = buffers.get(threading.get_ident())
+        if mine is None:
+            mine = buffers[threading.get_ident()] = (
+                np.empty((rows, n_train)), np.empty((rows, n_train)), np.empty((rows, n_train), dtype=bool))
+        return _dcr_chunk(blocks, sl, mine)
+
+    return scan_rows(other.row_count, chunk, rows)
 
 
 def _empirical_cdf(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tables import RawTable, TableSchema, factorize
+from .tables import RawTable, TableSchema
 
 RARE_TOKEN = "_RARE_"
 RANDOM_THRESHOLDS = ("random", "random(5,8)")
@@ -47,26 +47,28 @@ def _threshold(setting: Union[int, str], rng: np.random.Generator) -> int:
 
 
 def protect_rare_categories(
-    values: Sequence[Optional[str]],
+    raw: RawTable,
+    name: str,
     cfg: ValueProtectionConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> Sequence[Optional[str]]:
-    """Replace categories rarer than the threshold.
+    """Replace the categories of a column rarer than the threshold; returns
+    the column's cells.
 
     token mode substitutes the literal `_RARE_` placeholder; resample mode
     draws a replacement from the empirical distribution of the surviving
     categories (falling back to the token when nothing survives). Missing
-    cells are untouched, and without rare categories ``values`` itself comes
-    back.
+    cells are untouched, and without rare categories the table's own cells
+    come back.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
     t = _threshold(cfg.rare_min_count, rng)
-    vocab, codes = factorize(values)
+    vocab, codes = raw.categories(name)
     counts = np.bincount(codes, minlength=len(vocab))
     present = np.array([v is not None for v in vocab.tolist()], dtype=bool)
     rare = present & (counts < t)
     if not rare.any():
-        return values
+        return raw.column_values(name)
 
     out = vocab[codes]
     at = np.flatnonzero(rare[codes])
@@ -111,14 +113,14 @@ def protect_extreme_values(
 
 def protect_table(raw: RawTable, schema: TableSchema, cfg: ValueProtectionConfig) -> RawTable:
     """Apply per-kind protection to every applicable column of a table; the
-    columns it leaves unchanged keep the input's parses."""
+    columns it leaves unchanged keep the input's parses and categories."""
     if not cfg.enabled:
         return raw
     rng = np.random.default_rng(cfg.rng_seed)
     columns, parsed = {}, {}
     for spec in schema.columns:
         if spec.kind == "categorical":
-            columns[spec.name] = protect_rare_categories(raw.column_values(spec.name), cfg, rng)
+            columns[spec.name] = protect_rare_categories(raw, spec.name, cfg, rng)
         elif spec.kind in ("numeric", "datetime"):
             columns[spec.name], parsed[spec.name, spec.kind] = protect_extreme_values(
                 raw, spec.name, cfg, rng, spec.kind)

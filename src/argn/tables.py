@@ -144,12 +144,18 @@ class RawTable:
         return self._parsed[key]
 
     def categories(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """``factorize`` of a column's cells, computed once and shared only with
-        re-typed tables (others factorize their own cells); the codes are read-only."""
+        """``factorize`` of a column's cells, computed once; the codes are read-only.
+        A column that is another table's whole column (a re-typed table, an
+        untouched column of ``with_columns``) reads that table's; a subset
+        or a concatenation of several tables factorizes its own cells."""
         if name not in self._categories:
-            vocab, codes = factorize(self.column_values(name))
-            codes.flags.writeable = False
-            self._categories[name] = vocab, codes
+            parts = self._parts.get(name, ())
+            if len(parts) == 1 and isinstance(parts[0][1], slice):
+                self._categories[name] = parts[0][0].categories(name)
+            else:
+                vocab, codes = factorize(self.column_values(name))
+                codes.flags.writeable = False
+                self._categories[name] = vocab, codes
         return self._categories[name]
 
     def subset(self, row_indices: Iterable[int]) -> "RawTable":

@@ -227,7 +227,7 @@ def test_criterion_6_privacy_mechanisms():
             + [f"rare_{i}" for i in range(30) for _ in (range(1) if i % 2 else range(2))]
         )
         rng.shuffle(values)
-        out = protect_rare_categories(values, ValueProtectionConfig(rare_min_count=8))
+        out = protect_rare_categories(make_table({"c": values}), "c", ValueProtectionConfig(rare_min_count=8))
         counts: dict = {}
         for v in out:
             counts[v] = counts.get(v, 0) + 1

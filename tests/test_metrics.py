@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -683,8 +684,8 @@ def test_dcr_blocks_stay_within_the_byte_budget(monkeypatch):
     other = make_table({"x": ["2"] * 50}, kinds={"x": "numeric"})
     blocks = []
 
-    def record(columns, sl, n):
-        blocks.append((sl.stop - sl.start, n))
+    def record(columns, sl, buffers):
+        blocks.append((sl.stop - sl.start, buffers[0].shape[1]))
         return np.zeros(sl.stop - sl.start)
 
     monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
@@ -698,6 +699,56 @@ def test_dcr_does_not_depend_on_the_byte_budget(rng, monkeypatch):
     wide = dcr(train, other)
     monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 300 * 7)  # 7-row blocks
     assert np.array_equal(dcr(train, other), wide)
+
+
+
+@pytest.mark.parametrize("threads", [2, 8])
+def test_dcr_worker_threads_reuse_one_set_of_buffers(rng, monkeypatch, threads):
+    train, other = random_mixed(rng, 300), random_mixed(rng, 400)
+    expected = dcr(train, other)
+    monkeypatch.setenv("ARGN_THREADS", str(threads))
+    monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 300 * 7)  # 7-row blocks
+    chunk, sets, rows = argn.metrics._dcr_chunk, set(), []
+
+    def record(columns, sl, buffers):
+        sets.add(tuple(id(buf) for buf in buffers))
+        rows.append(sl.stop - sl.start)
+        return chunk(columns, sl, buffers)
+
+    monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads that shared a buffer would overwrite each other's blocks
+    try:
+        assert np.array_equal(dcr(train, other), expected)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(rows) == 58 and sum(rows) == 400
+    assert 1 <= len(sets) <= threads
+
+
+def dcr_peak_bytes(train, other):
+    """tracemalloc peak of one dcr call, after a first call parsed and
+    factorized both tables."""
+    dcr(train, other)
+    tracemalloc.start()
+    try:
+        dcr(train, other)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dcr_peak_memory_does_not_grow_with_the_row_blocks(rng, monkeypatch):
+    monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 2000 * 16)  # 16-row blocks
+    train, other = random_mixed(rng, 2000), random_mixed(rng, 1024)
+    block_set = 16 * 2000 * (8 + 8 + 1)  # the accumulator, the work buffer and the mismatch mask
+    monkeypatch.setenv("ARGN_THREADS", "1")
+    two_blocks = dcr_peak_bytes(train, other.subset(range(32)))
+    many_blocks = dcr_peak_bytes(train, other)  # 64 blocks
+    assert block_set <= two_blocks < 2 * block_set
+    assert many_blocks <= two_blocks + block_set // 4  # only the per-row arrays grow
+    monkeypatch.setenv("ARGN_THREADS", "2")
+    assert dcr_peak_bytes(train, other) <= many_blocks + block_set + block_set // 2  # one more worker's set
 
 
 # -- DCR CDF integral --------------------------------------------------------------------

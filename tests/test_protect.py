@@ -24,33 +24,38 @@ def clip(values, kind="numeric", **kw):
     return cells
 
 
+def rare(values, config, rng=None):
+    """The cells protect_rare_categories leaves of a one-column table."""
+    return protect_rare_categories(make_table({"c": values}), "c", config, rng)
+
+
 def test_rare_token_replacement():
     values = ["a"] * 10 + ["b"] * 3
-    out = protect_rare_categories(values, cfg(rare_min_count=5))
+    out = rare(values, cfg(rare_min_count=5))
     assert out == ["a"] * 10 + [RARE_TOKEN] * 3
 
 
 def test_rare_threshold_boundary_unchanged():
     values = ["a"] * 10 + ["b"] * 9
-    out = protect_rare_categories(values, cfg(rare_min_count=8))
+    out = rare(values, cfg(rare_min_count=8))
     assert out == values
 
 
 def test_rare_resample_single_donor():
     values = ["a"] * 99 + ["b"]
-    out = protect_rare_categories(values, cfg(rare_min_count=5, rare_mode="resample"))
+    out = rare(values, cfg(rare_min_count=5, rare_mode="resample"))
     assert out == ["a"] * 100  # only one non-rare category exists
 
 
 def test_rare_all_rare_becomes_token():
     values = ["a", "b", "c"]
-    out = protect_rare_categories(values, cfg(rare_min_count=5))
+    out = rare(values, cfg(rare_min_count=5))
     assert out == [RARE_TOKEN] * 3
 
 
 def test_rare_missing_untouched():
     values = ["a"] * 9 + [None, "b"]
-    out = protect_rare_categories(values, cfg(rare_min_count=5))
+    out = rare(values, cfg(rare_min_count=5))
     assert out[9] is None
     assert out[10] == RARE_TOKEN
 
@@ -58,7 +63,7 @@ def test_rare_missing_untouched():
 def test_rare_surviving_frequency_invariant(rng):
     t = 6
     values = [f"c{rng.integers(30)}" for _ in range(200)]
-    out = protect_rare_categories(values, cfg(rare_min_count=t))
+    out = rare(values, cfg(rare_min_count=t))
     counts = {}
     for v in out:
         counts[v] = counts.get(v, 0) + 1
@@ -88,7 +93,7 @@ def test_rare_resample_draws_like_one_choice_per_cell(seed):
     config = cfg(rare_min_count=6, rare_mode="resample", rng_seed=seed)
     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     ours.integers(10), ref.integers(10)  # a generator already in use
-    out = protect_rare_categories(values, config, ours)
+    out = rare(values, config, ours)
     assert out == resample_per_cell(values, 6, ref)
     assert out != values
     assert ours.bit_generator.state == ref.bit_generator.state
@@ -139,9 +144,7 @@ def test_random_threshold_range():
     seen = set()
     for seed in range(40):
         values = ["a"] * 10 + ["b"] * 7
-        out = protect_rare_categories(
-            values, cfg(rare_min_count="random", rng_seed=seed)
-        )
+        out = rare(values, cfg(rare_min_count="random", rng_seed=seed))
         seen.add(RARE_TOKEN in out)
     assert seen == {True, False}  # thresholds 5..7 keep b, threshold 8 kills it
 
