@@ -17,7 +17,7 @@ from typing import Optional
 
 from .audit import AuditConfig, argn_generator, run_audit
 from .encoders import EncodingOptions, encode_table, fit_encoders
-from .metrics import dcr, dcr_cdf_curves, dcr_cdf_integral, evaluate_tables
+from .metrics import dcr, dcr_cdf_curves, dcr_curves_integral, evaluate_tables
 from .model import ArgnModel, TrainConfig, train
 from .nn import DpConfig
 from .persist import load_model, save_model
@@ -210,14 +210,12 @@ def _cmd_dcr(args) -> int:
     train_tbl = _with_schema_of(schema, train_raw, args.train)
     syn = _with_schema_of(schema, read_csv(args.syn), args.syn)
     test = _with_schema_of(schema, read_csv(args.test), args.test)
-    d_syn = dcr(train_tbl, syn)
-    d_test = dcr(train_tbl, test)
-    integral = dcr_cdf_integral(d_syn, d_test)
-    grid, cdf_syn, cdf_test = dcr_cdf_curves(d_syn, d_test)
+    curves = dcr_cdf_curves(dcr(train_tbl, syn), dcr(train_tbl, test))
+    integral = dcr_curves_integral(*curves)
+    rows = zip(*(c.tolist() for c in curves))
+    text = "distance,cdf_syn,cdf_test\n" + "".join(f"{g!r},{a!r},{b!r}\n" for g, a, b in rows)
     with open(args.out_cdf, "w", encoding="utf-8") as fh:
-        fh.write("distance,cdf_syn,cdf_test\n")
-        for g, a, b in zip(grid, cdf_syn, cdf_test):
-            fh.write(f"{float(g)!r},{float(a)!r},{float(b)!r}\n")
+        fh.write(text)
     risk = 1 if integral > 0 else 0
     print(f"dcr_integral={integral!r} risk={risk}")
     return 0

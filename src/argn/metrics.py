@@ -4,8 +4,8 @@ Columns are compared on their empirical distributions: JSD (base 2) for
 categoricals, 1-Wasserstein on min-max scaled values for numerics, and the
 Frobenius norm of mixed association-matrix differences. Detection and
 ML-efficiency use the built-in logistic/ridge models. DCR is an exact
-nearest-record scan in row blocks under a mixed per-column distance (an l1
-sum over columns); the CDF-difference
+nearest-record scan in tiles of query rows x train rows under a mixed
+per-column distance (an l1 sum over columns); the CDF-difference
 integral up to the holdout curve's 0.98 quantile flags generative
 overfitting (positive = risk).
 """
@@ -21,7 +21,8 @@ from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
 from .tables import RawTable, concat, factorize
 from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
-SCAN_BYTES = 8 << 20  # per row-block buffer of DCR and association; DCR: 512 rows to 2,048 train rows
+SCAN_BYTES = 1 << 20  # per DCR tile buffer, so a worker's three fit one core's L2: 512 x 256 to 1 x 131,072
+MOMENT_BYTES = 8 << 20  # per row-block buffer of the association's pairwise moments; sets their rounding
 
 
 def jsd(real_column, syn_column) -> float:
@@ -73,14 +74,14 @@ def wasserstein1(real_column, syn_column) -> float:
 def _pairwise_correlation(centred: np.ndarray, present: np.ndarray) -> np.ndarray:
     """Pearson correlation of each numeric pair over the rows where both are
     present: counts and means from GEMMs of the masked centred values, then a
-    corrected pass around each pair's means in SCAN_BYTES row blocks (a column
+    corrected pass around each pair's means in MOMENT_BYTES row blocks (a column
     constant where its partner is present gets std 0, not rounding noise)."""
     n, p = centred.shape
     mask = present.astype(np.float64)
     pairs = mask.T @ mask
     means = np.divide(centred.T @ mask, pairs, out=np.zeros((p, p)), where=pairs > 0)  # [j, l]: mean of j
     dev_sum, sq_sum, co_sum = np.zeros((3, p, p))
-    rows = max(1, SCAN_BYTES // (8 * max(p * p, 1)))
+    rows = max(1, MOMENT_BYTES // (8 * max(p * p, 1)))
     for s in range(0, n, rows):
         both = mask[s : s + rows, :, None] * mask[s : s + rows, None, :]
         dev = (centred[s : s + rows, :, None] - means) * both
@@ -268,11 +269,14 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
 
 def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
     """Per column (kind, train side, other side, span, missing train rows,
-    missing other rows): category codes, or values with non-finite cells 0."""
+    missing other rows): category codes in the smallest unsigned dtype that
+    holds MISSING, or values with non-finite cells 0."""
     blocks = []
     for name, kind in fmap.kinds.items():
         if kind == "categorical":
-            blocks.append(("cat", fmap.codes(train, name), fmap.codes(other, name), 1.0, None, None))
+            code = np.min_scalar_type(len(fmap.vocabs[name]) + 1)  # MISSING is the largest code
+            blocks.append(("cat", fmap.codes(train, name).astype(code), fmap.codes(other, name).astype(code),
+                           1.0, None, None))
             continue
         lo, hi = fmap.ranges[name]
         a, b = train.values(name, kind), other.values(name, kind)
@@ -284,44 +288,57 @@ def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
 
 def _dcr_chunk(blocks, sl: slice, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Minimum over train rows of the summed column distances, for the
-    ``other`` rows in ``sl``; the three (rows, n_train) work ``buffers``
-    serve every column, and their first rows every block."""
-    acc, work, unequal = (buf[: sl.stop - sl.start] for buf in buffers)
-    acc.fill(0.0)
-    for kind, a, b, span, miss_a, miss_b in blocks:
-        if kind == "cat":
-            acc += np.not_equal(b[sl, None], a[None, :], out=unequal)
-            continue
-        np.subtract(b[sl, None], a[None, :], out=work)
-        np.abs(work, out=work)
-        np.divide(work, span, out=work)
-        miss_rows = np.flatnonzero(miss_b[sl])
-        work[miss_rows] = 1.0
-        work[:, miss_a] = 1.0
-        work[np.ix_(miss_rows, miss_a)] = 0.0
-        acc += work
-    return acc.min(axis=1)
+    ``other`` rows in ``sl``: one tile of train rows at a time, as wide as
+    the three (rows, cols) work ``buffers``, which serve every column and
+    tile, and their first rows every row slice. The running minimum over
+    tiles is exact, and each distance sums its columns in schema order."""
+    n_rows, cols = sl.stop - sl.start, buffers[0].shape[1]
+    n_train = len(blocks[0][1]) if blocks else cols  # no comparable column: one all-zero tile
+    best = None
+    for c0 in range(0, n_train, cols):
+        c1 = min(c0 + cols, n_train)
+        acc, work, unequal = (buf[:n_rows, : c1 - c0] for buf in buffers)
+        acc.fill(0.0)
+        for kind, a, b, span, miss_a, miss_b in blocks:
+            if kind == "cat":
+                acc += np.not_equal(b[sl, None], a[None, c0:c1], out=unequal)
+                continue
+            np.subtract(b[sl, None], a[None, c0:c1], out=work)
+            np.abs(work, out=work)
+            np.divide(work, span, out=work)
+            miss_rows = np.flatnonzero(miss_b[sl])
+            miss_cols = miss_a[np.searchsorted(miss_a, c0) : np.searchsorted(miss_a, c1)] - c0
+            work[miss_rows] = 1.0
+            work[:, miss_cols] = 1.0
+            work[np.ix_(miss_rows, miss_cols)] = 0.0
+            acc += work
+        tile = acc.min(axis=1)
+        best = tile if best is None else np.minimum(best, tile, out=best)
+    return best
 
 
 def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     """For each row of ``other``, the exact minimum mixed distance to any
     ``train`` row: the sum over columns of a 0/1 mismatch for categoricals
     and |a-b| scaled by the train range for numerics (a missing side costs
-    1, both missing 0). Full O(n*m) scan across worker threads, in row blocks
-    whose buffers stay within SCAN_BYTES each; each worker thread allocates
-    its buffers once, for all of its blocks."""
+    1, both missing 0). Full O(n*m) scan across worker threads, in tiles of
+    up to SCAN_BLOCK other rows by SCAN_BYTES / 8 train rows whose buffers
+    stay within SCAN_BYTES each, whatever the table sizes; each worker
+    thread allocates its buffers once, for all of its tiles."""
     if train.schema.names != other.schema.names:
         raise ValueError("tables must share a schema")
+    if train.row_count == 0:
+        raise ValueError("dcr needs a non-empty train table: it has no rows to measure distances to")
     blocks = _dcr_columns(MixedFeatureMap(train), train, other)
-    n_train = train.row_count
-    rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * max(n_train, 1)), other.row_count))
+    cols = min(train.row_count, SCAN_BYTES // 8)
+    rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * cols), other.row_count))
     buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # per worker thread
 
     def chunk(sl: slice) -> np.ndarray:
         mine = buffers.get(threading.get_ident())
         if mine is None:
             mine = buffers[threading.get_ident()] = (
-                np.empty((rows, n_train)), np.empty((rows, n_train)), np.empty((rows, n_train), dtype=bool))
+                np.empty((rows, cols)), np.empty((rows, cols)), np.empty((rows, cols), dtype=bool))
         return _dcr_chunk(blocks, sl, mine)
 
     return scan_rows(other.row_count, chunk, rows)
@@ -333,25 +350,31 @@ def _empirical_cdf(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def dcr_cdf_curves(dcr_syn, dcr_test):
-    """Merged grid plus both empirical CDFs (plot data for the CLI)."""
-    grid = np.unique(np.concatenate([[0.0], np.asarray(dcr_syn), np.asarray(dcr_test)]))
-    return grid, _empirical_cdf(dcr_syn, grid), _empirical_cdf(dcr_test, grid)
-
-
-def dcr_cdf_integral(dcr_train_syn, dcr_train_test) -> float:
-    """Trapezoidal integral of CDF_syn - CDF_test from 0 up to the point where
-    the train/test CDF reaches 0.98. Positive values flag privacy risk."""
-    syn = np.asarray(dcr_train_syn, dtype=np.float64)
-    test = np.asarray(dcr_train_test, dtype=np.float64)
+    """Merged grid plus both empirical CDFs: the CLI's plot data and the
+    input of ``dcr_curves_integral``."""
+    syn = np.asarray(dcr_syn, dtype=np.float64)
+    test = np.asarray(dcr_test, dtype=np.float64)
     if syn.size == 0 or test.size == 0:
-        raise ValueError("dcr_cdf_integral needs non-empty samples")
-    grid, cdf_syn, cdf_test = dcr_cdf_curves(syn, test)
+        raise ValueError("DCR CDFs need non-empty samples")
+    grid = np.unique(np.concatenate([[0.0], syn, test]))
+    return grid, _empirical_cdf(syn, grid), _empirical_cdf(test, grid)
+
+
+def dcr_curves_integral(grid: np.ndarray, cdf_syn: np.ndarray, cdf_test: np.ndarray) -> float:
+    """Trapezoidal integral of cdf_syn - cdf_test over ``dcr_cdf_curves``'
+    grid, from 0 up to the point where cdf_test reaches 0.98."""
     reach = np.flatnonzero(cdf_test >= 0.98)
     q98 = grid[reach[0]] if reach.size else grid[-1]
     mask = grid <= q98
     if mask.sum() < 2:
         return 0.0
     return float(np.trapezoid(cdf_syn[mask] - cdf_test[mask], grid[mask]))
+
+
+def dcr_cdf_integral(dcr_train_syn, dcr_train_test) -> float:
+    """Integral of CDF_syn - CDF_test from 0 up to the point where the
+    train/test CDF reaches 0.98. Positive values flag privacy risk."""
+    return dcr_curves_integral(*dcr_cdf_curves(dcr_train_syn, dcr_train_test))
 
 
 # ---------------------------------------------------------------------------

@@ -678,6 +678,42 @@ def test_dcr_matches_parent_kernel_bitwise_with_nan_and_inf(rng, monkeypatch):
         assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
 
 
+def test_dcr_train_tiles_split_mid_table_match_the_parent_kernel_bitwise(rng, monkeypatch):
+    _with_infinities(monkeypatch)
+    train, other = nonfinite_mixed(rng, 300), nonfinite_mixed(rng, 120)
+    monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 37)  # 1 x 37 tiles: 9 train tiles, the last 4 wide
+    chunk, widths = argn.metrics._dcr_chunk, set()
+
+    def record(columns, sl, buffers):
+        widths.add(buffers[0].shape)
+        return chunk(columns, sl, buffers)
+
+    monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
+    for name in ("n1", "n2"):
+        tiles = set(np.flatnonzero(~np.isfinite(train.values(name, "numeric"))) // 37)
+        assert len(tiles) > 3 and max(tiles) == 8  # missing and infinite train cells in most tiles
+    assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
+    assert widths == {(1, 37)}
+
+
+@pytest.mark.parametrize("n_categories, code_dtype", [(300, np.uint16), (70_000, np.uint32)])
+def test_dcr_codes_wider_than_a_byte_match_the_parent_kernel(rng, n_categories, code_dtype):
+    train = make_table({"c": [f"v{i}" for i in range(n_categories)],
+                        "x": [f"{v:.3f}" for v in rng.normal(size=n_categories)]}, kinds={"x": "numeric"})
+    picks = rng.integers(0, n_categories, size=24)
+    other = make_table({"c": [f"v{i}" if i % 3 else f"unseen{i}" for i in picks[:-1]] + [None],
+                        "x": [f"{v:.3f}" for v in rng.normal(size=24)]}, kinds={"x": "numeric"})
+    codes = argn.metrics._dcr_columns(MixedFeatureMap(train), train, other)[0]
+    assert codes[1].dtype == codes[2].dtype == code_dtype
+    assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
+
+
+def test_dcr_of_an_empty_train_table_names_it():
+    other = make_table({"c": ["a", "b"]})
+    with pytest.raises(ValueError, match="empty train table"):
+        dcr(make_table({"c": []}), other)
+
+
 def test_dcr_blocks_stay_within_the_byte_budget(monkeypatch):
     n_train = 1_000_000
     train = make_table({"x": ["1"] * n_train}, kinds={"x": "numeric"})

@@ -25,3 +25,6 @@ def test_seeded_outputs_prints_one_digest_per_output(tmp_path):
     assert all(c[2].isdigit() and c[3].isdigit() for c in counts)
     calls = {c[1]: int(c[2]) for c in counts}
     assert calls["generate"] == 0 and calls["train"] > 0
+    peaks = [line.split("  ") for line in proc.stderr.splitlines() if line.startswith("peak_mib  ")]
+    assert [p[1] for p in peaks] == ["train", "train_dp", "generate", "evaluate", "dcr", "audit"]
+    assert all(re.fullmatch(r"\d+\.\d\d", p[2]) and float(p[2]) > 0 for p in peaks)

@@ -20,6 +20,7 @@ from argn.tables import (
     factorize,
     infer_schema,
     parse_column,
+    parse_number,
     read_csv,
     write_csv,
 )
@@ -147,6 +148,30 @@ def test_parse_column_reads_naive_cells_as_utc_and_offsets_as_their_utc_instant(
     assert vals[1] == vals[2] == (datetime(2021, 3, 14, 12) - datetime(1970, 1, 1)).total_seconds()
     assert vals[3] == (datetime(1, 1, 1) - datetime(1970, 1, 1)).total_seconds()
     assert np.isnan(vals[4:]).all()
+
+
+# -- the numeric rule of parse_column ------------------------------------------
+
+_number_cell = st.one_of(
+    st.sampled_from([None, "", " ", " 1.5 ", "\t-2\n", "1_000", "1__0", "_1", "nan", "-nan", "NaN",
+                     "inf", "-inf", "+Infinity", "1e999", "-1e999", "1e-999", "0x10", "١٢",
+                     "３.5", "½", "abc", "1,5", "--1"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789.eE+-_ infa٣", max_size=8),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(_number_cell, max_size=40))
+@example([None, " 1.5 ", "\t-2\n", "1_000", "nan", "-nan", "inf", "-inf", "1e999", "1e-999", "١٢", "３.5"])
+@example([None, "1_000", "-nan", "-inf", "1e999", "abc"])  # one cell fails: the per-cell path
+def test_numeric_parse_column_equals_parse_number_cell_by_cell(cells):
+    """The whole-column parse and its per-cell fallback both give, byte for
+    byte, parse_number of each cell with NaN where it gives None."""
+    expected = np.array([np.nan if (x := parse_number(c)) is None else x for c in cells], dtype=np.float64)
+    got = parse_column(cells, "numeric")
+    assert got.dtype == np.float64 and got.shape == (len(cells),)
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 _TZ_SCRIPT = """

@@ -11,7 +11,8 @@ its own. Two checkouts that print the same lines wrote the same bytes.
 
 On stderr it prints one ``parse_column  verb  calls  cells`` line per verb:
 the calls to ``argn.tables.parse_column`` that verb made, and the cells
-they parsed.
+they parsed; then one ``peak_mib  verb  N`` line per verb: the tracemalloc
+peak of that verb's run, in MiB.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import contextlib
 import hashlib
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,10 +45,10 @@ def digests(name: str, path: Path) -> list[tuple[str, str]]:
 
 
 @contextlib.contextmanager
-def parse_counts():
-    """Yields a list that gains one [calls, cells] per CLI run, in run order,
-    counting that run's ``parse_column`` calls; every caller resolves the
-    name through ``argn.tables`` at call time."""
+def per_verb_counts():
+    """Yields a list that gains one [calls, cells, peak] per CLI run, in run
+    order: that run's ``parse_column`` calls (every caller resolves the name
+    through ``argn.tables`` at call time) and its tracemalloc peak in bytes."""
     per_run: list[list[int]] = []
     parse, cli = argn.tables.parse_column, argn.cli.cli
 
@@ -56,8 +58,13 @@ def parse_counts():
         return parse(cells, kind)
 
     def counted_cli(argv):
-        per_run.append([0, 0])
-        return cli(argv)
+        per_run.append([0, 0, 0])
+        tracemalloc.start()
+        try:
+            return cli(argv)
+        finally:
+            per_run[-1][2] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
 
     argn.tables.parse_column, argn.cli.cli = counted_parse, counted_cli
     try:
@@ -76,10 +83,12 @@ def main(argv=None) -> int:
     w = inputs.WORKLOADS[args.workload]
     work = Path(args.work)
     inputs.setup(w, args.seed, str(work))
-    with parse_counts() as counts:
+    with per_verb_counts() as counts:
         failed = [r for r in run.run_pass(w, args.seed, work, work) if not r.ok]
-    for verb, (calls, cells) in zip(run.VERBS, counts):
+    for verb, (calls, cells, _) in zip(run.VERBS, counts):
         print(f"parse_column  {verb}  {calls}  {cells}", file=sys.stderr)
+    for verb, (_, _, peak) in zip(run.VERBS, counts):
+        print(f"peak_mib  {verb}  {peak / 2**20:.2f}", file=sys.stderr)
     for r in failed:
         print(f"FAILED {r.verb}: {r.error} (log in {work / 'verbs.log'})", file=sys.stderr)
     if failed:
