@@ -189,27 +189,28 @@ class ArgnModel:
             full[:, self.slot(j)] = table[codes[:, j]]
         return full
 
-    def column_logits(self, context: np.ndarray, i: int, train_mode: bool = False,
+    def column_logits(self, context: np.ndarray, i: int,
                       rng: Optional[np.random.Generator] = None):
-        """Regressor + predictor for sub-column i; returns (logits, cache)."""
+        """Regressor + predictor for sub-column i; returns (logits, cache).
+        Dropout is on only with an ``rng``: one (n, r_i) mask drawn from it."""
         w, b = self.params[f"W{i}"], self.params[f"b{i}"]
         v, c = self.params[f"V{i}"], self.params[f"c{i}"]
         h, cache_r = nn.dense_forward(context, w, b, "relu")
         mask = None
-        if train_mode and self.dropout_rate > 0:
+        if rng is not None and self.dropout_rate > 0:
             mask = nn.dropout_mask(h.shape, self.dropout_rate, rng)
             h = h * mask
         logits, cache_p = nn.dense_forward(h, v, c, "none")
         return logits, (cache_r, cache_p, mask)
 
-    def backward_column(self, dlogits: np.ndarray, cache, i: int) -> np.ndarray:
+    def backward_column(self, dlogits: np.ndarray, cache, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row (dpre, dctx): the regressor's pre-activation gradient and
+        the context's. Accumulates nothing."""
         cache_r, cache_p, mask = cache
-        w, b = self.params[f"W{i}"], self.params[f"b{i}"]
-        v, c = self.params[f"V{i}"], self.params[f"c{i}"]
-        dh = nn.dense_backward(dlogits, cache_p, v, c)
+        _, dh = nn.dense_backward(dlogits, cache_p, self.params[f"V{i}"])
         if mask is not None:
             dh = dh * mask
-        return nn.dense_backward(dh, cache_r, w, b)
+        return nn.dense_backward(dh, cache_r, self.params[f"W{i}"])
 
 
 def order_mask_matrix(model: ArgnModel, order: Sequence[int]) -> np.ndarray:
@@ -223,56 +224,33 @@ def order_mask_matrix(model: ArgnModel, order: Sequence[int]) -> np.ndarray:
     return masks
 
 
-def forward_column(model: ArgnModel, context: np.ndarray, i: int, train_mode: bool = False,
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def forward_column(model: ArgnModel, context: np.ndarray, i: int) -> np.ndarray:
     """Conditional probability vector(s) for sub-column i given a masked context."""
-    logits, _ = model.column_logits(context, i, train_mode, rng)
+    logits, _ = model.column_logits(context, i)
     return nn.softmax(logits)
-
-
-def _batch_losses(model: ArgnModel, codes: np.ndarray, order: Sequence[int],
-                  train_mode: bool, rng: Optional[np.random.Generator],
-                  accumulate_grads: bool) -> np.ndarray:
-    """Per-row summed cross-entropy over all sub-columns under ``order``.
-
-    With ``accumulate_grads`` the mean-over-rows gradient lands in the model
-    parameters (including embeddings).
-    """
-    n = codes.shape[0]
-    full = model.embed_rows(codes)
-    masks = order_mask_matrix(model, order)
-    total = np.zeros(n, dtype=np.float64)
-    demb_full = np.zeros_like(full) if accumulate_grads else None
-    for t, i in enumerate(order):
-        ctx = full * masks[t]
-        logits, cache = model.column_logits(ctx, i, train_mode, rng)
-        losses, dlogits = nn.softmax_cross_entropy(logits, codes[:, i])
-        total += losses
-        if accumulate_grads:
-            dctx = model.backward_column(dlogits / n, cache, i)
-            demb_full += dctx * masks[t]
-    if accumulate_grads:
-        for j in range(model.d_total):
-            table = model.params[f"E{j}"]
-            np.add.at(table.grad, codes[:, j], demb_full[:, model.slot(j)])
-    return total
 
 
 def negative_log_likelihood(model: ArgnModel, codes,
                             order: Optional[Sequence[int]] = None,
                             chunk: int = 4096) -> float:
     """Mean over rows of the summed per-sub-column NLL under ``order``
-    (canonical schema order by default). Accepts an EncodedTable or a code
-    matrix."""
+    (canonical schema order by default), dropout off. Accepts an
+    EncodedTable or a code matrix."""
     if isinstance(codes, EncodedTable):
         codes = codes.data
     codes = np.asarray(codes, dtype=np.int32)
     if order is None:
         order = tuple(range(model.d_total))
+    masks = order_mask_matrix(model, order)
     total = 0.0
     for start in range(0, codes.shape[0], chunk):
         block = codes[start : start + chunk]
-        total += float(_batch_losses(model, block, order, False, None, False).sum())
+        full = model.embed_rows(block)
+        losses = np.zeros(block.shape[0])
+        for t, i in enumerate(order):
+            logits, _ = model.column_logits(full * masks[t], i)
+            losses += nn.softmax_cross_entropy(logits, block[:, i])[0]
+        total += float(losses.sum())
     return total / codes.shape[0]
 
 
@@ -281,46 +259,51 @@ def _row_sq(a: np.ndarray) -> np.ndarray:
 
 
 def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int],
-                       rng: np.random.Generator, clip_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """One train-mode pass over a batch that leaves the clipped sum
-    sum_r min(1, C/|g_r|) g_r of the per-example gradients g_r in
-    ``model.store.grad``; returns the per-row losses and the norms |g_r|.
+                       rng: Optional[np.random.Generator],
+                       clip_norm: Optional[float] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The training pass: adds sum_r s_r g_r of the per-example gradients g_r
+    to ``model.store.grad``; returns the per-row losses and the norms |g_r|
+    (None without ``clip_norm``).
 
-    No g_r is formed, yet the norms are exact: within one example every W_i
-    and V_i is used once, so its gradient is an outer product with norm
-    |dy| |x|, and each embedding table gets gradient in one row only. The
-    dropout uniforms are drawn in one call, row by row, so the masks (and
-    every later draw) equal those of a batch-of-1 loop over the rows.
+    Without ``clip_norm`` s_r = 1/n, the mean gradient of plain training;
+    with it s_r = min(1, C/|g_r|), the clipped sum of DP-SGD. No g_r is
+    formed, yet the norms are exact: within one example every W_i and V_i is
+    used once, so its gradient is an outer product with norm |dy| |x|, and
+    each embedding table gets gradient in one row only. With an ``rng`` each
+    sub-column draws its dropout mask, in ``order``; without one dropout is off.
     """
     n = codes.shape[0]
     full = model.embed_rows(codes)
     masks = order_mask_matrix(model, order)
-    cuts = np.cumsum([0] + [model.sizes.regressor_dims[i] for i in order])
-    keep = nn.dropout_mask((n, int(cuts[-1])), model.dropout_rate, rng)
     total, norm2 = np.zeros(n), np.zeros(n)
     demb = np.zeros_like(full)
     saved = []
     for t, i in enumerate(order):
-        w, b, v, c = (model.params[f"{k}{i}"].value for k in "WbVc")
-        ctx, mask = full * masks[t], keep[:, cuts[t] : cuts[t + 1]]
-        pre = ctx @ w.T + b
-        h = np.maximum(pre, 0) * mask
-        losses, dlogits = nn.softmax_cross_entropy(h @ v.T + c, codes[:, i])
-        dpre = (dlogits @ v) * mask * (pre > 0)
-        demb += (dpre @ w) * masks[t]
+        ctx = full * masks[t]
+        logits, cache = model.column_logits(ctx, i, rng)
+        losses, dlogits = nn.softmax_cross_entropy(logits, codes[:, i])
+        if clip_norm is None:
+            dlogits /= n
+        dpre, dctx = model.backward_column(dlogits, cache, i)
+        demb += dctx * masks[t]
         total += losses
-        norm2 += _row_sq(dlogits) * (_row_sq(h) + 1) + _row_sq(dpre) * (_row_sq(ctx) + 1)
+        h = cache[1][0]  # the predictor's input, after dropout
+        if clip_norm is not None:
+            norm2 += _row_sq(dlogits) * (_row_sq(h) + 1) + _row_sq(dpre) * (_row_sq(ctx) + 1)
         saved.append((h, dlogits, dpre))
-    norms = np.sqrt(norm2 + _row_sq(demb))
-    scale = (clip_norm / np.maximum(norms, clip_norm)).astype(full.dtype)[:, None]
+    norms = None
+    if clip_norm is not None:
+        norms = np.sqrt(norm2 + _row_sq(demb))
+        scale = (clip_norm / np.maximum(norms, clip_norm)).astype(full.dtype)[:, None]
+        demb *= scale
     for t, i in enumerate(order):
         h, dlogits, dpre = saved[t]
-        dlogits, dpre = dlogits * scale, dpre * scale
+        if clip_norm is not None:
+            dlogits, dpre = dlogits * scale, dpre * scale
         model.params[f"W{i}"].grad += dpre.T @ (full * masks[t])
         model.params[f"b{i}"].grad += dpre.sum(axis=0)
         model.params[f"V{i}"].grad += dlogits.T @ h
         model.params[f"c{i}"].grad += dlogits.sum(axis=0)
-    demb *= scale
     for j in range(model.d_total):
         np.add.at(model.params[f"E{j}"].grad, codes[:, j], demb[:, model.slot(j)])
     return total, norms
@@ -349,6 +332,7 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
     canonical = tuple(range(model.d_total))
     history = {"train_loss": [], "val_loss": [], "lr": [], "val_indices": val_idx.copy()}
     best_weights = model.store.value.copy()
+    clip_norm = cfg.dp.clip_norm if cfg.dp.enabled else None
     step = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -357,11 +341,10 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
         for start in range(0, len(epoch_rows), cfg.batch_size):
             batch = data[epoch_rows[start : start + cfg.batch_size]]
             order = tuple(rng.permutation(model.d_total)) if cfg.order_mode == "any_order" else model.fixed_order
+            losses, _ = _per_example_grads(model, batch, order, rng, clip_norm)
             if cfg.dp.enabled:
-                losses, _ = _per_example_grads(model, batch, order, rng, cfg.dp.clip_norm)
                 nn.dp_sgd_step(model.store, len(batch), cfg.dp, lr, rng)
             else:
-                losses = _batch_losses(model, batch, order, True, rng, True)
                 step += 1
                 nn.adam_step(model.store, lr, step)
             batch_loss = float(losses.mean())

@@ -3,8 +3,9 @@
 Dense layers, embedding lookups, softmax cross-entropy, inverted dropout,
 Adam, and a DP-SGD step. Everything is plain numpy with hand-written
 backward passes; forward functions return a cache that the paired backward
-consumes. Inputs may be single vectors or batches (leading batch axis);
-gradients accumulate into ``Param.grad`` so multiple backward calls sum.
+consumes. Inputs may be single vectors or batches (leading batch axis).
+The dense backward returns per-row gradients and leaves their weighting and
+summing to the caller; the embedding backward adds into ``Param.grad``.
 A model's weights live in one flat ``Param`` store; the kernels get views
 into it, and Adam and DP-SGD update the whole store at once.
 
@@ -77,15 +78,14 @@ def dense_forward(x, w: Param, b: Param, activation: str = "relu"):
     return (y[0] if squeeze else y), cache
 
 
-def dense_backward(dy, cache, w: Param, b: Param):
-    """Accumulates dL/dW and dL/db; returns dL/dx."""
+def dense_backward(dy, cache, w: Param):
+    """Returns (dL/dpre, dL/dx) and accumulates nothing: per row,
+    dL/dW = outer(dpre, x) and dL/db = dpre."""
     xb, pre, activation, squeeze = cache
     dyb, _ = _as_batch(dy)
     dpre = dyb * (pre > 0) if activation == "relu" else dyb
-    w.grad += dpre.T @ xb
-    b.grad += dpre.sum(axis=0)
     dx = dpre @ w.value
-    return dx[0] if squeeze else dx
+    return (dpre[0], dx[0]) if squeeze else (dpre, dx)
 
 
 def embedding_forward(index, table: Param):

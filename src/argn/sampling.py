@@ -182,7 +182,7 @@ def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[
             if codes.ndim == 0:
                 codes = np.full(n, int(codes), dtype=np.int32)
         else:
-            logits, _ = model.column_logits(ctx, i, train_mode=False)
+            logits, _ = model.column_logits(ctx, i)
             logits /= temperature
             # unnormalized, summed in float64 and compared with u times the
             # row's total, so a zero-probability code is never drawn

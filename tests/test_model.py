@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from argn import nn
 from argn.encoders import EncodedTable, SubColumn
 from argn.model import (
     ArgnModel,
@@ -14,6 +15,7 @@ from argn.model import (
     order_mask_matrix,
     train,
 )
+from argn.nn import dropout_mask
 from test_nn import REL_TOL, central_diff, rel_err
 
 
@@ -274,13 +276,13 @@ def test_nll_uniform_untrained():
 
 
 def test_nll_matches_batch_loss_path():
-    from argn.model import _batch_losses
+    from argn.model import _per_example_grads
 
     model = fresh_model([3, 4, 2], seed=5)
     rows = np.random.default_rng(0).integers(0, 2, size=(50, 3)).astype(np.int32)
     order = (2, 0, 1)
-    direct = float(_batch_losses(model, rows, order, False, None, False).mean())
-    assert negative_log_likelihood(model, rows, order) == pytest.approx(direct, abs=1e-9)
+    losses, _ = _per_example_grads(model, rows, order, None)  # no rng: dropout off
+    assert negative_log_likelihood(model, rows, order) == pytest.approx(float(losses.mean()), abs=1e-9)
 
 
 def test_nll_near_zero_for_learned_deterministic_column():
@@ -302,8 +304,9 @@ def test_nll_near_zero_for_learned_deterministic_column():
 def test_full_model_gradient_matches_finite_differences(order):
     """Every coordinate of the flat store in float64: the masked contexts, the
     embedding scatter-add (codes repeat across rows), regressors and
-    predictors, checked block by block."""
-    from argn.model import _batch_losses
+    predictors, checked block by block against the training pass's mean
+    gradient."""
+    from argn.model import _per_example_grads
 
     model = ArgnModel(subcols([3, 4, 2]))
     model.init_params(np.random.default_rng(1), dtype=np.float64)
@@ -311,12 +314,9 @@ def test_full_model_gradient_matches_finite_differences(order):
     model.store.value[...] = np.random.default_rng(2).normal(scale=0.5, size=model.store.value.size)
     codes = np.array([[0, 1, 1], [2, 3, 0], [0, 1, 1], [1, 0, 1], [2, 2, 0]], dtype=np.int32)
 
-    def loss():
-        return float(_batch_losses(model, codes, order, False, None, False).mean())
-
     model.store.grad[...] = 0
-    _batch_losses(model, codes, order, False, None, True)
-    numeric = central_diff(loss, model.store.value, h=1e-6)
+    _per_example_grads(model, codes, order, None)
+    numeric = central_diff(lambda: negative_log_likelihood(model, codes, order), model.store.value, h=1e-6)
     offset = 0
     for name, p in model.params.items():
         block = numeric[offset : offset + p.value.size].reshape(p.value.shape)
@@ -331,17 +331,34 @@ def test_full_model_gradient_matches_finite_differences(order):
 # -- DP-SGD: per-example gradients from one batched pass ---------------------------
 
 
-def per_example_grads_oracle(model, codes, order, rng):
+def record_dropout_masks(monkeypatch) -> list:
+    """Every dropout mask drawn from now on, in draw order."""
+    drawn = []
+
+    def recording(shape, rate, rng):
+        drawn.append(dropout_mask(shape, rate, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(nn, "dropout_mask", recording)
+    return drawn
+
+
+def per_example_grads_oracle(model, codes, order, drawn, monkeypatch):
     """Batch-of-1 oracle: each row's train-mode loss and flat gradient from
-    its own pass (drawing its dropout masks from ``rng`` row by row)."""
-    from argn.model import _batch_losses
+    its own pass, replaying that row of the masks ``drawn`` (one per
+    sub-column, in order) that a batch pass drew."""
+    from argn.model import _per_example_grads
 
     grad = model.store.grad
     losses, grads = [], []
     for r in range(codes.shape[0]):
+        replay = iter([mask[r : r + 1] for mask in drawn])
+        monkeypatch.setattr(nn, "dropout_mask", lambda shape, rate, rng: next(replay))
         grad[...] = 0
-        losses.append(float(_batch_losses(model, codes[r : r + 1], order, True, rng, True)[0]))
+        row_losses, _ = _per_example_grads(model, codes[r : r + 1], order, np.random.default_rng(0))
+        losses.append(float(row_losses[0]))
         grads.append(grad.copy())
+        assert next(replay, None) is None
     grad[...] = 0
     return np.array(losses), np.array(grads)
 
@@ -362,63 +379,86 @@ def norm_rel_err(a, b):
 
 @pytest.mark.parametrize("dropout", [0.0, 0.25])
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
-def test_ghost_norms_and_clipped_sum_match_batch_of_one_oracle(order, dropout):
+def test_ghost_norms_and_clipped_sum_match_batch_of_one_oracle(order, dropout, monkeypatch):
     from argn.model import _per_example_grads
 
     model, codes = ghost_case(dropout)
-    oracle_rng, ghost_rng = np.random.default_rng(5), np.random.default_rng(5)
-    oracle_losses, grads = per_example_grads_oracle(model, codes, order, oracle_rng)
+    drawn = record_dropout_masks(monkeypatch)
+    _per_example_grads(model, codes, order, np.random.default_rng(5))
+    plain_masks = list(drawn)
+    assert len(plain_masks) == (len(order) if dropout else 0)
+    oracle_losses, grads = per_example_grads_oracle(model, codes, order, plain_masks, monkeypatch)
     oracle_norms = np.linalg.norm(grads, axis=1)
     clip = float(np.median(oracle_norms))  # clips about half the rows
-    losses, norms = _per_example_grads(model, codes, order, ghost_rng, clip)
+
+    drawn = record_dropout_masks(monkeypatch)
+    losses, norms = _per_example_grads(model, codes, order, np.random.default_rng(5), clip)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, plain_masks, strict=True))
     np.testing.assert_allclose(norms, oracle_norms, rtol=1e-10, atol=0)
     np.testing.assert_allclose(losses, oracle_losses, rtol=1e-12, atol=0)
     scales = np.minimum(1.0, clip / oracle_norms)
     assert 0 < (scales < 1).sum() < len(scales)
     assert norm_rel_err(model.store.grad, scales @ grads) < 1e-10
-    # the dropout draws consumed the stream exactly as the row-by-row loop did
-    assert ghost_rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+def test_plain_and_dp_passes_draw_the_same_dropout_masks(order, monkeypatch):
+    from argn.model import _per_example_grads
+
+    model, codes = ghost_case(0.25)
+    drawn = record_dropout_masks(monkeypatch)
+    plain_rng, dp_rng = np.random.default_rng(9), np.random.default_rng(9)
+    _per_example_grads(model, codes, order, plain_rng)
+    plain_masks = drawn[:]
+    _per_example_grads(model, codes, order, dp_rng, 1.0)
+    dp_masks = drawn[len(plain_masks):]
+    assert [m.shape for m in plain_masks] == [(len(codes), model.sizes.regressor_dims[i]) for i in order]
+    assert all(np.array_equal(a, b) for a, b in zip(plain_masks, dp_masks, strict=True))
+    assert plain_rng.bit_generator.state == dp_rng.bit_generator.state
 
 
 def test_ghost_huge_clip_is_the_summed_gradient_and_one_row_clips_to_exact_norm():
-    from argn.model import _batch_losses, _per_example_grads
+    from argn.model import _per_example_grads
 
-    model, codes = ghost_case(0.0)
-    order = (2, 0, 1)
-    _batch_losses(model, codes, order, True, None, True)
-    summed = codes.shape[0] * model.store.grad  # the plain mean gradient times n
-    model.store.grad[...] = 0
-    _per_example_grads(model, codes, order, np.random.default_rng(0), 1e12)
-    assert norm_rel_err(model.store.grad, summed) < 1e-10
+    for dropout in (0.0, 0.25):
+        model, codes = ghost_case(dropout)
+        order = (2, 0, 1)
+        _per_example_grads(model, codes, order, np.random.default_rng(0))
+        summed = codes.shape[0] * model.store.grad  # the plain mean gradient times n
+        model.store.grad[...] = 0
+        _, norms = _per_example_grads(model, codes, order, np.random.default_rng(0), 1e12)
+        assert norms.max() < 1e12
+        assert norm_rel_err(model.store.grad, summed) < 1e-10, dropout
 
-    model.store.grad[...] = 0
-    _, (norm,) = _per_example_grads(model, codes[:1], order, np.random.default_rng(0), 1e12)
-    model.store.grad[...] = 0
-    _per_example_grads(model, codes[:1], order, np.random.default_rng(0), norm / 2)
-    assert np.linalg.norm(model.store.grad) == pytest.approx(norm / 2, rel=1e-12)
+        model.store.grad[...] = 0
+        _, (norm,) = _per_example_grads(model, codes[:1], order, np.random.default_rng(0), 1e12)
+        model.store.grad[...] = 0
+        _per_example_grads(model, codes[:1], order, np.random.default_rng(0), norm / 2)
+        assert np.linalg.norm(model.store.grad) == pytest.approx(norm / 2, rel=1e-12), dropout
 
 
 def test_dp_batch_memory_stays_below_ten_copies_of_the_weights():
-    """One DP batch of 64 rows on a store of about a million floats: the
-    gradient sum lives in the store's own gradient buffer, with no copy of
-    the weights per example."""
+    """One batch of 64 rows on a store of about a million floats, with DP and
+    without: the gradient sum lives in the store's own gradient buffer, with
+    no copy of the weights per example, and the per-column activations held
+    until the sum is taken stay small."""
     import tracemalloc
 
     from argn.nn import DpConfig
 
     data = np.random.default_rng(0).integers(0, 3000, size=(72, 2)).astype(np.int32)
     encoded = EncodedTable(subcols([3000, 3000]), data)  # 7 validation rows, 65 train rows
-    model = ArgnModel(encoded.sub_columns)
-    cfg = TrainConfig(batch_size=64, max_epochs=1, seed=0,
-                      dp=DpConfig(enabled=True, clip_norm=1.0, noise_multiplier=1.0))
-    tracemalloc.start()
-    try:
-        train(model, encoded, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert model.store.value.size > 500_000
-    assert peak < 10 * model.store.value.nbytes
+    for dp in (DpConfig(enabled=True, clip_norm=1.0, noise_multiplier=1.0), DpConfig()):
+        model = ArgnModel(encoded.sub_columns)
+        cfg = TrainConfig(batch_size=64, max_epochs=1, seed=0, dp=dp)
+        tracemalloc.start()
+        try:
+            train(model, encoded, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.store.value.size > 500_000
+        assert peak < 10 * model.store.value.nbytes, dp
 
 
 # -- training with DP --------------------------------------------------------------
