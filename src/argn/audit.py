@@ -11,11 +11,13 @@ synthetic set directly against the target.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import metrics
 from .encoders import EncodingOptions, encode_table, fit_encoders
 from .linear import MixedFeatureMap, feature_major, fit_logistic_stack, one_hot, softmax_class_major, standardizer
 from .metrics import mixed_association_matrix
@@ -23,7 +25,7 @@ from .model import ArgnModel, TrainConfig, train
 from .protect import ValueProtectionConfig, protect_table
 from .sampling import GenerationRequest, synthesize
 from .tables import RawTable, TableSchema, concat
-from .util import mann_whitney_auc, scan_rows
+from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
 META_ATTACKS = ("naive_gh", "hist_gh", "corr_gh", "logistic_gh", "query_based")
 DISTANCE_METRICS = {"closest_hamming": "hamming", "closest_l2": "l2",
@@ -89,7 +91,11 @@ def achilles_score(table: RawTable, k: int = 5) -> np.ndarray:
     """Mean cosine distance to the k nearest rows under one-hot + min-max
     encoding; larger = more distinct = more attackable. If any encoded row is
     all-zero, a constant bias coordinate is appended so cosine stays defined.
-    Rows are scanned in blocks, so memory is O(block x n), not O(n^2).
+    Panels of at least 64 rows (so the GEMM stays efficient) are scanned
+    against tiles of other rows whose cosines fit in metrics.SCAN_BYTES,
+    keeping each row's running k largest cosines, so memory does not grow
+    with n^2. Distance 1 - clip(cos) falls as cos grows, so the k largest
+    cosines give exactly the k smallest distances; only they are converted.
     """
     if not 0 < k < table.row_count:
         raise ValueError("need 0 < k < row_count")
@@ -98,18 +104,33 @@ def achilles_score(table: RawTable, k: int = 5) -> np.ndarray:
     if np.any(norms == 0):
         x = np.hstack([x, np.ones((x.shape[0], 1))])
         norms = np.linalg.norm(x, axis=1)
-    unit = x / norms[:, None]
+    unit = np.divide(x, norms[:, None], out=x)
+    n = table.row_count
+    rows = min(n, max(64, min(SCAN_BLOCK, metrics.SCAN_BYTES // (8 * n))))
+    cols = min(n, metrics.SCAN_BYTES // (8 * rows))
+    buffers: dict[int, np.ndarray] = {}  # one tile per worker thread
 
-    def block(rows: slice) -> np.ndarray:
-        dist = unit[rows] @ unit.T  # one SCAN_BLOCK x n buffer, updated in place
-        np.clip(dist, -1.0, 1.0, out=dist)
-        np.subtract(1.0, dist, out=dist)
-        own = np.arange(rows.stop - rows.start)
-        dist[own, rows.start + own] = np.inf
-        dist.partition(k - 1, axis=1)
-        return np.sort(dist[:, :k], axis=1).mean(axis=1)
+    def largest(cos: np.ndarray) -> np.ndarray:  # each row's k largest, unordered
+        width = cos.shape[1]
+        if width > k:
+            cos.partition(width - k, axis=1)
+        return cos[:, max(0, width - k):]
 
-    return scan_rows(table.row_count, block)
+    def block(panel: slice) -> np.ndarray:
+        tile = buffers.get(threading.get_ident())
+        if tile is None:
+            tile = buffers[threading.get_ident()] = np.empty(rows * cols)
+        height = panel.stop - panel.start
+        best = np.empty((height, 0))
+        for c0 in range(0, n, cols):
+            c1 = min(c0 + cols, n)
+            cos = np.matmul(unit[panel], unit[c0:c1].T, out=tile[: height * (c1 - c0)].reshape(height, c1 - c0))
+            own = np.arange(max(panel.start, c0), min(panel.stop, c1))
+            cos[own - panel.start, own - c0] = -np.inf
+            best = largest(np.concatenate([best, largest(cos)], axis=1))
+        return np.sort(1.0 - np.clip(best, -1.0, 1.0), axis=1).mean(axis=1)
+
+    return scan_rows(n, block, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
 from .tables import RawTable, concat, factorize
 from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
-SCAN_BYTES = 1 << 20  # per DCR tile buffer, so a worker's three fit one core's L2: 512 x 256 to 1 x 131,072
+SCAN_BYTES = 1 << 20  # per DCR or Achilles tile buffer; a DCR worker's three fit one L2: 512 x 256 to 1 x 131,072
 MOMENT_BYTES = 8 << 20  # per row-block buffer of the association's pairwise moments; sets their rounding
 
 

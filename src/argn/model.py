@@ -258,6 +258,16 @@ def _row_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a, dtype=np.float64)
 
 
+def _add_column_grads(model: ArgnModel, i: int, ctx: np.ndarray, h: np.ndarray,
+                      dlogits: np.ndarray, dpre: np.ndarray) -> None:
+    """Adds sub-column i's weighted W, b, V and c gradients, given its masked
+    context, predictor input and row-weighted (dlogits, dpre)."""
+    model.params[f"W{i}"].grad += dpre.T @ ctx
+    model.params[f"b{i}"].grad += dpre.sum(axis=0)
+    model.params[f"V{i}"].grad += dlogits.T @ h
+    model.params[f"c{i}"].grad += dlogits.sum(axis=0)
+
+
 def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int],
                        rng: Optional[np.random.Generator],
                        clip_norm: Optional[float] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -265,11 +275,12 @@ def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int]
     to ``model.store.grad``; returns the per-row losses and the norms |g_r|
     (None without ``clip_norm``).
 
-    Without ``clip_norm`` s_r = 1/n, the mean gradient of plain training;
-    with it s_r = min(1, C/|g_r|), the clipped sum of DP-SGD. No g_r is
-    formed, yet the norms are exact: within one example every W_i and V_i is
-    used once, so its gradient is an outer product with norm |dy| |x|, and
-    each embedding table gets gradient in one row only. With an ``rng`` each
+    Without ``clip_norm`` s_r = 1/n, the mean gradient of plain training,
+    added column by column; with it s_r = min(1, C/|g_r|), the clipped sum of
+    DP-SGD, added once every column's norm is known. No g_r is formed, yet
+    the norms are exact: within one example every W_i and V_i is used once,
+    so its gradient is an outer product with norm |dy| |x|, and each
+    embedding table gets gradient in one row only. With an ``rng`` each
     sub-column draws its dropout mask, in ``order``; without one dropout is off.
     """
     n = codes.shape[0]
@@ -288,22 +299,19 @@ def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int]
         demb += dctx * masks[t]
         total += losses
         h = cache[1][0]  # the predictor's input, after dropout
-        if clip_norm is not None:
-            norm2 += _row_sq(dlogits) * (_row_sq(h) + 1) + _row_sq(dpre) * (_row_sq(ctx) + 1)
+        if clip_norm is None:
+            _add_column_grads(model, i, ctx, h, dlogits, dpre)
+            continue
+        norm2 += _row_sq(dlogits) * (_row_sq(h) + 1) + _row_sq(dpre) * (_row_sq(ctx) + 1)
         saved.append((h, dlogits, dpre))
     norms = None
     if clip_norm is not None:
         norms = np.sqrt(norm2 + _row_sq(demb))
         scale = (clip_norm / np.maximum(norms, clip_norm)).astype(full.dtype)[:, None]
         demb *= scale
-    for t, i in enumerate(order):
-        h, dlogits, dpre = saved[t]
-        if clip_norm is not None:
-            dlogits, dpre = dlogits * scale, dpre * scale
-        model.params[f"W{i}"].grad += dpre.T @ (full * masks[t])
-        model.params[f"b{i}"].grad += dpre.sum(axis=0)
-        model.params[f"V{i}"].grad += dlogits.T @ h
-        model.params[f"c{i}"].grad += dlogits.sum(axis=0)
+        for t, i in enumerate(order):
+            h, dlogits, dpre = saved[t]
+            _add_column_grads(model, i, full * masks[t], h, dlogits * scale, dpre * scale)
     for j in range(model.d_total):
         np.add.at(model.params[f"E{j}"].grad, codes[:, j], demb[:, model.slot(j)])
     return total, norms

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-# Default rows per block of a scan; a block's temporaries are SCAN_BLOCK x n_other.
+# Most rows per block of the DCR and Achilles scans.
 SCAN_BLOCK = 512
 
 
@@ -23,8 +23,7 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray],
-              block: int = SCAN_BLOCK) -> np.ndarray:
+def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int) -> np.ndarray:
     """Concatenated ``block_fn(rows)`` over consecutive blocks of at most
     ``block`` rows, run on up to worker_count() threads. Blocks are
     independent, so the result does not depend on the thread count."""

@@ -106,6 +106,8 @@ def dense_achilles(table, k):
     from argn.linear import MixedFeatureMap
 
     x = MixedFeatureMap(table).transform(table)
+    if not np.linalg.norm(x, axis=1).all():  # an all-zero row: the bias coordinate
+        x = np.hstack([x, np.ones((len(x), 1))])
     unit = x / np.linalg.norm(x, axis=1)[:, None]
     dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(dist, np.inf)
@@ -113,7 +115,7 @@ def dense_achilles(table, k):
 
 
 def test_achilles_blocked_scan_matches_dense_formula(monkeypatch):
-    table = mixed_sample_table(1100, seed=3)  # three row blocks
+    table = mixed_sample_table(1100, seed=3)  # ten 119-row panels
     scores = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("ARGN_THREADS", threads)
@@ -123,10 +125,37 @@ def test_achilles_blocked_scan_matches_dense_formula(monkeypatch):
     np.testing.assert_allclose(scores["1"], dense_achilles(table, 5), rtol=0, atol=1e-15)
 
 
+def test_achilles_merges_k_nearest_across_column_tiles(monkeypatch):
+    """64-row panels by 90-row tiles (90, 90, 90, 3): every row's nearest
+    neighbours lie in several tiles, the last tile is narrower than k, and
+    each panel meets its own rows in one or two of them."""
+    import argn.metrics
+
+    rng = np.random.default_rng(4)
+    base = np.round(rng.uniform(1.0, 2.0, size=(91, 3)), 4)
+    base[0] = 0.0  # the minimum of every column: an all-zero encoded row
+    values = base[rng.permutation(np.repeat(np.arange(91), 3))]  # three copies: ties at distance 0
+    table = make_table({f"x{j}": [f"{v:.4f}" for v in values[:, j]] for j in range(3)},
+                       kinds={f"x{j}": "numeric" for j in range(3)})
+    monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 64 * 90)
+    scores = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("ARGN_THREADS", threads)
+        scores[threads] = achilles_score(table, k=5)
+    np.testing.assert_array_equal(scores["1"], scores["4"])
+    np.testing.assert_allclose(scores["1"], dense_achilles(table, 5), rtol=0, atol=1e-15)
+
+
 def test_achilles_memory_stays_below_one_dense_matrix(monkeypatch):
+    """Each worker holds one SCAN_BYTES tile; the rest is the encoded
+    features, whatever n^2 is (one dense matrix here is 122 MiB)."""
     import tracemalloc
 
+    import argn.metrics
+    from argn.linear import MixedFeatureMap
+
     table = mixed_sample_table(4000, seed=2)
+    features = MixedFeatureMap(table).transform(table)
     monkeypatch.setenv("ARGN_THREADS", "4")
     tracemalloc.start()
     try:
@@ -134,7 +163,7 @@ def test_achilles_memory_stays_below_one_dense_matrix(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4000 * 4000 * 8
+    assert peak < 4 * 4 * argn.metrics.SCAN_BYTES + 4 * features.nbytes
 
 
 def test_achilles_k_validation():

@@ -461,6 +461,28 @@ def test_dp_batch_memory_stays_below_ten_copies_of_the_weights():
         assert peak < 10 * model.store.value.nbytes, dp
 
 
+def test_plain_step_adds_each_column_before_the_next():
+    """A plain step knows its row weights before the backward, so it adds each
+    sub-column's gradients at once and holds no column's activations past its
+    own: with 60 sub-columns, the step's peak stays below the (h, dlogits,
+    dpre) of every column held together."""
+    import tracemalloc
+
+    from argn.model import _per_example_grads
+
+    model = fresh_model([10] * 60)
+    codes = np.random.default_rng(1).integers(0, 10, size=(256, 60)).astype(np.int32)
+    sizes = model.sizes
+    held = 256 * (sum(sizes.cardinalities) + 2 * sum(sizes.regressor_dims)) * model.store.value.itemsize
+    tracemalloc.start()
+    try:
+        _per_example_grads(model, codes, tuple(range(60)), np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held
+
+
 # -- training with DP --------------------------------------------------------------
 
 
