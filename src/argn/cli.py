@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict, fields, replace
 from typing import Optional
 
+import numpy as np
+
 from .audit import AuditConfig, argn_generator, run_audit
 from .encoders import EncodingOptions, encode_table, fit_encoders
 from .metrics import dcr, dcr_cdf_curves, dcr_curves_integral, evaluate_tables
@@ -204,18 +206,32 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+CDF_ROWS = 4096  # rows of the DCR CDF file formatted and written at a time
+
+
+def _cdf_reprs(cdf: np.ndarray) -> list[str]:
+    """repr of each value of a CDF column, formatting each distinct value
+    once: the column holds at most n + 1 values k / n, none of them -0.0 or
+    NaN (which np.unique would merge)."""
+    distinct, inverse = np.unique(cdf, return_inverse=True)
+    text = [repr(v) for v in distinct.tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def _cmd_dcr(args) -> int:
     train_raw = read_csv(args.train)
     schema = infer_schema(train_raw)
     train_tbl = _with_schema_of(schema, train_raw, args.train)
     syn = _with_schema_of(schema, read_csv(args.syn), args.syn)
     test = _with_schema_of(schema, read_csv(args.test), args.test)
-    curves = dcr_cdf_curves(dcr(train_tbl, syn), dcr(train_tbl, test))
+    grid, cdf_syn, cdf_test = curves = dcr_cdf_curves(dcr(train_tbl, syn), dcr(train_tbl, test))
     integral = dcr_curves_integral(*curves)
-    rows = zip(*(c.tolist() for c in curves))
-    text = "distance,cdf_syn,cdf_test\n" + "".join(f"{g!r},{a!r},{b!r}\n" for g, a, b in rows)
     with open(args.out_cdf, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("distance,cdf_syn,cdf_test\n")
+        for s in range(0, grid.size, CDF_ROWS):
+            part = slice(s, s + CDF_ROWS)
+            rows = zip(map(repr, grid[part].tolist()), _cdf_reprs(cdf_syn[part]), _cdf_reprs(cdf_test[part]))
+            fh.write("".join(f"{g},{a},{b}\n" for g, a, b in rows))
     risk = 1 if integral > 0 else 0
     print(f"dcr_integral={integral!r} risk={risk}")
     return 0

@@ -7,12 +7,18 @@ ML-efficiency use the built-in logistic/ridge models. DCR is an exact
 nearest-record scan in tiles of query rows x train rows under a mixed
 per-column distance (an l1 sum over columns); the CDF-difference
 integral up to the holdout curve's 0.98 quantile flags generative
-overfitting (positive = risk).
+overfitting (positive = risk). An exact-match pre-pass first scans each
+query row against its own categorical group alone, the train rows with
+equal codes in every categorical column. That is exact: a distance is
+never smaller than its number of categorical mismatches (each adds
+exactly 1.0 to a float sum of non-negative terms, which never
+decreases), so a group minimum <= 1 is the global minimum, bit for bit.
+Only groups of at most n_train // 16 rows enter it, so when nothing
+resolves it adds at most 1/16 of the full scan's pairs.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 import numpy as np
@@ -22,6 +28,7 @@ from .tables import RawTable, concat, factorize
 from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
 SCAN_BYTES = 1 << 20  # per DCR or Achilles tile buffer; a DCR worker's three fit one L2: 512 x 256 to 1 x 131,072
+PREPASS_SHARE = 16  # DCR's pre-pass takes a group of at most n_train // 16 train rows: at most 1/16 extra pairs
 MOMENT_BYTES = 8 << 20  # per row-block buffer of the association's pairwise moments; sets their rounding
 
 
@@ -286,31 +293,90 @@ def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
     return blocks
 
 
-def _dcr_chunk(blocks, sl: slice, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Minimum over train rows of the summed column distances, for the
-    ``other`` rows in ``sl``: one tile of train rows at a time, as wide as
-    the three (rows, cols) work ``buffers``, which serve every column and
-    tile, and their first rows every row slice. The running minimum over
-    tiles is exact, and each distance sums its columns in schema order."""
-    n_rows, cols = sl.stop - sl.start, buffers[0].shape[1]
-    n_train = len(blocks[0][1]) if blocks else cols  # no comparable column: one all-zero tile
+def _dcr_take(blocks, train_rows, other_rows):
+    """``blocks`` over the train rows ``train_rows`` and the other rows
+    ``other_rows``, in those orders (a slice takes views)."""
+    taken = []
+    for kind, a, b, span, miss_a, miss_b in blocks:
+        if kind == "num":
+            missing = np.zeros(len(a), dtype=bool)
+            missing[miss_a] = True
+            miss_a, miss_b = np.flatnonzero(missing[train_rows]), miss_b[other_rows]
+        taken.append((kind, a[train_rows], b[other_rows], span, miss_a, miss_b))
+    return taken
+
+
+def _dcr_prepass(blocks, n_train: int):
+    """The exact-match pre-pass plan. One int64 mixed-radix key per row over
+    its category codes (OTHER and MISSING are codes like any other) is
+    re-densified before it could overflow. Sorting the train rows by key
+    (``order``) puts each group, the train rows with one key, in a range
+    [lo, hi). Returns ``order``; the other rows whose group is non-empty and
+    holds at most n_train // PREPASS_SHARE rows, in runs of one key; and per
+    run its lo, hi and length. None when no other row qualifies, when no
+    column is categorical, or when a numeric span is infinite: that can
+    make a distance NaN (inf / inf), which no group can rule out."""
+    cats = [(a, b) for kind, a, b, *_ in blocks if kind == "cat"]
+    if not cats or not len(cats[0][1]) or not all(np.isfinite(blk[3]) for blk in blocks):
+        return None
+    keys, radix = np.zeros(n_train + len(cats[0][1]), dtype=np.int64), 1
+    for a, b in cats:
+        base = int(max(a.max(), b.max())) + 1
+        if radix * base > 2**63:  # re-densify: each key becomes the sorted position of its first copy
+            keys, radix = np.searchsorted(np.sort(keys, kind="stable"), keys), len(keys)
+        keys *= base
+        keys[:n_train] += a
+        keys[n_train:] += b
+        radix *= base
+    order = np.argsort(keys[:n_train], kind="stable")
+    other = np.argsort(keys[n_train:], kind="stable")
+    other_keys = keys[n_train:][other]
+    starts = np.flatnonzero(np.concatenate([[True], other_keys[1:] != other_keys[:-1]]))
+    lengths = np.diff(starts, append=len(other))
+    lo, hi = (np.searchsorted(keys[:n_train][order], other_keys[starts], side=side) for side in ("left", "right"))
+    keep = (lo < hi) & (hi - lo <= n_train // PREPASS_SHARE)
+    if not keep.any():
+        return None
+    return order, other[np.repeat(keep, lengths)], lo[keep], hi[keep], lengths[keep]
+
+
+def _dcr_chunk(blocks, rows: slice, train: slice,
+               buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Minimum over the train rows in ``train`` of the summed column
+    distances, for the ``other`` rows in ``rows``: one tile of train rows at
+    a time, as many as the three flat work ``buffers`` hold at this row
+    count, each viewed as one contiguous (rows, tile width) array. The
+    running minimum over tiles is exact, and each distance sums its columns
+    in schema order. A numeric column with no missing cell among these rows
+    on either side skips the missing-cell fix-ups."""
+    n_rows = rows.stop - rows.start
+    width = min(train.stop - train.start, buffers[0].size // n_rows)
+    fixes = []
+    for kind, _, _, _, miss_a, miss_b in blocks:
+        if kind == "num":
+            miss_rows = np.flatnonzero(miss_b[rows])
+            miss_cols = miss_a[np.searchsorted(miss_a, train.start) : np.searchsorted(miss_a, train.stop)]
+            fixes.append((miss_rows, miss_cols) if miss_rows.size or miss_cols.size else None)
+        else:
+            fixes.append(None)
     best = None
-    for c0 in range(0, n_train, cols):
-        c1 = min(c0 + cols, n_train)
-        acc, work, unequal = (buf[:n_rows, : c1 - c0] for buf in buffers)
+    for c0 in range(train.start, train.stop, width):
+        c1 = min(c0 + width, train.stop)
+        acc, work, unequal = (buf[: n_rows * (c1 - c0)].reshape(n_rows, c1 - c0) for buf in buffers)
         acc.fill(0.0)
-        for kind, a, b, span, miss_a, miss_b in blocks:
+        for (kind, a, b, span, _, _), fix in zip(blocks, fixes):
             if kind == "cat":
-                acc += np.not_equal(b[sl, None], a[None, c0:c1], out=unequal)
+                acc += np.not_equal(b[rows, None], a[None, c0:c1], out=unequal)
                 continue
-            np.subtract(b[sl, None], a[None, c0:c1], out=work)
+            np.subtract(b[rows, None], a[None, c0:c1], out=work)
             np.abs(work, out=work)
             np.divide(work, span, out=work)
-            miss_rows = np.flatnonzero(miss_b[sl])
-            miss_cols = miss_a[np.searchsorted(miss_a, c0) : np.searchsorted(miss_a, c1)] - c0
-            work[miss_rows] = 1.0
-            work[:, miss_cols] = 1.0
-            work[np.ix_(miss_rows, miss_cols)] = 0.0
+            if fix is not None:
+                miss_rows, miss_cols = fix
+                miss_cols = miss_cols[np.searchsorted(miss_cols, c0) : np.searchsorted(miss_cols, c1)] - c0
+                work[miss_rows] = 1.0
+                work[:, miss_cols] = 1.0
+                work[np.ix_(miss_rows, miss_cols)] = 0.0
             acc += work
         tile = acc.min(axis=1)
         best = tile if best is None else np.minimum(best, tile, out=best)
@@ -321,27 +387,62 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     """For each row of ``other``, the exact minimum mixed distance to any
     ``train`` row: the sum over columns of a 0/1 mismatch for categoricals
     and |a-b| scaled by the train range for numerics (a missing side costs
-    1, both missing 0). Full O(n*m) scan across worker threads, in tiles of
-    up to SCAN_BLOCK other rows by SCAN_BYTES / 8 train rows whose buffers
-    stay within SCAN_BYTES each, whatever the table sizes; each worker
-    thread allocates its buffers once, for all of its tiles."""
+    1, both missing 0). An O(n*m) scan across worker threads, in tiles of up
+    to SCAN_BLOCK other rows by SCAN_BYTES / 8 train rows whose buffers stay
+    within SCAN_BYTES each, whatever the table sizes; a worker that finds no
+    free set of buffers allocates one, so there is at most one set per
+    worker.
+
+    Pass 1, the exact-match pre-pass (module docstring), scans each other
+    row against its categorical group alone, in tiles that end at key
+    boundaries; pass 2 scans the rows it leaves above 1, or that have no
+    group of at most n_train // PREPASS_SHARE rows, against every train
+    row."""
     if train.schema.names != other.schema.names:
         raise ValueError("tables must share a schema")
     if train.row_count == 0:
         raise ValueError("dcr needs a non-empty train table: it has no rows to measure distances to")
+    n_train, n_other = train.row_count, other.row_count
     blocks = _dcr_columns(MixedFeatureMap(train), train, other)
-    cols = min(train.row_count, SCAN_BYTES // 8)
-    rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * cols), other.row_count))
-    buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # per worker thread
+    cols = min(n_train, SCAN_BYTES // 8)
+    rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * cols), n_other))
+    free: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # buffer sets no worker is using
 
-    def chunk(sl: slice) -> np.ndarray:
-        mine = buffers.get(threading.get_ident())
-        if mine is None:
-            mine = buffers[threading.get_ident()] = (
-                np.empty((rows, cols)), np.empty((rows, cols)), np.empty((rows, cols), dtype=bool))
-        return _dcr_chunk(blocks, sl, mine)
+    def scan(columns, n_rows: int, block: int, train_range, breaks=()) -> np.ndarray:
+        def chunk(sl: slice) -> np.ndarray:
+            try:
+                mine = free.pop()
+            except IndexError:
+                mine = (np.empty(rows * cols), np.empty(rows * cols), np.empty(rows * cols, dtype=bool))
+            try:
+                return _dcr_chunk(columns, sl, train_range(sl), mine)
+            finally:
+                free.append(mine)
 
-    return scan_rows(other.row_count, chunk, rows)
+        return scan_rows(n_rows, chunk, block, breaks)
+
+    everything = slice(0, n_train)
+    prepass = _dcr_prepass(blocks, n_train)
+    if prepass is None:
+        return scan(blocks, n_other, rows, lambda sl: everything)
+    order, pre, lo, hi, lengths = prepass
+    ends = np.cumsum(lengths)
+
+    def group(sl: slice) -> slice:
+        run = np.searchsorted(ends, sl.start, side="right")
+        return slice(int(lo[run]), int(hi[run]))
+
+    near = scan(_dcr_take(blocks, order, pre), pre.size,
+                max(1, min(SCAN_BLOCK, rows * cols // int((hi - lo).max()))), group, ends[:-1].tolist())
+    out = np.empty(n_other)
+    resolved = pre[near <= 1.0]
+    out[resolved] = near[near <= 1.0]
+    rest = np.ones(n_other, dtype=bool)
+    rest[resolved] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        out[rest] = scan(_dcr_take(blocks, slice(None), rest), rest.size, rows, lambda sl: everything)
+    return out
 
 
 def _empirical_cdf(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ statistics."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,11 +23,15 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int) -> np.ndarray:
+def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int,
+              breaks: Sequence[int] = ()) -> np.ndarray:
     """Concatenated ``block_fn(rows)`` over consecutive blocks of at most
-    ``block`` rows, run on up to worker_count() threads. Blocks are
+    ``block`` rows, none of which spans one of the ascending row indices
+    ``breaks``, run on up to worker_count() threads. Blocks are
     independent, so the result does not depend on the thread count."""
-    slices = [slice(s, min(s + block, n_rows)) for s in range(0, n_rows, block)]
+    edges = [0, *breaks, n_rows]
+    slices = [slice(s, min(s + block, end)) for start, end in zip(edges, edges[1:])
+              for s in range(start, end, block)]
     if not slices:
         return np.zeros(0)
     workers = min(worker_count(), len(slices))

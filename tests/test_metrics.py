@@ -622,6 +622,11 @@ def test_feature_map_codes_match_the_per_cell_oracle(reference_cells, cells):
 def oracle_dcr(train, other):
     """The DCR kernel before it worked in place: one float64 temporary per
     operation and column, over all ``other`` rows at once."""
+    return oracle_distances(train, other).min(axis=1)
+
+
+def oracle_distances(train, other):
+    """The (other rows, train rows) matrix of mixed distances behind ``oracle_dcr``."""
     fmap = MixedFeatureMap(train)
     acc = np.zeros((other.row_count, train.row_count))
     for name, kind in fmap.kinds.items():
@@ -639,7 +644,7 @@ def oracle_dcr(train, other):
             both = miss_b[:, None] & miss_a[None, :]
             d = np.where(both, 0.0, np.where(either, 1.0, d))
         acc += d
-    return acc.min(axis=1)
+    return acc
 
 
 def _with_infinities(monkeypatch):
@@ -684,16 +689,16 @@ def test_dcr_train_tiles_split_mid_table_match_the_parent_kernel_bitwise(rng, mo
     monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 37)  # 1 x 37 tiles: 9 train tiles, the last 4 wide
     chunk, widths = argn.metrics._dcr_chunk, set()
 
-    def record(columns, sl, buffers):
-        widths.add(buffers[0].shape)
-        return chunk(columns, sl, buffers)
+    def record(columns, sl, train_rows, buffers):
+        widths.add((sl.stop - sl.start, buffers[0].size))
+        return chunk(columns, sl, train_rows, buffers)
 
     monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
     for name in ("n1", "n2"):
         tiles = set(np.flatnonzero(~np.isfinite(train.values(name, "numeric"))) // 37)
         assert len(tiles) > 3 and max(tiles) == 8  # missing and infinite train cells in most tiles
     assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
-    assert widths == {(1, 37)}
+    assert widths == {(1, 37), (3, 37)}  # 37-cell buffers: pass 2 in 1-row tiles, the pre-pass in 3-row ones
 
 
 @pytest.mark.parametrize("n_categories, code_dtype", [(300, np.uint16), (70_000, np.uint32)])
@@ -720,14 +725,14 @@ def test_dcr_blocks_stay_within_the_byte_budget(monkeypatch):
     other = make_table({"x": ["2"] * 50}, kinds={"x": "numeric"})
     blocks = []
 
-    def record(columns, sl, buffers):
-        blocks.append((sl.stop - sl.start, buffers[0].shape[1]))
+    def record(columns, sl, train_rows, buffers):
+        blocks.append((sl.stop - sl.start, buffers[0].size))
         return np.zeros(sl.stop - sl.start)
 
     monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
     assert dcr(train, other).shape == (50,)
     assert sum(rows for rows, _ in blocks) == 50
-    assert all(rows * n * 8 <= argn.metrics.SCAN_BYTES for rows, n in blocks)
+    assert all(rows <= n and n * 8 <= argn.metrics.SCAN_BYTES for rows, n in blocks)  # a tile is rows x (n // rows)
 
 
 def test_dcr_does_not_depend_on_the_byte_budget(rng, monkeypatch):
@@ -744,12 +749,13 @@ def test_dcr_worker_threads_reuse_one_set_of_buffers(rng, monkeypatch, threads):
     expected = dcr(train, other)
     monkeypatch.setenv("ARGN_THREADS", str(threads))
     monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 300 * 7)  # 7-row blocks
-    chunk, sets, rows = argn.metrics._dcr_chunk, set(), []
+    chunk, sets, calls = argn.metrics._dcr_chunk, set(), []
 
-    def record(columns, sl, buffers):
+    def record(columns, sl, train_rows, buffers):
         sets.add(tuple(id(buf) for buf in buffers))
-        rows.append(sl.stop - sl.start)
-        return chunk(columns, sl, buffers)
+        near = chunk(columns, sl, train_rows, buffers)
+        calls.append((sl.stop - sl.start, train_rows.stop - train_rows.start, int(np.sum(near <= 1.0))))
+        return near
 
     monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
     interval = sys.getswitchinterval()
@@ -758,7 +764,14 @@ def test_dcr_worker_threads_reuse_one_set_of_buffers(rng, monkeypatch, threads):
         assert np.array_equal(dcr(train, other), expected)
     finally:
         sys.setswitchinterval(interval)
-    assert len(rows) == 58 and sum(rows) == 400
+    prepass = [(rows, resolved) for rows, width, resolved in calls if width < 300]
+    full = [rows for rows, width, _ in calls if width == 300]
+    assert len(prepass) + len(full) == len(calls)
+    # pass 1: two groups within 300 // 16 train rows, one call each, resolving all 78 of their rows;
+    # pass 2: the other 322 rows in 46 blocks of 7 rows
+    assert len(prepass) == 2 and sum(rows for rows, _ in prepass) == 78
+    assert len(full) == 46 and sum(full) == 322
+    assert sum(resolved for _, resolved in prepass) + sum(full) == 400  # each row's result comes from one pass
     assert 1 <= len(sets) <= threads
 
 
@@ -785,6 +798,134 @@ def test_dcr_peak_memory_does_not_grow_with_the_row_blocks(rng, monkeypatch):
     assert many_blocks <= two_blocks + block_set // 4  # only the per-row arrays grow
     monkeypatch.setenv("ARGN_THREADS", "2")
     assert dcr_peak_bytes(train, other) <= many_blocks + block_set + block_set // 2  # one more worker's set
+
+
+def grouped_mixed(rng, n, query=False, nonfinite=False):
+    """Two categoricals of 8 and 5 levels (missing is one of c2's) in about 40
+    groups of n / 40 rows, within n // 16, and two numerics with missing
+    cells. Query rows also hold unseen c1 categories and missing c1 cells,
+    which no train row has; ``nonfinite`` adds infinite numeric cells."""
+    def num(scale):
+        return [None if r < 0.1 else "inf" if nonfinite and r < 0.13 else "-inf" if nonfinite and r < 0.16
+                else f"{v * scale:.3f}" for r, v in zip(rng.uniform(size=n), rng.normal(size=n))]
+
+    c1 = [None if query and r < 0.05 else "unseen" if query and r < 0.1 else f"k{v}"
+          for r, v in zip(rng.uniform(size=n), rng.integers(0, 8, size=n))]
+    return make_table({"n1": num(1.0), "c1": c1, "n2": num(1e3),
+                       "c2": [None if v == 0 else f"m{v}" for v in rng.integers(0, 5, size=n)]},
+                      kinds={"n1": "numeric", "n2": "numeric"})
+
+
+def unique_keys(n, query=False):
+    """Every train row its own categorical key, and no query row sharing one."""
+    return make_table({"c1": [f"v{i}" for i in range(n)],
+                       "c2": [f"v{(i + 1) % n if query else i}" for i in range(n)],
+                       "x": [f"{i % 7}" for i in range(n)]}, kinds={"x": "numeric"})
+
+
+def numeric_only(rng, n, query=False):
+    return make_table({"x": [f"{v:.3f}" for v in rng.normal(size=n)],
+                       "y": [None if v < -1 else f"{v:.3f}" for v in rng.normal(size=n)]},
+                      kinds={"x": "numeric", "y": "numeric"})
+
+
+def dcr_groups(train, other):
+    """Per other row, the train rows that share all its categorical cells
+    (none for an unseen category: train rows hold only their own)."""
+    cats = [c.name for c in train.schema.columns if c.kind == "categorical"]
+    train_keys = list(zip(*(train.column_values(c) for c in cats))) if cats else [()] * train.row_count
+    other_keys = list(zip(*(other.column_values(c) for c in cats))) if cats else [()] * other.row_count
+    rows = {}
+    for j, key in enumerate(train_keys):
+        rows.setdefault(key, []).append(j)
+    return [rows.get(key, []) for key in other_keys]
+
+
+def dcr_branches(train, other):
+    """The pre-pass branch of each other row, from the oracle distances:
+    "none" (no group), "large" (its group exceeds n_train // 16 rows),
+    "resolved" (its group's minimum is at most 1) or "left" (above 1)."""
+    d = oracle_distances(train, other)
+    out = []
+    for i, group in enumerate(dcr_groups(train, other)):
+        if not group:
+            out.append("none")
+        elif len(group) > train.row_count // 16:
+            out.append("large")
+        else:
+            out.append("resolved" if d[i, group].min() <= 1.0 else "left")
+    return out
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("scan_bytes", [None, 8 * 37, 8 * 400 * 5])
+@pytest.mark.parametrize("case", ["grouped", "nonfinite", "unique_keys", "numeric_only"])
+def test_dcr_prepass_matches_the_full_scan_bitwise(rng, monkeypatch, case, scan_bytes, threads):
+    _with_infinities(monkeypatch)
+    if case == "unique_keys":
+        train, other = unique_keys(400), unique_keys(300, query=True)
+    elif case == "numeric_only":
+        train, other = numeric_only(rng, 400), numeric_only(rng, 300)
+    else:
+        nonfinite = case == "nonfinite"
+        train, other = grouped_mixed(rng, 400, nonfinite=nonfinite), grouped_mixed(rng, 300, True, nonfinite)
+    branches = dcr_branches(train, other)
+    expected = {"grouped": {"resolved", "left", "none"}, "nonfinite": {"resolved", "left", "none"},
+                "unique_keys": {"none"}, "numeric_only": {"large"}}[case]
+    assert set(branches) == expected
+    if case in ("grouped", "nonfinite"):
+        no_group = {v for v, b in zip(other.column_values("c1"), branches) if b == "none"}
+        assert no_group == {None, "unseen"}  # missing as a category, and an unseen one
+    if scan_bytes:
+        monkeypatch.setattr(argn.metrics, "SCAN_BYTES", scan_bytes)
+    monkeypatch.setenv("ARGN_THREADS", threads)
+    assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
+
+
+def test_dcr_prepass_is_skipped_when_a_span_overflows(monkeypatch):
+    """A column whose range overflows to an infinite span makes some distances
+    NaN, which a group's minimum cannot rule out: the full scan keeps them."""
+    train = make_table({"c": [f"k{i % 20}" for i in range(400)],
+                        "x": ["-1e308", "1e308"] + [f"{i}" for i in range(398)]}, kinds={"x": "numeric"})
+    other = make_table({"c": ["k0", "k1", "k2"], "x": ["1e308", "0", "-1e308"]}, kinds={"x": "numeric"})
+    monkeypatch.setenv("ARGN_THREADS", "1")  # the error state below holds in this thread only
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracle_dcr(train, other)
+        # the last row's group holds only distances 0, its NaN comes from the train row 1e308
+        assert dcr_branches(train, other)[2] == "resolved" and np.isnan(expected[2])
+        assert np.array_equal(dcr(train, other), expected, equal_nan=True)
+
+
+def worst_case(levels, n=4000):
+    """n rows of 20 N(0, 1) numerics and one categorical of ``levels`` levels:
+    groups of n / levels rows, in which almost no row resolves."""
+    rng = np.random.default_rng(levels)
+    columns = {f"x{j}": [f"{v:.4f}" for v in rng.normal(size=n)] for j in range(20)}
+    columns["c"] = [f"k{v}" for v in rng.integers(0, levels, size=n)]
+    return make_table(columns, kinds={f"x{j}": "numeric" for j in range(20)})
+
+
+@pytest.mark.parametrize("tables", ["grouped", "worst_2", "worst_10", "worst_40"])
+def test_dcr_prepass_examines_at_most_one_sixteenth_more_pairs(rng, monkeypatch, tables):
+    """Pairs examined when no row resolves in its group: each row's own group
+    in pass 1 (only groups within n_train // 16), then every train row."""
+    if tables == "grouped":
+        train, other = grouped_mixed(rng, 400), grouped_mixed(rng, 300, query=True)
+    else:
+        train = worst_case(int(tables.split("_")[1]))
+        other = worst_case(int(tables.split("_")[1]) + 1000).subset(range(3000))
+    n, m = other.row_count, train.row_count
+    pairs = []
+
+    def unresolved(columns, sl, train_rows, buffers):
+        pairs.append((sl.stop - sl.start) * (train_rows.stop - train_rows.start))
+        return np.full(sl.stop - sl.start, 2.0)
+
+    monkeypatch.setattr(argn.metrics, "_dcr_chunk", unresolved)
+    dcr(train, other)
+    group_pairs = sum(len(g) for g in dcr_groups(train, other) if len(g) <= m // 16)
+    assert sum(pairs) == group_pairs + n * m <= (1 + 1 / 16) * n * m
+    assert group_pairs > 0 or tables in ("worst_2", "worst_10")
 
 
 # -- DCR CDF integral --------------------------------------------------------------------
