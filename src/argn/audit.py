@@ -32,6 +32,7 @@ DISTANCE_METRICS = {"closest_hamming": "hamming", "closest_l2": "l2",
                     "direct_lookup": "lookup", "kernel_density": "kde"}  # attack -> metric
 DISTANCE_ATTACKS = tuple(DISTANCE_METRICS)
 ALL_ATTACKS = META_ATTACKS + DISTANCE_ATTACKS
+N_FOLDS = 4  # cross-fitting folds of the meta-classifier attacks: leave 25% out
 
 _TRIAL_DOMAIN = 10
 _QUERY_DOMAIN = 11
@@ -268,8 +269,7 @@ def _category_counts(fmap: MixedFeatureMap, table: RawTable, name: str) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int,
-                      n_folds: int = 4) -> np.ndarray:
+def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int) -> np.ndarray:
     """Leave-25%-out scores: each fold is scored by a logistic meta-classifier
     trained on the remaining trials, so every trial gets a held-out score.
     A fold whose training trials hold one class only scores 0.5.
@@ -286,9 +286,9 @@ def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int,
     for cls in (False, True):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
-        fold_of[idx] = np.arange(len(idx)) % n_folds
+        fold_of[idx] = np.arange(len(idx)) % N_FOLDS
     scores = np.full(n, 0.5)
-    folds = [f for f in range(n_folds)
+    folds = [f for f in range(N_FOLDS)
              if (fold_of == f).any() and len(np.unique(labels[fold_of != f])) == 2]
     if not folds:
         return scores

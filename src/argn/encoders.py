@@ -57,10 +57,6 @@ class EncodedTable:
     def row_count(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def cardinalities(self) -> list[int]:
-        return [s.cardinality for s in self.sub_columns]
-
 
 # ---------------------------------------------------------------------------
 # per-column encoders
@@ -520,9 +516,6 @@ class QuadtileEncoder:
             raise RuntimeError("quadtile walk did not reach a leaf")
         return code
 
-    def key_of(self, lat: float, lon: float) -> str:
-        return self.leaves[int(self._leaf_codes(np.array([lat]), np.array([lon]))[0])]
-
     def encode(self, table: RawTable) -> np.ndarray:
         lat, lon, present = _points(self.column, table, self.sources)
         codes = np.full((len(present), 1), self.missing_index, dtype=np.int32)
@@ -584,10 +577,6 @@ class TableEncoders:
         for enc in encoders:
             subs.extend(enc.sub_columns())
         self.sub_columns = subs
-
-    @property
-    def d_total(self) -> int:
-        return len(self.sub_columns)
 
     @property
     def n_draws(self) -> int:

@@ -1,18 +1,23 @@
 """Built-in classifiers/regressors used by the metric suite and the audit
 harness: multinomial logistic regression trained by full-batch Adam (zero
-init, fixed iteration count, fully deterministic) and closed-form ridge
-regression. Also MixedFeatureMap, the one per-column view of a mixed table
-that the metrics and the audit read columns through.
+init, fully deterministic) and closed-form ridge regression, their
+penalties, step size and step count fixed as module constants. Also
+MixedFeatureMap, the one per-column view of a mixed table that the metrics
+and the audit read columns through.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .nn import Param, adam_step
 from .tables import RawTable
+
+LOGISTIC_L2, LOGISTIC_LR, LOGISTIC_ITERS = 1e-4, 0.05, 400  # penalty, Adam step size and steps
+RIDGE_L2 = 1e-6
 
 
 def standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,8 +53,7 @@ def softmax_class_major(w: np.ndarray, b: np.ndarray, xt: np.ndarray, out: Optio
     return out
 
 
-def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray, l2: float = 1e-4,
-                       lr: float = 0.05, iters: int = 400) -> tuple[np.ndarray, np.ndarray]:
+def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax regressions on a stack of B standardized feature-major designs
     ``xt`` (B, f, n), fitted in lockstep by full-batch Adam from zero, with
     class-major targets ``onehot`` (B or 1, k, n) and row weights ``weight``
@@ -63,14 +67,14 @@ def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray, l
     gw, gb = wb.grad[:size].reshape(stack, k, f), wb.grad[size:].reshape(stack, k, 1)
     g, top, decay = np.empty((stack, k, n)), np.empty((stack, 1, n)), np.empty_like(w)
     x, weight = xt.transpose(0, 2, 1), weight[:, None, :]
-    for t in range(1, iters + 1):
+    for t in range(1, LOGISTIC_ITERS + 1):
         softmax_class_major(w, b, xt, g, top)
         g -= onehot
         g *= weight
         np.matmul(g, x, out=gw)
-        gw += np.multiply(w, l2, out=decay)
+        gw += np.multiply(w, LOGISTIC_L2, out=decay)
         g.sum(axis=2, keepdims=True, out=gb)
-        adam_step(wb, lr, t)
+        adam_step(wb, LOGISTIC_LR, t)
     return w, b
 
 
@@ -78,10 +82,7 @@ class LogisticModel:
     """Softmax regression; binary problems are the 2-class special case.
     ``fit`` is the one-problem case of ``fit_logistic_stack``."""
 
-    def __init__(self, l2: float = 1e-4, lr: float = 0.05, iters: int = 400):
-        self.l2 = l2
-        self.lr = lr
-        self.iters = iters
+    def __init__(self):
         self.w: Optional[np.ndarray] = None  # (classes, features)
         self.b: Optional[np.ndarray] = None
         self.mu: Optional[np.ndarray] = None
@@ -98,7 +99,7 @@ class LogisticModel:
         self.n_classes = k
         self.mu, self.sd = standardizer(x)
         xt = feature_major(x, self.mu, self.sd)[None]
-        w, b = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n), self.l2, self.lr, self.iters)
+        w, b = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n))
         self.w, self.b = w[0], b[0, :, 0]
         return self
 
@@ -108,13 +109,13 @@ class LogisticModel:
         return softmax_class_major(self.w[None], self.b[None, :, None], xt)[0].T
 
 
-def fit_ridge(x: np.ndarray, y: np.ndarray, l2: float = 1e-6) -> tuple[np.ndarray, float]:
+def fit_ridge(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Closed-form ridge with an unpenalized intercept; returns (weights, bias)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, f = x.shape
     xa = np.hstack([x, np.ones((n, 1))])
-    reg = l2 * np.eye(f + 1)
+    reg = RIDGE_L2 * np.eye(f + 1)
     reg[-1, -1] = 0.0
     beta = np.linalg.solve(xa.T @ xa + reg, xa.T @ y)
     return beta[:-1], float(beta[-1])
@@ -122,6 +123,16 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, l2: float = 1e-6) -> tuple[np.ndarra
 
 def ridge_predict(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
     return np.asarray(x, dtype=np.float64) @ w + b
+
+
+def finite_span(lo: float, hi: float, *values: np.ndarray):
+    """``lo``, the span ``hi - lo`` and ``values``, all halved when the span
+    overflows (a column holding -1e308 and 1e308): halving is exact above
+    the subnormals, so (x - lo) / span keeps its value and stays finite,
+    and a column whose span is finite keeps every bit."""
+    if math.isinf(hi - lo):
+        return (lo / 2, hi / 2 - lo / 2, *(v / 2 for v in values))
+    return (lo, hi - lo, *values)
 
 
 class MixedFeatureMap:
@@ -172,9 +183,7 @@ class MixedFeatureMap:
                 block = np.zeros((n, len(self.vocabs[name]) + 2))
                 block[np.arange(n), self.codes(table, name)] = 1.0
             else:
-                lo, hi = self.ranges[name]
-                span = hi - lo
-                nums = table.values(name, kind)
+                lo, span, nums = finite_span(*self.ranges[name], table.values(name, kind))
                 scaled = (nums - lo) / span if span > 0 else np.zeros(n)
                 block = np.where(np.isnan(nums), 0.5, scaled)[:, None]
             blocks.append(block)

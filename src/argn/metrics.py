@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linear import LogisticModel, MixedFeatureMap, fit_ridge, ridge_predict
+from .linear import LogisticModel, MixedFeatureMap, finite_span, fit_ridge, ridge_predict
 from .tables import RawTable, concat, factorize
 from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
 
@@ -60,12 +60,13 @@ def wasserstein1(real_column, syn_column) -> float:
     a, b = a[np.isfinite(a)], b[np.isfinite(b)]
     if a.size == 0 or b.size == 0:
         raise ValueError("wasserstein1 needs non-empty numeric columns")
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
+    lo = float(min(a.min(), b.min()))
+    hi = float(max(a.max(), b.max()))
     if hi <= lo:
         return 0.0
-    a = np.sort((a - lo) / (hi - lo))
-    b = np.sort((b - lo) / (hi - lo))
+    lo, span, a, b = finite_span(lo, hi, a, b)
+    a = np.sort((a - lo) / span)
+    b = np.sort((b - lo) / span)
     grid = np.union1d(a, b)
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
@@ -285,11 +286,10 @@ def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
             blocks.append(("cat", fmap.codes(train, name).astype(code), fmap.codes(other, name).astype(code),
                            1.0, None, None))
             continue
-        lo, hi = fmap.ranges[name]
-        a, b = train.values(name, kind), other.values(name, kind)
+        _, span, a, b = finite_span(*fmap.ranges[name], train.values(name, kind), other.values(name, kind))
         ok_a, ok_b = np.isfinite(a), np.isfinite(b)
         blocks.append(("num", np.where(ok_a, a, 0.0), np.where(ok_b, b, 0.0),
-                       hi - lo if hi > lo else 1.0, np.flatnonzero(~ok_a), ~ok_b))
+                       span if span > 0 else 1.0, np.flatnonzero(~ok_a), ~ok_b))
     return blocks
 
 
@@ -313,11 +313,10 @@ def _dcr_prepass(blocks, n_train: int):
     (``order``) puts each group, the train rows with one key, in a range
     [lo, hi). Returns ``order``; the other rows whose group is non-empty and
     holds at most n_train // PREPASS_SHARE rows, in runs of one key; and per
-    run its lo, hi and length. None when no other row qualifies, when no
-    column is categorical, or when a numeric span is infinite: that can
-    make a distance NaN (inf / inf), which no group can rule out."""
+    run its lo, hi and length. None when no other row qualifies or when no
+    column is categorical."""
     cats = [(a, b) for kind, a, b, *_ in blocks if kind == "cat"]
-    if not cats or not len(cats[0][1]) or not all(np.isfinite(blk[3]) for blk in blocks):
+    if not cats or not len(cats[0][1]):
         return None
     keys, radix = np.zeros(n_train + len(cats[0][1]), dtype=np.int64), 1
     for a, b in cats:

@@ -3,7 +3,10 @@
 Each sub-column i owns an embedding table E_i, a ReLU regressor (W_i, b_i)
 and a softmax predictor (V_i, c_i) whose output width equals the
 sub-column's cardinality; all are views into one flat store, in that order
-per sub-column. Regressors always consume the full concatenated
+per sub-column. Every pass takes a batch of rows: ``embed_rows`` indexes
+the E_i, the training pass scatter-adds their gradients, and a sub-column's
+probabilities for a batch of contexts are ``nn.softmax`` of its
+``column_logits``. Regressors always consume the full concatenated
 embedding vector; causality is enforced by zeroing the slots of sub-columns
 that do not precede the target in the current permutation, so a sub-column's
 output is bit-identical under any change to the masked inputs.
@@ -29,6 +32,8 @@ from . import nn
 from .encoders import EncodedTable, SubColumn, TableEncoders
 from .nn import DpConfig, Param
 from .tables import TableSchema
+
+NLL_ROWS = 4096  # rows per pass of negative_log_likelihood: bounds its activations
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ class ArgnModel:
         self.schema = schema
         self.sizes = compute_layer_sizes([s.cardinality for s in self.sub_columns])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes.embed_dims)]).astype(np.int64)
-        self.dropout_rate = 0.25
+        self.dropout_rate = TrainConfig.dropout_rate  # train() sets the configured rate
         self.store: Optional[Param] = None  # every weight, flat; see allocate_params
         self.params: Optional[dict[str, Param]] = None  # named views into the store
         self.trained = False
@@ -224,15 +229,8 @@ def order_mask_matrix(model: ArgnModel, order: Sequence[int]) -> np.ndarray:
     return masks
 
 
-def forward_column(model: ArgnModel, context: np.ndarray, i: int) -> np.ndarray:
-    """Conditional probability vector(s) for sub-column i given a masked context."""
-    logits, _ = model.column_logits(context, i)
-    return nn.softmax(logits)
-
-
 def negative_log_likelihood(model: ArgnModel, codes,
-                            order: Optional[Sequence[int]] = None,
-                            chunk: int = 4096) -> float:
+                            order: Optional[Sequence[int]] = None) -> float:
     """Mean over rows of the summed per-sub-column NLL under ``order``
     (canonical schema order by default), dropout off. Accepts an
     EncodedTable or a code matrix."""
@@ -243,8 +241,8 @@ def negative_log_likelihood(model: ArgnModel, codes,
         order = tuple(range(model.d_total))
     masks = order_mask_matrix(model, order)
     total = 0.0
-    for start in range(0, codes.shape[0], chunk):
-        block = codes[start : start + chunk]
+    for start in range(0, codes.shape[0], NLL_ROWS):
+        block = codes[start : start + NLL_ROWS]
         full = model.embed_rows(block)
         losses = np.zeros(block.shape[0])
         for t, i in enumerate(order):

@@ -1,13 +1,14 @@
 """Minimal deterministic numerical kernel.
 
-Dense layers, embedding lookups, softmax cross-entropy, inverted dropout,
-Adam, and a DP-SGD step. Everything is plain numpy with hand-written
-backward passes; forward functions return a cache that the paired backward
-consumes. Inputs may be single vectors or batches (leading batch axis).
+Dense layers, softmax cross-entropy, inverted dropout, Adam, and a DP-SGD
+step. Everything is plain numpy with hand-written backward passes; the dense
+forward returns a cache that the paired backward consumes. Inputs are
+batches only, one (rows, width) array, and any other shape is a ValueError.
 The dense backward returns per-row gradients and leaves their weighting and
-summing to the caller; the embedding backward adds into ``Param.grad``.
-A model's weights live in one flat ``Param`` store; the kernels get views
-into it, and Adam and DP-SGD update the whole store at once.
+summing to the caller. A model's weights live in one flat ``Param`` store;
+the kernels get views into it, and Adam and DP-SGD update the whole store
+at once. Embedding lookups and their scatter-add are plain indexing in
+``argn.model``.
 
 Parameters default to float32. Tests run the same kernels in float64 to
 check analytic gradients against central finite differences.
@@ -22,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 ADAM_BLOCK = 1 << 16  # elements per pass of adam_step: bounds its work buffer
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Param:
@@ -54,81 +56,57 @@ class DpConfig:
             raise ValueError("noise_multiplier must be finite and non-negative")
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ValueError(f"expected vector or batch of vectors, got shape {x.shape}")
+def _check_batch(x: np.ndarray, what: str) -> None:
+    if np.ndim(x) != 2:
+        raise ValueError(f"{what}: expected a (rows, width) batch, got shape {np.shape(x)}")
 
 
 def dense_forward(x, w: Param, b: Param, activation: str = "relu"):
-    """y = act(W x + b). Returns (y, cache) for the paired backward."""
+    """y = act(x W^T + b) per row. Returns (y, cache) for the paired backward."""
     if activation not in ("relu", "none"):
         raise ValueError(f"unknown activation {activation!r}")
-    xb, squeeze = _as_batch(x)
-    if xb.shape[1] != w.value.shape[1]:
+    _check_batch(x, "dense_forward")
+    if x.shape[1] != w.value.shape[1]:
         raise ValueError(
-            f"dense {w.name}: input width {xb.shape[1]} != weight width {w.value.shape[1]}"
+            f"dense {w.name}: input width {x.shape[1]} != weight width {w.value.shape[1]}"
         )
-    pre = xb @ w.value.T + b.value
+    pre = x @ w.value.T + b.value
     y = np.maximum(pre, 0) if activation == "relu" else pre
-    cache = (xb, pre, activation, squeeze)
-    return (y[0] if squeeze else y), cache
+    return y, (x, pre, activation)
 
 
 def dense_backward(dy, cache, w: Param):
     """Returns (dL/dpre, dL/dx) and accumulates nothing: per row,
     dL/dW = outer(dpre, x) and dL/db = dpre."""
-    xb, pre, activation, squeeze = cache
-    dyb, _ = _as_batch(dy)
-    dpre = dyb * (pre > 0) if activation == "relu" else dyb
-    dx = dpre @ w.value
-    return (dpre[0], dx[0]) if squeeze else (dpre, dx)
-
-
-def embedding_forward(index, table: Param):
-    """Row lookup; index may be a scalar or an int array."""
-    idx = np.asarray(index)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.value.shape[0]):
-        raise ValueError(f"embedding {table.name}: index out of range")
-    y = table.value[idx]
-    return y, (idx,)
-
-
-def embedding_backward(dy, cache, table: Param) -> None:
-    (idx,) = cache
-    np.add.at(table.grad, idx, dy)
+    _, pre, activation = cache
+    _check_batch(dy, "dense_backward")
+    dpre = dy * (pre > 0) if activation == "relu" else dy
+    return dpre, dpre @ w.value
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits)
+    """Row-wise softmax of a (rows, classes) batch."""
+    _check_batch(logits, "softmax")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits, target):
-    """Returns (loss, grad_logits) with grad = softmax(logits) - onehot(target).
-
-    Scalar target + vector logits give a scalar loss; batches give per-row
-    losses and a grad matrix.
-    """
-    lb, squeeze = _as_batch(logits)
-    targets = np.atleast_1d(np.asarray(target, dtype=np.int64))
-    if targets.shape[0] != lb.shape[0]:
+    """Per-row losses and the grad matrix softmax(logits) - onehot(target)
+    of (rows, classes) logits and one target class per row."""
+    _check_batch(logits, "softmax_cross_entropy")
+    targets = np.asarray(target, dtype=np.int64)
+    if targets.shape != logits.shape[:1]:
         raise ValueError("target count does not match logits batch")
-    if targets.min() < 0 or targets.max() >= lb.shape[1]:
+    if targets.min() < 0 or targets.max() >= logits.shape[1]:
         raise ValueError("target class out of range")
-    p = softmax(lb)
-    rows = np.arange(lb.shape[0])
+    p = softmax(logits)
+    rows = np.arange(logits.shape[0])
     # clip only guards the log; the gradient stays exact
     losses = -np.log(np.maximum(p[rows, targets], np.finfo(p.dtype).tiny))
     grad = p.copy()
     grad[rows, targets] -= 1
-    if squeeze:
-        return float(losses[0]), grad[0]
     return losses, grad
 
 
@@ -142,21 +120,14 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return keep.astype(np.float32) / np.float32(1.0 - rate)
 
 
-def adam_step(
-    p: Param,
-    lr: float,
-    step: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(p: Param, lr: float, step: int) -> None:
     """Standard Adam with bias correction; zeroes the gradient afterwards.
 
     In place, block by block: the moments are allocated on the first step,
     and besides the finiteness mask the only temporary is one block-sized
     work buffer (the gradient doubles as a second one); a full-size buffer
     would raise the peak memory of every training by a copy of the weights.
-    The rounding equals ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    The rounding equals ``value -= lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS)``.
     A non-finite gradient rejects the step before any state is touched.
     """
     if step < 1:
@@ -166,20 +137,20 @@ def adam_step(
     if p.m is None:
         p.m = np.zeros_like(p.value)
         p.v = np.zeros_like(p.value)
-    c1 = 1.0 - beta1**step
-    c2 = 1.0 - beta2**step
+    c1 = 1.0 - ADAM_BETA1**step
+    c2 = 1.0 - ADAM_BETA2**step
     value, grad, first, second = (a.reshape(-1) for a in (p.value, p.grad, p.m, p.v))
     work = np.empty(min(value.size, ADAM_BLOCK), dtype=value.dtype)
     for start in range(0, value.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         g, m, v = grad[block], first[block], second[block]
         s = work[: g.size]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=s)
-        v *= beta2
-        v += np.multiply(np.square(g, out=s), 1.0 - beta2, out=s)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(np.square(g, out=s), 1.0 - ADAM_BETA2, out=s)
         denom = np.sqrt(np.divide(v, c2, out=s), out=s)
-        denom += eps
+        denom += ADAM_EPS
         update = np.multiply(np.divide(m, c1, out=g), lr, out=g)
         update /= denom
         value[block] -= update

@@ -173,8 +173,7 @@ def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[
         return out
     uniforms = _row_rng(seed, row_indices, sum(i not in fixed_codes for i in order))
 
-    dtype = model.params["E0"].value.dtype
-    ctx = np.zeros((n, model.sizes.context_width), dtype=dtype)
+    ctx = np.zeros((n, model.sizes.context_width), dtype=model.store.value.dtype)
     u_col = 0
     for i in order:
         if i in fixed_codes:

@@ -32,8 +32,9 @@ from argn.model import (
     ArgnModel,
     PatienceController,
     TrainConfig,
+    _per_example_grads,
     compute_layer_sizes,
-    forward_column,
+    negative_log_likelihood,
     train,
 )
 from argn.nn import (
@@ -42,8 +43,7 @@ from argn.nn import (
     dense_backward,
     dense_forward,
     dp_sgd_step,
-    embedding_backward,
-    embedding_forward,
+    softmax,
     softmax_cross_entropy,
 )
 from argn.persist import load_model, save_model
@@ -94,41 +94,43 @@ def test_criterion_1_gradient_correctness():
             n_in, n_out = int(rng.integers(1, 6)), int(rng.integers(2, 7))
             w = Param("w", rng.normal(size=(n_out, n_in)))
             b = Param("b", rng.normal(size=n_out))
-            x = rng.normal(size=n_in)
-            d = rng.normal(size=n_out)
+            x = rng.normal(size=(1, n_in))
+            d = rng.normal(size=(1, n_out))
 
             def dense_loss():
                 y, _ = dense_forward(x, w, b, "relu")
-                return float(d @ y)
+                return float(np.sum(d * y))
 
             _, cache = dense_forward(x, w, b, "relu")
             dpre, dx = dense_backward(d, cache, w)
             check(np.outer(dpre, x), central(dense_loss, w.value))
-            check(dpre, central(dense_loss, b.value))
+            check(dpre[0], central(dense_loss, b.value))
             check(dx, central(dense_loss, x))
 
-            emb = Param("e", rng.normal(size=(5, n_in)))
-            idx = int(rng.integers(5))
-            de = rng.normal(size=n_in)
-
-            def emb_loss():
-                y, _ = embedding_forward(idx, emb)
-                return float(de @ y)
-
-            _, cache = embedding_forward(idx, emb)
-            emb.grad[...] = 0
-            embedding_backward(de, cache, emb)
-            check(emb.grad, central(emb_loss, emb.value))
-
-            logits = rng.normal(size=n_out)
-            target = int(rng.integers(n_out))
+            logits = rng.normal(size=(1, n_out))
+            target = rng.integers(n_out, size=1)
 
             def xent_loss():
-                l, _ = softmax_cross_entropy(logits, target)
-                return l
+                (l,), _ = softmax_cross_entropy(logits, target)
+                return float(l)
 
             _, grad = softmax_cross_entropy(logits, target)
             check(grad, central(xent_loss, logits))
+
+        # embeddings: the E blocks of the training pass's mean gradient, on a
+        # float64 model whose biases keep every ReLU active for any context
+        model = ArgnModel(subcols([3, 4, 2]))
+        model.init_params(rng, dtype=np.float64)
+        bound = max(np.abs(model.params[f"E{j}"].value).max() for j in range(3))
+        for i in range(3):
+            model.params[f"b{i}"].value[...] = 1.0 + bound * np.abs(model.params[f"W{i}"].value).sum(axis=1)
+        codes = np.array([[0, 1, 1], [2, 3, 0], [0, 1, 1], [1, 0, 1], [2, 2, 0]], dtype=np.int32)
+        for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+            model.store.grad[...] = 0
+            _per_example_grads(model, codes, order, None)  # no rng: dropout off
+            for j in range(3):
+                emb = model.params[f"E{j}"]
+                check(emb.grad, central(lambda: negative_log_likelihood(model, codes, order), emb.value))
 
 
 # -- 2: causality ----------------------------------------------------------------
@@ -145,11 +147,11 @@ def test_criterion_2_causality_bit_identical():
             target = order[pos]
             codes = np.array([rng.integers(c) for c in (3, 4, 2, 5)])
             embs = [model.params[f"E{j}"].value[codes[j]] for j in range(4)]
-            before = forward_column(model, masked_context(embs, order, target), target)
+            before = softmax(model.column_logits(masked_context(embs, order, target)[None], target)[0])
             for j in order[pos + 1 :]:
                 codes[j] = rng.integers((3, 4, 2, 5)[j])
             embs2 = [model.params[f"E{j}"].value[codes[j]] for j in range(4)]
-            after = forward_column(model, masked_context(embs2, order, target), target)
+            after = softmax(model.column_logits(masked_context(embs2, order, target)[None], target)[0])
             assert before.tobytes() == after.tobytes()
 
 
@@ -164,9 +166,9 @@ def test_criterion_3_learnability():
         width = model.sizes.context_width
         correct = 0
         for row in encoded.data:
-            ctx = np.zeros(width, dtype=np.float32)
-            ctx[model.slot(0)] = model.params["E0"].value[row[0]]
-            correct += int(np.argmax(forward_column(model, ctx, 1))) == row[1]
+            ctx = np.zeros((1, width), dtype=np.float32)
+            ctx[0, model.slot(0)] = model.params["E0"].value[row[0]]
+            correct += int(np.argmax(softmax(model.column_logits(ctx, 1)[0]))) == row[1]
         assert correct == encoded.row_count  # 100% on 1k rows
 
         sample = generate(model, GenerationRequest(n_rows=10_000, seed=1))

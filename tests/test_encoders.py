@@ -68,6 +68,11 @@ def fit_quadtile(lat_values, lon_values, min_tile_count: int = 100, max_depth: i
     return QuadtileEncoder.fit("value", ("lat", "lon"), lat_lon(lat_values, lon_values), min_tile_count, max_depth)
 
 
+def leaf_of(enc: QuadtileEncoder, lat: float, lon: float) -> str:
+    """The key of the leaf that ``encode`` puts the point (lat, lon) in."""
+    return enc.leaves[int(enc.encode(lat_lon([repr(lat)], [repr(lon)]))[0, 0])]
+
+
 # -- categorical -------------------------------------------------------------
 
 
@@ -283,14 +288,14 @@ def test_quadtile_ne_quadrant_digit():
     # force exactly one split so depth-1 keys are the leaves
     enc = fit_quadtile(["45", "-45"], ["90", "-90"], min_tile_count=2, max_depth=1)
     assert sorted(enc.leaves) == ["0", "1", "2", "3"]
-    assert enc.key_of(45.0, 90.0) == "1"
+    assert leaf_of(enc, 45.0, 90.0) == "1"
 
 
 def test_quadtile_dense_point_hits_max_depth():
     lat = ["10.0"] * 1000
     lon = ["20.0"] * 1000
     enc = fit_quadtile(lat, lon, min_tile_count=100, max_depth=12)
-    key = enc.key_of(10.0, 20.0)
+    key = leaf_of(enc, 10.0, 20.0)
     assert len(key) == 12
     assert enc.encode(lat_lon(lat, lon))[:, 0].max() == enc.encode(lat_lon(lat, lon))[:, 0].min()
 
@@ -313,7 +318,7 @@ def test_quadtile_leaves_partition(rng):
     # every random coordinate lands in exactly one leaf
     for _ in range(200):
         p, q = rng.uniform(-90, 90), rng.uniform(-180, 180)
-        key = enc.key_of(p, q)
+        key = leaf_of(enc, p, q)
         assert key in enc.leaves
         prefixes = [k for k in enc.leaves if key.startswith(k) or k.startswith(key)]
         assert prefixes == [key]
@@ -323,7 +328,7 @@ def test_quadtile_decode_inside_box(rng):
     enc = fit_quadtile(["45", "-45"], ["90", "-90"], min_tile_count=2, max_depth=3)
     codes = enc.encode(lat_lon(["45"], ["90"]))
     lats, lons, _ = enc.decode_values(codes, rng.random((1, enc.n_draws)))
-    assert enc.key_of(float(lats[0]), float(lons[0])) == enc.key_of(45.0, 90.0)
+    assert leaf_of(enc, float(lats[0]), float(lons[0])) == leaf_of(enc, 45.0, 90.0)
 
 
 # -- whole-table encode/decode ----------------------------------------------

@@ -60,8 +60,8 @@ def test_class_major_fit_matches_the_row_major_reference(k):
 
 def test_classes_default_to_the_largest_label_and_at_least_two():
     x = np.arange(12.0).reshape(6, 2)
-    assert LogisticModel(iters=3).fit(x, [0, 0, 0, 0, 0, 0]).n_classes == 2
-    assert LogisticModel(iters=3).fit(x, [0, 1, 3, 0, 1, 3]).n_classes == 4
+    assert LogisticModel().fit(x, [0, 0, 0, 0, 0, 0]).n_classes == 2
+    assert LogisticModel().fit(x, [0, 1, 3, 0, 1, 3]).n_classes == 4
 
 
 @pytest.mark.parametrize("labels, n_classes", [
@@ -73,7 +73,7 @@ def test_classes_default_to_the_largest_label_and_at_least_two():
 def test_labels_outside_the_classes_are_rejected(labels, n_classes):
     x = np.arange(8.0).reshape(4, 2)
     with pytest.raises(ValueError, match="labels"):
-        LogisticModel(iters=3).fit(x, labels, n_classes=n_classes)
+        LogisticModel().fit(x, labels, n_classes=n_classes)
 
 
 def per_fold_scores(features, labels, seed, n_folds=4):

@@ -634,8 +634,10 @@ def oracle_distances(train, other):
             d = (fmap.codes(other, name)[:, None] != fmap.codes(train, name)[None, :]).astype(np.float64)
         else:
             lo, hi = fmap.ranges[name]
-            span = hi - lo if hi - lo > 0 else 1.0
             a, b = train.values(name, kind), other.values(name, kind)
+            if np.isinf(hi - lo):  # halving is exact and keeps the span finite
+                lo, hi, a, b = lo / 2, hi / 2, a / 2, b / 2
+            span = hi - lo if hi - lo > 0 else 1.0
             miss_b = ~np.isfinite(b)
             miss_a = ~np.isfinite(a)
             with np.errstate(over="ignore"):  # inf became +-1.8e308 here
@@ -882,18 +884,26 @@ def test_dcr_prepass_matches_the_full_scan_bitwise(rng, monkeypatch, case, scan_
     assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
 
 
-def test_dcr_prepass_is_skipped_when_a_span_overflows(monkeypatch):
-    """A column whose range overflows to an infinite span makes some distances
-    NaN, which a group's minimum cannot rule out: the full scan keeps them."""
+def test_dcr_halves_an_overflowing_span():
+    """A column whose range overflows (-1e308 to 1e308) has its values and
+    span halved, which is exact: no distance is NaN (inf / inf) any more, so
+    the pre-pass takes the table, and every distance is finite and equals the
+    oracle's. Any overflow in the scan would raise, as warnings are errors."""
     train = make_table({"c": [f"k{i % 20}" for i in range(400)],
                         "x": ["-1e308", "1e308"] + [f"{i}" for i in range(398)]}, kinds={"x": "numeric"})
     other = make_table({"c": ["k0", "k1", "k2"], "x": ["1e308", "0", "-1e308"]}, kinds={"x": "numeric"})
-    monkeypatch.setenv("ARGN_THREADS", "1")  # the error state below holds in this thread only
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = oracle_dcr(train, other)
-        # the last row's group holds only distances 0, its NaN comes from the train row 1e308
-        assert dcr_branches(train, other)[2] == "resolved" and np.isnan(expected[2])
-        assert np.array_equal(dcr(train, other), expected, equal_nan=True)
+    expected = oracle_dcr(train, other)
+    # the last row's group (x = 0, 20, ...) resolves it; the train row 1e308 once made it NaN
+    assert dcr_branches(train, other)[2] == "resolved" and np.isfinite(expected).all()
+    assert expected[0] == expected[2] == 0.5
+    assert np.array_equal(dcr(train, other), expected)
+
+
+def test_min_max_scaling_halves_an_overflowing_range():
+    table = make_table({"x": ["-1e308", "0", "1e308", ""]}, kinds={"x": "numeric"})
+    assert MixedFeatureMap(table).transform(table)[:, 0].tolist() == [0.0, 0.5, 1.0, 0.5]
+    assert wasserstein1([-1e308, 1e308], [-1e308, 1e308]) == 0.0
+    assert wasserstein1([-1e308], [1e308]) == 1.0
 
 
 def worst_case(levels, n=4000):

@@ -10,7 +10,6 @@ from argn.model import (
     PatienceController,
     TrainConfig,
     compute_layer_sizes,
-    forward_column,
     negative_log_likelihood,
     order_mask_matrix,
     train,
@@ -107,9 +106,9 @@ def test_order_mask_matrix_matches_masked_context(rng):
 
 def test_forward_column_probabilities_sum_to_one(rng):
     model = fresh_model([3, 4, 5])
-    ctx = rng.normal(size=model.sizes.context_width).astype(np.float32)
+    ctx = rng.normal(size=(1, model.sizes.context_width)).astype(np.float32)
     for i in range(3):
-        p = forward_column(model, ctx, i)
+        (p,) = nn.softmax(model.column_logits(ctx, i)[0])
         assert p.shape == (model.sub_columns[i].cardinality,)
         assert p.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -119,9 +118,9 @@ def test_forward_column_zero_predictor_is_uniform(rng):
     for i in range(2):
         model.params[f"V{i}"].value[...] = 0
         model.params[f"c{i}"].value[...] = 0
-    ctx = rng.normal(size=model.sizes.context_width).astype(np.float32)
-    np.testing.assert_allclose(forward_column(model, ctx, 0), 0.25, atol=1e-7)
-    np.testing.assert_allclose(forward_column(model, ctx, 1), 1 / 6, atol=1e-7)
+    ctx = rng.normal(size=(1, model.sizes.context_width)).astype(np.float32)
+    np.testing.assert_allclose(nn.softmax(model.column_logits(ctx, 0)[0]), 0.25, atol=1e-7)
+    np.testing.assert_allclose(nn.softmax(model.column_logits(ctx, 1)[0]), 1 / 6, atol=1e-7)
 
 
 def test_masked_slot_perturbation_changes_nothing(rng):
@@ -134,13 +133,13 @@ def test_masked_slot_perturbation_changes_nothing(rng):
         later = order[pos + 1 :]
         embs = [model.params[f"E{j}"].value[codes[0, j]] for j in range(4)]
         ctx = masked_context(embs, order, target)
-        out1 = forward_column(model, ctx, target)
+        out1 = nn.softmax(model.column_logits(ctx[None], target)[0])
         perturbed = codes.copy()
         for j in later:
             perturbed[0, j] = rng.integers(3)
         embs2 = [model.params[f"E{j}"].value[perturbed[0, j]] for j in range(4)]
         ctx2 = masked_context(embs2, order, target)
-        out2 = forward_column(model, ctx2, target)
+        out2 = nn.softmax(model.column_logits(ctx2[None], target)[0])
         assert out1.tobytes() == out2.tobytes()  # bit-identical
 
 
@@ -198,9 +197,9 @@ def test_learnability_deterministic_pair():
     # conditional argmax must reproduce the lookup for every source category
     width = model.sizes.context_width
     for c in range(10):
-        ctx = np.zeros(width, dtype=np.float32)
-        ctx[model.slot(0)] = model.params["E0"].value[c]
-        p = forward_column(model, ctx, 1)
+        ctx = np.zeros((1, width), dtype=np.float32)
+        ctx[0, model.slot(0)] = model.params["E0"].value[c]
+        (p,) = nn.softmax(model.column_logits(ctx, 1)[0])
         assert int(np.argmax(p)) == mapping[c]
 
 
@@ -258,7 +257,7 @@ def test_any_order_valid_probabilities_for_all_orders(rng):
     for order in itertools.permutations(range(3)):  # all D! orders
         for target in order:
             ctx = masked_context(embs, order, target)
-            p = forward_column(model, ctx, target)
+            (p,) = nn.softmax(model.column_logits(ctx[None], target)[0])
             assert p.sum() == pytest.approx(1.0, abs=1e-5)
             assert np.all(p >= 0)
 
@@ -290,9 +289,9 @@ def test_nll_near_zero_for_learned_deterministic_column():
     nll_x2_given_x1 = []
     width = model.sizes.context_width
     for c in range(10):
-        ctx = np.zeros(width, dtype=np.float32)
-        ctx[model.slot(0)] = model.params["E0"].value[c]
-        p = forward_column(model, ctx, 1)
+        ctx = np.zeros((1, width), dtype=np.float32)
+        ctx[0, model.slot(0)] = model.params["E0"].value[c]
+        (p,) = nn.softmax(model.column_logits(ctx, 1)[0])
         nll_x2_given_x1.append(-math.log(float(p[mapping[c]])))
     assert np.mean(nll_x2_given_x1) < 0.15
 

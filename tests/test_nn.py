@@ -12,8 +12,6 @@ from argn.nn import (
     dense_forward,
     dp_sgd_step,
     dropout_mask,
-    embedding_backward,
-    embedding_forward,
     softmax,
     softmax_cross_entropy,
 )
@@ -49,22 +47,22 @@ def rel_err(a, b):
 def test_dense_identity_relu():
     w = Param("w", np.eye(2, dtype=np.float64))
     b = Param("b", np.zeros(2, dtype=np.float64))
-    y, _ = dense_forward(np.array([-1.0, 2.0]), w, b, "relu")
-    np.testing.assert_array_equal(y, [0.0, 2.0])
+    y, _ = dense_forward(np.array([[-1.0, 2.0]]), w, b, "relu")
+    np.testing.assert_array_equal(y[0], [0.0, 2.0])
 
 
 def test_dense_zero_width_input_gives_bias():
     w = Param("w", np.zeros((3, 0), dtype=np.float64))
     b = Param("b", np.array([-1.0, 0.5, 2.0]))
-    y, _ = dense_forward(np.zeros(0), w, b, "relu")
-    np.testing.assert_array_equal(y, [0.0, 0.5, 2.0])
+    y, _ = dense_forward(np.zeros((1, 0)), w, b, "relu")
+    np.testing.assert_array_equal(y[0], [0.0, 0.5, 2.0])
 
 
 def test_dense_dimension_mismatch():
     w = Param("w", np.zeros((2, 3)))
     b = Param("b", np.zeros(2))
     with pytest.raises(ValueError, match="width"):
-        dense_forward(np.zeros(4), w, b)
+        dense_forward(np.zeros((1, 4)), w, b)
 
 
 def test_dense_gradients_match_finite_differences(rng):
@@ -72,70 +70,52 @@ def test_dense_gradients_match_finite_differences(rng):
         n_in, n_out = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         w = Param("w", rng.normal(size=(n_out, n_in)))
         b = Param("b", rng.normal(size=n_out))
-        x = rng.normal(size=n_in)
-        direction = rng.normal(size=n_out)  # random scalarization L = d . y
+        x = rng.normal(size=(1, n_in))
+        direction = rng.normal(size=(1, n_out))  # random scalarization L = d . y
 
         def loss():
             y, _ = dense_forward(x, w, b, "relu")
-            return float(direction @ y)
+            return float(np.sum(direction * y))
 
         y, cache = dense_forward(x, w, b, "relu")
         dpre, dx = dense_backward(direction, cache, w)
 
         assert rel_err(np.outer(dpre, x), central_diff(loss, w.value)) < REL_TOL
-        assert rel_err(dpre, central_diff(loss, b.value)) < REL_TOL
+        assert rel_err(dpre[0], central_diff(loss, b.value)) < REL_TOL
         assert rel_err(dx, central_diff(loss, x)) < REL_TOL
 
 
-# -- embedding ---------------------------------------------------------------
+# -- batch shape -------------------------------------------------------------
 
 
-def test_embedding_lookup():
-    e = Param("e", np.array([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0], [1.0, 2.0, 3.0]]))
-    y, _ = embedding_forward(2, e)
-    np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
+def _dense_backward_of_a_vector():
+    w, b = Param("w", np.zeros((2, 3))), Param("b", np.zeros(2))
+    _, cache = dense_forward(np.zeros((1, 3)), w, b)
+    dense_backward(np.zeros(2), cache, w)
 
 
-def test_embedding_out_of_range():
-    e = Param("e", np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="out of range"):
-        embedding_forward(2, e)
-
-
-def test_embedding_backward_sparse():
-    e = Param("e", np.zeros((3, 2)))
-    _, cache = embedding_forward(0, e)
-    embedding_backward(np.array([1.0, 2.0]), cache, e)
-    np.testing.assert_array_equal(e.grad[0], [1.0, 2.0])
-    np.testing.assert_array_equal(e.grad[1:], 0.0)
-
-
-def test_embedding_gradient_matches_finite_differences(rng):
-    e = Param("e", rng.normal(size=(4, 3)))
-    direction = rng.normal(size=3)
-    idx = 2
-
-    def loss():
-        y, _ = embedding_forward(idx, e)
-        return float(direction @ y)
-
-    _, cache = embedding_forward(idx, e)
-    e.grad[...] = 0
-    embedding_backward(direction, cache, e)
-    assert rel_err(e.grad, central_diff(loss, e.value)) < REL_TOL
+@pytest.mark.parametrize("call", [
+    lambda: dense_forward(np.zeros(3), Param("w", np.zeros((2, 3))), Param("b", np.zeros(2))),
+    _dense_backward_of_a_vector,
+    lambda: softmax(np.zeros(3)),
+    lambda: softmax_cross_entropy(np.zeros(3), 0),
+], ids=["dense_forward", "dense_backward", "softmax", "softmax_cross_entropy"])
+def test_batch_kernels_reject_a_vector(call):
+    with pytest.raises(ValueError, match=r"\(rows, width\) batch, got shape \(\d+,\)"):
+        call()
 
 
 # -- softmax cross entropy ----------------------------------------------------
 
 
 def test_softmax_xent_uniform():
-    loss, grad = softmax_cross_entropy(np.array([0.0, 0.0]), 0)
+    (loss,), (grad,) = softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
     assert loss == pytest.approx(np.log(2), abs=1e-12)
     np.testing.assert_allclose(grad, [-0.5, 0.5])
 
 
 def test_softmax_xent_stable_at_large_logits():
-    loss, grad = softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+    (loss,), grad = softmax_cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))
     assert loss == pytest.approx(0.0, abs=1e-9)
     assert np.isfinite(grad).all()
 
@@ -143,12 +123,12 @@ def test_softmax_xent_stable_at_large_logits():
 def test_softmax_xent_gradient_matches_finite_differences(rng):
     for _ in range(20):
         k = int(rng.integers(2, 8))
-        logits = rng.normal(size=k)
-        target = int(rng.integers(k))
+        logits = rng.normal(size=(1, k))
+        target = rng.integers(k, size=1)
 
         def loss():
-            l, _ = softmax_cross_entropy(logits, target)
-            return l
+            (l,), _ = softmax_cross_entropy(logits, target)
+            return float(l)
 
         _, grad = softmax_cross_entropy(logits, target)
         assert rel_err(grad, central_diff(loss, logits)) < REL_TOL

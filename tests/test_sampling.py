@@ -6,7 +6,8 @@ from scipy import stats
 
 from argn import sampling
 from argn.encoders import EncodedTable, EncodingOptions, encode_table, fit_encoders
-from argn.model import ArgnModel, TrainConfig, forward_column, train
+from argn.model import ArgnModel, TrainConfig, train
+from argn.nn import softmax
 from argn.sampling import GenerationRequest, _row_rng, generate, impute, synthesize
 from argn.tables import TableSchema
 from conftest import make_table, table_rows
@@ -46,9 +47,9 @@ def test_conditional_generation_matches_exact_conditional(lookup_model):
     c = 3
     out = generate(model, GenerationRequest(n_rows=10_000, conditions={0: c}, seed=5))
     assert np.all(out.data[:, 0] == c)  # conditioning never alters conditioned values
-    ctx = np.zeros(model.sizes.context_width, dtype=np.float32)
-    ctx[model.slot(0)] = model.params["E0"].value[c]
-    exact = forward_column(model, ctx, 1).astype(np.float64)
+    ctx = np.zeros((1, model.sizes.context_width), dtype=np.float32)
+    ctx[0, model.slot(0)] = model.params["E0"].value[c]
+    (exact,) = softmax(model.column_logits(ctx, 1)[0]).astype(np.float64)
     counts = np.bincount(out.data[:, 1], minlength=10)
     assert 0.5 * np.abs(counts / counts.sum() - exact / exact.sum()).sum() < 0.05
 
@@ -57,8 +58,8 @@ def test_marginal_consistency_first_subcolumn(lookup_model):
     model, _, _ = lookup_model
     n = 100_000
     out = generate(model, GenerationRequest(n_rows=n, seed=2))
-    ctx = np.zeros(model.sizes.context_width, dtype=np.float32)
-    marginal = forward_column(model, ctx, 0).astype(np.float64)
+    ctx = np.zeros((1, model.sizes.context_width), dtype=np.float32)
+    (marginal,) = softmax(model.column_logits(ctx, 0)[0]).astype(np.float64)
     counts = np.bincount(out.data[:, 0], minlength=10).astype(np.float64)
     assert 0.5 * np.abs(counts / n - marginal / marginal.sum()).sum() < 0.02
 
