@@ -301,19 +301,15 @@ def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int) -> np
     return scores
 
 
-def run_shadow_attack(trials: Sequence[ShadowTrial], generator: Callable, kind: str,
-                      cfg: AuditConfig, ctx: AttackContext,
-                      syn_sets: Optional[list[RawTable]] = None) -> AttackResult:
-    """Train/sample the generator per trial (unless pre-generated sets are
-    supplied), extract ``kind`` features, and score membership with the
-    cross-fitted logistic meta-classifier."""
+def run_shadow_attack(syn_sets_with_labels: Sequence[tuple[RawTable, bool]], kind: str,
+                      cfg: AuditConfig, ctx: AttackContext) -> AttackResult:
+    """Extract ``kind`` features from each labeled synthetic set and score
+    membership with the cross-fitted logistic meta-classifier."""
     if kind not in META_ATTACKS:
         raise ValueError(f"{kind!r} is not a meta-classifier attack")
-    if syn_sets is None:
-        syn_sets = generate_shadow_sets(trials, generator)
-    labels = np.array([t.member for t in trials], dtype=bool)
+    labels = np.array([member for _, member in syn_sets_with_labels], dtype=bool)
     features = np.vstack([
-        extract_features(syn, ctx.target, kind, ctx) for syn in syn_sets
+        extract_features(syn, ctx.target, kind, ctx) for syn, _ in syn_sets_with_labels
     ])
     scores = _cross_fit_scores(features, labels, cfg.seed)
     return _result(kind, scores, labels)
@@ -408,8 +404,7 @@ def argn_generator(train_cfg: TrainConfig, protection: Optional[ValueProtectionC
             working = protect_table(table, fit_schema, replace(protection, rng_seed=seed))
         encoders = fit_encoders(working, fit_schema, options)
         encoded = encode_table(working, encoders)
-        model = ArgnModel(encoders.sub_columns, train_cfg.order_mode,
-                          encoders=encoders, schema=fit_schema)
+        model = ArgnModel(encoders, train_cfg.order_mode)
         train(model, encoded, replace(train_cfg, seed=seed))
         return synthesize(model, GenerationRequest(n_rows=table.row_count, seed=seed))
 
@@ -440,7 +435,7 @@ def run_audit(data: RawTable, generator: Callable, cfg: AuditConfig,
         entry = {"row_index": row_index, "attacks": {}}
         for attack in cfg.attacks:
             if attack in META_ATTACKS:
-                res = run_shadow_attack(trials, generator, attack, cfg, ctx, syn_sets=syn_sets)
+                res = run_shadow_attack(labeled, attack, cfg, ctx)
             else:
                 res = run_distance_attack(labeled, target, DISTANCE_METRICS[attack], ctx)
             entry["attacks"][attack] = {"auc": res.auc, "accuracy": res.accuracy}

@@ -125,10 +125,8 @@ def _cmd_train(args) -> int:
     train_cfg: TrainConfig = cfg["train"]
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    model = ArgnModel(encoders.sub_columns, train_cfg.order_mode,
-                      encoders=encoders, schema=schema)
+    model = ArgnModel(encoders, train_cfg.order_mode)
     history = train(model, encoded, train_cfg)
-    model.train_config_echo = asdict(train_cfg)
     save_model(model, args.out)
     print(
         f"trained {model.d_total} sub-columns on {encoded.row_count} rows: "
@@ -153,19 +151,13 @@ def _expand_order(model, column_list: Optional[str]):
     order; unlisted parents follow in canonical order."""
     if not column_list:
         return None
-    ordered_parents = [c.strip() for c in column_list.split(",") if c.strip()]
-    known = []
-    for sc in model.sub_columns:
-        if sc.parent not in known:
-            known.append(sc.parent)
-    for p in ordered_parents:
-        if p not in known:
+    names = model.encoders.schema.names
+    listed = [c.strip() for c in column_list.split(",") if c.strip()]
+    for p in listed:
+        if p not in names:
             raise UsageError(f"--order names unknown column {p!r}")
-    full = ordered_parents + [p for p in known if p not in ordered_parents]
-    order = []
-    for p in full:
-        order.extend(i for i, sc in enumerate(model.sub_columns) if sc.parent == p)
-    return order
+    return [i for p in listed + [p for p in names if p not in listed]
+            for i in model.encoders.sub_indices_of(p)]
 
 
 def _cmd_generate(args) -> int:

@@ -112,10 +112,7 @@ class CategoryEncoder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CategoryEncoder":
-        # files written before MISSING became null stored it as "\0"
-        legacy = all(v is not None for v, _ in d["mapping"])
-        mapping = {(None if legacy and v == "\0" else v): int(i) for v, i in d["mapping"]}
-        return cls(d["column"], mapping)
+        return cls(d["column"], {v: int(i) for v, i in d["mapping"]})
 
 
 class PercentileEncoder:
@@ -571,6 +568,8 @@ class TableEncoders:
     """Ordered per-column encoders for a schema, plus the derived sub-columns."""
 
     def __init__(self, schema: TableSchema, encoders: list):
+        if [enc.column for enc in encoders] != schema.names:
+            raise ValueError("encoders do not match the schema's columns")
         self.schema = schema
         self.encoders = encoders
         subs: list[SubColumn] = []

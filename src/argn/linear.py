@@ -126,11 +126,15 @@ def ridge_predict(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
 
 
 def finite_span(lo: float, hi: float, *values: np.ndarray):
-    """``lo``, the span ``hi - lo`` and ``values``, all halved when the span
-    overflows (a column holding -1e308 and 1e308): halving is exact above
-    the subnormals, so (x - lo) / span keeps its value and stays finite,
-    and a column whose span is finite keeps every bit."""
-    if math.isinf(hi - lo):
+    """``lo``, the span ``hi - lo`` and ``values``, all halved when the widest
+    difference among ``lo``, ``hi`` and the finite values overflows: a span
+    from -1e308 to 1e308, or a value of -1e308 against a range of 1e308 to
+    1.1e308. Halving is exact above the subnormals, so (x - lo) / span and
+    |x - y| / span keep their values and stay finite, and a column whose
+    differences are all finite keeps every bit."""
+    top = max([hi] + [float(np.max(v, initial=hi, where=np.isfinite(v))) for v in values])
+    bottom = min([lo] + [float(np.min(v, initial=lo, where=np.isfinite(v))) for v in values])
+    if math.isinf(top - bottom):
         return (lo / 2, hi / 2 - lo / 2, *(v / 2 for v in values))
     return (lo, hi - lo, *values)
 

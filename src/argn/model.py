@@ -1,21 +1,25 @@
 """Any-order autoregressive network over discrete sub-columns.
 
-Each sub-column i owns an embedding table E_i, a ReLU regressor (W_i, b_i)
-and a softmax predictor (V_i, c_i) whose output width equals the
-sub-column's cardinality; all are views into one flat store, in that order
-per sub-column. Every pass takes a batch of rows: ``embed_rows`` indexes
-the E_i, the training pass scatter-adds their gradients, and a sub-column's
-probabilities for a batch of contexts are ``nn.softmax`` of its
-``column_logits``. Regressors always consume the full concatenated
-embedding vector; causality is enforced by zeroing the slots of sub-columns
-that do not precede the target in the current permutation, so a sub-column's
-output is bit-identical under any change to the masked inputs.
+A model is built from a table's fitted encoders alone: its sub-columns are
+``encoders.sub_columns``, in canonical order. Each sub-column i owns an
+embedding table E_i, a ReLU regressor (W_i, b_i) and a softmax predictor
+(V_i, c_i) whose output width equals the sub-column's cardinality; all are
+views into one flat store, in that order per sub-column. Every pass takes
+a batch of rows: ``embed_rows`` indexes the E_i, the training pass
+scatter-adds their gradients, and a sub-column's probabilities for a batch
+of contexts are ``nn.softmax`` of its ``column_logits``. Regressors always
+consume the full concatenated embedding vector; causality is enforced by
+zeroing the slots of sub-columns that do not precede the target in the
+current permutation, so a sub-column's output is bit-identical under any
+change to the masked inputs.
 
 Training teacher-forces ground-truth embeddings, sums the cross-entropy over
-all sub-columns, and draws a fresh permutation per batch in any-order mode.
-Validation loss (canonical order, dropout off) drives learning-rate halving
-and early stopping; the best-validation epoch's weights are restored at the
-end.
+all sub-columns, and draws a fresh permutation per batch in any-order mode
+(fixed mode keeps the canonical order). Validation loss (canonical order,
+dropout off) drives learning-rate halving and early stopping; the
+best-validation epoch's weights are restored at the end, and
+``training_meta`` records the run and its ``TrainConfig``: a model is
+trained once it is set.
 """
 
 from __future__ import annotations
@@ -23,17 +27,17 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import nn
-from .encoders import EncodedTable, SubColumn, TableEncoders
+from .encoders import EncodedTable, TableEncoders
 from .nn import DpConfig, Param
-from .tables import TableSchema
 
 NLL_ROWS = 4096  # rows per pass of negative_log_likelihood: bounds its activations
+ORDER_MODES = ("any_order", "fixed")  # fixed: the canonical order only
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class TrainConfig:
     max_epochs: int = 200
     dropout_rate: float = 0.25
     val_fraction: float = 0.10
-    order_mode: str = "any_order"  # any_order | fixed
+    order_mode: str = "any_order"  # one of ORDER_MODES
     dp: DpConfig = field(default_factory=DpConfig)
     seed: int = 0
 
@@ -83,8 +87,8 @@ class TrainConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if not 0 < self.val_fraction < 0.5:
             raise ValueError("val_fraction must be in (0, 0.5)")
-        if self.order_mode not in ("any_order", "fixed"):
-            raise ValueError("order_mode must be 'any_order' or 'fixed'")
+        if self.order_mode not in ORDER_MODES:
+            raise ValueError(f"order_mode must be one of {ORDER_MODES}")
         if self.patience_stop <= self.patience_lr:
             warnings.warn("patience_stop <= patience_lr: learning rate will never halve before stopping")
 
@@ -122,33 +126,27 @@ class PatienceController:
 
 
 class ArgnModel:
-    """Parameters and topology for one table's sub-columns."""
+    """Parameters and topology for the sub-columns of one table's encoders.
+    ``order_mode`` "fixed" means the canonical order only."""
 
-    def __init__(
-        self,
-        sub_columns: Sequence[SubColumn],
-        order_mode: str = "any_order",
-        fixed_order: Optional[Sequence[int]] = None,
-        encoders: Optional[TableEncoders] = None,
-        schema: Optional[TableSchema] = None,
-    ):
-        if not sub_columns:
+    def __init__(self, encoders: TableEncoders, order_mode: str = "any_order"):
+        if not encoders.sub_columns:
             raise ValueError("model needs at least one sub-column")
-        self.sub_columns = list(sub_columns)
-        self.order_mode = order_mode
-        d = len(self.sub_columns)
-        self.fixed_order = tuple(fixed_order) if fixed_order is not None else tuple(range(d))
-        if sorted(self.fixed_order) != list(range(d)):
-            raise ValueError("fixed_order must be a permutation of the sub-columns")
+        if order_mode not in ORDER_MODES:
+            raise ValueError(f"order_mode must be one of {ORDER_MODES}")
         self.encoders = encoders
-        self.schema = schema
+        self.sub_columns = encoders.sub_columns
+        self.order_mode = order_mode
         self.sizes = compute_layer_sizes([s.cardinality for s in self.sub_columns])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes.embed_dims)]).astype(np.int64)
-        self.dropout_rate = TrainConfig.dropout_rate  # train() sets the configured rate
+        self.dropout_rate = TrainConfig.dropout_rate  # training state, not saved: train() sets it
         self.store: Optional[Param] = None  # every weight, flat; see allocate_params
         self.params: Optional[dict[str, Param]] = None  # named views into the store
-        self.trained = False
         self.training_meta: dict = {}
+
+    @property
+    def trained(self) -> bool:
+        return bool(self.training_meta)
 
     @property
     def d_total(self) -> int:
@@ -324,6 +322,8 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
         raise ValueError("training needs at least 10 rows")
     if model.d_total != data.shape[1]:
         raise ValueError("encoded table does not match the model's sub-columns")
+    if cfg.order_mode != model.order_mode:
+        raise ValueError(f"order_mode {cfg.order_mode!r} differs from the model's {model.order_mode!r}")
 
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(n)
@@ -346,7 +346,7 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
         epoch_loss = 0.0
         for start in range(0, len(epoch_rows), cfg.batch_size):
             batch = data[epoch_rows[start : start + cfg.batch_size]]
-            order = tuple(rng.permutation(model.d_total)) if cfg.order_mode == "any_order" else model.fixed_order
+            order = tuple(rng.permutation(model.d_total)) if model.order_mode == "any_order" else canonical
             losses, _ = _per_example_grads(model, batch, order, rng, clip_norm)
             if cfg.dp.enabled:
                 nn.dp_sgd_step(model.store, len(batch), cfg.dp, lr, rng)
@@ -374,11 +374,11 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
             break
 
     model.store.value[...] = best_weights
-    model.trained = True
     model.training_meta = {
         "epochs_run": controller.epochs_seen,
         "best_epoch": controller.best_epoch,
         "best_val_loss": controller.best_loss,
+        "train_config": asdict(cfg),
     }
     history["best_epoch"] = controller.best_epoch
     history["epochs_run"] = controller.epochs_seen

@@ -3,12 +3,13 @@
 Layout: magic ``ARGN`` | u32 format version | u64 header length | UTF-8 JSON
 header | the model's flat weight store as raw little-endian float32, which
 holds the weights in canonical order (per sub-column: E, W, b, V, c). The
-header carries the schema, fitted encoders, sub-columns, order mode, a
-train-config echo, training metadata, and the weight-shape manifest; the
-weight section is byte-exact, so save -> load -> save reproduces identical
-files. Loading checks magic, version, float count and shapes, rejects
-non-finite weights and sub-columns that differ from the encoders', and
-copies the weights into a freshly allocated store.
+header has exactly five keys: ``schema``, ``encoders`` (the fitted encoders,
+from which loading derives the sub-columns), ``order_mode``,
+``training_meta`` (the run's epochs, best validation loss and train config)
+and ``weights`` (the weight-shape manifest). The weight section is
+byte-exact, so save -> load -> save reproduces identical files. Loading
+checks magic, version, the header's key set, float count and shapes, rejects
+non-finite weights, and copies the weights into a freshly allocated store.
 """
 
 from __future__ import annotations
@@ -16,31 +17,27 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict
-from typing import Optional
 
 import numpy as np
 
-from .encoders import SubColumn, TableEncoders
+from .encoders import TableEncoders
 from .model import ArgnModel
 from .tables import ColumnSpec, TableSchema
 
 MAGIC = b"ARGN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+HEADER_KEYS = ("schema", "encoders", "order_mode", "training_meta", "weights")
 
 
 class ModelFileError(ValueError):
     pass
 
 
-def _schema_to_dict(schema: Optional[TableSchema]) -> Optional[dict]:
-    if schema is None:
-        return None
+def _schema_to_dict(schema: TableSchema) -> dict:
     return {"columns": [asdict(c) for c in schema.columns]}
 
 
-def _schema_from_dict(d: Optional[dict]) -> Optional[TableSchema]:
-    if d is None:
-        return None
+def _schema_from_dict(d: dict) -> TableSchema:
     cols = tuple(
         ColumnSpec(
             c["name"], c["kind"], c["encoding"], c["null_frequency"],
@@ -55,17 +52,9 @@ def save_model(model: ArgnModel, path: str) -> None:
     if model.params is None:
         raise ValueError("model has no parameters to save")
     header = {
-        "schema": _schema_to_dict(model.schema),
-        "encoders": model.encoders.to_dict() if model.encoders is not None else None,
-        "sub_columns": [
-            {"name": s.name, "cardinality": s.cardinality, "parent": s.parent}
-            for s in model.sub_columns
-        ],
+        "schema": _schema_to_dict(model.encoders.schema),
+        "encoders": model.encoders.to_dict(),
         "order_mode": model.order_mode,
-        "fixed_order": list(model.fixed_order),
-        "dropout_rate": model.dropout_rate,
-        "trained": model.trained,
-        "train_config": getattr(model, "train_config_echo", None),
         "training_meta": model.training_meta,
         "weights": [{"name": name, "shape": list(p.value.shape)} for name, p in model.params.items()],
     }
@@ -104,29 +93,15 @@ def _model_from_blob(blob: bytes, path: str) -> ArgnModel:
         raise ModelFileError(f"{path}: truncated header")
     header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
 
-    schema = _schema_from_dict(header["schema"])
-    encoders = (
-        TableEncoders.from_dict(schema, header["encoders"])
-        if header["encoders"] is not None
-        else None
-    )
-    subs = [
-        SubColumn(s["name"], int(s["cardinality"]), s["parent"]) for s in header["sub_columns"]
-    ]
-    if encoders is not None and subs != encoders.sub_columns:
-        raise ModelFileError(f"{path}: header sub-columns do not match the encoders")
-    model = ArgnModel(
-        subs,
-        order_mode=header["order_mode"],
-        fixed_order=header["fixed_order"],
-        encoders=encoders,
-        schema=schema,
-    )
-    model.dropout_rate = header["dropout_rate"]
-    model.trained = bool(header["trained"])
+    odd = sorted(header.keys() ^ set(HEADER_KEYS))
+    if odd:
+        state = "missing" if odd[0] in HEADER_KEYS else "unexpected"
+        raise ModelFileError(f"{path}: header key {odd[0]!r} is {state}")
+    if not isinstance(header["training_meta"], dict):
+        raise ModelFileError(f"{path}: training_meta is not an object")
+    encoders = TableEncoders.from_dict(_schema_from_dict(header["schema"]), header["encoders"])
+    model = ArgnModel(encoders, header["order_mode"])
     model.training_meta = header["training_meta"]
-    if header["train_config"] is not None:
-        model.train_config_echo = header["train_config"]
 
     expected = sum(int(np.prod(w["shape"])) for w in header["weights"])
     weight_bytes = blob[16 + header_len :]

@@ -114,8 +114,6 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
     fixed: dict[int, int] = {}
     for key, value in conditions.items():
         if isinstance(key, str):
-            if model.encoders is None:
-                raise ValueError("model has no encoders; condition by sub-column index instead")
             enc = model.encoders.encoder_for(key)
             spec = model.encoders.schema.column(key)
             if enc.kind == "quadtile":
@@ -151,7 +149,7 @@ def _effective_order(model: ArgnModel, requested: Optional[Sequence[int]],
     conditioned = sorted(fixed)
     free = [i for i in order if i not in fixed]
     effective = tuple(conditioned + free)
-    if model.order_mode == "fixed" and effective != model.fixed_order:
+    if model.order_mode == "fixed" and effective != tuple(range(d)):
         raise ValueError(
             "model was trained with a fixed order; requested order (after moving "
             "conditioned sub-columns first) differs"
@@ -247,8 +245,6 @@ def impute(model: ArgnModel, partial: EncodedTable, observed: np.ndarray,
 def synthesize_blocks(model: ArgnModel, req: GenerationRequest) -> Iterator[RawTable]:
     """generate() and decode, BLOCK_ROWS rows at a time (one empty block for
     zero rows). A decoded cell depends only on (seed, row, its codes)."""
-    if model.encoders is None:
-        raise ValueError("model has no fitted encoders; cannot decode")
     for start in range(0, max(req.n_rows, 1), BLOCK_ROWS):
         rows = range(start, min(start + BLOCK_ROWS, req.n_rows))
         uniforms = _row_rng(req.seed, rows, model.encoders.n_draws, _DECODE_DOMAIN)

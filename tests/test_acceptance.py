@@ -160,7 +160,7 @@ def test_criterion_2_causality_bit_identical():
 
 def test_criterion_3_learnability():
     encoded, mapping = lookup_table_data(n_rows=1000, cardinality=10, seed=0)
-    model = ArgnModel(encoded.sub_columns)
+    model = ArgnModel(subcols([10, 10]))
     train(model, encoded, TrainConfig(batch_size=128, initial_lr=5e-3, max_epochs=150, seed=0))
     with criterion(3, "deterministic pair learned: 100% argmax accuracy, marginal TVD < 0.05"):
         width = model.sizes.context_width
@@ -319,10 +319,10 @@ def test_criterion_8_dcr_overfitting_direction(frozen_tables, protected_model_se
     train_tbl, test_tbl = frozen_tables
     _, encoders, encoded = protected_model_setup
 
-    model_b = ArgnModel(encoders.sub_columns, encoders=encoders, schema=train_tbl.schema)
+    model_b = ArgnModel(encoders)
     train(model_b, encoded, TrainConfig(seed=0))  # defaults: dropout 0.25, early stopping
 
-    model_a = ArgnModel(encoders.sub_columns, encoders=encoders, schema=train_tbl.schema)
+    model_a = ArgnModel(encoders)
     overfit_cfg = TrainConfig(
         dropout_rate=0.0, patience_stop=10**6 + 1, patience_lr=10**6, max_epochs=500, seed=0
     )
@@ -363,7 +363,7 @@ def test_criterion_9_membership_inference(frozen_tables):
     labeled = [(syn, t.member) for syn, t in zip(syn_sets, trials)]
     results = {}
     for kind in META_ATTACKS:
-        results[kind] = run_shadow_attack(trials, generator, kind, cfg, ctx, syn_sets=syn_sets)
+        results[kind] = run_shadow_attack(labeled, kind, cfg, ctx)
     for metric, name in (("hamming", "closest_hamming"), ("l2", "closest_l2"),
                          ("lookup", "direct_lookup"), ("kde", "kernel_density")):
         results[name] = run_distance_attack(labeled, target, metric, ctx)

@@ -8,6 +8,7 @@ from argn.audit import (
     achilles_score,
     build_shadow_trials,
     extract_features,
+    generate_shadow_sets,
     run_distance_attack,
     run_shadow_attack,
 )
@@ -381,12 +382,17 @@ def sampling_generator(pool: RawTable):
     return gen
 
 
+def labeled_sets(trials, generator):
+    """Each trial's synthetic set from ``generator``, with its membership label."""
+    return [(syn, t.member) for syn, t in zip(generate_shadow_sets(trials, generator), trials)]
+
+
 def test_meta_attack_detects_leaky_generator(pool_and_target):
     pool, target = pool_and_target
     cfg = AuditConfig(n_shadow=32, shadow_size=40, n_queries=40, subset_size=3, seed=1)
     trials = build_shadow_trials(pool, target, cfg)
     ctx = AttackContext(pool, target, cfg)
-    res = run_shadow_attack(trials, leak_generator, "query_based", cfg, ctx)
+    res = run_shadow_attack(labeled_sets(trials, leak_generator), "query_based", cfg, ctx)
     assert res.auc >= 0.9
 
 
@@ -395,7 +401,7 @@ def test_meta_attack_null_generator_near_half(pool_and_target):
     cfg = AuditConfig(n_shadow=64, shadow_size=40, seed=3)
     trials = build_shadow_trials(pool, target, cfg)
     ctx = AttackContext(pool, target, cfg)
-    res = run_shadow_attack(trials, sampling_generator(pool), "naive_gh", cfg, ctx)
+    res = run_shadow_attack(labeled_sets(trials, sampling_generator(pool)), "naive_gh", cfg, ctx)
     assert abs(res.auc - 0.5) <= 0.1
 
 
@@ -404,7 +410,7 @@ def test_meta_attack_shuffled_labels_near_half(pool_and_target):
     cfg = AuditConfig(n_shadow=64, shadow_size=40, seed=4)
     trials = build_shadow_trials(pool, target, cfg)
     ctx = AttackContext(pool, target, cfg)
-    res = run_shadow_attack(trials, leak_generator, "hist_gh", cfg, ctx)
+    res = run_shadow_attack(labeled_sets(trials, leak_generator), "hist_gh", cfg, ctx)
     rng = np.random.default_rng(0)
     shuffled = res.labels[rng.permutation(len(res.labels))]
     assert abs(auc(res.scores, shuffled) - 0.5) <= 0.1
@@ -420,7 +426,7 @@ def test_constant_features_give_half(pool_and_target):
     def constant_generator(table, seed):
         return fixed
 
-    res = run_shadow_attack(trials, constant_generator, "naive_gh", cfg, ctx)
+    res = run_shadow_attack(labeled_sets(trials, constant_generator), "naive_gh", cfg, ctx)
     assert res.auc == 0.5
 
 
@@ -428,13 +434,12 @@ def test_failing_generator_names_trial(pool_and_target):
     pool, target = pool_and_target
     cfg = AuditConfig(n_shadow=4, shadow_size=10, seed=0)
     trials = build_shadow_trials(pool, target, cfg)
-    ctx = AttackContext(pool, target, cfg)
 
     def broken(table, seed):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="shadow trial 0"):
-        run_shadow_attack(trials, broken, "naive_gh", cfg, ctx)
+        generate_shadow_sets(trials, broken)
 
 
 def test_accuracy_at_median_constant_scores():

@@ -107,11 +107,6 @@ def test_categorical_dict_keeps_a_real_nul_apart_from_missing():
     assert loaded.cardinality == 3
 
 
-def test_categorical_dict_reads_the_legacy_missing_sentinel():
-    legacy = {"type": "category", "column": "value", "mapping": [["a", 0], ["\0", 1]]}
-    assert CategoryEncoder.from_dict(legacy).mapping == {"a": 0, None: 1}
-
-
 # -- percentile --------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -635,7 +636,9 @@ def oracle_distances(train, other):
         else:
             lo, hi = fmap.ranges[name]
             a, b = train.values(name, kind), other.values(name, kind)
-            if np.isinf(hi - lo):  # halving is exact and keeps the span finite
+            ends = np.concatenate([[lo, hi], a, b])
+            ends = ends[np.isfinite(ends)]
+            if math.isinf(float(ends.max()) - float(ends.min())):  # halving is exact and keeps it finite
                 lo, hi, a, b = lo / 2, hi / 2, a / 2, b / 2
             span = hi - lo if hi - lo > 0 else 1.0
             miss_b = ~np.isfinite(b)
@@ -897,6 +900,20 @@ def test_dcr_halves_an_overflowing_span():
     assert dcr_branches(train, other)[2] == "resolved" and np.isfinite(expected).all()
     assert expected[0] == expected[2] == 0.5
     assert np.array_equal(dcr(train, other), expected)
+
+
+def test_a_query_outside_the_range_whose_difference_overflows_is_halved():
+    """Train cells 1e308 and 1.1e308 have a finite span, but a query of -1e308
+    is 2e308 below the top: values and span are halved, so the distance and
+    the scaled value are about 20 and -20, not infinite. Any overflow would
+    raise, as warnings are errors."""
+    train = make_table({"x": ["1e308", "1.1e308"]}, kinds={"x": "numeric"})
+    query = make_table({"x": ["-1e308"]}, kinds={"x": "numeric"})
+    lo, q = 1e308 / 2, -1e308 / 2
+    span = 1.1e308 / 2 - lo
+    assert dcr(train, query).tolist() == oracle_dcr(train, query).tolist() == [(lo - q) / span]
+    assert MixedFeatureMap(train).transform(query).tolist() == [[(q - lo) / span]]
+    assert (lo - q) / span == pytest.approx(20.0)
 
 
 def test_min_max_scaling_halves_an_overflowing_range():

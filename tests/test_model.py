@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from argn import nn
-from argn.encoders import EncodedTable, SubColumn
+from argn.encoders import CategoryEncoder, EncodedTable, TableEncoders
 from argn.model import (
     ArgnModel,
     PatienceController,
@@ -15,6 +15,7 @@ from argn.model import (
     train,
 )
 from argn.nn import dropout_mask
+from argn.tables import ColumnSpec, TableSchema
 from test_nn import REL_TOL, central_diff, rel_err
 
 
@@ -31,8 +32,13 @@ def masked_context(embeddings, order, target: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def subcols(cardinalities, prefix="x"):
-    return [SubColumn(f"{prefix}{i}", c, f"{prefix}{i}") for i, c in enumerate(cardinalities)]
+def subcols(cardinalities, prefix="x") -> TableEncoders:
+    """Categorical encoders of columns ``{prefix}{i}``, one sub-column each,
+    of the given cardinalities (the last code is MISSING)."""
+    names = [f"{prefix}{i}" for i in range(len(cardinalities))]
+    schema = TableSchema(tuple(ColumnSpec(n, "categorical", "category_map") for n in names))
+    return TableEncoders(schema, [CategoryEncoder(n, {**{str(k): k for k in range(c - 1)}, None: c - 1})
+                                  for n, c in zip(names, cardinalities)])
 
 
 def fresh_model(cardinalities, seed=0, order_mode="any_order"):
@@ -179,12 +185,12 @@ def lookup_table_data(n_rows=1000, cardinality=10, seed=0):
     mapping = rng.permutation(cardinality)
     x1 = rng.integers(cardinality, size=n_rows)
     data = np.stack([x1, mapping[x1]], axis=1).astype(np.int32)
-    return EncodedTable(subcols([cardinality, cardinality]), data), mapping
+    return EncodedTable(subcols([cardinality, cardinality]).sub_columns, data), mapping
 
 
 def train_lookup(order_mode="any_order", seed=0):
     encoded, mapping = lookup_table_data(seed=seed)
-    model = ArgnModel(encoded.sub_columns, order_mode=order_mode)
+    model = ArgnModel(subcols([10, 10]), order_mode=order_mode)
     cfg = TrainConfig(batch_size=128, initial_lr=5e-3, max_epochs=150, seed=seed)
     history = train(model, encoded, cfg)
     return model, mapping, history, encoded
@@ -228,7 +234,7 @@ def test_train_config_rejects_a_non_integer_count_or_seed(bad):
 
 def test_training_requires_rows():
     encoded, _ = lookup_table_data(n_rows=5)
-    model = ArgnModel(encoded.sub_columns)
+    model = ArgnModel(subcols([10, 10]))
     with pytest.raises(ValueError, match="10 rows"):
         train(model, encoded, TrainConfig())
 
@@ -250,8 +256,9 @@ def test_any_order_valid_probabilities_for_all_orders(rng):
     import itertools
 
     data = np.random.default_rng(0).integers(0, 3, size=(200, 3)).astype(np.int32)
-    encoded = EncodedTable(subcols([3, 3, 3]), data)
-    model = ArgnModel(encoded.sub_columns)
+    encoders = subcols([3, 3, 3])
+    encoded = EncodedTable(encoders.sub_columns, data)
+    model = ArgnModel(encoders)
     train(model, encoded, TrainConfig(batch_size=64, max_epochs=5, seed=1))
     embs = [model.params[f"E{j}"].value[1] for j in range(3)]
     for order in itertools.permutations(range(3)):  # all D! orders
@@ -446,9 +453,10 @@ def test_dp_batch_memory_stays_below_ten_copies_of_the_weights():
     from argn.nn import DpConfig
 
     data = np.random.default_rng(0).integers(0, 3000, size=(72, 2)).astype(np.int32)
-    encoded = EncodedTable(subcols([3000, 3000]), data)  # 7 validation rows, 65 train rows
+    encoders = subcols([3000, 3000])
+    encoded = EncodedTable(encoders.sub_columns, data)  # 7 validation rows, 65 train rows
     for dp in (DpConfig(enabled=True, clip_norm=1.0, noise_multiplier=1.0), DpConfig()):
-        model = ArgnModel(encoded.sub_columns)
+        model = ArgnModel(encoders)
         cfg = TrainConfig(batch_size=64, max_epochs=1, seed=0, dp=dp)
         tracemalloc.start()
         try:
@@ -491,7 +499,7 @@ def test_training_with_dp_runs_and_is_deterministic():
     encoded, _ = lookup_table_data(n_rows=60, cardinality=3)
 
     def run():
-        model = ArgnModel(encoded.sub_columns)
+        model = ArgnModel(subcols([3, 3]))
         cfg = TrainConfig(
             batch_size=30,
             max_epochs=2,
@@ -506,9 +514,16 @@ def test_training_with_dp_runs_and_is_deterministic():
     assert np.isfinite(a).all()
 
 
+def test_training_order_mode_must_match_the_model():
+    encoded, _ = lookup_table_data(n_rows=100)
+    for model_mode, cfg_mode in (("any_order", "fixed"), ("fixed", "any_order")):
+        with pytest.raises(ValueError, match="order_mode"):
+            train(ArgnModel(subcols([10, 10]), model_mode), encoded, TrainConfig(order_mode=cfg_mode))
+
+
 def test_fixed_order_training():
     encoded, mapping = lookup_table_data(n_rows=300)
-    model = ArgnModel(encoded.sub_columns, order_mode="fixed", fixed_order=[0, 1])
+    model = ArgnModel(subcols([10, 10]), order_mode="fixed")
     cfg = TrainConfig(batch_size=64, initial_lr=5e-3, max_epochs=60, order_mode="fixed", seed=2)
     history = train(model, encoded, cfg)
     assert history["val_loss"][-1] < 2.5  # learned something

@@ -6,7 +6,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import argn
 import argn.audit
-from argn.cli import cli
+from argn.cli import cli, load_run_config
 from argn.encoders import EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, train
-from argn.persist import ModelFileError, load_model, save_model
+from argn.persist import FORMAT_VERSION, ModelFileError, load_model, save_model
 from argn.sampling import GenerationRequest, generate, synthesize
 from argn.tables import write_csv
 from conftest import acceptance_table, make_table, mixed_sample_table, table_rows
@@ -30,10 +30,9 @@ def trained(tmp_path_factory):
     table = mixed_sample_table(300, seed=6)
     encoders = fit_encoders(table, table.schema, EncodingOptions(n_bins=12))
     encoded = encode_table(table, encoders)
-    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=table.schema)
+    model = ArgnModel(encoders)
     cfg = TrainConfig(batch_size=64, max_epochs=6, seed=0)
     train(model, encoded, cfg)
-    model.train_config_echo = {"max_epochs": 6, "seed": 0}
     return model, table
 
 
@@ -61,7 +60,7 @@ def test_a_real_nul_category_survives_save_and_load(tmp_path):
     # MISSING used to be written as "\0", so a real "\0" category collided with it
     table = make_table({"c": ["\0", "a", None, "a"], "d": ["x", "y", "x", "y"]})
     encoders = fit_encoders(table, table.schema, EncodingOptions())
-    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=table.schema)
+    model = ArgnModel(encoders)
     model.init_params(np.random.default_rng(0))
     path = tmp_path / "m.argn"
     save_model(model, str(path))
@@ -122,7 +121,7 @@ def assert_params_view_store(model):
 
 def test_params_are_views_of_the_flat_store(trained, tmp_path):
     model, _ = trained  # trained: the best-epoch snapshot was restored
-    fresh = ArgnModel(model.sub_columns)
+    fresh = ArgnModel(model.encoders)
     fresh.init_params(np.random.default_rng(0))
     path = tmp_path / "m.argn"
     save_model(model, str(path))
@@ -140,16 +139,71 @@ def test_non_finite_weight_rejected(trained, tmp_path):
         load_model(str(path))
 
 
-def test_sub_columns_that_differ_from_the_encoders_rejected(trained, tmp_path):
+def read_header(blob: bytes) -> dict:
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16 : 16 + header_len])
+
+
+def write_header(path, blob: bytes, header: dict, version: int = FORMAT_VERSION) -> None:
+    """``blob`` with its header replaced by ``header`` and its version by ``version``."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<IQ", version, len(raw)) + raw + blob[16 + header_len :])
+
+
+def test_a_saved_header_holds_exactly_the_five_keys(trained, tmp_path):
     model, _ = trained
-    subs = list(model.sub_columns)
-    subs[0] = replace(subs[0], cardinality=subs[0].cardinality + 1)
-    # header, manifest and weights agree with each other, not with the encoders
-    wrong = ArgnModel(subs, encoders=model.encoders, schema=model.schema)
-    wrong.init_params(np.random.default_rng(0))
     path = tmp_path / "m.argn"
-    save_model(wrong, str(path))
-    with pytest.raises(ModelFileError, match="sub-columns"):
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    assert struct.unpack("<I", blob[4:8]) == (2,) == (FORMAT_VERSION,)
+    assert list(read_header(blob)) == ["schema", "encoders", "order_mode", "training_meta", "weights"]
+
+
+def test_a_version_1_file_is_refused(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header = read_header(blob)
+    meta = dict(header["training_meta"])
+    v1 = {"schema": header["schema"], "encoders": header["encoders"],
+          "sub_columns": [{"name": s.name, "cardinality": s.cardinality, "parent": s.parent}
+                          for s in model.sub_columns],
+          "order_mode": header["order_mode"], "fixed_order": list(range(model.d_total)),
+          "dropout_rate": 0.25, "trained": True, "train_config": meta.pop("train_config"),
+          "training_meta": meta, "weights": header["weights"]}
+    old = tmp_path / "v1.argn"
+    write_header(old, blob, v1, version=1)
+    with pytest.raises(ModelFileError, match="unsupported model format version 1 "):
+        load_model(str(old))
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda h: h.update(trained=True), "header key 'trained' is unexpected"),
+    (lambda h: h.pop("order_mode"), "header key 'order_mode' is missing"),
+])
+def test_a_header_without_exactly_the_five_keys_is_refused(trained, tmp_path, change, message):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header = read_header(blob)
+    change(header)
+    write_header(path, blob, header)
+    with pytest.raises(ModelFileError, match=message):
+        load_model(str(path))
+
+
+def test_encoders_for_other_columns_than_the_schema_are_refused(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header = read_header(blob)
+    header["schema"]["columns"].reverse()
+    write_header(path, blob, header)
+    with pytest.raises(ModelFileError, match="schema's columns"):
         load_model(str(path))
 
 
@@ -157,7 +211,7 @@ def test_sub_columns_that_differ_from_the_encoders_rejected(trained, tmp_path):
 def small_model_file(tmp_path_factory):
     table = mixed_sample_table(60, seed=4)
     encoders = fit_encoders(table, table.schema, EncodingOptions(n_bins=4))
-    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=table.schema)
+    model = ArgnModel(encoders)
     model.init_params(np.random.default_rng(0))
     path = tmp_path_factory.mktemp("fuzz") / "m.argn"
     save_model(model, str(path))
@@ -202,27 +256,6 @@ def test_load_model_raises_model_file_error_for_any_damage(small_model_file):
             pass
 
     check()
-
-
-def test_a_model_file_whose_schema_still_has_a_row_count_loads(trained, tmp_path):
-    # files written before the row count left the schema carry it in the header
-    model, _ = trained
-    path = tmp_path / "m.argn"
-    save_model(model, str(path))
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + header_len])
-    assert "row_count" not in header["schema"]
-    header["schema"]["row_count"] = 300
-    old = json.dumps(header).encode("utf-8")
-    old_path = tmp_path / "old.argn"
-    old_path.write_bytes(blob[:8] + struct.pack("<Q", len(old)) + old + blob[16 + header_len :])
-    loaded = load_model(str(old_path))
-    assert loaded.schema == model.schema
-    assert loaded.store.value.tobytes() == model.store.value.tobytes()
-    resaved = tmp_path / "resaved.argn"
-    save_model(loaded, str(resaved))
-    assert resaved.read_bytes() == blob
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -278,6 +311,13 @@ def test_cli_train_parses_no_column_outside_infer_schema(data_csv, tmp_path, mon
     assert cli(["train", "--data", data_csv, "--config", str(config),
                 "--out", str(tmp_path / "m.argn")]) == 0
     assert "numeric" in calls["infer"] and calls["outside"] == []
+
+
+def test_cli_train_records_its_train_config(cli_model, quick_config):
+    model = load_model(cli_model)
+    run_cfg = replace(load_run_config(quick_config)["train"], seed=7)
+    assert model.trained
+    assert model.training_meta["train_config"] == asdict(run_cfg)
 
 
 def test_cli_train_generate_deterministic(data_csv, quick_config, tmp_path):

@@ -50,7 +50,7 @@ def everything_model():
     protected = protect_table(raw, schema, PROTECTION)
     encoders = fit_encoders(protected, schema, OPTIONS)
     encoded = encode_table(protected, encoders)
-    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=schema)
+    model = ArgnModel(encoders)
     train(model, encoded, TrainConfig(batch_size=64, max_epochs=4, seed=0))
     return model, raw, encoded
 

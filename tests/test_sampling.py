@@ -12,7 +12,7 @@ from argn.sampling import GenerationRequest, _row_rng, generate, impute, synthes
 from argn.tables import TableSchema
 from conftest import make_table, table_rows
 
-from test_model import lookup_table_data, train_lookup
+from test_model import lookup_table_data, subcols, train_lookup
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ def test_row_rng_of_a_row_subset_equals_the_full_range():
 
 def test_zero_probability_codes_are_never_drawn(monkeypatch):
     encoded, _ = lookup_table_data(n_rows=100)
-    model = ArgnModel(encoded.sub_columns)
+    model = ArgnModel(subcols([10, 10]))
     train(model, encoded, TrainConfig(batch_size=32, max_epochs=2, seed=0))
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -144,7 +144,7 @@ def test_condition_by_unknown_vocab_value_errors():
     table = make_table({"city": ["vienna", "linz", "graz", "linz"] * 5})
     encoders = fit_encoders(table, table.schema)
     encoded = encode_table(table, encoders)
-    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=table.schema)
+    model = ArgnModel(encoders)
     train(model, encoded, TrainConfig(batch_size=10, max_epochs=2, seed=0))
     with pytest.raises(ValueError, match="city.*atlantis"):
         generate(model, GenerationRequest(n_rows=2, conditions={"city": "atlantis"}))
@@ -160,7 +160,7 @@ def condition_model():
     schema = TableSchema(tuple(replace(c, encoding="digit_split") if c.name == "digits" else c
                                for c in table.schema.columns))
     encoders = fit_encoders(table, schema, EncodingOptions(n_bins=4))
-    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=schema)
+    model = ArgnModel(encoders)
     train(model, encode_table(table, encoders), TrainConfig(batch_size=16, max_epochs=1, seed=0))
     return model
 
@@ -183,7 +183,7 @@ def test_condition_by_an_empty_value_means_missing_and_a_parsed_value_is_kept(co
 
 def test_fixed_order_model_rejects_other_orders():
     encoded, _ = lookup_table_data(n_rows=100)
-    model = ArgnModel(encoded.sub_columns, order_mode="fixed", fixed_order=[0, 1])
+    model = ArgnModel(subcols([10, 10]), order_mode="fixed")
     train(model, encoded, TrainConfig(batch_size=32, max_epochs=2, order_mode="fixed", seed=0))
     with pytest.raises(ValueError, match="fixed order"):
         generate(model, GenerationRequest(n_rows=5, order=[1, 0]))
@@ -227,7 +227,7 @@ def test_impute_deterministic_pair(lookup_model):
 
 def test_impute_requires_any_order():
     encoded, _ = lookup_table_data(n_rows=100)
-    model = ArgnModel(encoded.sub_columns, order_mode="fixed")
+    model = ArgnModel(subcols([10, 10]), order_mode="fixed")
     train(model, encoded, TrainConfig(batch_size=32, max_epochs=2, order_mode="fixed", seed=0))
     observed = np.zeros((10, 2), dtype=bool)
     with pytest.raises(ValueError, match="any-order"):
@@ -248,7 +248,7 @@ def pipeline_model():
     )
     encoders = fit_encoders(table, table.schema, EncodingOptions(n_bins=8))
     encoded = encode_table(table, encoders)
-    model = ArgnModel(encoders.sub_columns, encoders=encoders, schema=table.schema)
+    model = ArgnModel(encoders)
     train(model, encoded, TrainConfig(batch_size=32, max_epochs=10, seed=0))
     return model, table
 
@@ -277,8 +277,7 @@ def test_synthesize_same_seed_same_rows(pipeline_model):
 
 
 def test_generate_requires_trained_model():
-    encoded, _ = lookup_table_data(n_rows=100)
-    model = ArgnModel(encoded.sub_columns)
+    model = ArgnModel(subcols([10, 10]))
     with pytest.raises(ValueError, match="not trained"):
         generate(model, GenerationRequest(n_rows=1))
 
