@@ -47,14 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
 _TOP_KEYS = {"data", "overrides", "value_protection", "train", "dp", "generation", "encoding", "audit"}
 
-_DEFAULT_ENCODING = {
-    "categorical": "category_map",
-    "numeric": "percentile_bins",
-    "datetime": "datetime_parts",
-    "latlong": "quadtile",
-}
-
-
 def _check_keys(block: dict, allowed, context: str) -> None:
     for key in block:
         if key not in allowed:
@@ -80,10 +72,8 @@ def load_run_config(path: Optional[str]) -> dict:
     overrides = {}
     for name, block in raw.get("overrides", {}).items():
         _check_keys(block, {"kind", "encoding", "sources"}, f"overrides[{name!r}]")
-        kind = block["kind"]
-        encoding = block.get("encoding", _DEFAULT_ENCODING.get(kind))
         sources = tuple(block["sources"]) if "sources" in block else None
-        overrides[name] = ColumnSpec(name, kind, encoding, 0.0, sources)
+        overrides[name] = ColumnSpec(name, block["kind"], block.get("encoding"), sources)
 
     vp = _dataclass_from(raw.get("value_protection", {}), ValueProtectionConfig, "value_protection")
     dp = _dataclass_from(raw.get("dp", {}), DpConfig, "dp")

@@ -16,6 +16,12 @@ categories from its ``categories`` and digit text from ``column_values``.
 Decoding is deterministic given the codes and ``n_draws`` uniforms per row
 (one per within-bin numeric value, two per lat/lon point); number decoders
 give values, which ``decode_table`` writes as text and keeps.
+
+Each encoder class owns its column: it has a column ``kind``, an
+``encoding`` name, under which ``ENCODERS`` holds it, and one ``fit(spec,
+table, options)``. ``TableEncoders`` derives its schema from its encoders.
+An encoder's saved form, ``to_dict``, is ``{"type": encoding, **constructor
+arguments}``, and ``TableEncoders.from_dict`` calls that constructor.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tables import RawTable, TableSchema
+from .tables import ColumnSpec, RawTable, TableSchema
 
 MAX_DECIMAL_PLACES = 6
 
@@ -70,25 +76,26 @@ class CategoryEncoder:
     real value.
     """
 
-    kind = "category_map"
+    kind, encoding = "categorical", "category_map"
+    sources = None
     n_draws = 0
 
-    def __init__(self, column: str, mapping: dict[Optional[str], int]):
+    def __init__(self, column: str, values: list[Optional[str]]):
+        """``values[code]`` is the category of each code; ``None`` is MISSING."""
         self.column = column
-        self.mapping = mapping
-        if sorted(mapping.values()) != list(range(len(mapping))):
-            raise ValueError(f"column {column!r}: category codes are not 0..{len(mapping) - 1}")
-        self.by_code = np.empty(len(mapping), dtype=object)
-        for v, i in mapping.items():
-            self.by_code[i] = v
+        self.mapping = {v: i for i, v in enumerate(values)}
+        if len(self.mapping) != len(values) or None not in self.mapping:
+            raise ValueError(f"column {column!r}: categories are not distinct or lack MISSING")
+        self.by_code = np.empty(len(values), dtype=object)
+        self.by_code[:] = values
 
     @classmethod
-    def fit(cls, column: str, table: RawTable) -> "CategoryEncoder":
-        vocab, codes = table.categories(column)
+    def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "CategoryEncoder":
+        vocab, codes = table.categories(spec.name)
         counts = dict(zip(vocab.tolist(), np.bincount(codes, minlength=len(vocab)).tolist()))
         counts.setdefault(None, 0)
         ordered = sorted(counts, key=lambda v: (-counts[v], v is None, v if v is not None else ""))
-        return cls(column, {v: i for i, v in enumerate(ordered)})
+        return cls(spec.name, ordered)
 
     @property
     def cardinality(self) -> int:
@@ -107,12 +114,7 @@ class CategoryEncoder:
         return self.by_code[codes[:, 0]].tolist()
 
     def to_dict(self) -> dict:
-        items = [[v, i] for v, i in self.mapping.items()]  # MISSING is JSON null
-        return {"type": "category", "column": self.column, "mapping": items}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CategoryEncoder":
-        return cls(d["column"], {v: int(i) for v, i in d["mapping"]})
+        return {"type": self.encoding, "column": self.column, "values": self.by_code.tolist()}
 
 
 class PercentileEncoder:
@@ -122,7 +124,8 @@ class PercentileEncoder:
     within the bin so every decoded value re-encodes to the same index.
     """
 
-    kind = "percentile_bins"
+    kind, encoding = "numeric", "percentile_bins"
+    sources = None
     n_draws = 1
 
     def __init__(self, column: str, edges: np.ndarray):
@@ -133,18 +136,16 @@ class PercentileEncoder:
         self.edges = edges
 
     @classmethod
-    def fit(cls, column: str, table: RawTable, n_bins: int = 100) -> "PercentileEncoder":
-        if n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        nums = table.values(column, "numeric")
+    def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "PercentileEncoder":
+        nums = table.values(spec.name, "numeric")
         nums = nums[~np.isnan(nums)]
         if nums.size == 0:
-            raise ValueError(f"column {column!r}: no numeric values to fit percentile bins")
-        qs = np.quantile(nums, np.arange(n_bins + 1) / n_bins)
+            raise ValueError(f"column {spec.name!r}: no numeric values to fit percentile bins")
+        qs = np.quantile(nums, np.arange(options.n_bins + 1) / options.n_bins)
         edges = np.unique(qs)
         if len(edges) == 1:
             edges = np.array([edges[0], edges[0]])
-        return cls(column, edges)
+        return cls(spec.name, edges)
 
     @property
     def n_value_bins(self) -> int:
@@ -174,11 +175,7 @@ class PercentileEncoder:
         return lo + u[:, 0] * (hi - lo), k == self.missing_index
 
     def to_dict(self) -> dict:
-        return {"type": "percentile", "column": self.column, "edges": self.edges.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PercentileEncoder":
-        return cls(d["column"], np.array(d["edges"], dtype=np.float64))
+        return {"type": self.encoding, "column": self.column, "edges": self.edges.tolist()}
 
 
 def _magnitudes(decs: Sequence[Decimal], decimals: int) -> list[int]:
@@ -200,7 +197,8 @@ class DigitEncoder:
     (sign when negatives exist, else the first digit) carries MISSING.
     """
 
-    kind = "digit_split"
+    kind, encoding = "numeric", "digit_split"
+    sources = None
     n_draws = 0
 
     def __init__(self, column: str, has_sign: bool, n_digits: int, decimals: int):
@@ -212,7 +210,8 @@ class DigitEncoder:
         self.decimals = decimals
 
     @classmethod
-    def fit(cls, column: str, table: RawTable) -> "DigitEncoder":
+    def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "DigitEncoder":
+        column = spec.name
         cells, missing = table.column_values(column), np.isnan(table.values(column, "numeric"))
         for v in (v for v, m in zip(cells, missing) if m and v is not None):
             try:
@@ -277,16 +276,12 @@ class DigitEncoder:
 
     def to_dict(self) -> dict:
         return {
-            "type": "digit",
+            "type": self.encoding,
             "column": self.column,
             "has_sign": self.has_sign,
             "n_digits": self.n_digits,
             "decimals": self.decimals,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DigitEncoder":
-        return cls(d["column"], bool(d["has_sign"]), int(d["n_digits"]), int(d["decimals"]))
 
 
 _PART_ORDER = ("year", "month", "day", "hour", "minute", "second")
@@ -319,7 +314,8 @@ class DatetimeEncoder:
     Impossible day/month combinations clamp to the month's length.
     """
 
-    kind = "datetime_parts"
+    kind, encoding = "datetime", "datetime_parts"
+    sources = None
     n_draws = 0
 
     def __init__(self, column: str, parts: list[str], constants: dict[str, int],
@@ -332,11 +328,11 @@ class DatetimeEncoder:
         self.has_time = has_time
 
     @classmethod
-    def fit(cls, column: str, table: RawTable) -> "DatetimeEncoder":
-        seconds = table.values(column, "datetime")
+    def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "DatetimeEncoder":
+        seconds = table.values(spec.name, "datetime")
         seconds = seconds[~np.isnan(seconds)]
         if seconds.size == 0:
-            raise ValueError(f"column {column!r}: no parseable datetimes")
+            raise ValueError(f"column {spec.name!r}: no parseable datetimes")
         fields = _calendar_parts(seconds)
         parts = [p for p in _PART_ORDER if (fields[p] != fields[p][0]).any()]
         constants = {p: int(fields[p][0]) for p in _PART_ORDER if p not in parts}
@@ -347,7 +343,7 @@ class DatetimeEncoder:
             (p in parts) or constants.get(p, 0) != 0 for p in ("hour", "minute", "second")
         )
         years = fields["year"]
-        return cls(column, parts, constants, int(years.min()), int(years.max()), has_time)
+        return cls(spec.name, parts, constants, int(years.min()), int(years.max()), has_time)
 
     def _span(self, part: str) -> tuple[int, int]:
         if part == "year":
@@ -391,7 +387,7 @@ class DatetimeEncoder:
 
     def to_dict(self) -> dict:
         return {
-            "type": "datetime",
+            "type": self.encoding,
             "column": self.column,
             "parts": self.parts,
             "constants": self.constants,
@@ -399,13 +395,6 @@ class DatetimeEncoder:
             "year_max": self.year_max,
             "has_time": self.has_time,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatetimeEncoder":
-        return cls(
-            d["column"], list(d["parts"]), {k: int(v) for k, v in d["constants"].items()},
-            int(d["year_min"]), int(d["year_max"]), bool(d["has_time"]),
-        )
 
 
 _ROOT_BOX = (-90.0, 90.0, -180.0, 180.0)  # lat_lo, lat_hi, lon_lo, lon_hi
@@ -449,12 +438,12 @@ class QuadtileEncoder:
     """Adaptive quadtree over plain lat/lon; leaves form the category set.
 
     Digit convention by box midpoint: 0=NW, 1=NE, 2=SW, 3=SE. A tile splits
-    while it holds at least ``min_tile_count`` points and is above
-    ``max_depth``; when it splits, all four children exist so the leaves
-    partition the bounding box.
+    while it holds at least ``quad_min_tile`` points and is above
+    ``quad_max_depth`` (``EncodingOptions``); when it splits, all four
+    children exist so the leaves partition the bounding box.
     """
 
-    kind = "quadtile"
+    kind, encoding = "latlong", "quadtile"
     n_draws = 2
 
     def __init__(self, column: str, sources: tuple[str, str], leaves: list[str]):
@@ -465,19 +454,12 @@ class QuadtileEncoder:
         self.boxes = np.array([quadkey_box(k) for k in self.leaves] + [_ROOT_BOX])
 
     @classmethod
-    def fit(
-        cls,
-        column: str,
-        sources: tuple[str, str],
-        table: RawTable,
-        min_tile_count: int = 100,
-        max_depth: int = 12,
-    ) -> "QuadtileEncoder":
-        lat, lon, _ = _points(column, table, sources)
+    def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "QuadtileEncoder":
+        lat, lon, _ = _points(spec.name, table, spec.sources)
         leaves: list[str] = []
 
         def split(key: str, box, lat: np.ndarray, lon: np.ndarray):
-            if len(lat) >= min_tile_count and len(key) < max_depth:
+            if len(lat) >= options.quad_min_tile and len(key) < options.quad_max_depth:
                 digit = _quad_digits(box, lat, lon)
                 for d in range(4):
                     inside = digit == d
@@ -486,7 +468,7 @@ class QuadtileEncoder:
                 leaves.append(key)
 
         split("", _ROOT_BOX, lat, lon)
-        return cls(column, sources, leaves)
+        return cls(spec.name, spec.sources, leaves)
 
     @property
     def missing_index(self) -> int:
@@ -528,28 +510,19 @@ class QuadtileEncoder:
 
     def to_dict(self) -> dict:
         return {
-            "type": "quadtile",
+            "type": self.encoding,
             "column": self.column,
             "sources": list(self.sources),
             "leaves": self.leaves,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadtileEncoder":
-        return cls(d["column"], tuple(d["sources"]), list(d["leaves"]))
 
 
 # ---------------------------------------------------------------------------
 # table-level fit / encode / decode
 # ---------------------------------------------------------------------------
 
-_ENCODER_TYPES = {
-    "category": CategoryEncoder,
-    "percentile": PercentileEncoder,
-    "digit": DigitEncoder,
-    "datetime": DatetimeEncoder,
-    "quadtile": QuadtileEncoder,
-}
+ENCODERS = {cls.encoding: cls for cls in
+            (CategoryEncoder, PercentileEncoder, DigitEncoder, DatetimeEncoder, QuadtileEncoder)}
 
 
 @dataclass(frozen=True)
@@ -565,13 +538,12 @@ class EncodingOptions:
 
 
 class TableEncoders:
-    """Ordered per-column encoders for a schema, plus the derived sub-columns."""
+    """Ordered per-column encoders, plus the schema and sub-columns they define."""
 
-    def __init__(self, schema: TableSchema, encoders: list):
-        if [enc.column for enc in encoders] != schema.names:
-            raise ValueError("encoders do not match the schema's columns")
-        self.schema = schema
+    def __init__(self, encoders: list):
         self.encoders = encoders
+        self.schema = TableSchema(tuple(ColumnSpec(e.column, e.kind, e.encoding, e.sources)
+                                        for e in encoders))
         subs: list[SubColumn] = []
         for enc in encoders:
             subs.extend(enc.sub_columns())
@@ -595,28 +567,22 @@ class TableEncoders:
         return {"encoders": [e.to_dict() for e in self.encoders]}
 
     @classmethod
-    def from_dict(cls, schema: TableSchema, d: dict) -> "TableEncoders":
-        encs = [_ENCODER_TYPES[e["type"]].from_dict(e) for e in d["encoders"]]
-        return cls(schema, encs)
+    def from_dict(cls, d: dict) -> "TableEncoders":
+        """Inverse of ``to_dict``. Each entry is rebuilt as ``ENCODERS[type](**rest)``
+        and ``d`` as this constructor's arguments, so a missing or an unknown
+        key fails the call."""
+        encoders = []
+        for entry in d["encoders"]:
+            rest = {**entry}
+            encoders.append(ENCODERS[rest.pop("type")](**rest))
+        return cls(**{**d, "encoders": encoders})
 
 
 def fit_encoders(raw: RawTable, schema: TableSchema, options: EncodingOptions = EncodingOptions()) -> TableEncoders:
-    """One encoder per schema column, fitted on the raw table's cells and
-    values; a latlong column reads its (lat, lon) source columns."""
-    encoders = []
-    for spec in schema.columns:
-        if spec.kind == "categorical":
-            encoders.append(CategoryEncoder.fit(spec.name, raw))
-        elif spec.kind == "numeric" and spec.encoding == "percentile_bins":
-            encoders.append(PercentileEncoder.fit(spec.name, raw, options.n_bins))
-        elif spec.kind == "numeric":
-            encoders.append(DigitEncoder.fit(spec.name, raw))
-        elif spec.kind == "datetime":
-            encoders.append(DatetimeEncoder.fit(spec.name, raw))
-        else:  # latlong, the last kind schema validation lets through
-            encoders.append(QuadtileEncoder.fit(spec.name, spec.sources, raw,
-                                                options.quad_min_tile, options.quad_max_depth))
-    return TableEncoders(schema, encoders)
+    """One encoder per schema column, of its encoding, fitted on the raw
+    table's cells and values; a latlong column reads its (lat, lon) source
+    columns."""
+    return TableEncoders([ENCODERS[spec.encoding].fit(spec, raw, options) for spec in schema.columns])
 
 
 def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
@@ -634,15 +600,15 @@ def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.nd
     columns: list[list[Optional[str]]] = []
     parsed: dict[tuple[str, str], np.ndarray] = {}
     offset = draw = 0
-    for spec, enc in zip(encoders.schema.columns, encoders.encoders):
+    for enc in encoders.encoders:
         width = len(enc.sub_columns())
         codes = encoded.data[:, offset : offset + width]
         u = uniforms[:, draw : draw + enc.n_draws]
         offset += width
         draw += enc.n_draws
-        if enc.kind in ("percentile_bins", "quadtile"):  # a latlong decodes to its (lat, lon) sources
+        if enc.encoding in ("percentile_bins", "quadtile"):  # a latlong decodes to its (lat, lon) sources
             *points, missing = enc.decode_values(codes, u)
-            for name, x in zip(spec.sources or [spec.name], points):
+            for name, x in zip(enc.sources or [enc.column], points):
                 columns.append([None if m else v for m, v in zip(missing.tolist(), map(repr, x.tolist()))])
                 parsed[name, "numeric"] = np.where(missing | ~np.isfinite(x), np.nan, x)
         else:

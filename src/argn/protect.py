@@ -16,7 +16,7 @@ import numpy as np
 from .tables import RawTable, TableSchema
 
 RARE_TOKEN = "_RARE_"
-RANDOM_THRESHOLDS = ("random", "random(5,8)")
+RANDOM_THRESHOLDS = ("random",)
 _RANDOM_LO, _RANDOM_HI = 5, 8
 
 

@@ -115,15 +115,14 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
     for key, value in conditions.items():
         if isinstance(key, str):
             enc = model.encoders.encoder_for(key)
-            spec = model.encoders.schema.column(key)
-            if enc.kind == "quadtile":
+            if enc.kind == "latlong":
                 raise ValueError(f"column {key!r}: conditioning on latlong columns is not supported")
             cell = None if value == "" else str(value)
-            if enc.kind == "category_map" and cell not in enc.mapping:
+            if enc.kind == "categorical" and cell not in enc.mapping:
                 raise ValueError(f"column {key!r}: value {cell!r} not in vocabulary")
-            row = RawTable(TableSchema((spec,)), [[cell]])
-            if enc.kind != "category_map" and cell is not None and np.isnan(row.values(key, spec.kind)[0]):
-                raise ValueError(f"column {key!r}: value {cell!r} is not a finite {spec.kind} value")
+            row = RawTable(TableSchema((model.encoders.schema.column(key),)), [[cell]])
+            if enc.kind != "categorical" and cell is not None and np.isnan(row.values(key, enc.kind)[0]):
+                raise ValueError(f"column {key!r}: value {cell!r} is not a finite {enc.kind} value")
             for i, code in zip(model.encoders.sub_indices_of(key), enc.encode(row)[0]):
                 fixed[i] = int(code)
         else:

@@ -1,4 +1,4 @@
-"""Delimited-text ingestion and column-type inference.
+"""CSV ingestion and column-type inference.
 
 Tables are held column-major as lists of optional strings; ``None`` marks a
 missing cell and the empty string on disk means missing. ``parse_column`` and
@@ -20,7 +20,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-KINDS = ("categorical", "numeric", "datetime", "latlong")
+# the column kinds, each with the encoding of a column spec that names none;
+# digit_split is the one other choice
+DEFAULT_ENCODING = {"categorical": "category_map", "numeric": "percentile_bins",
+                    "datetime": "datetime_parts", "latlong": "quadtile"}
 ENCODINGS = ("category_map", "percentile_bins", "digit_split", "datetime_parts", "quadtile")
 
 PARSE_THRESHOLD = 0.99
@@ -36,19 +39,21 @@ class ParseError(ValueError):
 class ColumnSpec:
     """Typed description of one column and how it will be discretized.
 
-    ``sources`` is only used for latlong columns and names the (lat, lon)
-    source columns of the raw file.
+    ``encoding`` defaults to the kind's ``DEFAULT_ENCODING``. ``sources`` is
+    only used for latlong columns and names the (lat, lon) source columns of
+    the raw file.
     """
 
     name: str
     kind: str
-    encoding: str
-    null_frequency: float = 0.0
+    encoding: Optional[str] = None
     sources: Optional[tuple[str, str]] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in DEFAULT_ENCODING:
             raise ValueError(f"unknown column kind {self.kind!r}")
+        if self.encoding is None:
+            object.__setattr__(self, "encoding", DEFAULT_ENCODING[self.kind])
         if self.encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
         if self.kind == "categorical" and self.encoding != "category_map":
@@ -86,7 +91,7 @@ class TableSchema:
         cols: list[ColumnSpec] = []
         for spec in self.columns:
             if spec.kind == "latlong":
-                cols.extend(ColumnSpec(src, "numeric", "percentile_bins") for src in spec.sources)
+                cols.extend(ColumnSpec(src, "numeric") for src in spec.sources)
             else:
                 cols.append(spec)
         return TableSchema(tuple(cols))
@@ -196,14 +201,14 @@ def concat(tables: Sequence[RawTable]) -> RawTable:
     return out
 
 
-def read_csv(path: str, delimiter: str = ",") -> RawTable:
-    """Read a delimited file (header row mandatory, RFC-4180 quoting).
+def read_csv(path: str) -> RawTable:
+    """Read a comma-separated file (header row mandatory, RFC-4180 quoting).
 
     Empty cells come back as ``None``. Ragged rows fail with the offending
     physical line number. Every column is read as categorical.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -215,17 +220,17 @@ def read_csv(path: str, delimiter: str = ",") -> RawTable:
                     f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
             rows.append([c if c != "" else None for c in row])
-    schema = TableSchema(tuple(ColumnSpec(n, "categorical", "category_map") for n in header))
+    schema = TableSchema(tuple(ColumnSpec(n, "categorical") for n in header))
     return RawTable(schema, [list(c) for c in zip(*rows)] if rows else [[] for _ in header])
 
 
-def write_csv(table: Union[RawTable, Iterable[RawTable]], path: str, delimiter: str = ",") -> None:
+def write_csv(table: Union[RawTable, Iterable[RawTable]], path: str) -> None:
     """Write a table, or blocks of rows under the first block's header, each
     block as soon as it is produced. ``None`` cells are written empty."""
     blocks = iter([table] if isinstance(table, RawTable) else table)
     first = next(blocks)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(first.column_names)
         for block in itertools.chain([first], blocks):
             writer.writerows(zip(*block.columns))
@@ -318,26 +323,19 @@ def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = N
         elif key not in names:
             raise ValueError(f"override references unknown column {key!r}")
 
-    n = table.row_count
     columns: dict[str, ColumnSpec] = {}  # by output name, placed at its first source
     for name in names:
         key = consumed.get(name, name)
         if key in columns:
             continue
-        ov = overrides.get(key)
-        if ov is not None and ov.kind == "latlong":
-            lat, lon = (table.column_values(src) for src in ov.sources)
-            null_freq = sum(a is None or b is None for a, b in zip(lat, lon)) / n
-            columns[key] = ColumnSpec(key, "latlong", "quadtile", null_freq, ov.sources)
+        if key in overrides:
+            columns[key] = overrides[key]
             continue
         present = sum(v is not None for v in table.column_values(name))
-        null_freq = (n - present) / n
-        if ov is not None:
-            columns[key] = ColumnSpec(ov.name, ov.kind, ov.encoding, null_freq, ov.sources)
-        elif _parses(table, name, "numeric", present):
-            columns[key] = ColumnSpec(name, "numeric", "percentile_bins", null_freq)
+        if _parses(table, name, "numeric", present):
+            columns[key] = ColumnSpec(name, "numeric")
         elif _parses(table, name, "datetime", present):
-            columns[key] = ColumnSpec(name, "datetime", "datetime_parts", null_freq)
+            columns[key] = ColumnSpec(name, "datetime")
         else:
-            columns[key] = ColumnSpec(name, "categorical", "category_map", null_freq)
+            columns[key] = ColumnSpec(name, "categorical")
     return TableSchema(tuple(columns.values()))

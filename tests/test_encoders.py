@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import argn.tables
 from argn.encoders import (
+    ENCODERS,
     CategoryEncoder,
     DatetimeEncoder,
     DigitEncoder,
@@ -25,7 +26,6 @@ from argn.encoders import (
 )
 from argn.tables import (
     ColumnSpec,
-    TableSchema,
     factorize,
     infer_schema,
     parse_column,
@@ -49,23 +49,24 @@ def lat_lon(lat_values, lon_values):
 
 
 def fit_categorical(values) -> CategoryEncoder:
-    return CategoryEncoder.fit("value", column(values))
+    return CategoryEncoder.fit(ColumnSpec("value", "categorical"), column(values), EncodingOptions())
 
 
 def fit_percentile(values, n_bins: int = 100) -> PercentileEncoder:
-    return PercentileEncoder.fit("value", column(values), n_bins)
+    return PercentileEncoder.fit(ColumnSpec("value", "numeric"), column(values), EncodingOptions(n_bins=n_bins))
 
 
 def fit_digit_split(values) -> DigitEncoder:
-    return DigitEncoder.fit("value", column(values))
+    return DigitEncoder.fit(ColumnSpec("value", "numeric", "digit_split"), column(values), EncodingOptions())
 
 
 def fit_datetime(values) -> DatetimeEncoder:
-    return DatetimeEncoder.fit("value", column(values))
+    return DatetimeEncoder.fit(ColumnSpec("value", "datetime"), column(values), EncodingOptions())
 
 
 def fit_quadtile(lat_values, lon_values, min_tile_count: int = 100, max_depth: int = 12) -> QuadtileEncoder:
-    return QuadtileEncoder.fit("value", ("lat", "lon"), lat_lon(lat_values, lon_values), min_tile_count, max_depth)
+    return QuadtileEncoder.fit(ColumnSpec("value", "latlong", sources=("lat", "lon")), lat_lon(lat_values, lon_values),
+                               EncodingOptions(quad_min_tile=min_tile_count, quad_max_depth=max_depth))
 
 
 def leaf_of(enc: QuadtileEncoder, lat: float, lon: float) -> str:
@@ -102,7 +103,7 @@ def test_categorical_round_trip(rng):
 
 def test_categorical_dict_keeps_a_real_nul_apart_from_missing():
     enc = fit_categorical(["\0", "a", None, "a"])
-    loaded = CategoryEncoder.from_dict(json.loads(json.dumps(enc.to_dict())))
+    (loaded,) = TableEncoders.from_dict(json.loads(json.dumps(TableEncoders([enc]).to_dict()))).encoders
     assert loaded.mapping == enc.mapping == {"a": 0, "\0": 1, None: 2}
     assert loaded.cardinality == 3
 
@@ -476,7 +477,7 @@ def test_category_fit_and_encode_match_the_per_cell_oracle(fit_cells, cells):
     cells outside the fitted vocabulary (here those only in ``cells``)
     encode as MISSING."""
     table = column(fit_cells)
-    enc = CategoryEncoder.fit("value", table)
+    enc = fit_categorical(fit_cells)
     assert enc.mapping == category_fit_oracle(fit_cells)
     for t, t_cells in ((table, fit_cells), (column(cells), cells)):
         assert enc.encode(t).tolist() == [category_encode_oracle(enc, v) for v in t_cells]
@@ -559,8 +560,8 @@ def _assert_values_are_the_parse_of_the_cells(table, names, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def mixed_encoders():
-    """Encoders of every kind, fitted on a table with missing cells."""
+def mixed_fit():
+    """A table with missing cells, its schema and its encoders of every kind."""
     rng = np.random.default_rng(5)
     n = 300
     table = make_table({
@@ -574,7 +575,28 @@ def mixed_encoders():
     overrides = {"count": ColumnSpec("count", "numeric", "digit_split"),
                  "loc": ColumnSpec("loc", "latlong", "quadtile", sources=("lat", "lon"))}
     schema = infer_schema(table, overrides)
-    return fit_encoders(table, schema, EncodingOptions(n_bins=10, quad_min_tile=20))
+    return table, schema, fit_encoders(table, schema, EncodingOptions(n_bins=10, quad_min_tile=20))
+
+
+@pytest.fixture(scope="module")
+def mixed_encoders(mixed_fit):
+    return mixed_fit[2]
+
+
+def test_fitted_encoders_derive_the_schema_they_were_fitted_for(mixed_fit):
+    _, schema, encoders = mixed_fit
+    assert encoders.schema == schema
+    assert sorted(e.encoding for e in encoders.encoders) == sorted(ENCODERS)
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODERS))
+def test_an_encoder_is_rebuilt_from_its_json_entry(mixed_fit, encoding):
+    table, _, encoders = mixed_fit
+    (enc,) = [e for e in encoders.encoders if e.encoding == encoding]
+    (loaded,) = TableEncoders.from_dict(json.loads(json.dumps(TableEncoders([enc]).to_dict()))).encoders
+    assert type(loaded) is ENCODERS[encoding]
+    assert loaded.to_dict() == enc.to_dict()
+    np.testing.assert_array_equal(loaded.encode(table), enc.encode(table))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -597,9 +619,8 @@ def test_decoded_tables_hold_the_parse_of_their_cells_and_their_categories(mixed
 
 
 def test_decoded_values_are_nan_where_a_bin_too_wide_for_float64_writes_inf_or_nan(monkeypatch):
-    schema = TableSchema((ColumnSpec("x", "numeric", "percentile_bins"),))
-    encoders = TableEncoders(schema, [PercentileEncoder("x", np.array([-1.7e308, 0.0, 1.7e308]))])
-    wide = TableEncoders(schema, [PercentileEncoder("x", np.array([-1.7e308, 1.7e308]))])
+    encoders = TableEncoders([PercentileEncoder("x", np.array([-1.7e308, 0.0, 1.7e308]))])
+    wide = TableEncoders([PercentileEncoder("x", np.array([-1.7e308, 1.7e308]))])
     with np.errstate(over="ignore", invalid="ignore"):
         decoded = [_decoded(encoders, 50, 3), _decoded(wide, 50, 3, extreme_u=True)]
     cells = decoded[1].column_values("x")

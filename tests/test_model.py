@@ -15,7 +15,6 @@ from argn.model import (
     train,
 )
 from argn.nn import dropout_mask
-from argn.tables import ColumnSpec, TableSchema
 from test_nn import REL_TOL, central_diff, rel_err
 
 
@@ -35,10 +34,8 @@ def masked_context(embeddings, order, target: int) -> np.ndarray:
 def subcols(cardinalities, prefix="x") -> TableEncoders:
     """Categorical encoders of columns ``{prefix}{i}``, one sub-column each,
     of the given cardinalities (the last code is MISSING)."""
-    names = [f"{prefix}{i}" for i in range(len(cardinalities))]
-    schema = TableSchema(tuple(ColumnSpec(n, "categorical", "category_map") for n in names))
-    return TableEncoders(schema, [CategoryEncoder(n, {**{str(k): k for k in range(c - 1)}, None: c - 1})
-                                  for n, c in zip(names, cardinalities)])
+    return TableEncoders([CategoryEncoder(f"{prefix}{i}", [*map(str, range(c - 1)), None])
+                          for i, c in enumerate(cardinalities)])
 
 
 def fresh_model(cardinalities, seed=0, order_mode="any_order"):

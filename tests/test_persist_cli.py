@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import argn
 import argn.audit
 from argn.cli import cli, load_run_config
-from argn.encoders import EncodingOptions, encode_table, fit_encoders
+from argn.encoders import ENCODERS, EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, train
 from argn.persist import FORMAT_VERSION, ModelFileError, load_model, save_model
 from argn.sampling import GenerationRequest, generate, synthesize
-from argn.tables import write_csv
+from argn.tables import ColumnSpec, infer_schema, write_csv
 from conftest import acceptance_table, make_table, mixed_sample_table, table_rows
 
 
@@ -151,13 +151,19 @@ def write_header(path, blob: bytes, header: dict, version: int = FORMAT_VERSION)
     path.write_bytes(blob[:4] + struct.pack("<IQ", version, len(raw)) + raw + blob[16 + header_len :])
 
 
-def test_a_saved_header_holds_exactly_the_five_keys(trained, tmp_path):
+def test_a_saved_header_holds_exactly_the_four_keys(trained, tmp_path):
     model, _ = trained
     path = tmp_path / "m.argn"
     save_model(model, str(path))
     blob = path.read_bytes()
-    assert struct.unpack("<I", blob[4:8]) == (2,) == (FORMAT_VERSION,)
-    assert list(read_header(blob)) == ["schema", "encoders", "order_mode", "training_meta", "weights"]
+    assert struct.unpack("<I", blob[4:8]) == (3,) == (FORMAT_VERSION,)
+    assert list(read_header(blob)) == ["encoders", "order_mode", "training_meta", "weights"]
+
+
+def old_schema(model) -> dict:
+    """The ``schema`` header entry of format versions 1 and 2."""
+    return {"columns": [{"name": c.name, "kind": c.kind, "encoding": c.encoding, "null_frequency": 0.0,
+                         "sources": c.sources} for c in model.encoders.schema.columns]}
 
 
 def test_a_version_1_file_is_refused(trained, tmp_path):
@@ -167,7 +173,7 @@ def test_a_version_1_file_is_refused(trained, tmp_path):
     blob = path.read_bytes()
     header = read_header(blob)
     meta = dict(header["training_meta"])
-    v1 = {"schema": header["schema"], "encoders": header["encoders"],
+    v1 = {"schema": old_schema(model), "encoders": header["encoders"],
           "sub_columns": [{"name": s.name, "cardinality": s.cardinality, "parent": s.parent}
                           for s in model.sub_columns],
           "order_mode": header["order_mode"], "fixed_order": list(range(model.d_total)),
@@ -179,11 +185,22 @@ def test_a_version_1_file_is_refused(trained, tmp_path):
         load_model(str(old))
 
 
+def test_a_version_2_file_is_refused(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    old = tmp_path / "v2.argn"
+    write_header(old, blob, {"schema": old_schema(model), **read_header(blob)}, version=2)
+    with pytest.raises(ModelFileError, match="unsupported model format version 2 "):
+        load_model(str(old))
+
+
 @pytest.mark.parametrize("change,message", [
     (lambda h: h.update(trained=True), "header key 'trained' is unexpected"),
     (lambda h: h.pop("order_mode"), "header key 'order_mode' is missing"),
 ])
-def test_a_header_without_exactly_the_five_keys_is_refused(trained, tmp_path, change, message):
+def test_a_header_without_exactly_the_four_keys_is_refused(trained, tmp_path, change, message):
     model, _ = trained
     path = tmp_path / "m.argn"
     save_model(model, str(path))
@@ -195,15 +212,69 @@ def test_a_header_without_exactly_the_five_keys_is_refused(trained, tmp_path, ch
         load_model(str(path))
 
 
-def test_encoders_for_other_columns_than_the_schema_are_refused(trained, tmp_path):
+@pytest.fixture(scope="module")
+def every_encoding_model_file(tmp_path_factory):
+    """The bytes of a saved model with one column of each encoding."""
+    rng = np.random.default_rng(2)
+    n = 200
+    table = make_table({
+        "color": [None if i % 9 == 0 else f"c{i % 4}" for i in range(n)],
+        "amount": [repr(float(x)) for x in rng.normal(size=n)],
+        "count": [str(int(x)) for x in rng.integers(-50, 500, size=n)],
+        "when": [f"2021-0{1 + i % 9}-{1 + i % 28:02d}" for i in range(n)],
+        "lat": [repr(float(x)) for x in rng.uniform(-60, 60, n)],
+        "lon": [repr(float(x)) for x in rng.uniform(-170, 170, n)],
+    }, kinds={"amount": "numeric", "count": "numeric", "when": "datetime"})
+    schema = infer_schema(table, {"count": ColumnSpec("count", "numeric", "digit_split"),
+                                  "loc": ColumnSpec("loc", "latlong", sources=("lat", "lon"))})
+    model = ArgnModel(fit_encoders(table, schema, EncodingOptions(n_bins=8, quad_min_tile=50)))
+    model.init_params(np.random.default_rng(0))
+    path = tmp_path_factory.mktemp("every") / "m.argn"
+    save_model(model, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("change", ["added", "dropped"])
+@pytest.mark.parametrize("encoding", sorted(ENCODERS))
+def test_an_encoder_entry_with_an_added_or_a_dropped_key_is_refused(every_encoding_model_file, tmp_path,
+                                                                     encoding, change):
+    blob = every_encoding_model_file
+    header = read_header(blob)
+    (entry,) = [e for e in header["encoders"]["encoders"] if e["type"] == encoding]
+    path = tmp_path / "m.argn"
+    write_header(path, blob, header)
+    assert load_model(str(path)).encoders.encoder_for(entry["column"]).to_dict() == entry
+    if change == "added":
+        key, entry["extra"] = "extra", 0
+    else:
+        key, _ = entry.popitem()
+    write_header(path, blob, header)
+    with pytest.raises(ModelFileError, match=f"malformed model header: .*'{key}'"):
+        load_model(str(path))
+
+
+def test_a_key_beside_the_encoder_list_is_refused(trained, tmp_path):
     model, _ = trained
     path = tmp_path / "m.argn"
     save_model(model, str(path))
     blob = path.read_bytes()
     header = read_header(blob)
-    header["schema"]["columns"].reverse()
+    header["encoders"]["extra"] = 0
     write_header(path, blob, header)
-    with pytest.raises(ModelFileError, match="schema's columns"):
+    with pytest.raises(ModelFileError, match="'extra'"):
+        load_model(str(path))
+
+
+def test_a_weight_renamed_in_the_manifest_is_refused(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header = read_header(blob)
+    first, second = header["weights"][:2]
+    first["name"], second["name"] = second["name"], first["name"]
+    write_header(path, blob, header)
+    with pytest.raises(ModelFileError, match="weight manifest does not match the architecture"):
         load_model(str(path))
 
 
@@ -525,6 +596,7 @@ def test_cli_misspelled_config_key(data_csv, tmp_path):
     ("audit", {"shadow_size": 0}),
     ("audit", {"n_queries": -1}),
     ("audit", {"subset_size": 0}),
+    ("value_protection", {"rare_min_count": "random(5,8)"}),  # "random" is the one spelling
 ])
 def test_cli_rejects_a_bad_config_value_before_training(data_csv, tmp_path, capsys, block, bad):
     config = tmp_path / "bad.json"

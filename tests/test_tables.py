@@ -115,6 +115,13 @@ def test_infer_override_wins():
     assert infer_schema(table, {"c": ov}).columns[0].encoding == "digit_split"
 
 
+def test_a_column_spec_without_an_encoding_takes_its_kinds_default():
+    assert ColumnSpec("c", "numeric").encoding == "percentile_bins"
+    assert ColumnSpec("loc", "latlong", sources=("lat", "lon")).encoding == "quadtile"
+    with pytest.raises(ValueError, match="categorical columns must use category_map"):
+        ColumnSpec("c", "categorical", "digit_split")
+
+
 def test_latlong_requires_override_and_merges_columns():
     table = read_back({"lat": ["10.0", "20.0"], "lon": ["30.0", "40.0"], "x": ["a", "b"]})
     plain = infer_schema(table)
@@ -394,8 +401,8 @@ def test_infer_schema_kinds_equal_parsing_every_cell(n, kind, garbage, missing, 
 
 
 def test_raw_schema_puts_latlong_sources_back_as_numeric_columns():
-    schema = TableSchema((ColumnSpec("loc", "latlong", "quadtile", 0.1, ("lat", "lon")),
-                          ColumnSpec("cat", "categorical", "category_map", 0.2)))
+    schema = TableSchema((ColumnSpec("loc", "latlong", "quadtile", ("lat", "lon")),
+                          ColumnSpec("cat", "categorical", "category_map")))
     raw = schema.raw_schema()
     assert raw.names == ["lat", "lon", "cat"]
     assert [c.kind for c in raw.columns] == ["numeric", "numeric", "categorical"]
