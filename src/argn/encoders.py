@@ -320,6 +320,8 @@ class DatetimeEncoder:
 
     def __init__(self, column: str, parts: list[str], constants: dict[str, int],
                  year_min: int, year_max: int, has_time: bool):
+        if sorted([*parts, *constants]) != sorted(_PART_ORDER):
+            raise ValueError(f"column {column!r}: parts and constants are not the six calendar parts")
         self.column = column
         self.parts = list(parts)
         self.constants = dict(constants)

@@ -277,6 +277,18 @@ def test_datetime_parts_are_utc_parts():
     assert same[0].tolist() == same[1].tolist()
 
 
+def test_datetime_parts_and_constants_are_the_six_calendar_parts():
+    args = fit_datetime(["2021-01-05", "2021-03-07"]).to_dict()
+    del args["type"]
+    assert DatetimeEncoder(**args).to_dict() == {"type": "datetime_parts", **args}
+    hourless = {p: v for p, v in args["constants"].items() if p != "hour"}
+    for constants in ({**args["constants"], "week": 1}, hourless):
+        with pytest.raises(ValueError, match="six calendar parts"):
+            DatetimeEncoder(**{**args, "constants": constants})
+    with pytest.raises(ValueError, match="six calendar parts"):
+        DatetimeEncoder(**{**args, "parts": ["month", "month"]})
+
+
 # -- quadtile ----------------------------------------------------------------
 
 
