@@ -71,9 +71,7 @@ def load_run_config(path: Optional[str]) -> dict:
 
     overrides = {}
     for name, block in raw.get("overrides", {}).items():
-        _check_keys(block, {"kind", "encoding", "sources"}, f"overrides[{name!r}]")
-        sources = tuple(block["sources"]) if "sources" in block else None
-        overrides[name] = ColumnSpec(name, block["kind"], block.get("encoding"), sources)
+        overrides[name] = _dataclass_from(block, ColumnSpec, f"overrides[{name!r}]", name=name)
 
     vp = _dataclass_from(raw.get("value_protection", {}), ValueProtectionConfig, "value_protection")
     dp = _dataclass_from(raw.get("dp", {}), DpConfig, "dp")

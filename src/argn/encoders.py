@@ -17,15 +17,19 @@ Decoding is deterministic given the codes and ``n_draws`` uniforms per row
 (one per within-bin numeric value, two per lat/lon point); number decoders
 give values, which ``decode_table`` writes as text and keeps.
 
-Each encoder class owns its column: it has a column ``kind``, an
-``encoding`` name, under which ``ENCODERS`` holds it, and one ``fit(spec,
-table, options)``. ``TableEncoders`` derives its schema from its encoders.
-An encoder's saved form, ``to_dict``, is ``{"type": encoding, **constructor
+This module is the one place that knows the encodings. Each encoder class
+owns its column: it has a column ``kind``, an ``encoding`` name, under which
+``ENCODERS`` holds it, and one ``fit(spec, table, options)``. ``ENCODERS`` is
+the list of encodings, and its order sets each kind's default: the first
+encoding of a kind, which ``tables.ColumnSpec`` takes when a spec names none.
+``TableEncoders`` derives its schema from its encoders. Every encoder shares
+one saved form, ``Encoder.to_dict``: ``{"type": encoding, **constructor
 arguments}``, and ``TableEncoders.from_dict`` calls that constructor.
 """
 
 from __future__ import annotations
 
+import inspect
 import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
@@ -69,7 +73,25 @@ class EncodedTable:
 # ---------------------------------------------------------------------------
 
 
-class CategoryEncoder:
+class Encoder:
+    """What every encoder shares: by default no source columns and no
+    uniforms to decode, and the one saved form."""
+
+    sources = None
+    n_draws = 0
+
+    def to_dict(self) -> dict:
+        """``{"type": encoding, **constructor arguments}``: each constructor
+        parameter, in order, read from the attribute of that name; arrays
+        and tuples are written as lists."""
+        d = {"type": self.encoding}
+        for name in inspect.signature(type(self)).parameters:
+            value = getattr(self, name)
+            d[name] = np.asarray(value).tolist() if isinstance(value, (np.ndarray, tuple)) else value
+        return d
+
+
+class CategoryEncoder(Encoder):
     """Dense index map in descending frequency order, lexicographic ties.
 
     MISSING is an ordinary token; on frequency ties it sorts after every
@@ -77,8 +99,6 @@ class CategoryEncoder:
     """
 
     kind, encoding = "categorical", "category_map"
-    sources = None
-    n_draws = 0
 
     def __init__(self, column: str, values: list[Optional[str]]):
         """``values[code]`` is the category of each code; ``None`` is MISSING."""
@@ -86,8 +106,8 @@ class CategoryEncoder:
         self.mapping = {v: i for i, v in enumerate(values)}
         if len(self.mapping) != len(values) or None not in self.mapping:
             raise ValueError(f"column {column!r}: categories are not distinct or lack MISSING")
-        self.by_code = np.empty(len(values), dtype=object)
-        self.by_code[:] = values
+        self.values = np.empty(len(values), dtype=object)
+        self.values[:] = values
 
     @classmethod
     def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "CategoryEncoder":
@@ -111,13 +131,10 @@ class CategoryEncoder:
         return lut[codes][:, None]
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
-        return self.by_code[codes[:, 0]].tolist()
-
-    def to_dict(self) -> dict:
-        return {"type": self.encoding, "column": self.column, "values": self.by_code.tolist()}
+        return self.values[codes[:, 0]].tolist()
 
 
-class PercentileEncoder:
+class PercentileEncoder(Encoder):
     """Quantile bins: half-open [e_j, e_{j+1}) with the last bin closed.
 
     Out-of-range values clamp to the edge bins; decode draws uniformly
@@ -125,7 +142,6 @@ class PercentileEncoder:
     """
 
     kind, encoding = "numeric", "percentile_bins"
-    sources = None
     n_draws = 1
 
     def __init__(self, column: str, edges: np.ndarray):
@@ -174,9 +190,6 @@ class PercentileEncoder:
         lo, hi = self.edges[lo_index], self.edges[lo_index + 1]
         return lo + u[:, 0] * (hi - lo), k == self.missing_index
 
-    def to_dict(self) -> dict:
-        return {"type": self.encoding, "column": self.column, "edges": self.edges.tolist()}
-
 
 def _magnitudes(decs: Sequence[Decimal], decimals: int) -> list[int]:
     """|d| * 10**decimals of each value, rounded half up."""
@@ -189,7 +202,7 @@ def _strings(chars: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(chars).view(f"S{chars.shape[1]}")[:, 0].astype(str)
 
 
-class DigitEncoder:
+class DigitEncoder(Encoder):
     """Lossless base-10 split: optional sign, then one sub-column per digit.
 
     Digits are most-significant first; decimal precision is the maximum
@@ -198,8 +211,6 @@ class DigitEncoder:
     """
 
     kind, encoding = "numeric", "digit_split"
-    sources = None
-    n_draws = 0
 
     def __init__(self, column: str, has_sign: bool, n_digits: int, decimals: int):
         if n_digits < 1:
@@ -274,15 +285,6 @@ class DigitEncoder:
         missing = (codes[:, 0] == self._missing_code).tolist()
         return [None if m else t for m, t in zip(missing, text.tolist())]
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.encoding,
-            "column": self.column,
-            "has_sign": self.has_sign,
-            "n_digits": self.n_digits,
-            "decimals": self.decimals,
-        }
-
 
 _PART_ORDER = ("year", "month", "day", "hour", "minute", "second")
 # (first value, number of values) of each part but the year
@@ -306,7 +308,7 @@ def _calendar_parts(seconds: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-class DatetimeEncoder:
+class DatetimeEncoder(Encoder):
     """Calendar decomposition; constant parts are dropped and restored on decode.
 
     Parts are UTC parts (``tables.parse_column``'s datetime rule). Year is
@@ -315,8 +317,6 @@ class DatetimeEncoder:
     """
 
     kind, encoding = "datetime", "datetime_parts"
-    sources = None
-    n_draws = 0
 
     def __init__(self, column: str, parts: list[str], constants: dict[str, int],
                  year_min: int, year_max: int, has_time: bool):
@@ -387,17 +387,6 @@ class DatetimeEncoder:
         missing = (codes[:, 0] == self._missing_code).tolist()
         return [None if m else t.replace("T", " ") for m, t in zip(missing, text.tolist())]
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.encoding,
-            "column": self.column,
-            "parts": self.parts,
-            "constants": self.constants,
-            "year_min": self.year_min,
-            "year_max": self.year_max,
-            "has_time": self.has_time,
-        }
-
 
 _ROOT_BOX = (-90.0, 90.0, -180.0, 180.0)  # lat_lo, lat_hi, lon_lo, lon_hi
 
@@ -436,7 +425,7 @@ def quadkey_box(key: str):
     return box
 
 
-class QuadtileEncoder:
+class QuadtileEncoder(Encoder):
     """Adaptive quadtree over plain lat/lon; leaves form the category set.
 
     Digit convention by box midpoint: 0=NW, 1=NE, 2=SW, 3=SE. A tile splits
@@ -452,6 +441,14 @@ class QuadtileEncoder:
         self.column = column
         self.sources = tuple(sources)
         self.leaves = sorted(leaves)
+        # the leaves tile the globe: quadrant-digit keys, none a prefix of
+        # another (in sorted order, a key's first extension follows it), that
+        # cover the root tile exactly
+        depth = max(map(len, self.leaves), default=0)
+        if (any(k.strip("0123") for k in self.leaves)
+                or any(b.startswith(a) for a, b in zip(self.leaves, self.leaves[1:]))
+                or sum(4 ** (depth - len(k)) for k in self.leaves) != 4**depth):
+            raise ValueError(f"column {column!r}: leaves {self.leaves} do not tile the globe")
         # (lat_lo, lat_hi, lon_lo, lon_hi) per leaf, plus a dummy MISSING row
         self.boxes = np.array([quadkey_box(k) for k in self.leaves] + [_ROOT_BOX])
 
@@ -484,18 +481,14 @@ class QuadtileEncoder:
         return [SubColumn(f"{self.column}#tile", self.cardinality, self.column)]
 
     def _leaf_codes(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        """Leaf index of each point. The sorted leaf keys are prefix-free, so
+        """Leaf index of each point. The sorted leaf keys tile the globe, so
         the leaf that holds a point is the last key at or before its path."""
         box, digits = _ROOT_BOX, []
-        for _ in range(1 + max(map(len, self.leaves), default=0)):
+        for _ in range(1 + max(map(len, self.leaves))):
             digits.append(_quad_digits(box, lat, lon))
             box = _quad_child_box(box, digits[-1])
         paths = _strings(np.array(digits, dtype=np.uint8).T + ord("0"))
-        keys = np.array(self.leaves)
-        code = np.searchsorted(keys, paths, side="right") - 1
-        if (code < 0).any() or not np.char.startswith(paths, keys[code]).all():
-            raise RuntimeError("quadtile walk did not reach a leaf")
-        return code
+        return np.searchsorted(np.array(self.leaves), paths, side="right") - 1
 
     def encode(self, table: RawTable) -> np.ndarray:
         lat, lon, present = _points(self.column, table, self.sources)
@@ -509,14 +502,6 @@ class QuadtileEncoder:
         lat = box[:, 0] + u[:, 0] * (box[:, 1] - box[:, 0])
         lon = box[:, 2] + u[:, 1] * (box[:, 3] - box[:, 2])
         return lat, lon, codes[:, 0] == self.missing_index
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.encoding,
-            "column": self.column,
-            "sources": list(self.sources),
-            "leaves": self.leaves,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +581,8 @@ def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
 def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.ndarray) -> RawTable:
     """``uniforms`` holds ``encoders.n_draws`` values in [0, 1) per row; each
     decoder reads its own columns of it, in encoder order. The table has the
-    raw columns of the schema (``TableSchema.raw_schema``). Percentile and
-    quadtile decoders give values, written as ``repr`` cells, and the table
+    raw columns of the schema (``TableSchema.raw_schema``). Decoders with
+    ``decode_values`` give values, written as ``repr`` cells, and the table
     holds those values: their parse (NaN where missing or not finite)."""
     columns: list[list[Optional[str]]] = []
     parsed: dict[tuple[str, str], np.ndarray] = {}
@@ -608,7 +593,7 @@ def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.nd
         u = uniforms[:, draw : draw + enc.n_draws]
         offset += width
         draw += enc.n_draws
-        if enc.encoding in ("percentile_bins", "quadtile"):  # a latlong decodes to its (lat, lon) sources
+        if hasattr(enc, "decode_values"):  # a latlong decodes to its (lat, lon) sources
             *points, missing = enc.decode_values(codes, u)
             for name, x in zip(enc.sources or [enc.column], points):
                 columns.append([None if m else v for m, v in zip(missing.tolist(), map(repr, x.tolist()))])

@@ -9,10 +9,10 @@ loading derives the schema and the sub-columns), ``order_mode``,
 and ``weights`` (the weight manifest: each weight's name and shape). The
 weight section is byte-exact, so save -> load -> save reproduces identical
 files. Loading checks magic, version and the header's key set, rebuilds each
-encoder with its constructor (a missing or an unknown key fails), checks that
-the manifest is the one the rebuilt architecture writes and the float count,
-rejects non-finite weights, and copies the weights into a freshly allocated
-store.
+encoder with its constructor (a missing or an unknown key fails, as do
+quadtile leaves that do not tile the globe), checks that the manifest is the
+one the rebuilt architecture writes and the float count, rejects non-finite
+weights, and copies the weights into a freshly allocated store.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ either fixed (default 8, chosen for reproducibility) or drawn uniformly from
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -29,15 +30,19 @@ class ValueProtectionConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):  # the string "false" would turn protection on
+            raise TypeError("enabled must be true or false")
         for name in ("rare_min_count", "extreme_k"):
             v = getattr(self, name)
             if isinstance(v, str):
                 if v not in RANDOM_THRESHOLDS:
                     raise ValueError(f"{name} must be an int or one of {RANDOM_THRESHOLDS}")
-            elif int(v) < 1:
+            elif operator.index(v) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.rare_mode not in ("token", "resample"):
             raise ValueError("rare_mode must be 'token' or 'resample'")
+        if operator.index(self.rng_seed) < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 def _threshold(setting: Union[int, str], rng: np.random.Generator) -> int:

@@ -7,6 +7,8 @@ codes; ``RawTable.values`` and ``RawTable.categories`` call them at most once
 per column (and kind). Type inference is deliberately tolerant: a column
 counts as numeric/datetime when at least 99% of its non-missing cells parse,
 so a handful of sentinel strings do not demote an otherwise numeric column.
+``ColumnSpec`` reads the kinds, their encodings and defaults from
+``encoders.ENCODERS``, the one list of encodings.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-
-# the column kinds, each with the encoding of a column spec that names none;
-# digit_split is the one other choice
-DEFAULT_ENCODING = {"categorical": "category_map", "numeric": "percentile_bins",
-                    "datetime": "datetime_parts", "latlong": "quadtile"}
-ENCODINGS = ("category_map", "percentile_bins", "digit_split", "datetime_parts", "quadtile")
 
 PARSE_THRESHOLD = 0.99
 PARSE_PREFIX = 64  # plus 2% of the rows: cells parsed to rule a column out early
@@ -39,9 +35,10 @@ class ParseError(ValueError):
 class ColumnSpec:
     """Typed description of one column and how it will be discretized.
 
-    ``encoding`` defaults to the kind's ``DEFAULT_ENCODING``. ``sources`` is
-    only used for latlong columns and names the (lat, lon) source columns of
-    the raw file.
+    The kinds and their encodings are those of ``encoders.ENCODERS``;
+    ``encoding`` defaults to the kind's first there. ``sources`` is only used
+    for latlong columns and names the (lat, lon) source columns of the raw
+    file.
     """
 
     name: str
@@ -50,20 +47,19 @@ class ColumnSpec:
     sources: Optional[tuple[str, str]] = None
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_ENCODING:
+        from .encoders import ENCODERS  # imported here: encoders imports this module
+
+        encodings = [name for name, cls in ENCODERS.items() if cls.kind == self.kind]
+        if not encodings:
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.encoding is None:
-            object.__setattr__(self, "encoding", DEFAULT_ENCODING[self.kind])
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"unknown encoding {self.encoding!r}")
-        if self.kind == "categorical" and self.encoding != "category_map":
-            raise ValueError("categorical columns must use category_map")
-        if self.kind == "latlong" and self.encoding != "quadtile":
-            raise ValueError("latlong columns must use quadtile")
-        if self.kind == "numeric" and self.encoding not in ("percentile_bins", "digit_split"):
-            raise ValueError("numeric columns use percentile_bins or digit_split")
-        if self.kind == "latlong" and (self.sources is None or len(self.sources) != 2):
-            raise ValueError("latlong columns need sources=(lat_column, lon_column)")
+            object.__setattr__(self, "encoding", encodings[0])
+        if self.encoding not in encodings:
+            raise ValueError(f"{self.kind} columns use {' or '.join(encodings)}, not {self.encoding!r}")
+        if self.sources is not None:  # a JSON list names them too
+            object.__setattr__(self, "sources", tuple(self.sources))
+        if self.kind == "latlong" and (self.sources is None or len(set(self.sources)) != 2):
+            raise ValueError("latlong columns need two sources=(lat_column, lon_column)")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from collections import Counter
@@ -332,6 +333,18 @@ def test_quadtile_leaves_partition(rng):
         assert prefixes == [key]
 
 
+@pytest.mark.parametrize("leaves", [
+    ["0", "1", "2", "7"],  # not a quadrant digit
+    ["0", "1"],  # leaves half the globe uncovered
+    ["0", "0", "1", "2"],  # a duplicate that covers the area of the missing "3"
+    ["", "0"],  # a prefix pair
+    ["0", "00", "01", "02", "03", "1", "2"],  # "0" and its children, in place of "3"
+])
+def test_quadtile_leaves_that_do_not_tile_the_globe_are_refused(leaves):
+    with pytest.raises(ValueError, match="do not tile the globe"):
+        QuadtileEncoder("loc", ("lat", "lon"), leaves)
+
+
 def test_quadtile_decode_inside_box(rng):
     enc = fit_quadtile(["45", "-45"], ["90", "-90"], min_tile_count=2, max_depth=3)
     codes = enc.encode(lat_lon(["45"], ["90"]))
@@ -609,6 +622,12 @@ def test_an_encoder_is_rebuilt_from_its_json_entry(mixed_fit, encoding):
     assert type(loaded) is ENCODERS[encoding]
     assert loaded.to_dict() == enc.to_dict()
     np.testing.assert_array_equal(loaded.encode(table), enc.encode(table))
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODERS))
+def test_a_saved_encoder_holds_its_type_then_its_constructor_arguments_in_order(mixed_encoders, encoding):
+    (enc,) = [e for e in mixed_encoders.encoders if e.encoding == encoding]
+    assert list(enc.to_dict()) == ["type", *inspect.signature(ENCODERS[encoding]).parameters]
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -253,6 +253,17 @@ def test_an_encoder_entry_with_an_added_or_a_dropped_key_is_refused(every_encodi
         load_model(str(path))
 
 
+def test_quadtile_leaves_that_do_not_tile_the_globe_are_refused_on_load(every_encoding_model_file, tmp_path):
+    blob = every_encoding_model_file
+    header = read_header(blob)
+    (entry,) = [e for e in header["encoders"]["encoders"] if e["type"] == "quadtile"]
+    entry["leaves"][-1] = entry["leaves"][-1][:-1] + "7"  # "3" was read as the SE box
+    path = tmp_path / "m.argn"
+    write_header(path, blob, header)
+    with pytest.raises(ModelFileError, match="do not tile the globe"):
+        load_model(str(path))
+
+
 def test_a_key_beside_the_encoder_list_is_refused(trained, tmp_path):
     model, _ = trained
     path = tmp_path / "m.argn"
@@ -597,6 +608,10 @@ def test_cli_misspelled_config_key(data_csv, tmp_path):
     ("audit", {"n_queries": -1}),
     ("audit", {"subset_size": 0}),
     ("value_protection", {"rare_min_count": "random(5,8)"}),  # "random" is the one spelling
+    ("value_protection", {"rare_min_count": 7.9}),  # used to be truncated to 7
+    ("value_protection", {"extreme_k": 7.9}),
+    ("value_protection", {"enabled": "false"}),  # used to train with protection on
+    ("value_protection", {"rng_seed": -1}),  # used to exit 2 after reading the data
 ])
 def test_cli_rejects_a_bad_config_value_before_training(data_csv, tmp_path, capsys, block, bad):
     config = tmp_path / "bad.json"
@@ -604,6 +619,25 @@ def test_cli_rejects_a_bad_config_value_before_training(data_csv, tmp_path, caps
     out = tmp_path / "m.argn"
     assert cli(["train", "--data", data_csv, "--config", str(config), "--out", str(out)]) == 1
     assert f"invalid {block} config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,detail", [  # each used to exit 2
+    ({"encoding": "digit_split"}, "'kind'"),
+    ({"kind": "categorical", "encoding": "digit_split"}, "not 'digit_split'"),
+    ({"kind": "numeric", "encoding": "nope"}, "not 'nope'"),
+    ({"kind": "latlong"}, "latlong columns need two sources"),
+    # one source named twice used to train a model that could not generate
+    ({"kind": "latlong", "sources": ["lat", "lat"]}, "latlong columns need two sources"),
+])
+def test_cli_rejects_a_bad_override_before_reading_the_data(tmp_path, capsys, override, detail):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"overrides": {"loc": override}}))
+    out = tmp_path / "m.argn"
+    missing = str(tmp_path / "no-such.csv")  # reading it would exit 2
+    assert cli(["train", "--data", missing, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid overrides['loc'] config: ") and detail in err
     assert not out.exists()
 
 

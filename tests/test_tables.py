@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import argn
+from argn.encoders import ENCODERS
 from argn.tables import (
     PARSE_PREFIX,
     PARSE_THRESHOLD,
@@ -118,8 +119,22 @@ def test_infer_override_wins():
 def test_a_column_spec_without_an_encoding_takes_its_kinds_default():
     assert ColumnSpec("c", "numeric").encoding == "percentile_bins"
     assert ColumnSpec("loc", "latlong", sources=("lat", "lon")).encoding == "quadtile"
-    with pytest.raises(ValueError, match="categorical columns must use category_map"):
-        ColumnSpec("c", "categorical", "digit_split")
+    with pytest.raises(ValueError, match="unknown column kind 'text'"):
+        ColumnSpec("c", "text")
+
+
+@pytest.mark.parametrize("encoding", [None, *ENCODERS, "nope"])
+@pytest.mark.parametrize("kind", sorted({cls.kind for cls in ENCODERS.values()}))
+def test_a_column_spec_accepts_exactly_the_kind_and_encoding_pairs_of_the_registry(kind, encoding):
+    sources = ("lat", "lon") if kind == "latlong" else None
+    if encoding is None:  # a kind's first encoding in the registry is its default
+        first = next(name for name, cls in ENCODERS.items() if cls.kind == kind)
+        assert ColumnSpec("c", kind, sources=sources).encoding == first
+    elif encoding in ENCODERS and ENCODERS[encoding].kind == kind:
+        assert ColumnSpec("c", kind, encoding, sources).encoding == encoding
+    else:
+        with pytest.raises(ValueError, match=f"{kind} columns use .*, not '{encoding}'"):
+            ColumnSpec("c", kind, encoding, sources)
 
 
 def test_latlong_requires_override_and_merges_columns():
