@@ -7,7 +7,7 @@ from .encoders import EncodedTable, EncodingOptions, encode_table, decode_table,
 from .model import ArgnModel, TrainConfig, compute_layer_sizes, negative_log_likelihood, train
 from .nn import DpConfig
 from .protect import ValueProtectionConfig, protect_table
-from .sampling import GenerationRequest, generate, impute, synthesize
+from .sampling import GenerationRequest, generate, synthesize
 from .tables import ColumnSpec, RawTable, TableSchema, infer_schema, read_csv, write_csv
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "encode_table",
     "fit_encoders",
     "generate",
-    "impute",
     "infer_schema",
     "negative_log_likelihood",
     "protect_table",

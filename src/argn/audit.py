@@ -164,7 +164,7 @@ def build_shadow_trials(aux_pool: RawTable, target_row: Union[Sequence[Optional[
     if cfg.shadow_size > aux_pool.row_count:
         raise ValueError("shadow_size exceeds the auxiliary pool")
     target = target_row if isinstance(target_row, RawTable) else _one_row(aux_pool.schema, target_row)
-    if _target_matches(aux_pool, [col[0] for col in target.columns]).all(axis=1).any():
+    if _target_matches(aux_pool, target.cells[0]).all(axis=1).any():
         raise ValueError("target record must not be present in the auxiliary pool")
     trials = []
     for i in range(cfg.n_shadow):
@@ -212,8 +212,12 @@ class AttackContext:
 
 
 def _target_matches(syn: RawTable, target: Sequence[Optional[str]]) -> np.ndarray:
-    """rows x columns: True where the synthetic cell equals the target's."""
-    return np.array(syn.columns, dtype=object).T == np.array(target, dtype=object)
+    """rows x columns: True where the synthetic cell's code is the target text's."""
+    out = np.zeros((syn.row_count, len(target)), dtype=bool)
+    for j, (name, cell) in enumerate(zip(syn.column_names, target)):
+        vocab, codes = syn.categories(name)
+        out[:, j] = codes == (vocab.tolist() + [cell]).index(cell)  # a text it lacks: a code no row has
+    return out
 
 
 def extract_features(syn: RawTable, target_row, kind: str, ctx: AttackContext) -> np.ndarray:
@@ -426,7 +430,7 @@ def run_audit(data: RawTable, generator: Callable, cfg: AuditConfig,
     report = {"n_shadow": cfg.n_shadow, "shadow_size": cfg.shadow_size,
               "seed": cfg.seed, "targets": []}
     for row_index in targets:
-        target = [col[row_index] for col in data.columns]
+        target = data.subset([row_index]).cells[0]
         pool = data.subset([i for i in range(data.row_count) if i != row_index])
         ctx = AttackContext(pool, target, cfg)
         trials = build_shadow_trials(pool, ctx.target_table, cfg)

@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict, fields, replace
 from typing import Optional
 
-import numpy as np
-
 from .audit import AuditConfig, argn_generator, run_audit
 from .encoders import EncodingOptions, encode_table, fit_encoders
 from .metrics import dcr, dcr_cdf_curves, dcr_curves_integral, evaluate_tables
@@ -25,7 +23,8 @@ from .nn import DpConfig
 from .persist import load_model, save_model
 from .protect import ValueProtectionConfig, protect_table
 from .sampling import GenerationRequest, _resolve_conditions, synthesize_blocks
-from .tables import ColumnSpec, RawTable, TableSchema, infer_schema, read_csv, write_csv
+from .tables import (ColumnSpec, OverrideError, RawTable, TableSchema, infer_schema, read_csv, value_column,
+                     write_csv)
 
 
 class UsageError(Exception):
@@ -189,15 +188,6 @@ def _cmd_evaluate(args) -> int:
 CDF_ROWS = 4096  # rows of the DCR CDF file formatted and written at a time
 
 
-def _cdf_reprs(cdf: np.ndarray) -> list[str]:
-    """repr of each value of a CDF column, formatting each distinct value
-    once: the column holds at most n + 1 values k / n, none of them -0.0 or
-    NaN (which np.unique would merge)."""
-    distinct, inverse = np.unique(cdf, return_inverse=True)
-    text = [repr(v) for v in distinct.tolist()]
-    return [text[i] for i in inverse.tolist()]
-
-
 def _cmd_dcr(args) -> int:
     train_raw = read_csv(args.train)
     schema = infer_schema(train_raw)
@@ -210,7 +200,8 @@ def _cmd_dcr(args) -> int:
         fh.write("distance,cdf_syn,cdf_test\n")
         for s in range(0, grid.size, CDF_ROWS):
             part = slice(s, s + CDF_ROWS)
-            rows = zip(map(repr, grid[part].tolist()), _cdf_reprs(cdf_syn[part]), _cdf_reprs(cdf_test[part]))
+            rows = zip(map(repr, grid[part].tolist()), value_column(cdf_syn[part]).cells,
+                       value_column(cdf_test[part]).cells)
             fh.write("".join(f"{g},{a},{b}\n" for g, a, b in rows))
     risk = 1 if integral > 0 else 0
     print(f"dcr_integral={integral!r} risk={risk}")
@@ -301,7 +292,7 @@ def cli(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, OverrideError) as exc:  # an override the data's columns refute is a config error
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -14,8 +14,9 @@ sibling sub-columns hold zeros for missing rows.
 Encoders fit on and encode a ``RawTable``: numbers come from its ``values``,
 categories from its ``categories`` and digit text from ``column_values``.
 Decoding is deterministic given the codes and ``n_draws`` uniforms per row
-(one per within-bin numeric value, two per lat/lon point); number decoders
-give values, which ``decode_table`` writes as text and keeps.
+(one per within-bin numeric value, two per lat/lon point). The category
+decoder maps codes straight onto its values; number decoders give values,
+which ``decode_table`` writes as text, each distinct value once, and keeps.
 
 This module is the one place that knows the encodings. Each encoder class
 owns its column: it has a column ``kind``, an ``encoding`` name, under which
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tables import ColumnSpec, RawTable, TableSchema
+from .tables import Column, ColumnSpec, RawTable, TableSchema, value_column
 
 MAX_DECIMAL_PLACES = 6
 
@@ -130,8 +131,9 @@ class CategoryEncoder(Encoder):
         lut = np.array([self.mapping.get(v, self.mapping[None]) for v in vocab.tolist()], dtype=np.int32)
         return lut[codes][:, None]
 
-    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
-        return self.values[codes[:, 0]].tolist()
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> Column:
+        """The column whose codes index the encoder's values."""
+        return Column(self.values, codes[:, 0])
 
 
 class PercentileEncoder(Encoder):
@@ -213,8 +215,12 @@ class DigitEncoder(Encoder):
     kind, encoding = "numeric", "digit_split"
 
     def __init__(self, column: str, has_sign: bool, n_digits: int, decimals: int):
-        if n_digits < 1:
-            raise ValueError("need at least one digit position")
+        if type(has_sign) is not bool:
+            raise ValueError(f"column {column!r}: has_sign must be true or false")
+        if type(n_digits) is not int or n_digits < 1:
+            raise ValueError(f"column {column!r}: n_digits must be an integer >= 1")
+        if type(decimals) is not int or not 0 <= decimals <= MAX_DECIMAL_PLACES:
+            raise ValueError(f"column {column!r}: decimals must be an integer in [0, {MAX_DECIMAL_PLACES}]")
         self.column = column
         self.has_sign = has_sign
         self.n_digits = n_digits
@@ -322,6 +328,10 @@ class DatetimeEncoder(Encoder):
                  year_min: int, year_max: int, has_time: bool):
         if sorted([*parts, *constants]) != sorted(_PART_ORDER):
             raise ValueError(f"column {column!r}: parts and constants are not the six calendar parts")
+        if type(year_min) is not int or type(year_max) is not int or year_min > year_max:
+            raise ValueError(f"column {column!r}: year_min and year_max must be integers, year_min <= year_max")
+        if type(has_time) is not bool:
+            raise ValueError(f"column {column!r}: has_time must be true or false")
         self.column = column
         self.parts = list(parts)
         self.constants = dict(constants)
@@ -584,9 +594,7 @@ def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.nd
     raw columns of the schema (``TableSchema.raw_schema``). Decoders with
     ``decode_values`` give values, written as ``repr`` cells, and the table
     holds those values: their parse (NaN where missing or not finite)."""
-    columns: list[list[Optional[str]]] = []
-    parsed: dict[tuple[str, str], np.ndarray] = {}
-    offset = draw = 0
+    columns, offset, draw = [], 0, 0
     for enc in encoders.encoders:
         width = len(enc.sub_columns())
         codes = encoded.data[:, offset : offset + width]
@@ -595,9 +603,7 @@ def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.nd
         draw += enc.n_draws
         if hasattr(enc, "decode_values"):  # a latlong decodes to its (lat, lon) sources
             *points, missing = enc.decode_values(codes, u)
-            for name, x in zip(enc.sources or [enc.column], points):
-                columns.append([None if m else v for m, v in zip(missing.tolist(), map(repr, x.tolist()))])
-                parsed[name, "numeric"] = np.where(missing | ~np.isfinite(x), np.nan, x)
+            columns.extend(value_column(x, missing) for x in points)
         else:
             columns.append(enc.decode(codes, u))
-    return RawTable(encoders.schema.raw_schema(), columns).with_columns({}, parsed)
+    return RawTable(encoders.schema.raw_schema(), columns)

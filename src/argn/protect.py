@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .tables import RawTable, TableSchema
+from .tables import Column, RawTable, TableSchema
 
 RARE_TOKEN = "_RARE_"
 RANDOM_THRESHOLDS = ("random",)
@@ -56,15 +56,14 @@ def protect_rare_categories(
     name: str,
     cfg: ValueProtectionConfig,
     rng: Optional[np.random.Generator] = None,
-) -> Sequence[Optional[str]]:
-    """Replace the categories of a column rarer than the threshold; returns
-    the column's cells.
+) -> Column:
+    """The column with its categories rarer than the threshold replaced.
 
     token mode substitutes the literal `_RARE_` placeholder; resample mode
     draws a replacement from the empirical distribution of the surviving
     categories (falling back to the token when nothing survives). Missing
-    cells are untouched, and without rare categories the table's own cells
-    come back.
+    cells are untouched, and without rare categories the table's own column
+    comes back.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
     t = _threshold(cfg.rare_min_count, rng)
@@ -73,17 +72,15 @@ def protect_rare_categories(
     present = np.array([v is not None for v in vocab.tolist()], dtype=bool)
     rare = present & (counts < t)
     if not rare.any():
-        return raw.column_values(name)
-
-    out = vocab[codes]
-    at = np.flatnonzero(rare[codes])
-    out[at] = RARE_TOKEN
+        return raw.column(name)
+    at, codes = np.flatnonzero(rare[codes]), codes.copy()
     donors = present & ~rare  # in sorted order, as the vocabulary is
     if cfg.rare_mode == "resample" and donors.any():  # without donors, resample degrades to the token
-        weights = counts[donors].astype(np.float64)
-        weights /= weights.sum()
-        out[at] = vocab[donors][rng.choice(np.count_nonzero(donors), size=len(at), p=weights)]
-    return out.tolist()
+        weights = counts[donors] / counts[donors].sum()
+        codes[at] = np.flatnonzero(donors)[rng.choice(np.count_nonzero(donors), size=len(at), p=weights)]
+    else:
+        codes[at] = len(vocab)  # the token, appended to the vocabulary
+    return Column(np.append(vocab, RARE_TOKEN), codes)
 
 
 def protect_extreme_values(
@@ -92,42 +89,42 @@ def protect_extreme_values(
     cfg: ValueProtectionConfig,
     rng: Optional[np.random.Generator] = None,
     kind: str = "numeric",
-) -> tuple[Sequence[Optional[str]], np.ndarray]:
-    """Clip the ``kind`` values of a column beyond its k-th largest/smallest
-    *distinct* value; returns the column's cells and their values.
+) -> Column:
+    """The column with its ``kind`` values beyond its k-th largest/smallest
+    *distinct* value clipped to that value.
 
-    Replacements reuse the clip value's original cell text, so formatting is
-    preserved and the values of a replaced cell are the parse of that text.
-    Columns with fewer than 2k distinct values come back unchanged: the
-    table's own cells and values.
+    A clipped cell takes the text of the clip value (its smallest, when
+    several texts parse to it), so formatting is preserved; the column keeps
+    the parses of its texts. Columns with fewer than 2k distinct values come
+    back unchanged: the table's own column.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.rng_seed)
     k = _threshold(cfg.extreme_k, rng)
-    cells, x = raw.column_values(name), raw.values(name, kind)
+    column = raw.column(name)
+    used = np.bincount(column.codes, minlength=len(column.texts)) > 0
+    x = np.where(used, column.parse(kind), np.nan)  # one value per vocabulary entry
     distinct = np.unique(x[~np.isnan(x)])
     if len(distinct) < 2 * k:
-        return cells, x
-
-    out, clipped = np.array(cells, dtype=object), x.copy()
+        return column
+    to = np.arange(len(x))
     for beyond, bound in ((x < distinct[k - 1], distinct[k - 1]), (x > distinct[-k], distinct[-k])):
         # the smallest text of a distinct value is its deterministic representative
-        rep = min(np.flatnonzero(x == bound), key=out.__getitem__)
-        out[beyond], clipped[beyond] = out[rep], x[rep]
-    return out.tolist(), clipped
+        to[beyond] = min(np.flatnonzero(x == bound), key=column.texts.__getitem__)
+    return Column(column.texts, to[column.codes], column.parsed)
 
 
 def protect_table(raw: RawTable, schema: TableSchema, cfg: ValueProtectionConfig) -> RawTable:
     """Apply per-kind protection to every applicable column of a table; the
-    columns it leaves unchanged keep the input's parses and categories."""
+    columns it leaves unchanged are the input's, with their parses and
+    categories, and a clipped column keeps the parses of its texts."""
     if not cfg.enabled:
         return raw
     rng = np.random.default_rng(cfg.rng_seed)
-    columns, parsed = {}, {}
+    columns = {name: raw.column(name) for name in raw.column_names}
     for spec in schema.columns:
         if spec.kind == "categorical":
             columns[spec.name] = protect_rare_categories(raw, spec.name, cfg, rng)
         elif spec.kind in ("numeric", "datetime"):
-            columns[spec.name], parsed[spec.name, spec.kind] = protect_extreme_values(
-                raw, spec.name, cfg, rng, spec.kind)
+            columns[spec.name] = protect_extreme_values(raw, spec.name, cfg, rng, spec.kind)
         # latlong columns pass through: quadtile density adaptation is the guard there
-    return raw.with_columns(columns, parsed)
+    return RawTable(raw.schema, list(columns.values()))

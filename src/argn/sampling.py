@@ -1,10 +1,10 @@
-"""Sequential feature-by-feature generation, imputation, and decoding.
+"""Sequential feature-by-feature generation and decoding.
 
 Rows are independent: every uniform a row consumes is a function of
 (seed, domain, row index, draw index) alone, so changing the row count never
 reshuffles earlier rows and generating n rows equals generating them one at
-a time or in blocks. Conditioned/observed sub-columns are injected without
-consuming randomness.
+a time or in blocks. Conditioned sub-columns are injected without consuming
+randomness.
 """
 
 from __future__ import annotations
@@ -157,12 +157,9 @@ def _effective_order(model: ArgnModel, requested: Optional[Sequence[int]],
 
 
 def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[int],
-                  fixed_codes: dict[int, np.ndarray], temperature: float, seed: int) -> np.ndarray:
-    """Inner sampling loop shared by generate() and impute().
-
-    ``fixed_codes`` maps a sub-column index to per-row codes (length =
-    len(row_indices)) that are injected instead of drawn.
-    """
+                  fixed_codes: dict[int, int], temperature: float, seed: int) -> np.ndarray:
+    """Inner sampling loop of generate(). ``fixed_codes`` maps a sub-column
+    index to the code injected in every row instead of drawn."""
     n = len(row_indices)
     d = model.d_total
     out = np.zeros((n, d), dtype=np.int32)
@@ -174,9 +171,7 @@ def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[
     u_col = 0
     for i in order:
         if i in fixed_codes:
-            codes = np.asarray(fixed_codes[i], dtype=np.int32)
-            if codes.ndim == 0:
-                codes = np.full(n, int(codes), dtype=np.int32)
+            codes = np.full(n, fixed_codes[i], dtype=np.int32)
         else:
             logits, _ = model.column_logits(ctx, i)
             logits /= temperature
@@ -206,39 +201,6 @@ def generate(model: ArgnModel, req: GenerationRequest, rows: Optional[range] = N
     rows = range(req.n_rows) if rows is None else rows
     codes = _sample_codes(model, rows, order, fixed, req.temperature, req.seed)
     return EncodedTable(model.sub_columns, codes)
-
-
-def impute(model: ArgnModel, partial: EncodedTable, observed: np.ndarray,
-           temperature: float = 1.0, seed: int = 0) -> EncodedTable:
-    """Fill the unobserved sub-columns of each row.
-
-    ``observed`` is a boolean (rows, sub-columns) mask; True cells are kept
-    verbatim and conditioned on (observed-first canonical order), False cells
-    are sampled. Requires an any-order-trained model.
-    """
-    if not model.trained:
-        raise ValueError("model is not trained")
-    if model.order_mode != "any_order":
-        raise ValueError("imputation needs an any-order-trained model")
-    observed = np.asarray(observed, dtype=bool)
-    data = partial.data
-    if observed.shape != data.shape:
-        raise ValueError("observed mask shape does not match the table")
-
-    out = data.copy()
-    patterns: dict[tuple, list[int]] = {}
-    for r in range(data.shape[0]):
-        patterns.setdefault(tuple(observed[r]), []).append(r)
-    for pattern, rows in patterns.items():
-        obs_cols = [i for i, flag in enumerate(pattern) if flag]
-        missing_cols = [i for i, flag in enumerate(pattern) if not flag]
-        if not missing_cols:
-            continue
-        order = tuple(obs_cols + missing_cols)
-        fixed = {i: data[rows, i] for i in obs_cols}
-        sampled = _sample_codes(model, rows, order, fixed, temperature, seed)
-        out[rows] = sampled
-    return EncodedTable(model.sub_columns, out)
 
 
 def synthesize_blocks(model: ArgnModel, req: GenerationRequest) -> Iterator[RawTable]:

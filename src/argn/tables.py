@@ -1,12 +1,14 @@
 """CSV ingestion and column-type inference.
 
-Tables are held column-major as lists of optional strings; ``None`` marks a
-missing cell and the empty string on disk means missing. ``parse_column`` and
-``factorize`` are the one places where cells become numbers and category
-codes; ``RawTable.values`` and ``RawTable.categories`` call them at most once
-per column (and kind). Type inference is deliberately tolerant: a column
-counts as numeric/datetime when at least 99% of its non-missing cells parse,
-so a handful of sentinel strings do not demote an otherwise numeric column.
+A column is held as int32 codes into a vocabulary of texts; ``None`` is a
+missing cell and the empty string on disk means missing. ``parse_column`` is
+the one place where texts become numbers: a vocabulary parses each entry at
+most once per kind, and ``RawTable.values`` gathers that parse through the
+codes. ``RawTable.categories`` sorts a vocabulary once, on first use, into
+``factorize``'s order: missing first, then the sorted texts. Type inference
+is deliberately tolerant: a column counts as numeric/datetime when at least
+99% of its non-missing cells parse, so a handful of sentinel strings do not
+demote an otherwise numeric column.
 ``ColumnSpec`` reads the kinds, their encodings and defaults from
 ``encoders.ENCODERS``, the one list of encodings.
 """
@@ -29,6 +31,10 @@ _MISSING_AS_NAN = {None: "nan"}  # .get(cell, cell): the text float reads for a 
 
 class ParseError(ValueError):
     pass
+
+
+class OverrideError(ValueError):
+    """An override names a column, or a latlong source, that the table lacks."""
 
 
 @dataclass(frozen=True)
@@ -93,33 +99,77 @@ class TableSchema:
         return TableSchema(tuple(cols))
 
 
-class RawTable:
-    """Cells held column-major: ``columns[j]`` lists the cells of
-    ``schema.columns[j]``, and every column has ``row_count`` cells.
+class Column:
+    """A column's cells as int32 ``codes`` into ``texts``, an object array
+    of entries that may repeat or go unused (a subset shares its source's),
+    with ``parsed``: the entries' ``parse_column`` values per kind."""
 
-    Columns are not modified after construction. ``values`` parses a column
-    at most once per kind; a subset, a concatenation, a re-typed table or
-    the untouched columns of ``with_columns`` read the parses of the tables
-    they were made from, and keep them alive.
-    """
+    __slots__ = ("texts", "codes", "parsed", "_values", "_factorized")
 
-    def __init__(self, schema: TableSchema, columns: Sequence[Sequence[Optional[str]]]):
-        if len(columns) != len(schema.columns):
-            raise ValueError(f"expected {len(schema.columns)} columns, got {len(columns)}")
-        lengths = sorted({len(c) for c in columns})
-        if len(lengths) > 1:
-            raise ValueError(f"columns differ in length: {lengths}")
-        self.schema = schema
-        self.columns = list(columns)
-        self._index = {name: j for j, name in enumerate(schema.names)}
-        self._parsed: dict[tuple[str, str], np.ndarray] = {}
-        self._categories: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # per column, the (table, rows) pieces it stacks; its values are gathered from their parses
-        self._parts: dict[str, list[tuple[RawTable, Union[np.ndarray, slice]]]] = {}
+    def __init__(self, texts: np.ndarray, codes: np.ndarray, parsed: Optional[dict[str, np.ndarray]] = None):
+        codes = np.asarray(codes, dtype=np.int32)
+        codes.flags.writeable = False
+        self.texts, self.codes, self.parsed = texts, codes, {} if parsed is None else parsed
+        self._values: dict[str, np.ndarray] = {}
+        self._factorized: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
-    def row_count(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+    def cells(self) -> list[Optional[str]]:
+        return self.texts[self.codes].tolist()
+
+    def parse(self, kind: str) -> np.ndarray:
+        """The entries' values, parsed once per kind."""
+        if kind not in self.parsed:
+            self.parsed[kind] = parse_column(self.texts.tolist(), kind)
+        return self.parsed[kind]
+
+    def values(self, kind: str) -> np.ndarray:
+        """The entries' values gathered through the codes, once per kind."""
+        if kind not in self._values:
+            self._values[kind] = vals = self.parse(kind)[self.codes]
+            vals.flags.writeable = False
+        return self._values[kind]
+
+    def categories(self) -> tuple[np.ndarray, np.ndarray]:
+        """``factorize`` of the cells, computed once from the entries the
+        codes use, which it sorts: the one place texts are sorted."""
+        if self._factorized is None:
+            used = np.flatnonzero(np.bincount(self.codes, minlength=len(self.texts)))
+            vocab, used_codes = factorize(self.texts[used].tolist())
+            remap = np.zeros(len(self.texts), dtype=np.int32)
+            remap[used] = used_codes
+            codes = remap[self.codes]
+            codes.flags.writeable = False
+            self._factorized = vocab, codes
+        return self._factorized
+
+
+def value_column(x: np.ndarray, missing: Optional[np.ndarray] = None) -> Column:
+    """The ``repr`` texts of float values, missing where ``missing``; each
+    distinct value (by its bits: -0.0 is not 0.0) is formatted once. The
+    column keeps the values, NaN where missing or not finite, as its parse."""
+    bits, inverse = np.unique(np.ascontiguousarray(x).view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    codes = inverse.ravel() if missing is None else np.where(missing, len(distinct), inverse.ravel())
+    return Column(np.array([*map(repr, distinct.tolist()), None], dtype=object), codes,
+                  {"numeric": np.append(np.where(np.isfinite(distinct), distinct, np.nan), np.nan)})
+
+
+class RawTable:
+    """The columns of ``schema``: ``columns[j]`` is the cells of
+    ``schema.columns[j]``, or a ``Column``. Columns are not modified after
+    construction; a subset or a re-typed table shares its source's
+    vocabularies, and so their parses."""
+
+    def __init__(self, schema: TableSchema, columns: Sequence[Union[Column, Sequence[Optional[str]]]]):
+        if len(columns) != len(schema.columns):
+            raise ValueError(f"expected {len(schema.columns)} columns, got {len(columns)}")
+        columns = [c if isinstance(c, Column) else Column(*factorize(c)) for c in columns]
+        lengths = sorted({len(c.codes) for c in columns})
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+        self.schema, self.row_count = schema, lengths[0] if lengths else 0
+        self._columns = dict(zip(schema.names, columns))
 
     @property
     def column_names(self) -> list[str]:
@@ -127,81 +177,57 @@ class RawTable:
 
     @property
     def cells(self) -> list[list[Optional[str]]]:
-        """A row-major copy of the cells."""
-        return [list(row) for row in zip(*self.columns)]
+        """The cells, row by row."""
+        return [list(row) for row in zip(*map(self.column_values, self.column_names))]
 
-    def column_values(self, name: str) -> Sequence[Optional[str]]:
-        return self.columns[self._index[name]]
+    def column(self, name: str) -> Column:
+        return self._columns[name]
+
+    def column_values(self, name: str) -> list[Optional[str]]:
+        return self._columns[name].cells
 
     def values(self, name: str, kind: str) -> np.ndarray:
-        """Read-only ``parse_column`` values of a column, parsed once per kind."""
-        key = (name, kind)
-        if key not in self._parsed:
-            if name in self._parts:
-                vals = np.concatenate([t.values(name, kind)[rows] for t, rows in self._parts[name]])
-            else:
-                vals = parse_column(self.column_values(name), kind)
-            vals.flags.writeable = False
-            self._parsed[key] = vals
-        return self._parsed[key]
+        """Read-only ``parse_column`` values of a column's cells."""
+        return self._columns[name].values(kind)
 
     def categories(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """``factorize`` of a column's cells, computed once; the codes are read-only.
-        A column that is another table's whole column (a re-typed table, an
-        untouched column of ``with_columns``) reads that table's; a subset
-        or a concatenation of several tables factorizes its own cells."""
-        if name not in self._categories:
-            parts = self._parts.get(name, ())
-            if len(parts) == 1 and isinstance(parts[0][1], slice):
-                self._categories[name] = parts[0][0].categories(name)
-            else:
-                vocab, codes = factorize(self.column_values(name))
-                codes.flags.writeable = False
-                self._categories[name] = vocab, codes
-        return self._categories[name]
+        """``factorize`` of a column's cells: the vocabulary (missing first,
+        then the sorted texts) and the read-only codes, computed once."""
+        return self._columns[name].categories()
 
     def subset(self, row_indices: Iterable[int]) -> "RawTable":
-        rows = list(row_indices)
-        out = RawTable(self.schema, [[col[i] for i in rows] for col in self.columns])
-        out._parts = dict.fromkeys(self.column_names, [(self, np.asarray(rows, dtype=np.intp))])
-        return out
-
-    def with_columns(self, columns: dict[str, Sequence[Optional[str]]],
-                     parsed: dict[tuple[str, str], np.ndarray]) -> "RawTable":
-        """This table with some columns' cells replaced; ``parsed`` gives
-        (column, kind) values equal to ``parse_column`` of its cells. Other
-        parses of a column left out, or given its own cells, are this table's."""
-        new = [columns.get(n, c) for n, c in zip(self.column_names, self.columns)]
-        out = RawTable(self.schema, new)
-        out._parts = {n: [(self, slice(None))] for n, a, b in zip(self.column_names, new, self.columns) if a is b}
-        for key, vals in parsed.items():
-            vals.flags.writeable = False
-            out._parsed[key] = vals
-        return out
+        rows = np.asarray(list(row_indices), dtype=np.intp)
+        return RawTable(self.schema, [Column(c.texts, c.codes[rows], c.parsed) for c in self._columns.values()])
 
     def retyped(self, schema: TableSchema) -> "RawTable":
         """The columns ``schema`` names, picked by name and typed by it; the
         result shares this table's columns, parses and categories."""
-        out = RawTable(schema, [self.column_values(name) for name in schema.names])
-        out._parsed, out._parts, out._categories = self._parsed, self._parts, self._categories
-        return out
+        return RawTable(schema, [self._columns[name] for name in schema.names])
 
 
 def concat(tables: Sequence[RawTable]) -> RawTable:
-    """The tables' rows one after another, under the first table's schema."""
-    names = tables[0].column_names
-    out = RawTable(tables[0].schema, [
-        list(itertools.chain.from_iterable(t.column_values(n) for t in tables)) for n in names
-    ])
-    out._parts = dict.fromkeys(names, [(t, slice(None)) for t in tables])
-    return out
+    """The tables' rows one after another, under the first table's schema:
+    each column's entries are its pieces' entries one after another, and a
+    kind that one piece has parsed is parsed for all."""
+    columns = []
+    for pieces in zip(*(map(t.column, tables[0].column_names) for t in tables)):
+        offsets = np.cumsum([0] + [len(p.texts) for p in pieces])
+        columns.append(Column(np.concatenate([p.texts for p in pieces]),
+                              np.concatenate([p.codes + offset for p, offset in zip(pieces, offsets)]),
+                              {kind: np.concatenate([p.parse(kind) for p in pieces])
+                               for kind in set().union(*(p.parsed for p in pieces))}))
+    return RawTable(tables[0].schema, columns)
+
+
+READ_ROWS = 16384  # csv rows read_csv holds at a time
 
 
 def read_csv(path: str) -> RawTable:
     """Read a comma-separated file (header row mandatory, RFC-4180 quoting).
 
-    Empty cells come back as ``None``. Ragged rows fail with the offending
-    physical line number. Every column is read as categorical.
+    Empty cells come back as missing. Ragged rows fail with the offending
+    physical line number. Every column is read as categorical, READ_ROWS
+    rows at a time, through one dict per column from text to code.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -209,35 +235,45 @@ def read_csv(path: str) -> RawTable:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
-        rows: list[list[Optional[str]]] = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ParseError(
-                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append([c if c != "" else None for c in row])
+        seen: list[dict[str, int]] = [{} for _ in header]
+        codes: list[list[np.ndarray]] = [[np.zeros(0, dtype=np.int32)] for _ in header]
+        while rows := list(itertools.islice(reader, READ_ROWS)):
+            if set(map(len, rows)) != {len(header)}:
+                raise _ragged_row(path, len(header))
+            for cells, index, parts in zip(zip(*rows), seen, codes):
+                index.update(zip(set(cells) - index.keys(), itertools.count(len(index))))
+                parts.append(np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells)))
     schema = TableSchema(tuple(ColumnSpec(n, "categorical") for n in header))
-    return RawTable(schema, [list(c) for c in zip(*rows)] if rows else [[] for _ in header])
+    return RawTable(schema, [  # the empty text is a missing cell
+        Column(np.array([t or None for t in index], dtype=object), np.concatenate(parts))
+        for index, parts in zip(seen, codes)])
+
+
+def _ragged_row(path: str, width: int) -> ParseError:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        row = next(row for row in reader if len(row) != width)
+    return ParseError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
 
 
 def write_csv(table: Union[RawTable, Iterable[RawTable]], path: str) -> None:
     """Write a table, or blocks of rows under the first block's header, each
-    block as soon as it is produced. ``None`` cells are written empty."""
+    block as soon as it is produced. Missing cells are written empty."""
     blocks = iter([table] if isinstance(table, RawTable) else table)
     first = next(blocks)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(first.column_names)
         for block in itertools.chain([first], blocks):
-            writer.writerows(zip(*block.columns))
+            writer.writerows(zip(*map(block.column_values, block.column_names)))
 
 
 def factorize(cells: Sequence[Optional[str]]) -> tuple[np.ndarray, np.ndarray]:
     """(vocab, codes): the distinct cells, ``None`` first when one is missing, then the
     sorted texts, as an object array; and the int32 codes with ``vocab[codes]`` the cells."""
     distinct = dict.fromkeys(cells)
-    vocab = [None] * (None in distinct) + sorted(c for c in distinct if c is not None)
-    index = {v: i for i, v in enumerate(vocab)}
+    vocab = [None] * (distinct.pop(None, 0) is None) + sorted(distinct)  # a key's value is None
+    index = dict(zip(vocab, itertools.count()))
     codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
     return np.array(vocab, dtype=object), codes
 
@@ -290,8 +326,8 @@ def _parses(table: RawTable, name: str, kind: str, present: int) -> bool:
     """At least one cell is present and PARSE_THRESHOLD of the present ones
     parse. A prefix is parsed first; when its failures alone rule the
     threshold out, the rest of the column is not parsed."""
-    cells = table.column_values(name)
-    head = cells[: PARSE_PREFIX + len(cells) // 50]
+    column = table.column(name)
+    head = column.texts[column.codes[: PARSE_PREFIX + len(column.codes) // 50]].tolist()
     failed = sum(c is not None for c in head) - np.count_nonzero(~np.isnan(parse_column(head, kind)))
     return (present > 0 and (present - failed) / present >= PARSE_THRESHOLD
             and np.count_nonzero(~np.isnan(table.values(name, kind))) / present >= PARSE_THRESHOLD)
@@ -314,10 +350,10 @@ def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = N
         if spec.kind == "latlong":
             for src in spec.sources:
                 if src not in names:
-                    raise ValueError(f"override {key!r}: unknown source column {src!r}")
+                    raise OverrideError(f"override {key!r}: unknown source column {src!r}")
                 consumed[src] = key
         elif key not in names:
-            raise ValueError(f"override references unknown column {key!r}")
+            raise OverrideError(f"override references unknown column {key!r}")
 
     columns: dict[str, ColumnSpec] = {}  # by output name, placed at its first source
     for name in names:
@@ -327,7 +363,9 @@ def infer_schema(table: RawTable, overrides: Optional[dict[str, ColumnSpec]] = N
         if key in overrides:
             columns[key] = overrides[key]
             continue
-        present = sum(v is not None for v in table.column_values(name))
+        column = table.column(name)
+        is_text = np.array([t is not None for t in column.texts.tolist()], dtype=bool)
+        present = np.count_nonzero(is_text[column.codes])
         if _parses(table, name, "numeric", present):
             columns[key] = ColumnSpec(name, "numeric")
         elif _parses(table, name, "datetime", present):

@@ -27,7 +27,7 @@ def make_table(columns: dict[str, list], kinds: dict[str, str] | None = None) ->
 
 def table_rows(table: RawTable) -> list[list]:
     """The table's cells, row by row."""
-    return [list(row) for row in zip(*table.columns)]
+    return table.cells
 
 
 def mixed_sample_table(n_rows: int, seed: int) -> RawTable:

@@ -227,7 +227,7 @@ def test_criterion_6_privacy_mechanisms():
             + [f"rare_{i}" for i in range(30) for _ in (range(1) if i % 2 else range(2))]
         )
         rng.shuffle(values)
-        out = protect_rare_categories(make_table({"c": values}), "c", ValueProtectionConfig(rare_min_count=8))
+        out = protect_rare_categories(make_table({"c": values}), "c", ValueProtectionConfig(rare_min_count=8)).cells
         counts: dict = {}
         for v in out:
             counts[v] = counts.get(v, 0) + 1
@@ -237,9 +237,9 @@ def test_criterion_6_privacy_mechanisms():
         assert RARE_TOKEN in counts
 
         # (b) extreme-value protection k=5 on 1..100
-        clipped, _ = protect_extreme_values(
+        clipped = protect_extreme_values(
             make_table({"x": [str(i) for i in range(1, 101)]}), "x", ValueProtectionConfig(extreme_k=5)
-        )
+        ).cells
         nums = [float(v) for v in clipped]
         assert max(nums) == 96.0 and min(nums) == 5.0
 

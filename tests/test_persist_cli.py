@@ -264,6 +264,23 @@ def test_quadtile_leaves_that_do_not_tile_the_globe_are_refused_on_load(every_en
         load_model(str(path))
 
 
+@pytest.mark.parametrize("encoding,key,value", [
+    ("digit_split", "decimals", 40),  # loaded and wrote 0.0000000000000000000000000000000000000394
+    ("digit_split", "decimals", -2),  # loaded, then failed in decode
+    ("datetime_parts", "has_time", "no"),  # loaded and wrote times
+])
+def test_an_encoder_value_that_fit_never_writes_is_refused_on_load(every_encoding_model_file, tmp_path,
+                                                                    encoding, key, value):
+    blob = every_encoding_model_file
+    header = read_header(blob)
+    (entry,) = [e for e in header["encoders"]["encoders"] if e["type"] == encoding]
+    entry[key] = value
+    path = tmp_path / "m.argn"
+    write_header(path, blob, header)
+    with pytest.raises(ModelFileError, match=key):
+        load_model(str(path))
+
+
 def test_a_key_beside_the_encoder_list_is_refused(trained, tmp_path):
     model, _ = trained
     path = tmp_path / "m.argn"
@@ -638,6 +655,21 @@ def test_cli_rejects_a_bad_override_before_reading_the_data(tmp_path, capsys, ov
     assert cli(["train", "--data", missing, "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid overrides['loc'] config: ") and detail in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "audit"])
+@pytest.mark.parametrize("override,detail", [  # each used to exit 2
+    ({"nope": {"kind": "numeric"}}, "override references unknown column 'nope'"),
+    ({"loc": {"kind": "latlong", "sources": ["num_a", "nope"]}}, "override 'loc': unknown source column 'nope'"),
+])
+def test_cli_an_override_the_data_lacks_is_a_config_error(data_csv, tmp_path, capsys, verb, override, detail):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"overrides": override}))
+    out = tmp_path / "out"
+    flag = "--out" if verb == "train" else "--report"
+    assert cli([verb, "--data", data_csv, "--config", str(config), flag, str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {detail}\n"
     assert not out.exists()
 
 

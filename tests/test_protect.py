@@ -20,13 +20,12 @@ def cfg(**kw):
 
 def clip(values, kind="numeric", **kw):
     """The cells protect_extreme_values leaves of a one-column table."""
-    cells, _ = protect_extreme_values(make_table({"x": values}), "x", cfg(**kw), kind=kind)
-    return cells
+    return protect_extreme_values(make_table({"x": values}), "x", cfg(**kw), kind=kind).cells
 
 
 def rare(values, config, rng=None):
     """The cells protect_rare_categories leaves of a one-column table."""
-    return protect_rare_categories(make_table({"c": values}), "c", config, rng)
+    return protect_rare_categories(make_table({"c": values}), "c", config, rng).cells
 
 
 def test_rare_token_replacement():

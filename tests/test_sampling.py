@@ -5,10 +5,10 @@ import pytest
 from scipy import stats
 
 from argn import sampling
-from argn.encoders import EncodedTable, EncodingOptions, encode_table, fit_encoders
+from argn.encoders import EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, train
 from argn.nn import softmax
-from argn.sampling import GenerationRequest, _row_rng, generate, impute, synthesize
+from argn.sampling import GenerationRequest, _row_rng, generate, synthesize
 from argn.tables import TableSchema
 from conftest import make_table, table_rows
 
@@ -191,47 +191,12 @@ def test_fixed_order_model_rejects_other_orders():
     generate(model, GenerationRequest(n_rows=5, order=[0, 1]))
 
 
-# -- impute -------------------------------------------------------------------
-
-
-def test_impute_nothing_missing_is_identity(lookup_model):
-    model, _, encoded = lookup_model
-    partial = EncodedTable(model.sub_columns, encoded.data[:20])
-    observed = np.ones((20, 2), dtype=bool)
-    out = impute(model, partial, observed, seed=0)
-    np.testing.assert_array_equal(out.data, encoded.data[:20])
-
-
-def test_impute_everything_missing_equals_generate(lookup_model):
-    model, _, _ = lookup_model
-    n = 50
-    partial = EncodedTable(model.sub_columns, np.zeros((n, 2), dtype=np.int32))
-    observed = np.zeros((n, 2), dtype=bool)
-    out = impute(model, partial, observed, seed=21)
-    direct = generate(model, GenerationRequest(n_rows=n, seed=21))
-    np.testing.assert_array_equal(out.data, direct.data)
-
-
-def test_impute_deterministic_pair(lookup_model):
+def test_near_zero_temperature_conditioned_on_the_first_sub_column_recovers_lookup(lookup_model):
     model, mapping, _ = lookup_model
-    n = 200
-    rng = np.random.default_rng(0)
-    x1 = rng.integers(10, size=n).astype(np.int32)
-    data = np.stack([x1, np.zeros(n, dtype=np.int32)], axis=1)
-    observed = np.stack([np.ones(n, bool), np.zeros(n, bool)], axis=1)
-    out = impute(model, EncodedTable(model.sub_columns, data), observed,
-                 temperature=1e-6, seed=1)
-    np.testing.assert_array_equal(out.data[:, 0], x1)  # observed cells kept
-    np.testing.assert_array_equal(out.data[:, 1], mapping[x1])
-
-
-def test_impute_requires_any_order():
-    encoded, _ = lookup_table_data(n_rows=100)
-    model = ArgnModel(subcols([10, 10]), order_mode="fixed")
-    train(model, encoded, TrainConfig(batch_size=32, max_epochs=2, order_mode="fixed", seed=0))
-    observed = np.zeros((10, 2), dtype=bool)
-    with pytest.raises(ValueError, match="any-order"):
-        impute(model, EncodedTable(model.sub_columns, np.zeros((10, 2), np.int32)), observed)
+    for c in range(10):
+        out = generate(model, GenerationRequest(n_rows=20, conditions={0: c}, temperature=1e-6, seed=1))
+        np.testing.assert_array_equal(out.data[:, 0], c)  # the condition is kept
+        np.testing.assert_array_equal(out.data[:, 1], mapping[c])
 
 
 # -- synthesize ----------------------------------------------------------------

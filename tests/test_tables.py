@@ -1,6 +1,10 @@
+import csv
+import gc
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from argn.tables import (
     read_csv,
     write_csv,
 )
-from conftest import table_rows
+from conftest import acceptance_table, table_rows
 
 
 def write_lines(tmp_path, lines, name="data.csv"):
@@ -58,6 +62,65 @@ def test_read_csv_quoted_fields(tmp_path):
     path = write_lines(tmp_path, ['a,b', '"hello, world","line"'])
     table = read_csv(path)
     assert table_rows(table)[0] == ["hello, world", "line"]
+
+
+CSV_CELL = st.one_of(st.sampled_from(["", " ", ",", '"', '""', "a,b", 'say "hi"', "line\nbreak", "cr\r\nlf",
+                                      "\r", "1.5", "é"]),
+                     st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=6))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.lists(st.lists(CSV_CELL, min_size=w, max_size=w), max_size=12)
+                                 .map(lambda rows: (w, rows))))
+def test_read_csv_reads_the_columns_that_csv_reader_reads(drawn):
+    """Quoted fields, embedded commas and newlines, and empty cells, which
+    read as missing."""
+    width, rows = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([[f"c{j}" for j in range(width)], *rows])
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *expected = list(csv.reader(fh))
+        table = read_csv(path)
+    assert table.column_names == header and table.row_count == len(expected)
+    for j, name in enumerate(header):
+        assert table.column_values(name) == [row[j] or None for row in expected]
+
+
+def test_read_csv_in_three_row_chunks_gives_the_codes_and_vocabularies_of_one_chunk(tmp_path, monkeypatch):
+    cells = [[None if (i * 7 + j) % 5 == 0 else f"v{(i * j) % 11}" for j in range(4)] for i in range(40)]
+    path = str(tmp_path / "data.csv")
+    write_csv(RawTable(TableSchema(tuple(ColumnSpec(f"c{j}", "categorical") for j in range(4))),
+                       [list(c) for c in zip(*cells)]), path)
+    whole = read_csv(path)
+    monkeypatch.setattr(argn.tables, "READ_ROWS", 3)
+    chunked = read_csv(path)
+    assert table_rows(chunked) == table_rows(whole) == cells
+    for name in whole.column_names:
+        (vocab, codes), (want_vocab, want_codes) = chunked.categories(name), whole.categories(name)
+        assert vocab.tolist() == want_vocab.tolist()
+        np.testing.assert_array_equal(codes, want_codes)
+
+
+def test_a_read_table_keeps_under_25_bytes_per_cell(tmp_path):
+    """Codes and one copy of each distinct text; cell lists kept 62."""
+    table = acceptance_table(100_000, seed=3)
+    path = str(tmp_path / "data.csv")
+    write_csv(table, path)
+    n_cells = table.row_count * len(table.column_names)
+    del table
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = read_csv(path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.row_count == 100_000
+    assert kept / n_cells < 25, kept / n_cells
 
 
 def test_round_trip(tmp_path, rng):
@@ -350,7 +413,7 @@ def test_categories_of_derived_tables_equal_factorizing_their_cells(drawn):
     sub = table.subset(rows)
     retyped = table.retyped(TableSchema(schema.columns[::-1]))
     derived = [table, sub, argn.tables.concat([table, sub, table]), retyped,
-               table.with_columns({"b": new_b}, {}), table.with_columns({"b": table.column_values("b")}, {})]
+               RawTable(schema, [table.column("a"), new_b]), RawTable(schema, [a, argn.tables.Column(np.array(new_b[::-1], dtype=object), np.arange(len(new_b))[::-1])])]
     for t in derived:
         _assert_categories_are_factorized(t)
     assert retyped.categories("a") is table.categories("a")  # a re-typed table shares them
