@@ -157,14 +157,15 @@ def value_column(x: np.ndarray, missing: Optional[np.ndarray] = None) -> Column:
 
 class RawTable:
     """The columns of ``schema``: ``columns[j]`` is the cells of
-    ``schema.columns[j]``, or a ``Column``. Columns are not modified after
-    construction; a subset or a re-typed table shares its source's
-    vocabularies, and so their parses."""
+    ``schema.columns[j]`` (each cell an entry of its own), or a ``Column``.
+    Columns are not modified after construction; a subset or a re-typed
+    table shares its source's vocabularies, and so their parses."""
 
     def __init__(self, schema: TableSchema, columns: Sequence[Union[Column, Sequence[Optional[str]]]]):
         if len(columns) != len(schema.columns):
             raise ValueError(f"expected {len(schema.columns)} columns, got {len(columns)}")
-        columns = [c if isinstance(c, Column) else Column(*factorize(c)) for c in columns]
+        columns = [c if isinstance(c, Column) else Column(np.array(c, dtype=object), np.arange(len(c)))
+                   for c in columns]
         lengths = sorted({len(c.codes) for c in columns})
         if len(lengths) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
@@ -272,7 +273,7 @@ def factorize(cells: Sequence[Optional[str]]) -> tuple[np.ndarray, np.ndarray]:
     """(vocab, codes): the distinct cells, ``None`` first when one is missing, then the
     sorted texts, as an object array; and the int32 codes with ``vocab[codes]`` the cells."""
     distinct = dict.fromkeys(cells)
-    vocab = [None] * (distinct.pop(None, 0) is None) + sorted(distinct)  # a key's value is None
+    vocab = [None] * (distinct.pop(None, 0) is None) + sorted(distinct)  # fromkeys' values are None
     index = dict(zip(vocab, itertools.count()))
     codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells))
     return np.array(vocab, dtype=object), codes
