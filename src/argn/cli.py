@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 # configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"data", "overrides", "value_protection", "train", "dp", "generation", "encoding", "audit"}
+_TOP_KEYS = {"data", "overrides", "value_protection", "train", "dp", "encoding", "audit"}
 
 def _check_keys(block: dict, allowed, context: str) -> None:
     for key in block:
@@ -77,9 +77,6 @@ def load_run_config(path: Optional[str]) -> dict:
     train_cfg = _dataclass_from(raw.get("train", {}), TrainConfig, "train", dp=dp)
     enc = _dataclass_from(raw.get("encoding", {}), EncodingOptions, "encoding")
 
-    gen_block = dict(raw.get("generation", {}))
-    _check_keys(gen_block, {"n_rows", "temperature", "seed"}, "generation")
-
     audit_block = dict(raw.get("audit", {}))
     if "attacks" in audit_block:
         audit_block["attacks"] = tuple(audit_block["attacks"])
@@ -91,7 +88,6 @@ def load_run_config(path: Optional[str]) -> dict:
         "value_protection": vp,
         "train": train_cfg,
         "encoding": enc,
-        "generation": gen_block,
         "audit": audit_cfg,
     }
 

@@ -9,14 +9,18 @@ Every original column becomes one or more discrete sub-columns:
 
 All encoders reserve a MISSING slot so the model can generate nulls. The
 leading sub-column of a multi-part encoder carries the MISSING category;
-sibling sub-columns hold zeros for missing rows.
+sibling sub-columns hold zeros for missing rows. Every encoder states these
+facts once, in its constructor: ``sub_columns``, its ``SubColumn``s in order,
+and ``missing``, the MISSING code of the first.
 
 Encoders fit on and encode a ``RawTable``: numbers come from its ``values``,
 categories from its ``categories`` and digit text from ``column_values``.
 Decoding is deterministic given the codes and ``n_draws`` uniforms per row
-(one per within-bin numeric value, two per lat/lon point). The category
-decoder maps codes straight onto its values; number decoders give values,
-which ``decode_table`` writes as text, each distinct value once, and keeps.
+(one per within-bin numeric value, two per lat/lon point). Every encoder's
+``decode(codes, u)`` returns its raw columns as a list (one, or a latlong's
+lat and lon), each a ``Column`` or a cell list as ``RawTable`` takes: the
+category decoder maps codes straight onto its values, and number decoders
+write their values with ``tables.value_column``, which keeps them.
 
 This module is the one place that knows the encodings. Each encoder class
 owns its column: it has a column ``kind``, an ``encoding`` name, under which
@@ -76,7 +80,8 @@ class EncodedTable:
 
 class Encoder:
     """What every encoder shares: by default no source columns and no
-    uniforms to decode, and the one saved form."""
+    uniforms to decode, and the one saved form. Each constructor sets
+    ``sub_columns`` and ``missing``."""
 
     sources = None
     n_draws = 0
@@ -107,8 +112,12 @@ class CategoryEncoder(Encoder):
         self.mapping = {v: i for i, v in enumerate(values)}
         if len(self.mapping) != len(values) or None not in self.mapping:
             raise ValueError(f"column {column!r}: categories are not distinct or lack MISSING")
+        if any(v is not None and type(v) is not str for v in values):
+            raise ValueError(f"column {column!r}: categories must be texts or null")
         self.values = np.empty(len(values), dtype=object)
         self.values[:] = values
+        self.sub_columns = [SubColumn(column, len(values), column)]
+        self.missing = self.mapping[None]
 
     @classmethod
     def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "CategoryEncoder":
@@ -118,22 +127,15 @@ class CategoryEncoder(Encoder):
         ordered = sorted(counts, key=lambda v: (-counts[v], v is None, v if v is not None else ""))
         return cls(spec.name, ordered)
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.mapping)
-
-    def sub_columns(self) -> list[SubColumn]:
-        return [SubColumn(self.column, self.cardinality, self.column)]
-
     def encode(self, table: RawTable) -> np.ndarray:
         """Codes of the column; values outside the vocabulary encode as MISSING."""
         vocab, codes = table.categories(self.column)
-        lut = np.array([self.mapping.get(v, self.mapping[None]) for v in vocab.tolist()], dtype=np.int32)
+        lut = np.array([self.mapping.get(v, self.missing) for v in vocab.tolist()], dtype=np.int32)
         return lut[codes][:, None]
 
-    def decode(self, codes: np.ndarray, u: np.ndarray) -> Column:
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Column]:
         """The column whose codes index the encoder's values."""
-        return Column(self.values, codes[:, 0])
+        return [Column(self.values, codes[:, 0])]
 
 
 class PercentileEncoder(Encoder):
@@ -147,11 +149,16 @@ class PercentileEncoder(Encoder):
     n_draws = 1
 
     def __init__(self, column: str, edges: np.ndarray):
+        """Finite, strictly increasing ``edges``, or two equal ones (a
+        constant column), as ``fit`` writes them."""
         edges = np.asarray(edges, dtype=np.float64)
-        if len(edges) < 2:
-            raise ValueError("need at least two bin edges")
+        if (edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all()
+                or not ((edges[1:] > edges[:-1]).all() or (len(edges) == 2 and edges[0] == edges[1]))):
+            raise ValueError(f"column {column!r}: bin edges must be finite and strictly increasing")
         self.column = column
         self.edges = edges
+        self.sub_columns = [SubColumn(column, len(edges), column)]  # the bins, then MISSING
+        self.missing = len(edges) - 1
 
     @classmethod
     def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "PercentileEncoder":
@@ -165,32 +172,16 @@ class PercentileEncoder(Encoder):
             edges = np.array([edges[0], edges[0]])
         return cls(spec.name, edges)
 
-    @property
-    def n_value_bins(self) -> int:
-        return len(self.edges) - 1
-
-    @property
-    def missing_index(self) -> int:
-        return self.n_value_bins
-
-    @property
-    def cardinality(self) -> int:
-        return self.n_value_bins + 1
-
-    def sub_columns(self) -> list[SubColumn]:
-        return [SubColumn(self.column, self.cardinality, self.column)]
-
     def encode(self, table: RawTable) -> np.ndarray:
         x = table.values(self.column, "numeric")
-        k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.n_value_bins - 1)
-        return np.where(np.isnan(x), self.missing_index, k).astype(np.int32)[:, None]
+        k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.missing - 1)
+        return np.where(np.isnan(x), self.missing, k).astype(np.int32)[:, None]
 
-    def decode_values(self, codes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The decoded values and the mask of MISSING rows."""
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Column]:
         k = codes[:, 0]
-        lo_index = np.minimum(k, self.n_value_bins - 1)
+        lo_index = np.minimum(k, self.missing - 1)
         lo, hi = self.edges[lo_index], self.edges[lo_index + 1]
-        return lo + u[:, 0] * (hi - lo), k == self.missing_index
+        return [value_column(lo + u[:, 0] * (hi - lo), k == self.missing)]
 
 
 def _magnitudes(decs: Sequence[Decimal], decimals: int) -> list[int]:
@@ -225,6 +216,11 @@ class DigitEncoder(Encoder):
         self.has_sign = has_sign
         self.n_digits = n_digits
         self.decimals = decimals
+        # the leading sub-column adds MISSING to the sign (+, -) or to the first digit
+        self.missing = 2 if has_sign else 10
+        names = ["sign"] * has_sign + [f"d{i}" for i in range(n_digits)]
+        cards = [self.missing + 1] + [10] * (len(names) - 1)
+        self.sub_columns = [SubColumn(f"{column}#{n}", c, column) for n, c in zip(names, cards)]
 
     @classmethod
     def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "DigitEncoder":
@@ -245,37 +241,23 @@ class DigitEncoder(Encoder):
         has_sign = any(d < 0 for d in decs)
         return cls(column, has_sign, n_digits, decimals)
 
-    @property
-    def n_sub_columns(self) -> int:
-        return self.n_digits + (1 if self.has_sign else 0)
-
-    def sub_columns(self) -> list[SubColumn]:
-        # the leading sub-column adds MISSING to the sign (+, -) or to the first digit
-        names = ["sign"] * self.has_sign + [f"d{i}" for i in range(self.n_digits)]
-        cards = [self._missing_code + 1] + [10] * (len(names) - 1)
-        return [SubColumn(f"{self.column}#{n}", c, self.column) for n, c in zip(names, cards)]
-
-    @property
-    def _missing_code(self) -> int:
-        return 2 if self.has_sign else 10
-
     def encode(self, table: RawTable) -> np.ndarray:
         finite = ~np.isnan(table.values(self.column, "numeric"))
         decs = [Decimal(v.strip()) for v, ok in zip(table.column_values(self.column), finite) if ok]
         cap = 10**self.n_digits - 1
         text = "".join(str(min(m, cap)).zfill(self.n_digits) for m in _magnitudes(decs, self.decimals))
         digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        codes = np.zeros((len(finite), self.n_sub_columns), dtype=np.int32)
-        codes[:, 0] = self._missing_code
-        codes[finite, self.n_sub_columns - self.n_digits :] = digits.reshape(len(decs), self.n_digits)
+        codes = np.zeros((len(finite), len(self.sub_columns)), dtype=np.int32)
+        codes[:, 0] = self.missing
+        codes[finite, -self.n_digits :] = digits.reshape(len(decs), self.n_digits)
         if self.has_sign:
             codes[finite, 0] = [d < 0 for d in decs]
         return codes
 
-    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[list[Optional[str]]]:
         """Text from the digit codes: the whole part without leading zeros,
         then the fraction, if any is left, without trailing zeros."""
-        digits = codes[:, self.n_sub_columns - self.n_digits :]
+        digits = codes[:, -self.n_digits :]
         width = max(self.n_digits, self.decimals + 1)
         chars = np.full((len(codes), width), ord("0"), dtype=np.uint8)
         chars[:, width - self.n_digits :] += digits.astype(np.uint8)
@@ -288,13 +270,16 @@ class DigitEncoder(Encoder):
         if self.has_sign:
             negative = (codes[:, 0] == 1) & digits.any(axis=1)
             text = np.where(negative, np.char.add("-", text), text)
-        missing = (codes[:, 0] == self._missing_code).tolist()
-        return [None if m else t for m, t in zip(missing, text.tolist())]
+        missing = (codes[:, 0] == self.missing).tolist()
+        return [[None if m else t for m, t in zip(missing, text.tolist())]]
 
 
 _PART_ORDER = ("year", "month", "day", "hour", "minute", "second")
-# (first value, number of values) of each part but the year
-_PART_SPAN = {"month": (1, 12), "day": (1, 31), "hour": (0, 24), "minute": (0, 60), "second": (0, 60)}
+# (first value, number of values) of each part; the years are those that
+# datetime64 texts and parse_datetime share, and an encoder's year part spans
+# year_min..year_max
+_PART_SPAN = {"year": (1, 9999), "month": (1, 12), "day": (1, 31),
+              "hour": (0, 24), "minute": (0, 60), "second": (0, 60)}
 
 
 def _calendar_parts(seconds: np.ndarray) -> dict[str, np.ndarray]:
@@ -328,8 +313,9 @@ class DatetimeEncoder(Encoder):
                  year_min: int, year_max: int, has_time: bool):
         if sorted([*parts, *constants]) != sorted(_PART_ORDER):
             raise ValueError(f"column {column!r}: parts and constants are not the six calendar parts")
-        if type(year_min) is not int or type(year_max) is not int or year_min > year_max:
-            raise ValueError(f"column {column!r}: year_min and year_max must be integers, year_min <= year_max")
+        if type(year_min) is not int or type(year_max) is not int or not 1 <= year_min <= year_max <= 9999:
+            raise ValueError(f"column {column!r}: year_min and year_max must be integers, "
+                             "1 <= year_min <= year_max <= 9999")
         if type(has_time) is not bool:
             raise ValueError(f"column {column!r}: has_time must be true or false")
         self.column = column
@@ -338,6 +324,14 @@ class DatetimeEncoder(Encoder):
         self.year_min = year_min
         self.year_max = year_max
         self.has_time = has_time
+        for p, c in self.constants.items():
+            first, count = _PART_SPAN[p]
+            if type(c) is not int or not first <= c < first + count:
+                raise ValueError(f"column {column!r}: constant {p} {c!r} is not in [{first}, {first + count - 1}]")
+        # MISSING on the leading part
+        self.sub_columns = [SubColumn(f"{column}#{p}", self._span(p)[1] + (i == 0), column)
+                            for i, p in enumerate(self.parts)]
+        self.missing = self._span(self.parts[0])[1]
 
     @classmethod
     def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "DatetimeEncoder":
@@ -362,27 +356,18 @@ class DatetimeEncoder(Encoder):
             return self.year_min, self.year_max - self.year_min + 1
         return _PART_SPAN[part]
 
-    def sub_columns(self) -> list[SubColumn]:
-        # MISSING on the leading part
-        return [SubColumn(f"{self.column}#{p}", self._span(p)[1] + (i == 0), self.column)
-                for i, p in enumerate(self.parts)]
-
-    @property
-    def _missing_code(self) -> int:
-        return self._span(self.parts[0])[1]
-
     def encode(self, table: RawTable) -> np.ndarray:
         seconds = table.values(self.column, "datetime")
         present = ~np.isnan(seconds)
         fields = _calendar_parts(seconds[present])
         codes = np.zeros((len(seconds), len(self.parts)), dtype=np.int32)
-        codes[:, 0] = self._missing_code
+        codes[:, 0] = self.missing
         for j, p in enumerate(self.parts):
             first, count = self._span(p)
             codes[present, j] = np.clip(fields[p] - first, 0, count - 1)  # clamps the year
         return codes
 
-    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Optional[str]]:
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[list[Optional[str]]]:
         fields = {p: np.full(len(codes), c, dtype=np.int64) for p, c in self.constants.items()}
         for p, col in zip(self.parts, codes.T.astype(np.int64)):
             fields[p] = col + self._span(p)[0]
@@ -394,8 +379,8 @@ class DatetimeEncoder(Encoder):
         # datetime64 strings zero-pad the year to four digits
         text = np.datetime_as_string(day.astype("datetime64[s]") + clock,
                                      unit="s" if self.has_time else "D")
-        missing = (codes[:, 0] == self._missing_code).tolist()
-        return [None if m else t.replace("T", " ") for m, t in zip(missing, text.tolist())]
+        missing = (codes[:, 0] == self.missing).tolist()
+        return [[None if m else t.replace("T", " ") for m, t in zip(missing, text.tolist())]]
 
 
 _ROOT_BOX = (-90.0, 90.0, -180.0, 180.0)  # lat_lo, lat_hi, lon_lo, lon_hi
@@ -461,6 +446,8 @@ class QuadtileEncoder(Encoder):
             raise ValueError(f"column {column!r}: leaves {self.leaves} do not tile the globe")
         # (lat_lo, lat_hi, lon_lo, lon_hi) per leaf, plus a dummy MISSING row
         self.boxes = np.array([quadkey_box(k) for k in self.leaves] + [_ROOT_BOX])
+        self.sub_columns = [SubColumn(f"{column}#tile", len(self.leaves) + 1, column)]
+        self.missing = len(self.leaves)
 
     @classmethod
     def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "QuadtileEncoder":
@@ -479,17 +466,6 @@ class QuadtileEncoder(Encoder):
         split("", _ROOT_BOX, lat, lon)
         return cls(spec.name, spec.sources, leaves)
 
-    @property
-    def missing_index(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.leaves) + 1
-
-    def sub_columns(self) -> list[SubColumn]:
-        return [SubColumn(f"{self.column}#tile", self.cardinality, self.column)]
-
     def _leaf_codes(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
         """Leaf index of each point. The sorted leaf keys tile the globe, so
         the leaf that holds a point is the last key at or before its path."""
@@ -502,16 +478,15 @@ class QuadtileEncoder(Encoder):
 
     def encode(self, table: RawTable) -> np.ndarray:
         lat, lon, present = _points(self.column, table, self.sources)
-        codes = np.full((len(present), 1), self.missing_index, dtype=np.int32)
+        codes = np.full((len(present), 1), self.missing, dtype=np.int32)
         codes[present, 0] = self._leaf_codes(lat, lon)
         return codes
 
-    def decode_values(self, codes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The decoded lat and lon values and the mask of MISSING rows."""
-        box = self.boxes[codes[:, 0]]
-        lat = box[:, 0] + u[:, 0] * (box[:, 1] - box[:, 0])
-        lon = box[:, 2] + u[:, 1] * (box[:, 3] - box[:, 2])
-        return lat, lon, codes[:, 0] == self.missing_index
+    def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Column]:
+        """The lat and lon columns."""
+        box, missing = self.boxes[codes[:, 0]], codes[:, 0] == self.missing
+        return [value_column(box[:, 0] + u[:, 0] * (box[:, 1] - box[:, 0]), missing),
+                value_column(box[:, 2] + u[:, 1] * (box[:, 3] - box[:, 2]), missing)]
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +516,7 @@ class TableEncoders:
         self.encoders = encoders
         self.schema = TableSchema(tuple(ColumnSpec(e.column, e.kind, e.encoding, e.sources)
                                         for e in encoders))
-        subs: list[SubColumn] = []
-        for enc in encoders:
-            subs.extend(enc.sub_columns())
-        self.sub_columns = subs
+        self.sub_columns = [sc for enc in encoders for sc in enc.sub_columns]
 
     @property
     def n_draws(self) -> int:
@@ -591,19 +563,12 @@ def encode_table(raw: RawTable, encoders: TableEncoders) -> EncodedTable:
 def decode_table(encoded: EncodedTable, encoders: TableEncoders, uniforms: np.ndarray) -> RawTable:
     """``uniforms`` holds ``encoders.n_draws`` values in [0, 1) per row; each
     decoder reads its own columns of it, in encoder order. The table has the
-    raw columns of the schema (``TableSchema.raw_schema``). Decoders with
-    ``decode_values`` give values, written as ``repr`` cells, and the table
-    holds those values: their parse (NaN where missing or not finite)."""
+    raw columns of the schema (``TableSchema.raw_schema``), each encoder's
+    ``decode`` in turn."""
     columns, offset, draw = [], 0, 0
     for enc in encoders.encoders:
-        width = len(enc.sub_columns())
-        codes = encoded.data[:, offset : offset + width]
-        u = uniforms[:, draw : draw + enc.n_draws]
-        offset += width
+        codes = encoded.data[:, offset : offset + len(enc.sub_columns)]
+        columns.extend(enc.decode(codes, uniforms[:, draw : draw + enc.n_draws]))
+        offset += len(enc.sub_columns)
         draw += enc.n_draws
-        if hasattr(enc, "decode_values"):  # a latlong decodes to its (lat, lon) sources
-            *points, missing = enc.decode_values(codes, u)
-            columns.extend(value_column(x, missing) for x in points)
-        else:
-            columns.append(enc.decode(codes, u))
     return RawTable(encoders.schema.raw_schema(), columns)

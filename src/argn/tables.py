@@ -64,7 +64,8 @@ class ColumnSpec:
             raise ValueError(f"{self.kind} columns use {' or '.join(encodings)}, not {self.encoding!r}")
         if self.sources is not None:  # a JSON list names them too
             object.__setattr__(self, "sources", tuple(self.sources))
-        if self.kind == "latlong" and (self.sources is None or len(set(self.sources)) != 2):
+        if self.kind == "latlong" and (self.sources is None or len(self.sources) != 2
+                                       or self.sources[0] == self.sources[1]):
             raise ValueError("latlong columns need two sources=(lat_column, lon_column)")
 
 
@@ -228,7 +229,8 @@ def read_csv(path: str) -> RawTable:
 
     Empty cells come back as missing. Ragged rows fail with the offending
     physical line number. Every column is read as categorical, READ_ROWS
-    rows at a time, through one dict per column from text to code.
+    rows at a time, through one dict per column from text to code: a
+    column's entries are its distinct texts in order of first appearance.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -241,9 +243,9 @@ def read_csv(path: str) -> RawTable:
         while rows := list(itertools.islice(reader, READ_ROWS)):
             if set(map(len, rows)) != {len(header)}:
                 raise _ragged_row(path, len(header))
-            for cells, index, parts in zip(zip(*rows), seen, codes):
-                index.update(zip(set(cells) - index.keys(), itertools.count(len(index))))
-                parts.append(np.fromiter(map(index.__getitem__, cells), dtype=np.int32, count=len(cells)))
+            for cells, index, parts in zip(zip(*rows), seen, codes):  # a new text takes the next code
+                parts.append(np.fromiter((index.setdefault(c, len(index)) for c in cells),
+                                         dtype=np.int32, count=len(cells)))
     schema = TableSchema(tuple(ColumnSpec(n, "categorical") for n in header))
     return RawTable(schema, [  # the empty text is a missing cell
         Column(np.array([t or None for t in index], dtype=object), np.concatenate(parts))

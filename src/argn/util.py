@@ -42,19 +42,16 @@ def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int,
 
 
 def midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the average rank of the tied block."""
+    """1-based ranks with ties assigned the average rank of the tied block
+    (a NaN ties with nothing)."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="mergesort")
+    s = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))[: len(s)]  # none when empty
+    ends = np.append(starts[1:], len(s))
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # average of ranks i+1 .. j+1; sums of multiples of 0.5 stay exact
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
+    # the block of sorted positions i .. e-1 has the average rank (i + e + 1) / 2, exact in float64
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argn.audit import (
     AttackContext,
@@ -14,6 +16,7 @@ from argn.audit import (
 )
 from argn.tables import RawTable
 from argn.util import mann_whitney_auc as auc
+from argn.util import midranks
 from conftest import make_table, mixed_sample_table, table_rows
 
 
@@ -45,6 +48,30 @@ def test_auc_matches_pairwise_counting(rng):
                 wins += 0.5
     expected = wins / (len(pos) * len(neg))
     assert auc(scores, labels) == expected  # exact, including ties
+
+
+def midranks_loop(values):
+    """The per-block loop that ``midranks`` replaced, kept as its oracle."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]), st.floats()),
+                max_size=40))
+def test_midranks_equal_the_per_block_loop(values):
+    """Ties (including -0.0 with 0.0 and inf with inf) share their block's
+    mean rank; a NaN ties with nothing; an empty input has no ranks."""
+    assert midranks(values).tolist() == midranks_loop(values).tolist()
 
 
 def test_auc_negation_flips(rng):

@@ -81,12 +81,12 @@ def leaf_of(enc: QuadtileEncoder, lat: float, lon: float) -> str:
 def test_categorical_frequency_order():
     enc = fit_categorical(["a", "a", "b"])
     assert enc.mapping == {"a": 0, "b": 1, None: 2}
-    assert enc.cardinality == 3
+    assert enc.sub_columns[0].cardinality == 3
 
 
 def test_categorical_all_missing():
     enc = fit_categorical([None, None])
-    assert enc.cardinality == 1
+    assert enc.sub_columns[0].cardinality == 1
     assert enc.mapping == {None: 0}
 
 
@@ -99,14 +99,14 @@ def test_categorical_tie_lexicographic():
 def test_categorical_round_trip(rng):
     enc = fit_categorical(["red", "green", "blue", None, "red"])
     codes = enc.encode(column(["blue", None, "red"]))
-    assert enc.decode(codes, rng.random((3, enc.n_draws))).cells == ["blue", None, "red"]
+    assert enc.decode(codes, rng.random((3, enc.n_draws)))[0].cells == ["blue", None, "red"]
 
 
 def test_categorical_dict_keeps_a_real_nul_apart_from_missing():
     enc = fit_categorical(["\0", "a", None, "a"])
     (loaded,) = TableEncoders.from_dict(json.loads(json.dumps(TableEncoders([enc]).to_dict()))).encoders
     assert loaded.mapping == enc.mapping == {"a": 0, "\0": 1, None: 2}
-    assert loaded.cardinality == 3
+    assert loaded.sub_columns[0].cardinality == 3
 
 
 # -- percentile --------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_percentile_bin_of_500_matches_quantile_oracle():
 
 def test_percentile_constant_column():
     enc = fit_percentile(["5", "5", "5"])
-    assert enc.cardinality == 2  # one value bin + MISSING
+    assert enc.sub_columns[0].cardinality == 2  # one value bin + MISSING
     assert enc.encode(column(["5"]))[0].tolist() == [0]
     assert enc.encode(column([None]))[0].tolist() == [1]
 
@@ -142,9 +142,9 @@ def test_percentile_constant_column():
 def test_percentile_boundaries_and_clamping():
     enc = fit_percentile([str(i) for i in range(1, 1001)], n_bins=100)
     assert enc.encode(column(["1"]))[0].tolist() == [0]
-    assert enc.encode(column(["1000"]))[0].tolist() == [enc.n_value_bins - 1]
+    assert enc.encode(column(["1000"]))[0].tolist() == [enc.missing - 1]
     assert enc.encode(column(["-99"]))[0].tolist() == [0]
-    assert enc.encode(column(["5000"]))[0].tolist() == [enc.n_value_bins - 1]
+    assert enc.encode(column(["5000"]))[0].tolist() == [enc.missing - 1]
 
 
 def test_percentile_rejects_bad_bins():
@@ -161,17 +161,17 @@ def test_percentile_edges_strictly_increasing(rng):
 def test_percentile_bin_stability(rng):
     vals = [str(v) for v in rng.normal(size=300)]
     enc = fit_percentile(vals, n_bins=25)
-    for k in range(enc.n_value_bins):
+    for k in range(enc.missing):
         codes = np.full((50, 1), k, dtype=np.int32)
-        x, _ = enc.decode_values(codes, rng.random((50, enc.n_draws)))
-        again = enc.encode(column(map(repr, x.tolist())))
+        (x,) = enc.decode(codes, rng.random((50, enc.n_draws)))
+        again = enc.encode(column(x.cells))
         assert np.all(again[:, 0] == k)
 
 
 def test_percentile_decode_within_bin(rng):
     enc = fit_percentile([str(i) for i in range(100)], n_bins=10)
-    decoded, _ = enc.decode_values(np.array([[3]], dtype=np.int32), rng.random((1, enc.n_draws)))
-    x = float(decoded[0])
+    (decoded,) = enc.decode(np.array([[3]], dtype=np.int32), rng.random((1, enc.n_draws)))
+    x = float(decoded.cells[0])
     assert enc.edges[3] <= x < enc.edges[4]
 
 
@@ -198,19 +198,19 @@ def test_digit_layout_with_sign_and_decimals():
 def test_digit_round_trip_exact(rng):
     enc = fit_digit_split(["123"])
     codes = enc.encode(column(["123"]))
-    assert enc.decode(codes, rng.random((1, enc.n_draws))) == ["123"]
+    assert enc.decode(codes, rng.random((1, enc.n_draws))) == [["123"]]
 
 
 def test_digit_round_trip_mixed(rng):
     values = ["-1.5", "2.25", "0", "10.01", None]
     enc = fit_digit_split(values)
-    decoded = enc.decode(enc.encode(column(values)), rng.random((len(values), enc.n_draws)))
+    (decoded,) = enc.decode(enc.encode(column(values)), rng.random((len(values), enc.n_draws)))
     assert decoded == ["-1.5", "2.25", "0", "10.01", None]
 
 
 def test_digit_missing_slot_on_leading():
     enc = fit_digit_split(["42", "7"])
-    subs = enc.sub_columns()
+    subs = enc.sub_columns
     assert subs[0].cardinality == 11
     assert subs[1].cardinality == 10
     assert enc.encode(column([None]))[0].tolist()[0] == 10
@@ -220,8 +220,8 @@ def test_digit_round_trip_keeps_trailing_zeros_of_whole_numbers(rng):
     values = ["10", "2.25", "100", "-20", "0.5"]
     enc = fit_digit_split(values)
     u = rng.random((len(values), enc.n_draws))
-    assert enc.decode(enc.encode(column(values)), u) == values
-    assert enc.decode(enc.encode(column(["30.0"])), u[:1]) == ["30"]
+    assert enc.decode(enc.encode(column(values)), u) == [values]
+    assert enc.decode(enc.encode(column(["30.0"])), u[:1]) == [["30"]]
 
 
 def test_digit_rejects_non_finite():
@@ -247,7 +247,7 @@ def test_datetime_calendar_clamp(rng):
     codes = np.zeros((1, len(enc.parts)), dtype=np.int32)
     codes[0, month_idx] = 2 - 1
     codes[0, day_idx] = 30 - 1
-    decoded = enc.decode(codes, rng.random((1, enc.n_draws)))
+    (decoded,) = enc.decode(codes, rng.random((1, enc.n_draws)))
     assert calendar.monthrange(2021, 2)[1] == 28  # the oracle
     assert decoded == ["2021-02-28"]
 
@@ -260,14 +260,14 @@ def test_datetime_pure_dates_have_no_time_parts():
 def test_datetime_with_time_round_trips(rng):
     values = ["2021-01-01 10:30:00", "2021-01-02 11:45:10", None]
     enc = fit_datetime(values)
-    decoded = enc.decode(enc.encode(column(values)), rng.random((len(values), enc.n_draws)))
+    (decoded,) = enc.decode(enc.encode(column(values)), rng.random((len(values), enc.n_draws)))
     assert decoded == values
 
 
 def test_datetime_years_below_1000_are_zero_padded(rng):
     values = ["0999-01-02", "1001-03-04"]
     enc = fit_datetime(values)
-    decoded = enc.decode(enc.encode(column(values)), rng.random((2, enc.n_draws)))
+    (decoded,) = enc.decode(enc.encode(column(values)), rng.random((2, enc.n_draws)))
     assert decoded == values
     assert parse_datetime(decoded[0]) == datetime(999, 1, 2)
 
@@ -312,7 +312,7 @@ def test_quadtile_dense_point_hits_max_depth():
 def test_quadtile_no_split_single_root():
     enc = fit_quadtile(["1", "2"], ["3", "4"], min_tile_count=10**9)
     assert enc.leaves == [""]
-    assert enc.cardinality == 2  # root + MISSING
+    assert enc.sub_columns[0].cardinality == 2  # root + MISSING
 
 
 def test_quadtile_out_of_range_errors():
@@ -348,8 +348,8 @@ def test_quadtile_leaves_that_do_not_tile_the_globe_are_refused(leaves):
 def test_quadtile_decode_inside_box(rng):
     enc = fit_quadtile(["45", "-45"], ["90", "-90"], min_tile_count=2, max_depth=3)
     codes = enc.encode(lat_lon(["45"], ["90"]))
-    lats, lons, _ = enc.decode_values(codes, rng.random((1, enc.n_draws)))
-    assert leaf_of(enc, float(lats[0]), float(lons[0])) == leaf_of(enc, 45.0, 90.0)
+    lats, lons = enc.decode(codes, rng.random((1, enc.n_draws)))
+    assert leaf_of(enc, float(lats.cells[0]), float(lons.cells[0])) == leaf_of(enc, 45.0, 90.0)
 
 
 # -- whole-table encode/decode ----------------------------------------------
@@ -367,7 +367,7 @@ def test_encode_decode_table_round_trip(rng):
     encoders = fit_encoders(table, table.schema, EncodingOptions(n_bins=4))
     encoded = encode_table(table, encoders)
     assert encoded.row_count == 4
-    assert sum(len(e.sub_columns()) for e in encoders.encoders) == len(encoded.sub_columns)
+    assert sum(len(e.sub_columns) for e in encoders.encoders) == len(encoded.sub_columns)
     decoded = decode_table(encoded, encoders, rng.random((encoded.row_count, encoders.n_draws)))
     assert decoded.column_values("color") == ["red", "blue", None, "red"]
     assert decoded.column_values("when") == ["2021-01-01", "2021-02-03", None, "2021-03-04"]
@@ -432,14 +432,14 @@ def category_encode_oracle(enc, value):
 def percentile_encode_oracle(enc, value):
     x = parse_number(value)
     if x is None:
-        return [enc.missing_index]
+        return [enc.missing]
     j = int(np.searchsorted(enc.edges, x, side="right")) - 1
-    return [min(max(j, 0), enc.n_value_bins - 1)]
+    return [min(max(j, 0), enc.missing - 1)]
 
 
 def digit_encode_oracle(enc, value):
     if parse_number(value) is None:
-        return [enc._missing_code] + [0] * (enc.n_sub_columns - 1)
+        return [enc.missing] + [0] * (len(enc.sub_columns) - 1)
     d = Decimal(value.strip())
     scale = Decimal(10) ** enc.decimals
     scaled = int((d.copy_abs() * scale).to_integral_value(ROUND_HALF_UP))
@@ -451,7 +451,7 @@ def digit_encode_oracle(enc, value):
 def datetime_encode_oracle(enc, value):
     d = parse_datetime(value)
     if d is None:
-        return [enc._missing_code] + [0] * (len(enc.parts) - 1)
+        return [enc.missing] + [0] * (len(enc.parts) - 1)
     base = {"month": 1, "day": 1, "hour": 0, "minute": 0, "second": 0}
     return [min(max(d.year, enc.year_min), enc.year_max) - enc.year_min if p == "year"
             else getattr(d, p) - base[p] for p in enc.parts]
@@ -460,7 +460,7 @@ def datetime_encode_oracle(enc, value):
 def quadtile_encode_oracle(enc, lat_cell, lon_cell):
     lat, lon = parse_number(lat_cell), parse_number(lon_cell)
     if lat is None or lon is None:
-        return [enc.missing_index]
+        return [enc.missing]
     key, (lat_lo, lat_hi, lon_lo, lon_hi) = "", (-90.0, 90.0, -180.0, 180.0)
     while key not in enc.leaves:
         mid_lat, mid_lon = (lat_lo + lat_hi) / 2.0, (lon_lo + lon_hi) / 2.0
@@ -522,7 +522,7 @@ def test_percentile_encode_matches_oracle(fit_cells, cells, n_bins):
 @given(st.lists(_number, min_size=1, max_size=40), st.lists(st.one_of(_number, _garbage), max_size=40))
 def test_digit_encode_matches_oracle(fit_cells, cells):
     enc = fit_digit_split(fit_cells)
-    codes = enc.encode(column(cells)).reshape(len(cells), enc.n_sub_columns)
+    codes = enc.encode(column(cells)).reshape(len(cells), len(enc.sub_columns))
     assert codes.tolist() == [digit_encode_oracle(enc, v) for v in cells]
 
 
@@ -628,6 +628,37 @@ def test_an_encoder_is_rebuilt_from_its_json_entry(mixed_fit, encoding):
 def test_a_saved_encoder_holds_its_type_then_its_constructor_arguments_in_order(mixed_encoders, encoding):
     (enc,) = [e for e in mixed_encoders.encoders if e.encoding == encoding]
     assert list(enc.to_dict()) == ["type", *inspect.signature(ENCODERS[encoding]).parameters]
+
+
+_CONSTANTS = {"year": 2021, "minute": 0, "second": 0}  # mixed_fit's datetime constants
+
+
+@pytest.mark.parametrize("encoding,change,message", [
+    ("percentile_bins", {"edges": [2.0, 1.0]}, "strictly increasing"),  # loaded, and its rows did not re-encode
+    ("percentile_bins", {"edges": [0.0, 1.0, 1.0, 2.0]}, "strictly increasing"),  # bin 1 decoded to bin 2
+    ("percentile_bins", {"edges": [1.0, 1.0, 1.0]}, "strictly increasing"),
+    ("percentile_bins", {"edges": [0.0, math.inf]}, "finite"),
+    ("percentile_bins", {"edges": [0.0, math.nan, 1.0]}, "finite"),
+    ("percentile_bins", {"edges": [[0.0, 1.0]]}, "strictly increasing"),
+    ("category_map", {"values": ["c0", 5, None]}, "texts or null"),  # loaded, then synthesize failed
+    ("datetime_parts", {"constants": {**_CONSTANTS, "second": 75}}, "constant second 75"),  # moved each minute
+    ("datetime_parts", {"constants": {**_CONSTANTS, "minute": -1}}, "constant minute -1"),
+    ("datetime_parts", {"constants": {**_CONSTANTS, "second": "0"}}, "constant second '0'"),
+    ("datetime_parts", {"constants": {**_CONSTANTS, "year": 10000}}, "constant year 10000"),  # wrote 10000-...
+    ("datetime_parts", {"year_max": 10000}, "year_max <= 9999"),
+    ("datetime_parts", {"year_min": 0}, "1 <= year_min"),
+])
+def test_an_encoder_refuses_arguments_that_its_fit_never_writes(mixed_encoders, encoding, change, message):
+    (enc,) = [e for e in mixed_encoders.encoders if e.encoding == encoding]
+    args = {**enc.to_dict(), **change}
+    del args["type"]
+    assert args.get("constants", _CONSTANTS).keys() == _CONSTANTS.keys()
+    with pytest.raises(ValueError, match=message):
+        ENCODERS[encoding](**args)
+
+
+def test_a_constant_column_keeps_its_two_equal_edges():
+    assert PercentileEncoder("x", [5.0, 5.0]).sub_columns[0].cardinality == 2
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -103,6 +103,15 @@ def test_read_csv_in_three_row_chunks_gives_the_codes_and_vocabularies_of_one_ch
         np.testing.assert_array_equal(codes, want_codes)
 
 
+def test_read_csv_keeps_a_columns_distinct_texts_in_order_of_first_appearance(tmp_path, monkeypatch):
+    path = write_lines(tmp_path, ["p,q", "b,x", ",y", "a,x", "b,z", "c,", ",y", "a,w", "e,x"])
+    for read_rows in (argn.tables.READ_ROWS, 3):
+        monkeypatch.setattr(argn.tables, "READ_ROWS", read_rows)
+        table = read_csv(path)
+        assert table.column("p").texts.tolist() == ["b", None, "a", "c", "e"]
+        assert table.column("q").texts.tolist() == ["x", "y", "z", None, "w"]
+
+
 def test_a_read_table_keeps_under_25_bytes_per_cell(tmp_path):
     """Codes and one copy of each distinct text; cell lists kept 62."""
     table = acceptance_table(100_000, seed=3)
@@ -198,6 +207,14 @@ def test_a_column_spec_accepts_exactly_the_kind_and_encoding_pairs_of_the_regist
     else:
         with pytest.raises(ValueError, match=f"{kind} columns use .*, not '{encoding}'"):
             ColumnSpec("c", kind, encoding, sources)
+
+
+@pytest.mark.parametrize("sources", [None, ("lat",), ("lat", "lat"), ("lat", "lon", "lon")])
+def test_a_latlong_column_spec_needs_exactly_two_distinct_sources(sources):
+    # three sources, two distinct, loaded from a model header, and then decoding
+    # refused the duplicate raw column
+    with pytest.raises(ValueError, match="latlong columns need two sources"):
+        ColumnSpec("loc", "latlong", sources=sources)
 
 
 def test_latlong_requires_override_and_merges_columns():
