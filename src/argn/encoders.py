@@ -86,6 +86,12 @@ class Encoder:
     sources = None
     n_draws = 0
 
+    def clamps(self, table: RawTable) -> Optional[str]:
+        """Why ``encode`` would not keep the first row's value, a finite one:
+        it lies outside what ``fit`` saw and would be clamped to it. None if
+        it is kept."""
+        return None
+
     def to_dict(self) -> dict:
         """``{"type": encoding, **constructor arguments}``: each constructor
         parameter, in order, read from the attribute of that name; arrays
@@ -177,6 +183,12 @@ class PercentileEncoder(Encoder):
         k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.missing - 1)
         return np.where(np.isnan(x), self.missing, k).astype(np.int32)[:, None]
 
+    def clamps(self, table: RawTable) -> Optional[str]:
+        lo, hi = self.edges[0], self.edges[-1]
+        if not lo <= table.values(self.column, "numeric")[0] <= hi:
+            return f"is outside the fitted range [{lo:g}, {hi:g}]"
+        return None
+
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[Column]:
         k = codes[:, 0]
         lo_index = np.minimum(k, self.missing - 1)
@@ -253,6 +265,14 @@ class DigitEncoder(Encoder):
         if self.has_sign:
             codes[finite, 0] = [d < 0 for d in decs]
         return codes
+
+    def clamps(self, table: RawTable) -> Optional[str]:
+        d = Decimal(table.column_values(self.column)[0].strip())
+        cap = 10**self.n_digits - 1
+        if _magnitudes([d], self.decimals)[0] > cap or (d < 0 and not self.has_sign):
+            top = Decimal(cap).scaleb(-self.decimals)
+            return f"is outside the fitted range [{-top if self.has_sign else 0}, {top}]"
+        return None
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[list[Optional[str]]]:
         """Text from the digit codes: the whole part without leading zeros,
@@ -366,6 +386,16 @@ class DatetimeEncoder(Encoder):
             first, count = self._span(p)
             codes[present, j] = np.clip(fields[p] - first, 0, count - 1)  # clamps the year
         return codes
+
+    def clamps(self, table: RawTable) -> Optional[str]:
+        fields = _calendar_parts(table.values(self.column, "datetime")[:1])
+        year = int(fields["year"][0])
+        if not self.year_min <= year <= self.year_max:
+            return f"has year {year}, outside the fitted years [{self.year_min}, {self.year_max}]"
+        for p, c in self.constants.items():
+            if fields[p][0] != c:
+                return f"has {p} {int(fields[p][0])}, but every fitted value has {p} {c}"
+        return None
 
     def decode(self, codes: np.ndarray, u: np.ndarray) -> list[list[Optional[str]]]:
         fields = {p: np.full(len(codes), c, dtype=np.int64) for p, c in self.constants.items()}

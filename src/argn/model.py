@@ -7,11 +7,13 @@ embedding table E_i, a ReLU regressor (W_i, b_i) and a softmax predictor
 views into one flat store, in that order per sub-column. Every pass takes
 a batch of rows: ``embed_rows`` indexes the E_i, the training pass
 scatter-adds their gradients, and a sub-column's probabilities for a batch
-of contexts are ``nn.softmax`` of its ``column_logits``. Regressors always
-consume the full concatenated embedding vector; causality is enforced by
-zeroing the slots of sub-columns that do not precede the target in the
-current permutation, so a sub-column's output is bit-identical under any
-change to the masked inputs.
+of contexts are ``nn.softmax`` of its ``column_logits``. A regressor reads
+only the slots of the sub-columns that precede its target in the current
+order: the training and validation passes lay a batch's embeddings out in
+that order, so each target's context is a prefix of the row, and its
+regressor's GEMMs run over the matching columns of W_i alone. The slots of
+later sub-columns never enter, so a sub-column's output does not depend on
+them.
 
 Training teacher-forces ground-truth embeddings, sums the cross-entropy over
 all sub-columns, and draws a fresh permutation per batch in any-order mode
@@ -183,48 +185,60 @@ class ArgnModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def embed_rows(self, codes: np.ndarray) -> np.ndarray:
-        """Full concatenated embedding matrix (n, sum of e_j) for encoded rows."""
+    def embed_rows(self, codes: np.ndarray, order: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Concatenated embedding matrix (n, sum of e_j) for encoded rows, the
+        slots laid out in ``order`` (canonical by default)."""
         n = codes.shape[0]
-        full = np.zeros((n, self.sizes.context_width), dtype=self.store.value.dtype)
-        for j in range(self.d_total):
+        full = np.empty((n, self.sizes.context_width), dtype=self.store.value.dtype)
+        start = 0
+        for j in range(self.d_total) if order is None else order:
             table = self.params[f"E{j}"].value
-            full[:, self.slot(j)] = table[codes[:, j]]
+            full[:, start : start + table.shape[1]] = table[codes[:, j]]
+            start += table.shape[1]
         return full
 
     def column_logits(self, context: np.ndarray, i: int,
-                      rng: Optional[np.random.Generator] = None):
+                      rng: Optional[np.random.Generator] = None, cols=None):
         """Regressor + predictor for sub-column i; returns (logits, cache).
-        Dropout is on only with an ``rng``: one (n, r_i) mask drawn from it."""
+        ``context`` holds the embedding columns ``cols`` (a slice or index
+        array into the canonical layout, in the context's order), all of them
+        by default; the regressor then reads the window W_i[:, cols], views
+        for a slice and gathered copies of value and gradient for an index
+        array. The cache's last entry is that window. Dropout is on only with
+        an ``rng``: one (n, r_i) mask drawn from it."""
         w, b = self.params[f"W{i}"], self.params[f"b{i}"]
         v, c = self.params[f"V{i}"], self.params[f"c{i}"]
+        if cols is not None:
+            w = Param(w.name, w.value[:, cols], w.grad[:, cols])
         h, cache_r = nn.dense_forward(context, w, b, "relu")
         mask = None
         if rng is not None and self.dropout_rate > 0:
             mask = nn.dropout_mask(h.shape, self.dropout_rate, rng)
             h = h * mask
         logits, cache_p = nn.dense_forward(h, v, c, "none")
-        return logits, (cache_r, cache_p, mask)
+        return logits, (cache_r, cache_p, mask, w)
 
     def backward_column(self, dlogits: np.ndarray, cache, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (dpre, dctx): the regressor's pre-activation gradient and
-        the context's. Accumulates nothing."""
-        cache_r, cache_p, mask = cache
+        the gradient of the context it read. Accumulates nothing."""
+        cache_r, cache_p, mask, w = cache
         _, dh = nn.dense_backward(dlogits, cache_p, self.params[f"V{i}"])
         if mask is not None:
             dh = dh * mask
-        return nn.dense_backward(dh, cache_r, self.params[f"W{i}"])
+        return nn.dense_backward(dh, cache_r, w)
 
 
-def order_mask_matrix(model: ArgnModel, order: Sequence[int]) -> np.ndarray:
-    """Row t = 0/1 slot mask for predicting order[t]: 1 on the slots of the
-    sub-columns that precede order[t] in ``order``."""
-    d = model.d_total
-    masks = np.zeros((d, model.sizes.context_width), dtype=np.float32)
-    for t in range(1, d):
-        masks[t] = masks[t - 1]
-        masks[t, model.slot(order[t - 1])] = 1.0
-    return masks
+def order_layout(model: ArgnModel, order: Sequence[int]) -> tuple[np.ndarray, list]:
+    """(starts, prefixes) of the layout ``model.embed_rows(codes, order)``
+    builds: order[t]'s slot is columns starts[t]:starts[t + 1], so the
+    context of order[t] is the first starts[t] columns, and prefixes[t] names
+    their canonical columns, the ones its regressor reads. The canonical
+    order makes every prefix a slice, so no weight is gathered."""
+    starts = np.concatenate([[0], np.cumsum([model.sizes.embed_dims[i] for i in order])])
+    if tuple(order) == tuple(range(model.d_total)):
+        return starts, [slice(0, int(w)) for w in starts[:-1]]
+    cols = np.concatenate([np.arange(model.offsets[i], model.offsets[i + 1]) for i in order])
+    return starts, [cols[:w] for w in starts[:-1]]
 
 
 def negative_log_likelihood(model: ArgnModel, codes,
@@ -237,14 +251,14 @@ def negative_log_likelihood(model: ArgnModel, codes,
     codes = np.asarray(codes, dtype=np.int32)
     if order is None:
         order = tuple(range(model.d_total))
-    masks = order_mask_matrix(model, order)
+    starts, prefixes = order_layout(model, order)
     total = 0.0
     for start in range(0, codes.shape[0], NLL_ROWS):
         block = codes[start : start + NLL_ROWS]
-        full = model.embed_rows(block)
+        emb = model.embed_rows(block, order)
         losses = np.zeros(block.shape[0])
         for t, i in enumerate(order):
-            logits, _ = model.column_logits(full * masks[t], i)
+            logits, _ = model.column_logits(emb[:, : starts[t]], i, cols=prefixes[t])
             losses += nn.softmax_cross_entropy(logits, block[:, i])[0]
         total += float(losses.sum())
     return total / codes.shape[0]
@@ -254,11 +268,14 @@ def _row_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a, dtype=np.float64)
 
 
-def _add_column_grads(model: ArgnModel, i: int, ctx: np.ndarray, h: np.ndarray,
-                      dlogits: np.ndarray, dpre: np.ndarray) -> None:
-    """Adds sub-column i's weighted W, b, V and c gradients, given its masked
-    context, predictor input and row-weighted (dlogits, dpre)."""
-    model.params[f"W{i}"].grad += dpre.T @ ctx
+def _add_column_grads(model: ArgnModel, i: int, cols, w: Param, ctx: np.ndarray, h: np.ndarray,
+                       dlogits: np.ndarray, dpre: np.ndarray) -> None:
+    """Adds sub-column i's weighted W, b, V and c gradients, given the
+    window ``w`` of W_i's columns ``cols`` that read its context ``ctx``,
+    its predictor input and row-weighted (dlogits, dpre)."""
+    w.grad += dpre.T @ ctx
+    if not isinstance(cols, slice):  # a gathered window: write its gradient back
+        model.params[f"W{i}"].grad[:, cols] = w.grad
     model.params[f"b{i}"].grad += dpre.sum(axis=0)
     model.params[f"V{i}"].grad += dlogits.T @ h
     model.params[f"c{i}"].grad += dlogits.sum(axis=0)
@@ -278,38 +295,40 @@ def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int]
     so its gradient is an outer product with norm |dy| |x|, and each
     embedding table gets gradient in one row only. With an ``rng`` each
     sub-column draws its dropout mask, in ``order``; without one dropout is off.
+    The embeddings are laid out in ``order`` (see ``order_layout``), so each
+    context is a prefix view of one matrix, and so is its gradient.
     """
     n = codes.shape[0]
-    full = model.embed_rows(codes)
-    masks = order_mask_matrix(model, order)
+    starts, prefixes = order_layout(model, order)
+    emb = model.embed_rows(codes, order)
     total, norm2 = np.zeros(n), np.zeros(n)
-    demb = np.zeros_like(full)
+    demb = np.zeros_like(emb)
     saved = []
     for t, i in enumerate(order):
-        ctx = full * masks[t]
-        logits, cache = model.column_logits(ctx, i, rng)
+        ctx = emb[:, : starts[t]]
+        logits, cache = model.column_logits(ctx, i, rng, prefixes[t])
         losses, dlogits = nn.softmax_cross_entropy(logits, codes[:, i])
         if clip_norm is None:
             dlogits /= n
         dpre, dctx = model.backward_column(dlogits, cache, i)
-        demb += dctx * masks[t]
+        demb[:, : starts[t]] += dctx
         total += losses
-        h = cache[1][0]  # the predictor's input, after dropout
+        h, w = cache[1][0], cache[3]  # the predictor's input, after dropout; W_i's window
         if clip_norm is None:
-            _add_column_grads(model, i, ctx, h, dlogits, dpre)
+            _add_column_grads(model, i, prefixes[t], w, ctx, h, dlogits, dpre)
             continue
         norm2 += _row_sq(dlogits) * (_row_sq(h) + 1) + _row_sq(dpre) * (_row_sq(ctx) + 1)
-        saved.append((h, dlogits, dpre))
+        saved.append((w, h, dlogits, dpre))
     norms = None
     if clip_norm is not None:
         norms = np.sqrt(norm2 + _row_sq(demb))
-        scale = (clip_norm / np.maximum(norms, clip_norm)).astype(full.dtype)[:, None]
+        scale = (clip_norm / np.maximum(norms, clip_norm)).astype(emb.dtype)[:, None]
         demb *= scale
         for t, i in enumerate(order):
-            h, dlogits, dpre = saved[t]
-            _add_column_grads(model, i, full * masks[t], h, dlogits * scale, dpre * scale)
-    for j in range(model.d_total):
-        np.add.at(model.params[f"E{j}"].grad, codes[:, j], demb[:, model.slot(j)])
+            w, h, dlogits, dpre = saved[t]
+            _add_column_grads(model, i, prefixes[t], w, emb[:, : starts[t]], h, dlogits * scale, dpre * scale)
+    for t, i in enumerate(order):
+        np.add.at(model.params[f"E{i}"].grad, codes[:, i], demb[:, starts[t] : starts[t + 1]])
     return total, norms
 
 

@@ -107,9 +107,10 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
 
     String keys are parent columns whose raw value is pushed through the
     fitted encoder (fixing every sub-column of that parent); the empty string
-    conditions on missing, and any other value must not encode as MISSING:
-    it is in the vocabulary or parses to a finite number or datetime. Int
-    keys fix a single sub-column directly.
+    conditions on missing, and any other value must not encode as MISSING
+    (it is in the vocabulary or parses to a finite number or datetime) nor
+    be clamped by the encoder into its fitted range. Int keys fix a single
+    sub-column directly.
     """
     fixed: dict[int, int] = {}
     for key, value in conditions.items():
@@ -118,10 +119,15 @@ def _resolve_conditions(model: ArgnModel, conditions: dict) -> dict[int, int]:
             if enc.kind == "latlong":
                 raise ValueError(f"column {key!r}: conditioning on latlong columns is not supported")
             cell = None if value == "" else str(value)
-            codes = enc.encode(RawTable(TableSchema((model.encoders.schema.column(key),)), [[cell]]))[0]
-            if cell is not None and codes[0] == enc.missing:
-                problem = "not in vocabulary" if enc.kind == "categorical" else f"is not a finite {enc.kind} value"
-                raise ValueError(f"column {key!r}: value {cell!r} {problem}")
+            table = RawTable(TableSchema((model.encoders.schema.column(key),)), [[cell]])
+            codes = enc.encode(table)[0]
+            if cell is not None:
+                if codes[0] == enc.missing:
+                    problem = "not in vocabulary" if enc.kind == "categorical" else f"is not a finite {enc.kind} value"
+                else:
+                    problem = enc.clamps(table)
+                if problem:
+                    raise ValueError(f"column {key!r}: value {cell!r} {problem}")
             for i, code in zip(model.encoders.sub_indices_of(key), codes):
                 fixed[i] = int(code)
         else:

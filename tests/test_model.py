@@ -11,7 +11,7 @@ from argn.model import (
     TrainConfig,
     compute_layer_sizes,
     negative_log_likelihood,
-    order_mask_matrix,
+    order_layout,
     train,
 )
 from argn.nn import dropout_mask
@@ -94,14 +94,23 @@ def test_masked_context_last_keeps_all_other_slots(rng):
     np.testing.assert_array_equal(ctx[5:], 0.0)
 
 
-def test_order_mask_matrix_matches_masked_context(rng):
+@pytest.mark.parametrize("order", [(2, 0, 3, 1), (0, 1, 2, 3), (3, 2, 1, 0)])
+def test_order_layout_matches_masked_context(order):
+    """The prefix of the row laid out in ``order`` holds exactly the slots
+    that the masked context keeps, at the canonical columns ``prefixes[t]``
+    names; every other slot of the masked context is zero."""
     model = fresh_model([3, 4, 2, 5])
-    order = [2, 0, 3, 1]
-    masks = order_mask_matrix(model, order)
-    embs = [rng.normal(size=e) for e in model.sizes.embed_dims]
-    full = np.concatenate(embs)
-    for pos, col in enumerate(order):
-        np.testing.assert_array_equal(full * masks[pos], masked_context(embs, order, col))
+    codes = np.array([[2, 1, 0, 4]], dtype=np.int32)
+    starts, prefixes = order_layout(model, order)
+    emb = model.embed_rows(codes, order)
+    embs = [model.params[f"E{j}"].value[codes[0, j]] for j in range(4)]
+    assert starts[-1] == model.sizes.context_width
+    for t, col in enumerate(order):
+        masked = masked_context(embs, order, col)
+        np.testing.assert_array_equal(emb[0, : starts[t]], masked[prefixes[t]])
+        assert not np.delete(masked, np.arange(model.sizes.context_width)[prefixes[t]]).any()
+        np.testing.assert_array_equal(emb[0, starts[t] : starts[t + 1]], embs[col])
+        assert isinstance(prefixes[t], slice) == (order == (0, 1, 2, 3))
 
 
 # -- forward -----------------------------------------------------------------------
@@ -329,6 +338,128 @@ def test_full_model_gradient_matches_finite_differences(order):
     # the last sub-column in the order is never context: its embedding gets no gradient
     assert not model.params[f"E{order[-1]}"].grad.any()
     assert model.params[f"E{order[0]}"].grad.any()
+
+
+# -- the prefix-context pass against the masked pass -------------------------------
+
+
+def masked_reference_pass(model, codes, order, rng, clip_norm=None):
+    """The training pass in its masked form, the reference for the prefix
+    one: every regressor reads the whole canonical embedding row, with the
+    slots of the sub-columns that do not precede its target zeroed. Adds the
+    gradient to ``model.store.grad``; returns (losses, norms)."""
+    width = model.sizes.context_width
+    masks = np.zeros((model.d_total, width), dtype=np.float32)
+    for t in range(1, model.d_total):
+        masks[t] = masks[t - 1]
+        masks[t, model.slot(order[t - 1])] = 1.0
+    p = model.params
+
+    def add(i, ctx, h, dlogits, dpre):
+        p[f"W{i}"].grad += dpre.T @ ctx
+        p[f"b{i}"].grad += dpre.sum(axis=0)
+        p[f"V{i}"].grad += dlogits.T @ h
+        p[f"c{i}"].grad += dlogits.sum(axis=0)
+
+    def row_sq(a):
+        return np.einsum("ij,ij->i", a, a, dtype=np.float64)
+
+    n = codes.shape[0]
+    full = model.embed_rows(codes)
+    total, norm2 = np.zeros(n), np.zeros(n)
+    demb = np.zeros_like(full)
+    saved = []
+    for t, i in enumerate(order):
+        ctx = full * masks[t]
+        logits, cache = model.column_logits(ctx, i, rng)
+        losses, dlogits = nn.softmax_cross_entropy(logits, codes[:, i])
+        if clip_norm is None:
+            dlogits /= n
+        dpre, dctx = model.backward_column(dlogits, cache, i)
+        demb += dctx * masks[t]
+        total += losses
+        h = cache[1][0]
+        if clip_norm is None:
+            add(i, ctx, h, dlogits, dpre)
+            continue
+        norm2 += row_sq(dlogits) * (row_sq(h) + 1) + row_sq(dpre) * (row_sq(ctx) + 1)
+        saved.append((h, dlogits, dpre))
+    norms = None
+    if clip_norm is not None:
+        norms = np.sqrt(norm2 + row_sq(demb))
+        scale = (clip_norm / np.maximum(norms, clip_norm)).astype(full.dtype)[:, None]
+        demb *= scale
+        for t, i in enumerate(order):
+            h, dlogits, dpre = saved[t]
+            add(i, full * masks[t], h, dlogits * scale, dpre * scale)
+    for j in range(model.d_total):
+        np.add.at(p[f"E{j}"].grad, codes[:, j], demb[:, model.slot(j)])
+    return total, norms
+
+
+def masked_reference_nll(model, codes, order):
+    """Mean summed NLL of ``codes`` under ``order`` from masked contexts,
+    dropout off."""
+    losses, _ = masked_reference_pass(model, codes, order, None)
+    model.store.grad[...] = 0
+    return float(losses.mean())
+
+
+def prefix_cases():
+    """(name, model, codes, orders): random any-order orders, the fixed
+    canonical order, a 60-sub-column model and a one-row batch."""
+    rng = np.random.default_rng(31)
+    small = fresh_model([3, 4, 2, 5, 7, 1], seed=3)
+    small_codes = rng.integers(0, [3, 4, 2, 5, 7, 1], size=(40, 6)).astype(np.int32)
+    cards = [int(c) for c in rng.integers(1, 40, size=60)]
+    wide = fresh_model(cards, seed=4)
+    wide_codes = rng.integers(0, cards, size=(64, 60)).astype(np.int32)
+    fixed = fresh_model([3, 4, 2, 5, 7, 1], seed=5, order_mode="fixed")
+    return [
+        ("any_order", small, small_codes, [tuple(rng.permutation(6)) for _ in range(4)]),
+        ("fixed", fixed, small_codes, [tuple(range(6))]),
+        ("sixty", wide, wide_codes, [tuple(rng.permutation(60)), tuple(range(60))]),
+        ("one_row", small, small_codes[:1], [tuple(rng.permutation(6)), tuple(range(6))]),
+    ]
+
+
+def assert_float32_close(actual, reference):
+    """Equal up to float32 rounding of sums taken in another order."""
+    scale = max(float(np.abs(reference).max()), 1e-30)
+    np.testing.assert_allclose(actual, reference, rtol=2e-5, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.5], ids=["plain", "dp"])
+@pytest.mark.parametrize("case", prefix_cases(), ids=lambda c: c[0])
+def test_training_pass_equals_the_masked_reference(case, clip_norm):
+    from argn.model import _per_example_grads
+
+    _, model, codes, orders = case
+    model.dropout_rate = 0.25
+    for k, order in enumerate(orders):
+        model.store.grad[...] = 0
+        ref_rng = np.random.default_rng(k)
+        ref_losses, ref_norms = masked_reference_pass(model, codes, order, ref_rng, clip_norm)
+        reference = model.store.grad.copy()
+        model.store.grad[...] = 0
+        rng = np.random.default_rng(k)
+        losses, norms = _per_example_grads(model, codes, order, rng, clip_norm)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_float32_close(losses, ref_losses)
+        assert_float32_close(model.store.grad, reference)
+        assert (norms is None) == (clip_norm is None)
+        if clip_norm is not None:
+            assert_float32_close(norms, ref_norms)
+        assert reference.any()
+    model.store.grad[...] = 0
+
+
+@pytest.mark.parametrize("case", prefix_cases(), ids=lambda c: c[0])
+def test_validation_nll_equals_the_masked_reference(case):
+    _, model, codes, orders = case
+    for order in orders:
+        nll = negative_log_likelihood(model, codes, order)
+        assert nll == pytest.approx(masked_reference_nll(model, codes, order), rel=1e-6)
 
 
 # -- DP-SGD: per-example gradients from one batched pass ---------------------------

@@ -181,6 +181,32 @@ def test_condition_by_an_empty_value_means_missing_and_a_parsed_value_is_kept(co
     assert out.column_values("digits") == ["7.5"] * 6
 
 
+@pytest.mark.parametrize("column,value,message", [
+    ("when", "1900-12-25", r"year 1900, outside the fitted years \[2021, 2021\]"),
+    ("when", "2022-01-01", "year 2022"),
+    ("when", "2021-05-05 10:00:00", "hour 10, but every fitted value has hour 0"),
+    ("amount", "-1000", r"outside the fitted range \[0, 8\]"),
+    ("amount", "8.01", "outside the fitted range"),
+    ("digits", "100", r"outside the fitted range \[0, 99.9\]"),
+    ("digits", "99.96", "outside the fitted range"),  # rounds to 100.0
+    ("digits", "-1", "outside the fitted range"),  # no sign sub-column
+])
+def test_condition_by_a_value_the_encoder_would_clamp_errors(condition_model, column, value, message):
+    """The fitted range bounds a condition: such a value used to be clamped,
+    and every generated row carried another value (a 2021 date, a first-bin
+    number) without a word."""
+    with pytest.raises(ValueError, match=f"{column}.*{value}.*{message}"):
+        generate(condition_model, GenerationRequest(n_rows=2, conditions={column: value}))
+
+
+def test_condition_by_a_value_at_the_edge_of_the_fitted_range_is_kept(condition_model):
+    req = GenerationRequest(n_rows=4, conditions={"amount": "0", "digits": "99.9", "when": "2021-12-25"})
+    out = synthesize(condition_model, req)
+    assert out.column_values("digits") == ["99.9"] * 4
+    assert out.column_values("when") == ["2021-12-25"] * 4
+    synthesize(condition_model, replace(req, conditions={"amount": "8", "digits": "0"}))
+
+
 def test_fixed_order_model_rejects_other_orders():
     encoded, _ = lookup_table_data(n_rows=100)
     model = ArgnModel(subcols([10, 10]), order_mode="fixed")

@@ -28,3 +28,6 @@ def test_seeded_outputs_prints_one_digest_per_output(tmp_path):
     peaks = [line.split("  ") for line in proc.stderr.splitlines() if line.startswith("peak_mib  ")]
     assert [p[1] for p in peaks] == ["train", "train_dp", "generate", "evaluate", "dcr", "audit"]
     assert all(re.fullmatch(r"\d+\.\d\d", p[2]) and float(p[2]) > 0 for p in peaks)
+    seconds = [line.split("  ") for line in proc.stderr.splitlines() if line.startswith("seconds  ")]
+    assert [s[1] for s in seconds] == ["train", "train_dp", "generate", "evaluate", "dcr", "audit"]
+    assert all(re.fullmatch(r"\d+\.\d{3}", s[2]) and float(s[2]) > 0 for s in seconds)

@@ -12,7 +12,10 @@ its own. Two checkouts that print the same lines wrote the same bytes.
 On stderr it prints one ``parse_column  verb  calls  cells`` line per verb:
 the calls to ``argn.tables.parse_column`` that verb made, and the cells
 they parsed; then one ``peak_mib  verb  N`` line per verb: the tracemalloc
-peak of that verb's run, in MiB.
+peak of that verb's run, in MiB; then one ``seconds  verb  S`` line per
+verb: the wall time of the verb in this process, without interpreter
+start-up or imports, from a second pass of every verb (outputs in
+``--work``/timed) that runs without tracemalloc or counters.
 """
 
 from __future__ import annotations
@@ -85,10 +88,14 @@ def main(argv=None) -> int:
     inputs.setup(w, args.seed, str(work))
     with per_verb_counts() as counts:
         failed = [r for r in run.run_pass(w, args.seed, work, work) if not r.ok]
+    timed = run.run_pass(w, args.seed, work, work / "timed")
+    failed += [r for r in timed if not r.ok]
     for verb, (calls, cells, _) in zip(run.VERBS, counts):
         print(f"parse_column  {verb}  {calls}  {cells}", file=sys.stderr)
     for verb, (_, _, peak) in zip(run.VERBS, counts):
         print(f"peak_mib  {verb}  {peak / 2**20:.2f}", file=sys.stderr)
+    for r in timed:
+        print(f"seconds  {r.verb}  {r.wall:.3f}", file=sys.stderr)
     for r in failed:
         print(f"FAILED {r.verb}: {r.error} (log in {work / 'verbs.log'})", file=sys.stderr)
     if failed:
