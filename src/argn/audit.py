@@ -25,7 +25,7 @@ from .model import ArgnModel, TrainConfig, train
 from .protect import ValueProtectionConfig, protect_table
 from .sampling import GenerationRequest, synthesize
 from .tables import RawTable, TableSchema, concat
-from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
+from .util import SCAN_BLOCK, class_ranks, mann_whitney_auc, scan_rows
 
 META_ATTACKS = ("naive_gh", "hist_gh", "corr_gh", "logistic_gh", "query_based")
 DISTANCE_METRICS = {"closest_hamming": "hamming", "closest_l2": "l2",
@@ -55,9 +55,15 @@ class AuditConfig:
                 raise ValueError(f"{name} must be >= {low}")
         if self.n_shadow % 2 != 0:
             raise ValueError("n_shadow must be even (half member, half non-member)")
+        if self.target_indices is not None and any(operator.index(i) < 0 for i in self.target_indices):
+            raise ValueError("target_indices must be >= 0")
         unknown = [a for a in self.attacks if a not in ALL_ATTACKS]
         if unknown:
             raise ValueError(f"unknown attacks: {unknown}")
+
+
+class TargetIndexError(ValueError):
+    """An audit target index past the audited table's last row."""
 
 
 @dataclass
@@ -286,11 +292,7 @@ def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int) -> np
     """
     n = len(labels)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_FOLD_DOMAIN,)))
-    fold_of = np.zeros(n, dtype=np.int64)
-    for cls in (False, True):
-        idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(len(idx))]
-        fold_of[idx] = np.arange(len(idx)) % N_FOLDS
+    fold_of = class_ranks(labels, rng) % N_FOLDS
     scores = np.full(n, 0.5)
     folds = [f for f in range(N_FOLDS)
              if (fold_of == f).any() and len(np.unique(labels[fold_of != f])) == 2]
@@ -408,7 +410,7 @@ def argn_generator(train_cfg: TrainConfig, protection: Optional[ValueProtectionC
             working = protect_table(table, fit_schema, replace(protection, rng_seed=seed))
         encoders = fit_encoders(working, fit_schema, options)
         encoded = encode_table(working, encoders)
-        model = ArgnModel(encoders, train_cfg.order_mode)
+        model = ArgnModel(encoders)
         train(model, encoded, replace(train_cfg, seed=seed))
         return synthesize(model, GenerationRequest(n_rows=table.row_count, seed=seed))
 
@@ -422,6 +424,9 @@ def run_audit(data: RawTable, generator: Callable, cfg: AuditConfig,
     JSON-ready report."""
     if cfg.target_indices:
         targets = list(cfg.target_indices)
+        past = [i for i in targets if i >= data.row_count]
+        if past:
+            raise TargetIndexError(f"audit target index {past[0]} is past the last of {data.row_count} rows")
     else:
         n_targets = max(1, auto_target)
         scores = achilles_score(data)

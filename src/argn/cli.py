@@ -15,16 +15,17 @@ import sys
 from dataclasses import asdict, fields, replace
 from typing import Optional
 
-from .audit import AuditConfig, argn_generator, run_audit
+from .audit import AuditConfig, TargetIndexError, argn_generator, run_audit
 from .encoders import EncodingOptions, encode_table, fit_encoders
 from .metrics import dcr, dcr_cdf_curves, dcr_curves_integral, evaluate_tables
 from .model import ArgnModel, TrainConfig, train
 from .nn import DpConfig
 from .persist import load_model, save_model
 from .protect import ValueProtectionConfig, protect_table
-from .sampling import GenerationRequest, _resolve_conditions, synthesize_blocks
+from .sampling import GenerationRequest, generate, synthesize_blocks
 from .tables import (ColumnSpec, OverrideError, RawTable, TableSchema, infer_schema, read_csv, value_column,
                      write_csv)
+from .util import worker_count
 
 
 class UsageError(Exception):
@@ -108,7 +109,7 @@ def _cmd_train(args) -> int:
     train_cfg: TrainConfig = cfg["train"]
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    model = ArgnModel(encoders, train_cfg.order_mode)
+    model = ArgnModel(encoders)
     history = train(model, encoded, train_cfg)
     save_model(model, args.out)
     print(
@@ -136,9 +137,11 @@ def _expand_order(model, column_list: Optional[str]):
         return None
     names = model.encoders.schema.names
     listed = [c.strip() for c in column_list.split(",") if c.strip()]
-    for p in listed:
+    for k, p in enumerate(listed):
         if p not in names:
             raise UsageError(f"--order names unknown column {p!r}")
+        if p in listed[:k]:
+            raise UsageError(f"--order names column {p!r} twice")
     return [i for p in listed + [p for p in names if p not in listed]
             for i in model.encoders.sub_indices_of(p)]
 
@@ -150,7 +153,7 @@ def _cmd_generate(args) -> int:
     try:
         req = GenerationRequest(n_rows=args.n, order=order, conditions=conditions,
                                 temperature=args.temperature, seed=args.seed)
-        _resolve_conditions(model, conditions)  # a bad value is a usage error
+        generate(model, req, range(0))  # a request the model cannot serve is a usage error
     except ValueError as exc:
         raise UsageError(f"generate: {exc}") from None
     write_csv(synthesize_blocks(model, req), args.out)
@@ -167,6 +170,8 @@ def _with_schema_of(reference_schema: TableSchema, table: RawTable, label: str) 
 def _cmd_evaluate(args) -> int:
     real_raw = read_csv(args.real)
     schema = infer_schema(real_raw)
+    if args.target is not None and args.target not in schema.names:
+        raise UsageError(f"evaluate: --target names unknown column {args.target!r}")
     real = _with_schema_of(schema, real_raw, args.real)
     syn = _with_schema_of(schema, read_csv(args.syn), args.syn)
     holdout = _with_schema_of(schema, read_csv(args.holdout), args.holdout) if args.holdout else None
@@ -234,6 +239,13 @@ def _cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="argn", description="Tabular synthesizer with privacy auditing")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,7 +254,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("generate", help="sample synthetic rows from a model file")
@@ -260,7 +272,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--syn", required=True)
     p.add_argument("--holdout", default=None)
     p.add_argument("--target", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -284,11 +296,15 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            worker_count()  # a malformed ARGN_THREADS fails before any work
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, OverrideError) as exc:  # an override the data's columns refute is a config error
+    except (ConfigError, OverrideError, TargetIndexError) as exc:  # a config the data refutes is a config error
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -25,7 +25,7 @@ import numpy as np
 
 from .linear import LogisticModel, MixedFeatureMap, finite_span, fit_ridge, ridge_predict
 from .tables import RawTable, concat, factorize
-from .util import SCAN_BLOCK, mann_whitney_auc, scan_rows
+from .util import SCAN_BLOCK, class_ranks, mann_whitney_auc, scan_rows
 
 SCAN_BYTES = 1 << 20  # per DCR or Achilles tile buffer; a DCR worker's three fit one L2: 512 x 256 to 1 x 131,072
 PREPASS_SHARE = 16  # DCR's pre-pass takes a group of at most n_train // 16 train rows: at most 1/16 extra pairs
@@ -169,17 +169,6 @@ def association_l2(real: RawTable, syn: RawTable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _stratified_split(labels: np.ndarray, train_frac: float, rng: np.random.Generator):
-    train_idx, test_idx = [], []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(len(idx))]
-        cut = int(round(train_frac * len(idx)))
-        train_idx.extend(idx[:cut])
-        test_idx.extend(idx[cut:])
-    return np.array(sorted(train_idx)), np.array(sorted(test_idx))
-
-
 def detection_score(real: RawTable, syn: RawTable, seed: int = 0) -> float:
     """Held-out AUC of the built-in logistic classifier separating real (0)
     from synthetic (1) rows; 0.5 means indistinguishable."""
@@ -189,8 +178,9 @@ def detection_score(real: RawTable, syn: RawTable, seed: int = 0) -> float:
     fmap = MixedFeatureMap(stacked)
     x = fmap.transform(stacked)
     y = np.array([0] * real.row_count + [1] * syn.row_count)
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = _stratified_split(y, 0.8, rng)
+    # stratified: the first round(0.8 * class size) rows of each class's permutation train
+    train = class_ranks(y, np.random.default_rng(seed)) < np.round(0.8 * np.bincount(y)[y])
+    train_idx, test_idx = np.flatnonzero(train), np.flatnonzero(~train)
     if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[test_idx])) < 2:
         raise ValueError("degenerate real/synthetic split")
     clf = LogisticModel().fit(x[train_idx], y[train_idx], n_classes=2)

@@ -128,27 +128,19 @@ class PatienceController:
 
 
 class ArgnModel:
-    """Parameters and topology for the sub-columns of one table's encoders.
-    ``order_mode`` "fixed" means the canonical order only."""
+    """Parameters and topology for the sub-columns of one table's encoders;
+    ``training_meta`` is ``{}`` until ``train`` records its run and config."""
 
-    def __init__(self, encoders: TableEncoders, order_mode: str = "any_order"):
+    def __init__(self, encoders: TableEncoders):
         if not encoders.sub_columns:
             raise ValueError("model needs at least one sub-column")
-        if order_mode not in ORDER_MODES:
-            raise ValueError(f"order_mode must be one of {ORDER_MODES}")
         self.encoders = encoders
         self.sub_columns = encoders.sub_columns
-        self.order_mode = order_mode
         self.sizes = compute_layer_sizes([s.cardinality for s in self.sub_columns])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes.embed_dims)]).astype(np.int64)
-        self.dropout_rate = TrainConfig.dropout_rate  # training state, not saved: train() sets it
         self.store: Optional[Param] = None  # every weight, flat; see allocate_params
         self.params: Optional[dict[str, Param]] = None  # named views into the store
         self.training_meta: dict = {}
-
-    @property
-    def trained(self) -> bool:
-        return bool(self.training_meta)
 
     @property
     def d_total(self) -> int:
@@ -197,23 +189,22 @@ class ArgnModel:
             start += table.shape[1]
         return full
 
-    def column_logits(self, context: np.ndarray, i: int,
-                      rng: Optional[np.random.Generator] = None, cols=None):
+    def column_logits(self, context: np.ndarray, i: int, dropout: Optional[tuple] = None, cols=None):
         """Regressor + predictor for sub-column i; returns (logits, cache).
         ``context`` holds the embedding columns ``cols`` (a slice or index
         array into the canonical layout, in the context's order), all of them
         by default; the regressor then reads the window W_i[:, cols], views
         for a slice and gathered copies of value and gradient for an index
-        array. The cache's last entry is that window. Dropout is on only with
-        an ``rng``: one (n, r_i) mask drawn from it."""
+        array. The cache's last entry is that window. ``dropout`` is None (off)
+        or (rate, rng): at a positive rate one (n, r_i) mask is drawn from rng."""
         w, b = self.params[f"W{i}"], self.params[f"b{i}"]
         v, c = self.params[f"V{i}"], self.params[f"c{i}"]
         if cols is not None:
             w = Param(w.name, w.value[:, cols], w.grad[:, cols])
         h, cache_r = nn.dense_forward(context, w, b, "relu")
         mask = None
-        if rng is not None and self.dropout_rate > 0:
-            mask = nn.dropout_mask(h.shape, self.dropout_rate, rng)
+        if dropout is not None and dropout[0] > 0:
+            mask = nn.dropout_mask(h.shape, *dropout)
             h = h * mask
         logits, cache_p = nn.dense_forward(h, v, c, "none")
         return logits, (cache_r, cache_p, mask, w)
@@ -281,8 +272,7 @@ def _add_column_grads(model: ArgnModel, i: int, cols, w: Param, ctx: np.ndarray,
     model.params[f"c{i}"].grad += dlogits.sum(axis=0)
 
 
-def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int],
-                       rng: Optional[np.random.Generator],
+def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int], dropout: Optional[tuple],
                        clip_norm: Optional[float] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The training pass: adds sum_r s_r g_r of the per-example gradients g_r
     to ``model.store.grad``; returns the per-row losses and the norms |g_r|
@@ -293,8 +283,8 @@ def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int]
     DP-SGD, added once every column's norm is known. No g_r is formed, yet
     the norms are exact: within one example every W_i and V_i is used once,
     so its gradient is an outer product with norm |dy| |x|, and each
-    embedding table gets gradient in one row only. With an ``rng`` each
-    sub-column draws its dropout mask, in ``order``; without one dropout is off.
+    embedding table gets gradient in one row only. With ``dropout`` (rate,
+    rng) each sub-column draws its dropout mask, in ``order``; None is off.
     The embeddings are laid out in ``order`` (see ``order_layout``), so each
     context is a prefix view of one matrix, and so is its gradient.
     """
@@ -306,7 +296,7 @@ def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int]
     saved = []
     for t, i in enumerate(order):
         ctx = emb[:, : starts[t]]
-        logits, cache = model.column_logits(ctx, i, rng, prefixes[t])
+        logits, cache = model.column_logits(ctx, i, dropout, prefixes[t])
         losses, dlogits = nn.softmax_cross_entropy(logits, codes[:, i])
         if clip_norm is None:
             dlogits /= n
@@ -341,8 +331,6 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
         raise ValueError("training needs at least 10 rows")
     if model.d_total != data.shape[1]:
         raise ValueError("encoded table does not match the model's sub-columns")
-    if cfg.order_mode != model.order_mode:
-        raise ValueError(f"order_mode {cfg.order_mode!r} differs from the model's {model.order_mode!r}")
 
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(n)
@@ -350,7 +338,6 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     model.init_params(rng)
-    model.dropout_rate = cfg.dropout_rate
 
     lr = cfg.initial_lr
     controller = PatienceController(cfg.patience_stop, cfg.patience_lr)
@@ -365,8 +352,8 @@ def train(model: ArgnModel, encoded: EncodedTable, cfg: TrainConfig) -> dict:
         epoch_loss = 0.0
         for start in range(0, len(epoch_rows), cfg.batch_size):
             batch = data[epoch_rows[start : start + cfg.batch_size]]
-            order = tuple(rng.permutation(model.d_total)) if model.order_mode == "any_order" else canonical
-            losses, _ = _per_example_grads(model, batch, order, rng, clip_norm)
+            order = tuple(rng.permutation(model.d_total)) if cfg.order_mode == "any_order" else canonical
+            losses, _ = _per_example_grads(model, batch, order, (cfg.dropout_rate, rng), clip_norm)
             if cfg.dp.enabled:
                 nn.dp_sgd_step(model.store, len(batch), cfg.dp, lr, rng)
             else:

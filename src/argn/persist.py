@@ -3,31 +3,36 @@
 Layout: magic ``ARGN`` | u32 format version | u64 header length | UTF-8 JSON
 header | the model's flat weight store as raw little-endian float32, which
 holds the weights in canonical order (per sub-column: E, W, b, V, c). The
-header has exactly four keys: ``encoders`` (the fitted encoders, from which
-loading derives the schema and the sub-columns), ``order_mode``,
-``training_meta`` (the run's epochs, best validation loss and train config)
-and ``weights`` (the weight manifest: each weight's name and shape). The
-weight section is byte-exact, so save -> load -> save reproduces identical
-files. Loading checks magic, version and the header's key set, rebuilds each
-encoder with its constructor (a missing or an unknown key fails, as do
-quadtile leaves that do not tile the globe), checks that the manifest is the
-one the rebuilt architecture writes and the float count, rejects non-finite
-weights, and copies the weights into a freshly allocated store.
+header has exactly three keys: ``encoders`` (the fitted encoders, from which
+loading derives the schema and the sub-columns), ``training_meta`` (``{}``
+until trained, then the run's epochs, best validation loss and train config,
+the one record of its order mode and dropout) and ``weights`` (each weight's
+name and shape). The weight section is byte-exact, so save -> load -> save
+reproduces identical files. Loading checks magic, version, the key sets of
+the header and of ``training_meta``, its epochs and loss, that its train
+config is the one ``TrainConfig`` rebuilds from it, each encoder by its
+constructor (a missing or an unknown key fails, as do quadtile leaves that
+do not tile the globe), the weight manifest against the architecture, the
+float count and that every weight is finite.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 
 from .encoders import TableEncoders
-from .model import ArgnModel
+from .model import ArgnModel, TrainConfig
+from .nn import DpConfig
 
 MAGIC = b"ARGN"
-FORMAT_VERSION = 3
-HEADER_KEYS = ("encoders", "order_mode", "training_meta", "weights")
+FORMAT_VERSION = 4
+HEADER_KEYS = ("encoders", "training_meta", "weights")
+META_KEYS = ("epochs_run", "best_epoch", "best_val_loss", "train_config")
 
 
 class ModelFileError(ValueError):
@@ -44,7 +49,6 @@ def save_model(model: ArgnModel, path: str) -> None:
         raise ValueError("model has no parameters to save")
     header = {
         "encoders": model.encoders.to_dict(),
-        "order_mode": model.order_mode,
         "training_meta": model.training_meta,
         "weights": _manifest(model),
     }
@@ -70,6 +74,12 @@ def load_model(path: str) -> ArgnModel:
         raise ModelFileError(f"{path}: malformed model header: {exc!r}") from exc
 
 
+def _check_keys(record: dict, keys: tuple, what: str) -> None:
+    odd = sorted(record.keys() ^ set(keys))
+    if odd:
+        raise ModelFileError(f"{what} key {odd[0]!r} is {'missing' if odd[0] in keys else 'unexpected'}")
+
+
 def _model_from_blob(blob: bytes, path: str) -> ArgnModel:
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise ModelFileError(f"{path}: not an ARGN model file")
@@ -83,14 +93,18 @@ def _model_from_blob(blob: bytes, path: str) -> ArgnModel:
         raise ModelFileError(f"{path}: truncated header")
     header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
 
-    odd = sorted(header.keys() ^ set(HEADER_KEYS))
-    if odd:
-        state = "missing" if odd[0] in HEADER_KEYS else "unexpected"
-        raise ModelFileError(f"{path}: header key {odd[0]!r} is {state}")
-    if not isinstance(header["training_meta"], dict):
-        raise ModelFileError(f"{path}: training_meta is not an object")
-    model = ArgnModel(TableEncoders.from_dict(header["encoders"]), header["order_mode"])
-    model.training_meta = header["training_meta"]
+    _check_keys(header, HEADER_KEYS, f"{path}: header")
+    meta = header["training_meta"]
+    if meta != {}:  # {} is an untrained model
+        _check_keys(meta, META_KEYS, f"{path}: training_meta")
+        config = meta["train_config"]
+        with warnings.catch_warnings(action="ignore"):  # TrainConfig warned when the model was trained
+            rebuilt = TrainConfig(**{**config, "dp": DpConfig(**config["dp"])})
+        if (asdict(rebuilt) != config or not 1 <= meta["best_epoch"] <= meta["epochs_run"] <= rebuilt.max_epochs
+                or not 0 <= meta["best_val_loss"] < np.inf):  # an NLL: finite and not negative
+            raise ModelFileError(f"{path}: training_meta is not a record that train writes")
+    model = ArgnModel(TableEncoders.from_dict(header["encoders"]))
+    model.training_meta = meta
     model.allocate_params()
     if header["weights"] != _manifest(model):
         raise ModelFileError(f"{path}: weight manifest does not match the architecture")

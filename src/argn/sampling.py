@@ -153,7 +153,7 @@ def _effective_order(model: ArgnModel, requested: Optional[Sequence[int]],
     conditioned = sorted(fixed)
     free = [i for i in order if i not in fixed]
     effective = tuple(conditioned + free)
-    if model.order_mode == "fixed" and effective != tuple(range(d)):
+    if effective != tuple(range(d)) and model.training_meta["train_config"]["order_mode"] == "fixed":
         raise ValueError(
             "model was trained with a fixed order; requested order (after moving "
             "conditioned sub-columns first) differs"
@@ -199,7 +199,7 @@ def generate(model: ArgnModel, req: GenerationRequest, rows: Optional[range] = N
     codes injected; everything else is drawn from the temperature-scaled
     conditional distribution. ``rows`` selects part of ``range(req.n_rows)``.
     """
-    if not model.trained:
+    if not model.training_meta:
         raise ValueError("model is not trained")
     fixed = _resolve_conditions(model, req.conditions)
     order = _effective_order(model, req.order, fixed)

@@ -1,6 +1,8 @@
 """Small shared helpers: thread budgeting, blocked row scans and rank
 statistics."""
 
+from __future__ import annotations
+
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
@@ -12,15 +14,16 @@ SCAN_BLOCK = 512
 
 
 def worker_count() -> int:
-    """Worker-thread cap, controlled by the ARGN_THREADS env var (0 or unset = auto)."""
-    raw = os.environ.get("ARGN_THREADS", "0")
+    """Worker-thread cap, controlled by the ARGN_THREADS env var (0, empty or
+    unset = auto); any other value that is not a count is refused."""
+    raw = os.environ.get("ARGN_THREADS") or "0"
     try:
         n = int(raw)
     except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 8)
-    return max(1, n)
+        n = -1
+    if n < 0:
+        raise ValueError(f"ARGN_THREADS must be a thread count (0 = auto), got {raw!r}")
+    return n or min(os.cpu_count() or 1, 8)
 
 
 def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int,
@@ -39,6 +42,16 @@ def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int,
         return np.concatenate([block_fn(sl) for sl in slices])
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(block_fn, slices)))
+
+
+def class_ranks(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Each row's position in a random permutation of its class's rows: one
+    ``rng.permutation`` per class present, in sorted class order."""
+    ranks = np.empty(len(labels), dtype=np.int64)
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        ranks[idx[rng.permutation(len(idx))]] = np.arange(len(idx))
+    return ranks
 
 
 def midranks(values: np.ndarray) -> np.ndarray:

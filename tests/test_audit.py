@@ -16,7 +16,7 @@ from argn.audit import (
 )
 from argn.tables import RawTable
 from argn.util import mann_whitney_auc as auc
-from argn.util import midranks
+from argn.util import class_ranks, midranks
 from conftest import make_table, mixed_sample_table, table_rows
 
 
@@ -72,6 +72,23 @@ def test_midranks_equal_the_per_block_loop(values):
     """Ties (including -0.0 with 0.0 and inf with inf) share their block's
     mean rank; a NaN ties with nothing; an empty input has no ranks."""
     assert midranks(values).tolist() == midranks_loop(values).tolist()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.booleans(), max_size=30), st.integers(0, 2**32))
+def test_class_ranks_are_the_per_class_permutation_loop(labels, seed):
+    """The loop that the detection split and the audit folds each ran: one
+    permutation per class, False then True; a class with no rows draws
+    nothing, so the generator ends in the same state."""
+    labels = np.array(labels, dtype=bool)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.zeros(len(labels), dtype=np.int64)
+    for cls in (False, True):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[reference.permutation(len(idx))]
+        expected[idx] = np.arange(len(idx))
+    assert class_ranks(labels, rng).tolist() == expected.tolist()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_auc_negation_flips(rng):

@@ -38,8 +38,8 @@ def subcols(cardinalities, prefix="x") -> TableEncoders:
                           for i, c in enumerate(cardinalities)])
 
 
-def fresh_model(cardinalities, seed=0, order_mode="any_order"):
-    model = ArgnModel(subcols(cardinalities), order_mode=order_mode)
+def fresh_model(cardinalities, seed=0):
+    model = ArgnModel(subcols(cardinalities))
     model.init_params(np.random.default_rng(seed))
     return model
 
@@ -194,9 +194,9 @@ def lookup_table_data(n_rows=1000, cardinality=10, seed=0):
     return EncodedTable(subcols([cardinality, cardinality]).sub_columns, data), mapping
 
 
-def train_lookup(order_mode="any_order", seed=0):
+def train_lookup(seed=0):
     encoded, mapping = lookup_table_data(seed=seed)
-    model = ArgnModel(subcols([10, 10]), order_mode=order_mode)
+    model = ArgnModel(subcols([10, 10]))
     cfg = TrainConfig(batch_size=128, initial_lr=5e-3, max_epochs=150, seed=seed)
     history = train(model, encoded, cfg)
     return model, mapping, history, encoded
@@ -293,7 +293,7 @@ def test_nll_matches_batch_loss_path():
     model = fresh_model([3, 4, 2], seed=5)
     rows = np.random.default_rng(0).integers(0, 2, size=(50, 3)).astype(np.int32)
     order = (2, 0, 1)
-    losses, _ = _per_example_grads(model, rows, order, None)  # no rng: dropout off
+    losses, _ = _per_example_grads(model, rows, order, None)  # dropout off
     assert negative_log_likelihood(model, rows, order) == pytest.approx(float(losses.mean()), abs=1e-9)
 
 
@@ -343,7 +343,7 @@ def test_full_model_gradient_matches_finite_differences(order):
 # -- the prefix-context pass against the masked pass -------------------------------
 
 
-def masked_reference_pass(model, codes, order, rng, clip_norm=None):
+def masked_reference_pass(model, codes, order, dropout, clip_norm=None):
     """The training pass in its masked form, the reference for the prefix
     one: every regressor reads the whole canonical embedding row, with the
     slots of the sub-columns that do not precede its target zeroed. Adds the
@@ -371,7 +371,7 @@ def masked_reference_pass(model, codes, order, rng, clip_norm=None):
     saved = []
     for t, i in enumerate(order):
         ctx = full * masks[t]
-        logits, cache = model.column_logits(ctx, i, rng)
+        logits, cache = model.column_logits(ctx, i, dropout)
         losses, dlogits = nn.softmax_cross_entropy(logits, codes[:, i])
         if clip_norm is None:
             dlogits /= n
@@ -414,7 +414,7 @@ def prefix_cases():
     cards = [int(c) for c in rng.integers(1, 40, size=60)]
     wide = fresh_model(cards, seed=4)
     wide_codes = rng.integers(0, cards, size=(64, 60)).astype(np.int32)
-    fixed = fresh_model([3, 4, 2, 5, 7, 1], seed=5, order_mode="fixed")
+    fixed = fresh_model([3, 4, 2, 5, 7, 1], seed=5)
     return [
         ("any_order", small, small_codes, [tuple(rng.permutation(6)) for _ in range(4)]),
         ("fixed", fixed, small_codes, [tuple(range(6))]),
@@ -435,15 +435,14 @@ def test_training_pass_equals_the_masked_reference(case, clip_norm):
     from argn.model import _per_example_grads
 
     _, model, codes, orders = case
-    model.dropout_rate = 0.25
     for k, order in enumerate(orders):
         model.store.grad[...] = 0
         ref_rng = np.random.default_rng(k)
-        ref_losses, ref_norms = masked_reference_pass(model, codes, order, ref_rng, clip_norm)
+        ref_losses, ref_norms = masked_reference_pass(model, codes, order, (0.25, ref_rng), clip_norm)
         reference = model.store.grad.copy()
         model.store.grad[...] = 0
         rng = np.random.default_rng(k)
-        losses, norms = _per_example_grads(model, codes, order, rng, clip_norm)
+        losses, norms = _per_example_grads(model, codes, order, (0.25, rng), clip_norm)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert_float32_close(losses, ref_losses)
         assert_float32_close(model.store.grad, reference)
@@ -477,10 +476,10 @@ def record_dropout_masks(monkeypatch) -> list:
     return drawn
 
 
-def per_example_grads_oracle(model, codes, order, drawn, monkeypatch):
+def per_example_grads_oracle(model, codes, order, rate, drawn, monkeypatch):
     """Batch-of-1 oracle: each row's train-mode loss and flat gradient from
-    its own pass, replaying that row of the masks ``drawn`` (one per
-    sub-column, in order) that a batch pass drew."""
+    its own pass at dropout ``rate``, replaying that row of the masks
+    ``drawn`` (one per sub-column, in order) that a batch pass drew."""
     from argn.model import _per_example_grads
 
     grad = model.store.grad
@@ -489,7 +488,7 @@ def per_example_grads_oracle(model, codes, order, drawn, monkeypatch):
         replay = iter([mask[r : r + 1] for mask in drawn])
         monkeypatch.setattr(nn, "dropout_mask", lambda shape, rate, rng: next(replay))
         grad[...] = 0
-        row_losses, _ = _per_example_grads(model, codes[r : r + 1], order, np.random.default_rng(0))
+        row_losses, _ = _per_example_grads(model, codes[r : r + 1], order, (rate, np.random.default_rng(0)))
         losses.append(float(row_losses[0]))
         grads.append(grad.copy())
         assert next(replay, None) is None
@@ -497,12 +496,11 @@ def per_example_grads_oracle(model, codes, order, drawn, monkeypatch):
     return np.array(losses), np.array(grads)
 
 
-def ghost_case(dropout):
+def ghost_case():
     model = ArgnModel(subcols([3, 4, 2]))
     model.init_params(np.random.default_rng(1), dtype=np.float64)
     # random biases keep pre-activations off the ReLU kink and away from zero
     model.store.value[...] = np.random.default_rng(2).normal(scale=0.5, size=model.store.value.size)
-    model.dropout_rate = dropout
     codes = np.random.default_rng(3).integers(0, 2, size=(12, 3)).astype(np.int32)
     return model, codes
 
@@ -516,17 +514,17 @@ def norm_rel_err(a, b):
 def test_ghost_norms_and_clipped_sum_match_batch_of_one_oracle(order, dropout, monkeypatch):
     from argn.model import _per_example_grads
 
-    model, codes = ghost_case(dropout)
+    model, codes = ghost_case()
     drawn = record_dropout_masks(monkeypatch)
-    _per_example_grads(model, codes, order, np.random.default_rng(5))
+    _per_example_grads(model, codes, order, (dropout, np.random.default_rng(5)))
     plain_masks = list(drawn)
     assert len(plain_masks) == (len(order) if dropout else 0)
-    oracle_losses, grads = per_example_grads_oracle(model, codes, order, plain_masks, monkeypatch)
+    oracle_losses, grads = per_example_grads_oracle(model, codes, order, dropout, plain_masks, monkeypatch)
     oracle_norms = np.linalg.norm(grads, axis=1)
     clip = float(np.median(oracle_norms))  # clips about half the rows
 
     drawn = record_dropout_masks(monkeypatch)
-    losses, norms = _per_example_grads(model, codes, order, np.random.default_rng(5), clip)
+    losses, norms = _per_example_grads(model, codes, order, (dropout, np.random.default_rng(5)), clip)
     assert all(np.array_equal(a, b) for a, b in zip(drawn, plain_masks, strict=True))
     np.testing.assert_allclose(norms, oracle_norms, rtol=1e-10, atol=0)
     np.testing.assert_allclose(losses, oracle_losses, rtol=1e-12, atol=0)
@@ -539,12 +537,12 @@ def test_ghost_norms_and_clipped_sum_match_batch_of_one_oracle(order, dropout, m
 def test_plain_and_dp_passes_draw_the_same_dropout_masks(order, monkeypatch):
     from argn.model import _per_example_grads
 
-    model, codes = ghost_case(0.25)
+    model, codes = ghost_case()
     drawn = record_dropout_masks(monkeypatch)
     plain_rng, dp_rng = np.random.default_rng(9), np.random.default_rng(9)
-    _per_example_grads(model, codes, order, plain_rng)
+    _per_example_grads(model, codes, order, (0.25, plain_rng))
     plain_masks = drawn[:]
-    _per_example_grads(model, codes, order, dp_rng, 1.0)
+    _per_example_grads(model, codes, order, (0.25, dp_rng), 1.0)
     dp_masks = drawn[len(plain_masks):]
     assert [m.shape for m in plain_masks] == [(len(codes), model.sizes.regressor_dims[i]) for i in order]
     assert all(np.array_equal(a, b) for a, b in zip(plain_masks, dp_masks, strict=True))
@@ -555,19 +553,19 @@ def test_ghost_huge_clip_is_the_summed_gradient_and_one_row_clips_to_exact_norm(
     from argn.model import _per_example_grads
 
     for dropout in (0.0, 0.25):
-        model, codes = ghost_case(dropout)
+        model, codes = ghost_case()
         order = (2, 0, 1)
-        _per_example_grads(model, codes, order, np.random.default_rng(0))
+        _per_example_grads(model, codes, order, (dropout, np.random.default_rng(0)))
         summed = codes.shape[0] * model.store.grad  # the plain mean gradient times n
         model.store.grad[...] = 0
-        _, norms = _per_example_grads(model, codes, order, np.random.default_rng(0), 1e12)
+        _, norms = _per_example_grads(model, codes, order, (dropout, np.random.default_rng(0)), 1e12)
         assert norms.max() < 1e12
         assert norm_rel_err(model.store.grad, summed) < 1e-10, dropout
 
         model.store.grad[...] = 0
-        _, (norm,) = _per_example_grads(model, codes[:1], order, np.random.default_rng(0), 1e12)
+        _, (norm,) = _per_example_grads(model, codes[:1], order, (dropout, np.random.default_rng(0)), 1e12)
         model.store.grad[...] = 0
-        _per_example_grads(model, codes[:1], order, np.random.default_rng(0), norm / 2)
+        _per_example_grads(model, codes[:1], order, (dropout, np.random.default_rng(0)), norm / 2)
         assert np.linalg.norm(model.store.grad) == pytest.approx(norm / 2, rel=1e-12), dropout
 
 
@@ -611,7 +609,7 @@ def test_plain_step_adds_each_column_before_the_next():
     held = 256 * (sum(sizes.cardinalities) + 2 * sum(sizes.regressor_dims)) * model.store.value.itemsize
     tracemalloc.start()
     try:
-        _per_example_grads(model, codes, tuple(range(60)), np.random.default_rng(2))
+        _per_example_grads(model, codes, tuple(range(60)), (0.25, np.random.default_rng(2)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -642,16 +640,9 @@ def test_training_with_dp_runs_and_is_deterministic():
     assert np.isfinite(a).all()
 
 
-def test_training_order_mode_must_match_the_model():
-    encoded, _ = lookup_table_data(n_rows=100)
-    for model_mode, cfg_mode in (("any_order", "fixed"), ("fixed", "any_order")):
-        with pytest.raises(ValueError, match="order_mode"):
-            train(ArgnModel(subcols([10, 10]), model_mode), encoded, TrainConfig(order_mode=cfg_mode))
-
-
 def test_fixed_order_training():
     encoded, mapping = lookup_table_data(n_rows=300)
-    model = ArgnModel(subcols([10, 10]), order_mode="fixed")
+    model = ArgnModel(subcols([10, 10]))
     cfg = TrainConfig(batch_size=64, initial_lr=5e-3, max_epochs=60, order_mode="fixed", seed=2)
     history = train(model, encoded, cfg)
     assert history["val_loss"][-1] < 2.5  # learned something

@@ -19,6 +19,7 @@ import argn.audit
 from argn.cli import cli, load_run_config
 from argn.encoders import ENCODERS, EncodingOptions, decode_table, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, train
+from argn.nn import DpConfig
 from argn.persist import FORMAT_VERSION, ModelFileError, load_model, save_model
 from argn.sampling import GenerationRequest, generate, synthesize
 from argn.tables import ColumnSpec, infer_schema, write_csv
@@ -151,13 +152,13 @@ def write_header(path, blob: bytes, header: dict, version: int = FORMAT_VERSION)
     path.write_bytes(blob[:4] + struct.pack("<IQ", version, len(raw)) + raw + blob[16 + header_len :])
 
 
-def test_a_saved_header_holds_exactly_the_four_keys(trained, tmp_path):
+def test_a_saved_header_holds_exactly_the_three_keys(trained, tmp_path):
     model, _ = trained
     path = tmp_path / "m.argn"
     save_model(model, str(path))
     blob = path.read_bytes()
-    assert struct.unpack("<I", blob[4:8]) == (3,) == (FORMAT_VERSION,)
-    assert list(read_header(blob)) == ["encoders", "order_mode", "training_meta", "weights"]
+    assert struct.unpack("<I", blob[4:8]) == (4,) == (FORMAT_VERSION,)
+    assert list(read_header(blob)) == ["encoders", "training_meta", "weights"]
 
 
 def old_schema(model) -> dict:
@@ -176,7 +177,7 @@ def test_a_version_1_file_is_refused(trained, tmp_path):
     v1 = {"schema": old_schema(model), "encoders": header["encoders"],
           "sub_columns": [{"name": s.name, "cardinality": s.cardinality, "parent": s.parent}
                           for s in model.sub_columns],
-          "order_mode": header["order_mode"], "fixed_order": list(range(model.d_total)),
+          "order_mode": meta["train_config"]["order_mode"], "fixed_order": list(range(model.d_total)),
           "dropout_rate": 0.25, "trained": True, "train_config": meta.pop("train_config"),
           "training_meta": meta, "weights": header["weights"]}
     old = tmp_path / "v1.argn"
@@ -196,11 +197,26 @@ def test_a_version_2_file_is_refused(trained, tmp_path):
         load_model(str(old))
 
 
+def test_a_version_3_file_is_refused(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header = read_header(blob)
+    v3 = {"encoders": header["encoders"], "order_mode": header["training_meta"]["train_config"]["order_mode"],
+          "training_meta": header["training_meta"], "weights": header["weights"]}
+    old = tmp_path / "v3.argn"
+    write_header(old, blob, v3, version=3)
+    with pytest.raises(ModelFileError, match="unsupported model format version 3 "):
+        load_model(str(old))
+
+
 @pytest.mark.parametrize("change,message", [
     (lambda h: h.update(trained=True), "header key 'trained' is unexpected"),
-    (lambda h: h.pop("order_mode"), "header key 'order_mode' is missing"),
+    (lambda h: h.update(order_mode="any_order"), "header key 'order_mode' is unexpected"),  # version 3's
+    (lambda h: h.pop("training_meta"), "header key 'training_meta' is missing"),
 ])
-def test_a_header_without_exactly_the_four_keys_is_refused(trained, tmp_path, change, message):
+def test_a_header_without_exactly_the_three_keys_is_refused(trained, tmp_path, change, message):
     model, _ = trained
     path = tmp_path / "m.argn"
     save_model(model, str(path))
@@ -214,7 +230,7 @@ def test_a_header_without_exactly_the_four_keys_is_refused(trained, tmp_path, ch
 
 @pytest.fixture(scope="module")
 def every_encoding_model_file(tmp_path_factory):
-    """The bytes of a saved model with one column of each encoding."""
+    """The bytes of a saved trained model with one column of each encoding."""
     rng = np.random.default_rng(2)
     n = 200
     table = make_table({
@@ -227,8 +243,9 @@ def every_encoding_model_file(tmp_path_factory):
     }, kinds={"amount": "numeric", "count": "numeric", "when": "datetime"})
     schema = infer_schema(table, {"count": ColumnSpec("count", "numeric", "digit_split"),
                                   "loc": ColumnSpec("loc", "latlong", sources=("lat", "lon"))})
-    model = ArgnModel(fit_encoders(table, schema, EncodingOptions(n_bins=8, quad_min_tile=50)))
-    model.init_params(np.random.default_rng(0))
+    encoders = fit_encoders(table, schema, EncodingOptions(n_bins=8, quad_min_tile=50))
+    model = ArgnModel(encoders)
+    train(model, encode_table(table, encoders), TrainConfig(batch_size=64, max_epochs=2, seed=0))
     path = tmp_path_factory.mktemp("every") / "m.argn"
     save_model(model, str(path))
     return path.read_bytes()
@@ -281,20 +298,23 @@ def test_an_encoder_value_that_fit_never_writes_is_refused_on_load(every_encodin
         load_model(str(path))
 
 
-def _one_value_edits(value, path=()):
+def _one_value_edits(value, path=(), keys=False):
     """(path, replacement) for each one-value edit inside a header value: a
     number up or down by one, a type swap (a bool or null to a number, a
     number to its text, a text to a number), or a list entry dropped or
-    duplicated."""
+    duplicated; with ``keys`` also an object's key dropped or one added."""
     if isinstance(value, dict):
+        if keys:
+            yield from ((path, {k: v for k, v in value.items() if k != key}) for key in value)
+            yield path, {**value, "extra": 0}
         for key, v in value.items():
-            yield from _one_value_edits(v, (*path, key))
+            yield from _one_value_edits(v, (*path, key), keys)
         return
     if isinstance(value, list):
         for i, v in enumerate(value):
             yield path, value[:i] + value[i + 1 :]
             yield path, value[: i + 1] + value[i:]
-            yield from _one_value_edits(v, (*path, i))
+            yield from _one_value_edits(v, (*path, i), keys)
         return
     if isinstance(value, bool) or value is None:
         yield path, int(bool(value))
@@ -302,6 +322,16 @@ def _one_value_edits(value, path=()):
         yield from ((path, value + 1), (path, value - 1), (path, str(value)))
     else:
         yield path, 0
+
+
+def edited(header: dict, path, replacement) -> dict:
+    """``header`` with the value at ``path`` (a non-empty key path) replaced."""
+    *parents, last = path
+    target = header
+    for key in parents:
+        target = target[key]
+    target[last] = replacement
+    return header
 
 
 def test_an_encoder_header_that_loads_generates_and_decodes_stably(every_encoding_model_file, tmp_path):
@@ -312,20 +342,13 @@ def test_an_encoder_header_that_loads_generates_and_decodes_stably(every_encodin
     leading sub-column the siblings re-encode to 0, Feb 30 clamps to Feb 28
     and a sign over zero digits writes 0.)"""
     blob = every_encoding_model_file
-    edits = list(_one_value_edits(read_header(blob)["encoders"]))
+    edits = list(_one_value_edits(read_header(blob)["encoders"], ("encoders",)))
     path = tmp_path / "m.argn"
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.sampled_from(edits))
     def check(edit):
-        (*parents, last), replacement = edit
-        header = read_header(blob)
-        header["training_meta"] = {"epochs_run": 0}  # generate refuses a model without it
-        target = header["encoders"]
-        for key in parents:
-            target = target[key]
-        target[last] = replacement
-        write_header(path, blob, header)
+        write_header(path, blob, edited(read_header(blob), *edit))
         try:
             model = load_model(str(path))
         except ModelFileError:
@@ -337,6 +360,74 @@ def test_an_encoder_header_that_loads_generates_and_decodes_stably(every_encodin
         assert decode_table(encode_table(out, model.encoders), model.encoders, u).cells == out.cells
 
     check()
+
+
+def test_a_training_record_that_loads_is_one_training_writes(every_encoding_model_file, tmp_path):
+    """Every one-value edit of ``training_meta`` (each ``train_config`` field
+    too), and each key dropped or added, either fails to load or gives a
+    model that synthesizes and whose record rebuilds to a TrainConfig."""
+    blob = every_encoding_model_file
+    edits = list(_one_value_edits(read_header(blob)["training_meta"], ("training_meta",), keys=True))
+    path = tmp_path / "m.argn"
+    refused = 0
+    for edit in edits:
+        write_header(path, blob, edited(read_header(blob), *edit))
+        try:
+            model = load_model(str(path))
+        except ModelFileError:
+            refused += 1
+            continue
+        config = model.training_meta["train_config"]
+        assert asdict(TrainConfig(**{**config, "dp": DpConfig(**config["dp"])})) == config
+        assert synthesize(model, GenerationRequest(n_rows=64, seed=1)).row_count == 64
+    assert {path[2] for path, _ in edits if len(path) > 2} == set(asdict(TrainConfig()))
+    assert 0 < refused < len(edits)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda m: m.pop("best_epoch"), "training_meta key 'best_epoch' is missing"),
+    (lambda m: m.update(history=[]), "training_meta key 'history' is unexpected"),
+    (lambda m: m["train_config"].pop("dropout_rate"), "training_meta is not a record that train writes"),
+    (lambda m: m["train_config"].update(order_mode="random"), "order_mode must be one of"),
+    (lambda m: m["train_config"].update(dropout_rate=1.0), "dropout_rate must be in"),
+    (lambda m: m["train_config"]["dp"].update(delta=1e-5), "'delta'"),
+    (lambda m: m["train_config"].update(max_epochs=m["epochs_run"] - 1), "not a record that train writes"),
+    (lambda m: m.update(best_epoch=0), "not a record that train writes"),
+    (lambda m: m.update(best_epoch=m["epochs_run"] + 1), "not a record that train writes"),
+    (lambda m: m.update(best_val_loss=-1.0), "not a record that train writes"),
+    (lambda m: m.update(best_val_loss=str(m["best_val_loss"])), "malformed model header"),  # used to load
+    (lambda m: m.clear() or m.update(epochs_run=1), "training_meta key 'best_epoch' is missing"),
+])
+def test_a_training_record_train_never_writes_is_refused(trained, tmp_path, change, message):
+    model, _ = trained
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    blob = path.read_bytes()
+    header = read_header(blob)
+    change(header["training_meta"])
+    write_header(path, blob, header)
+    with pytest.raises(ModelFileError, match=message):
+        load_model(str(path))
+
+
+def test_a_model_trained_with_a_warned_config_loads_without_a_warning(tmp_path):
+    table = mixed_sample_table(100, seed=3)
+    encoders = fit_encoders(table, table.schema, EncodingOptions(n_bins=4))
+    model = ArgnModel(encoders)
+    with pytest.warns(UserWarning, match="patience_stop <= patience_lr"):
+        cfg = TrainConfig(batch_size=32, max_epochs=2, patience_stop=2, patience_lr=2)
+    train(model, encode_table(table, encoders), cfg)
+    path = tmp_path / "m.argn"
+    save_model(model, str(path))
+    assert load_model(str(path)).training_meta == model.training_meta  # warnings are errors here
+
+
+def test_an_untrained_model_loads_and_generate_refuses_it(small_model_file):
+    path, _, _ = small_model_file
+    model = load_model(str(path))
+    assert model.training_meta == {}
+    with pytest.raises(ValueError, match="not trained"):
+        generate(model, GenerationRequest(n_rows=5))
 
 
 def test_a_key_beside_the_encoder_list_is_refused(trained, tmp_path):
@@ -473,7 +564,7 @@ def test_cli_train_parses_no_column_outside_infer_schema(data_csv, tmp_path, mon
 def test_cli_train_records_its_train_config(cli_model, quick_config):
     model = load_model(cli_model)
     run_cfg = replace(load_run_config(quick_config)["train"], seed=7)
-    assert model.trained
+    assert model.training_meta
     assert model.training_meta["train_config"] == asdict(run_cfg)
 
 
@@ -592,6 +683,41 @@ def test_cli_generate_conditions_on_missing_with_an_empty_value(cli_model, tmp_p
     assert cli(["generate", "--model", cli_model, "-n", "20", "--out", str(out),
                 "--condition", "num_a="]) == 0
     assert list(read_csv(str(out)).column_values("num_a")) == [None] * 20
+
+
+@pytest.fixture(scope="module")
+def fixed_order_model(data_csv, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fixed")
+    config = root / "run.json"
+    config.write_text(json.dumps({"train": {"max_epochs": 2, "batch_size": 64, "order_mode": "fixed"}}))
+    path = str(root / "m.argn")
+    assert cli(["train", "--data", data_csv, "--config", str(config), "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv,env,detail", [  # each used to exit 2
+    (["train", "--data", "{data}", "--out", "{out}", "--seed", "-1"], {}, "argument --seed: must be >= 0"),
+    (["evaluate", "--real", "{data}", "--syn", "{data}", "--report", "{out}", "--seed", "-1"], {},
+     "argument --seed: must be >= 0"),
+    (["evaluate", "--real", "{data}", "--syn", "{data}", "--report", "{out}", "--target", "nosuch"], {},
+     "evaluate: --target names unknown column 'nosuch'"),
+    (["generate", "--model", "{model}", "-n", "5", "--out", "{out}", "--order", "cat_a,cat_a"], {},
+     "--order names column 'cat_a' twice"),
+    (["generate", "--model", "{fixed}", "-n", "5", "--out", "{out}", "--order", "cat_b"], {},
+     "generate: model was trained with a fixed order"),
+    # used to run on the automatic thread count
+    (["dcr", "--train", "{data}", "--syn", "{data}", "--test", "{data}", "--out-cdf", "{out}"],
+     {"ARGN_THREADS": "abc"}, "ARGN_THREADS must be a thread count (0 = auto), got 'abc'"),
+])
+def test_cli_an_argument_the_verb_refuses_is_a_usage_error(data_csv, cli_model, fixed_order_model, tmp_path,
+                                                            capsys, monkeypatch, argv, env, detail):
+    out = tmp_path / "out"
+    paths = {"data": data_csv, "model": cli_model, "fixed": fixed_order_model, "out": str(out)}
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli([arg.format(**paths) for arg in argv]) == 1
+    assert detail in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_dcr_flags_train_copy(data_csv, tmp_path, capsys):
@@ -742,7 +868,9 @@ def test_cli_an_override_the_data_lacks_is_a_config_error(data_csv, tmp_path, ca
 
 
 @pytest.mark.parametrize("bad", [{"encoding": {"n_bins": 0}}, {"audit": {"n_shadow": 0}},
-                                 {"audit": {"n_shadow": -2}}])
+                                 {"audit": {"n_shadow": -2}},
+                                 {"audit": {"target_indices": [-1]}},  # used to audit the last row
+                                 {"audit": {"target_indices": [1.5]}}])
 def test_cli_audit_rejects_a_bad_config_value_before_running(data_csv, tmp_path, capsys, bad):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(bad))
@@ -750,6 +878,16 @@ def test_cli_audit_rejects_a_bad_config_value_before_running(data_csv, tmp_path,
     assert cli(["audit", "--data", data_csv, "--config", str(config),
                 "--report", str(report)]) == 1
     assert f"invalid {next(iter(bad))} config" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_audit_target_index_past_the_last_row_is_a_config_error(data_csv, tmp_path, capsys):
+    # used to exit 2 with numpy's "index 400 is out of bounds for axis 0 with size 400"
+    config = tmp_path / "audit.json"
+    config.write_text(json.dumps({"audit": {"target_indices": [3, 400]}}))
+    report = tmp_path / "report.json"
+    assert cli(["audit", "--data", data_csv, "--config", str(config), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == "config error: audit target index 400 is past the last of 400 rows\n"
     assert not report.exists()
 
 
@@ -866,4 +1004,4 @@ def test_python_m_argn_cli_train_writes_the_model(data_csv, quick_config, tmp_pa
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert load_model(str(model_path)).trained
+    assert load_model(str(model_path)).training_meta

@@ -209,7 +209,7 @@ def test_condition_by_a_value_at_the_edge_of_the_fitted_range_is_kept(condition_
 
 def test_fixed_order_model_rejects_other_orders():
     encoded, _ = lookup_table_data(n_rows=100)
-    model = ArgnModel(subcols([10, 10]), order_mode="fixed")
+    model = ArgnModel(subcols([10, 10]))
     train(model, encoded, TrainConfig(batch_size=32, max_epochs=2, order_mode="fixed", seed=0))
     with pytest.raises(ValueError, match="fixed order"):
         generate(model, GenerationRequest(n_rows=5, order=[1, 0]))
