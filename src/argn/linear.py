@@ -1,9 +1,10 @@
 """Built-in classifiers/regressors used by the metric suite and the audit
-harness: multinomial logistic regression trained by full-batch Adam (zero
-init, fully deterministic) and closed-form ridge regression, their
-penalties, step size and step count fixed as module constants. Also
-MixedFeatureMap, the one per-column view of a mixed table that the metrics
-and the audit read columns through.
+harness: multinomial logistic regression solved to a gradient tolerance by
+Newton's method (for more than two classes through conjugate gradients
+preconditioned by Böhning's bound; zero start, fully deterministic) and
+closed-form ridge regression, their penalties, tolerance and step cap fixed
+as module constants. Also MixedFeatureMap, the one per-column view of a
+mixed table that the metrics and the audit read columns through.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nn import Param, adam_step
 from .tables import RawTable
 
-LOGISTIC_L2, LOGISTIC_LR, LOGISTIC_ITERS = 1e-4, 0.05, 400  # penalty, Adam step size and steps
+LOGISTIC_L2 = 1e-4  # penalty (l2 / 2)·|W|² on the weights; the biases are unpenalized
+LOGISTIC_TOL, LOGISTIC_CAP = 1e-10, 50  # a fit stops at this max |gradient| or after this many steps
+SCALINGS = 60  # halvings (or doublings) a step may take in its line search
 RIDGE_L2 = 1e-6
 
 
@@ -39,48 +41,170 @@ def one_hot(y: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def softmax_class_major(w: np.ndarray, b: np.ndarray, xt: np.ndarray, out: Optional[np.ndarray] = None,
-                        top: Optional[np.ndarray] = None) -> np.ndarray:
-    """Class probabilities ``out`` (B, k, n) of weights ``w`` (B, k, f) and
-    biases ``b`` (B, k, 1) on the feature-major designs ``xt`` (B, f, n);
-    ``top`` (B, 1, n) is work space. The max and the sum run over the short
-    class axis, each an elementwise pass over rows of length n."""
-    out = np.matmul(w, xt, out=out)
+def softmax_class_major(w: np.ndarray, b: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Class probabilities (B, k, n) of weights ``w`` (B, k, f) and biases
+    ``b`` (B, k, 1) on the feature-major designs ``xt`` (B, f, n). The max
+    and the sum run over the short class axis, each an elementwise pass over
+    rows of length n."""
+    out = np.matmul(w, xt)
     out += b
-    out -= out.max(axis=1, keepdims=True, out=top)
+    out -= out.max(axis=1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True, out=top)
+    out /= out.sum(axis=1, keepdims=True)
     return out
 
 
-def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy(eta: np.ndarray, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Per problem, the weighted cross-entropy sum of logits ``eta`` (B, r, n)
+    against targets ``y``: one row of binary logits (log-odds of class 1)
+    against class 1's indicator, or class-major logits against the one-hot.
+    Each row's loss is computed relative to its own class's logit, so a
+    confidently right row keeps its small loss to full precision."""
+    if eta.shape[1] == 1:
+        loss = np.logaddexp(0.0, eta[:, 0] * (1.0 - 2.0 * y[:, 0]))
+    else:
+        u = eta - (eta * y).sum(axis=1, keepdims=True)
+        top = u.max(axis=1, keepdims=True)
+        loss = (top + np.log(np.exp(u - top).sum(axis=1, keepdims=True)))[:, 0]
+    return (weight * loss).sum(axis=1)
+
+
+def _curvature(z: np.ndarray, d: np.ndarray, mu: float) -> np.ndarray:
+    """``Zᵀ·diag(d)·Z + mu·P`` (B, m, m) of designs ``z`` (B, n, m) and row
+    curvatures ``d`` (B, n); P is the identity without the bias entry."""
+    a = np.sqrt(d)[:, :, None] * z
+    m = np.matmul(a.transpose(0, 2, 1), a)
+    diagonal = np.arange(m.shape[1] - 1)
+    m[:, diagonal, diagonal] += mu
+    return m
+
+
+def _conjugate_gradient(product, bound_t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton step s of ``product(s) = -g`` (B, k, m) by conjugate
+    gradients preconditioned with the inverse bound ``bound_t`` (its
+    transpose, applied to each class row), until each problem's max
+    |residual| is at most min(½, √|g|)·|g| (max norms) or after
+    LOGISTIC_CAP products."""
+    tol = np.abs(g).max(axis=(1, 2))
+    tol *= np.minimum(0.5, np.sqrt(tol))
+    s, res = np.zeros_like(g), -g
+    pres = np.matmul(res, bound_t)
+    d, rz = pres, (res * pres).sum(axis=(1, 2))
+    for _ in range(LOGISTIC_CAP):
+        live = np.abs(res).max(axis=(1, 2)) > tol
+        if not live.any():
+            break
+        hd = product(d)
+        a = np.where(live, rz / np.where(live, (d * hd).sum(axis=(1, 2)), 1.0), 0.0)[:, None, None]
+        s += a * d
+        res = res - a * hd
+        pres = np.matmul(res, bound_t)
+        rz, old = (res * pres).sum(axis=(1, 2)), rz
+        d = pres + np.where(live, rz / np.where(live, old, 1.0), 0.0)[:, None, None] * d
+    return s
+
+
+def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray,
+                       weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax regressions on a stack of B standardized feature-major designs
-    ``xt`` (B, f, n), fitted in lockstep by full-batch Adam from zero, with
-    class-major targets ``onehot`` (B or 1, k, n) and row weights ``weight``
-    (B, n) that scale each row's loss gradient (1/n for a plain fit, 0 for a
-    row the fit must not see). Returns weights (B, k, f) and biases (B, k, 1)."""
+    ``xt`` (B, f, n) with class-major targets ``onehot`` (B or 1, k, n) and
+    row weights ``weight`` (B, n) on each row's loss (1/n for a plain fit,
+    0 for a row the fit must not see). Each minimizes the weighted
+    cross-entropy plus (LOGISTIC_L2 / 2)·|W|², biases unpenalized, from zero,
+    and stops once its largest absolute gradient entry (weights and biases)
+    is at most LOGISTIC_TOL or after LOGISTIC_CAP steps. Each step halves
+    until the objective does not rise (beyond a rounding slack of 1e-12 of
+    it), and is dropped if SCALINGS halvings do not get there; a full step
+    doubles while that lowers the objective by more than that slack (the
+    first steps on nearly separable rows, where each full step lowers the
+    gradient only about e-fold). A problem whose gradient at zero is within
+    the tolerance keeps weights and biases exactly 0.
+
+    Two classes: the symmetric softmax is a logistic regression on
+    v = w₁ - w₀ with penalty (l2 / 4)·|v|², returned as w = (-v/2, v/2),
+    and each step is a Newton step. More classes: each step is a Newton step
+    solved by conjugate gradients, preconditioned by Böhning's fixed bound
+    ½·Zᵀ·diag(weight)·Z + l2·P on each class row, inverted once per design
+    (never a (k·f)² matrix). When f < n the coefficients are the weights
+    and the bias, over the design Z = [X, 1], and each matrix is (f+1)².
+    Otherwise they live in the rows' span: with Xᵀ = Q·R (Q orthonormal,
+    formed once per design) the design is [Rᵀ, 1], each matrix is (n+1)²,
+    and the weights are Q times the coefficients; the objective is the same,
+    since X·Q·c = X·w and |c| = |w|. Returns weights (B, k, f), biases
+    (B, k, 1) and each problem's step count (B,)."""
     stack, f, n = xt.shape
     k = onehot.shape[1]
-    size = stack * k * f
-    wb = Param("logistic", np.zeros(size + stack * k))  # all weights, then all biases
-    w, b = wb.value[:size].reshape(stack, k, f), wb.value[size:].reshape(stack, k, 1)
-    gw, gb = wb.grad[:size].reshape(stack, k, f), wb.grad[size:].reshape(stack, k, 1)
-    g, top, decay = np.empty((stack, k, n)), np.empty((stack, 1, n)), np.empty_like(w)
-    x, weight = xt.transpose(0, 2, 1), weight[:, None, :]
-    for t in range(1, LOGISTIC_ITERS + 1):
-        softmax_class_major(w, b, xt, g, top)
-        g -= onehot
-        g *= weight
-        np.matmul(g, x, out=gw)
-        gw += np.multiply(w, LOGISTIC_L2, out=decay)
-        g.sum(axis=2, keepdims=True, out=gb)
-        adam_step(wb, LOGISTIC_LR, t)
-    return w, b
+    binary = k == 2
+    y, mu = (onehot[:, 1:], LOGISTIC_L2 / 2) if binary else (onehot, LOGISTIC_L2)
+    basis, design = None, xt.transpose(0, 2, 1)
+    if f >= n:
+        basis, r = np.linalg.qr(xt)
+        design = r.transpose(0, 2, 1)
+    z = np.concatenate([design, np.ones((stack, n, 1))], axis=2)
+    zt = z.transpose(0, 2, 1)
+    theta = np.zeros((stack, y.shape[1], z.shape[2]))
+
+    def weights(c: np.ndarray) -> np.ndarray:
+        return c[..., :-1] if basis is None else np.matmul(c[..., :-1], basis.transpose(0, 2, 1))
+
+    def objective(c: np.ndarray) -> np.ndarray:
+        return _cross_entropy(np.matmul(c, zt), y, weight) + mu / 2 * (c[..., :-1] ** 2).sum(axis=(1, 2))
+
+    bound_t = None if binary else np.linalg.inv(_curvature(z, weight / 2, mu)).transpose(0, 2, 1)
+    obj, steps = objective(theta), np.zeros(stack, dtype=np.int64)
+    for _ in range(LOGISTIC_CAP):
+        eta = np.matmul(theta, zt)
+        if binary:
+            p, q = np.exp(-np.logaddexp(0.0, -eta)), np.exp(-np.logaddexp(0.0, eta))  # p and 1 - p
+        else:
+            p = np.exp(eta - eta.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+        g = np.matmul(weight[:, None, :] * (p - y), z)
+        g[..., :-1] += mu * theta[..., :-1]
+        gradient = np.maximum(np.abs(weights(g)).max(axis=(1, 2), initial=0.0), np.abs(g[..., -1]).max(axis=1))
+        active = gradient > LOGISTIC_TOL
+        if not active.any():
+            break
+        g[~active] = 0.0
+        if binary:
+            m = _curvature(z, weight * p[:, 0] * q[:, 0], mu)
+            step = -np.linalg.solve(m, g.transpose(0, 2, 1)).transpose(0, 2, 1)
+        else:
+            def product(d: np.ndarray) -> np.ndarray:
+                e = np.matmul(d, zt)
+                out = np.matmul(weight[:, None, :] * p * (e - (p * e).sum(axis=1, keepdims=True)), z)
+                out[..., :-1] += mu * d[..., :-1]
+                return out
+            step = _conjugate_gradient(product, bound_t, g)
+        t = np.ones(stack)
+        for _ in range(SCALINGS):
+            new = objective(theta + t[:, None, None] * step)
+            rise = active & ~(new <= obj + 1e-12 * obj)
+            if not rise.any():
+                break
+            t[rise] /= 2
+        t[rise] = 0.0  # no halving kept the objective from rising: the problem stays put
+        grow = active & (t == 1.0)
+        for _ in range(SCALINGS):
+            if not grow.any():
+                break
+            trial = objective(theta + 2 * t[:, None, None] * step)
+            grow &= trial < new - 1e-12 * obj  # by more than rounding: near the optimum a doubled step only reflects
+            t[grow] *= 2
+            new = np.where(grow, trial, new)
+        theta += t[:, None, None] * step
+        obj = np.where(active & ~rise, new, obj)
+        steps += active
+    v, c = weights(theta), theta[..., -1:]
+    if binary:
+        return np.concatenate([-v / 2, v / 2], axis=1), np.concatenate([-c / 2, c / 2], axis=1), steps
+    return v, c, steps
 
 
 class LogisticModel:
     """Softmax regression; binary problems are the 2-class special case.
-    ``fit`` is the one-problem case of ``fit_logistic_stack``."""
+    ``fit`` is the one-problem case of ``fit_logistic_stack``; ``steps`` is
+    the number of solver steps it took."""
 
     def __init__(self):
         self.w: Optional[np.ndarray] = None  # (classes, features)
@@ -88,6 +212,7 @@ class LogisticModel:
         self.mu: Optional[np.ndarray] = None
         self.sd: Optional[np.ndarray] = None
         self.n_classes = 0
+        self.steps = 0
 
     def fit(self, x: np.ndarray, y: np.ndarray, n_classes: Optional[int] = None) -> "LogisticModel":
         x = np.asarray(x, dtype=np.float64)
@@ -99,8 +224,8 @@ class LogisticModel:
         self.n_classes = k
         self.mu, self.sd = standardizer(x)
         xt = feature_major(x, self.mu, self.sd)[None]
-        w, b = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n))
-        self.w, self.b = w[0], b[0, :, 0]
+        w, b, steps = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n))
+        self.w, self.b, self.steps = w[0], b[0, :, 0], int(steps[0])
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -36,13 +36,26 @@ def jsd(real_column, syn_column) -> float:
     """Jensen-Shannon divergence (base 2) between empirical category
     distributions over the union of categories, missing one of its own;
     0 = identical, 1 = disjoint."""
-    real, syn = list(real_column), list(syn_column)
-    if not real or not syn:
+    return coded_jsd(factorize(list(real_column)), factorize(list(syn_column)))
+
+
+def _union_codes(columns) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The union vocabulary of coded columns (``factorize`` or
+    ``RawTable.categories`` pairs: missing first, then the sorted texts) and
+    each column's codes into it."""
+    vocab, union = factorize([v for column_vocab, _ in columns for v in column_vocab.tolist()])
+    lookups = np.split(union, np.cumsum([len(column_vocab) for column_vocab, _ in columns])[:-1])
+    return vocab, [lookup[codes] for lookup, (_, codes) in zip(lookups, columns)]
+
+
+def coded_jsd(real: tuple[np.ndarray, np.ndarray], syn: tuple[np.ndarray, np.ndarray]) -> float:
+    """``jsd`` of two coded columns, each a (vocabulary, codes) pair."""
+    vocab, (a, b) = _union_codes([real, syn])
+    if not a.size or not b.size:
         raise ValueError("jsd needs non-empty columns")
-    vocab, codes = factorize(real + syn)
     k = len(vocab)
-    p = np.bincount(codes[: len(real)], minlength=k) / len(real)
-    q = np.bincount(codes[len(real) :], minlength=k) / len(syn)
+    p = np.bincount(a, minlength=k) / a.size
+    q = np.bincount(b, minlength=k) / b.size
     m = (p + q) / 2.0
     div = 0.0
     for dist in (p, q):
@@ -222,7 +235,8 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
 
     def with_target(tbl: RawTable, side: str) -> RawTable:
         if spec.kind == "categorical":
-            keep = np.array([v is not None for v in tbl.column_values(target_column)], dtype=bool)
+            vocab, codes = tbl.categories(target_column)
+            keep = np.array([v is not None for v in vocab.tolist()], dtype=bool)[codes]
         else:
             keep = ~np.isnan(tbl.values(target_column, spec.kind))
         if not keep.any():
@@ -234,9 +248,8 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
     real_test = with_target(real_test, "real test")
 
     if spec.kind == "categorical":
-        tables = (syn_train, real_train, real_test)
-        vocab, codes = factorize([v for t in tables for v in t.column_values(target_column)])
-        y_syn, y_real, y_test = np.split(codes, np.cumsum([t.row_count for t in tables])[:-1])
+        vocab, (y_syn, y_real, y_test) = _union_codes([t.categories(target_column)
+                                                      for t in (syn_train, real_train, real_test)])
 
         out = {}
         for tag, train_tbl, y_train in (("synthetic", syn_train, y_syn), ("baseline", real_train, y_real)):
@@ -480,7 +493,7 @@ def evaluate_tables(real: RawTable, syn: RawTable, holdout: Optional[RawTable] =
     jsd_cols, wd_cols = {}, {}
     for spec in real.schema.columns:
         if spec.kind == "categorical":
-            jsd_cols[spec.name] = jsd(real.column_values(spec.name), syn.column_values(spec.name))
+            jsd_cols[spec.name] = coded_jsd(real.categories(spec.name), syn.categories(spec.name))
         elif spec.kind in ("numeric", "datetime"):
             wd_cols[spec.name] = wasserstein1(real.values(spec.name, spec.kind),
                                               syn.values(spec.name, spec.kind))

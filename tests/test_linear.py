@@ -1,9 +1,15 @@
+import contextlib
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from argn.audit import _FOLD_DOMAIN, _cross_fit_scores
-from argn.linear import LogisticModel
+from argn.audit import _FOLD_DOMAIN, N_FOLDS, _cross_fit_scores
+from argn.linear import LOGISTIC_CAP, LOGISTIC_L2, LOGISTIC_TOL, LogisticModel
 from argn.nn import Param, adam_step
+from argn.util import class_ranks
 
 
 def row_major_fit(x, y, k, l2=1e-4, lr=0.05, iters=400):
@@ -30,6 +36,23 @@ def row_major_fit(x, y, k, l2=1e-4, lr=0.05, iters=400):
     return w, b, mu, sd
 
 
+def row_major_terms(x, y, w, b, mu, sd):
+    """The objective (mean cross-entropy plus (l2 / 2)·|w|²) and the largest
+    absolute gradient entry of weights ``w`` (k, f) and biases ``b`` (k,) on
+    rows ``x`` standardized by ``mu`` and ``sd``, in float64, row-major."""
+    n = len(y)
+    xs = (x - mu) / sd
+    logits = xs @ w.T + b
+    top = logits.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+    objective = np.mean(lse - logits[np.arange(n), y]) + LOGISTIC_L2 / 2 * np.sum(w * w)
+    g = np.exp(logits - lse[:, None])
+    g[np.arange(n), y] -= 1.0
+    g /= n
+    gradient = max(np.abs(g.T @ xs + LOGISTIC_L2 * w).max(initial=0.0), np.abs(g.sum(axis=0)).max())
+    return objective, gradient
+
+
 def classification_problem(rng, n, f, k):
     x = rng.normal(size=(n, f)) * rng.uniform(0.5, 20.0, size=f) + rng.normal(size=f)
     x[:, 2] = 3.25  # a constant feature
@@ -38,24 +61,68 @@ def classification_problem(rng, n, f, k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_class_major_fit_matches_the_row_major_reference(k):
+def test_the_fit_meets_the_tolerance_below_the_adam_reference(k):
     rng = np.random.default_rng(10 + k)
     x, y = classification_problem(rng, 240, 7, k)
     w, b, mu, sd = row_major_fit(x, y, k)
     clf = LogisticModel().fit(x, y, n_classes=k)
     assert clf.w.shape == (k, 7)
-    np.testing.assert_allclose(clf.w, w, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(clf.b.ravel(), b, rtol=0, atol=1e-12)
     assert np.array_equal(clf.mu, mu) and np.array_equal(clf.sd, sd)
-    assert np.all(clf.w[:, 2] == 0.0)  # a constant feature standardizes to 0 and only decays
+    assert np.all(clf.w[:, 2] == 0.0)  # a constant feature standardizes to 0 and is only penalized
+    objective, gradient = row_major_terms(x, y, clf.w, clf.b, mu, sd)
+    assert gradient <= LOGISTIC_TOL and clf.steps < LOGISTIC_CAP
+    assert objective <= row_major_terms(x, y, w, b, mu, sd)[0] + 1e-12
 
     proba = clf.predict_proba(x)
     xs = (x - mu) / sd
-    logits = xs @ w.T + b
+    logits = xs @ clf.w.T + clf.b
     expected = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
     assert proba.shape == (240, k)
     np.testing.assert_allclose(proba, expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def small_problems(draw):
+    """Rows, labels and class count: k 2-5, with fewer features than rows
+    or at least as many; some features constant, some classes absent."""
+    k, n = draw(st.integers(2, 5)), draw(st.integers(4, 30))
+    f = draw(st.integers(n, n + 12)) if draw(st.booleans()) else draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, f)) * rng.uniform(0.5, 20.0, size=f) + rng.normal(size=f)
+    x[:, rng.random(f) < 0.1] = 3.25
+    signal = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    y = (signal * x[:, :1] @ rng.normal(size=(1, k)) + rng.normal(size=(n, k))).argmax(axis=1)
+    return x, y, k
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(small_problems())
+def test_the_fit_meets_the_tolerance_or_the_cap_and_beats_400_adam_steps(problem):
+    x, y, k = problem
+    clf = LogisticModel().fit(x, y, n_classes=k)
+    objective, gradient = row_major_terms(x, y, clf.w, clf.b, clf.mu, clf.sd)
+    assert gradient <= LOGISTIC_TOL or clf.steps == LOGISTIC_CAP
+    w, b, mu, sd = row_major_fit(x, y, k)
+    assert objective <= row_major_terms(x, y, w, b, mu, sd)[0] + 1e-12
+
+
+@pytest.mark.parametrize("x, y, k", [
+    (np.arange(12.0).reshape(6, 2), [0] * 6, 2),  # class 1 absent
+    (np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 0, 1], 3),  # class 2 absent
+    (np.arange(12.0).reshape(6, 2), [0, 0, 0, 1, 1, 1], 2),  # perfectly separable
+    (np.arange(12.0).reshape(6, 2), [0, 0, 1, 1, 2, 2], 3),
+    (np.random.default_rng(0).normal(size=(6, 20)), [0, 1, 2, 3, 1, 0], 4),  # separable, f > n
+    (np.ones((6, 3)), [0, 1, 0, 1, 1, 1], 2),  # every feature constant
+    (np.ones((6, 3)), [0, 1, 2, 1, 1, 1], 3),
+])
+def test_degenerate_designs_end_within_the_cap_with_finite_fits(x, y, k):
+    clf = LogisticModel().fit(x, y, n_classes=k)
+    assert clf.steps <= LOGISTIC_CAP
+    assert np.isfinite(clf.w).all() and np.isfinite(clf.b).all()
+    proba = clf.predict_proba(x)
+    assert np.isfinite(proba).all() and np.allclose(proba.sum(axis=1), 1.0)
+    assert row_major_terms(x, np.asarray(y), clf.w, clf.b, clf.mu, clf.sd)[1] <= LOGISTIC_TOL
 
 
 def test_classes_default_to_the_largest_label_and_at_least_two():
@@ -127,3 +194,46 @@ def test_lockstep_cross_fit_scores_a_one_class_fold_one_half():
 def test_cross_fit_with_every_fold_one_class_scores_one_half():
     labels = np.array([True, False])
     assert np.array_equal(_cross_fit_scores(np.eye(2), labels, 0), [0.5, 0.5])
+
+
+@contextlib.contextmanager
+def argn_threads(count):
+    saved = os.environ.get("ARGN_THREADS")
+    os.environ["ARGN_THREADS"] = str(count)
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["ARGN_THREADS"]
+        else:
+            os.environ["ARGN_THREADS"] = saved
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(8, 40), st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_lockstep_folds_equal_separate_fits_at_any_thread_count(trials, features, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(trials) % 2 == 0
+    x = rng.normal(size=(trials, features)) + 0.8 * labels[:, None] * rng.normal(size=features)
+    with argn_threads(1):
+        scores = _cross_fit_scores(x, labels, seed)
+    with argn_threads(2):
+        assert _cross_fit_scores(x, labels, seed).tobytes() == scores.tobytes()
+    np.testing.assert_allclose(scores, per_fold_scores(x, labels, seed), rtol=0, atol=1e-9)
+
+
+def test_folds_without_signal_score_exactly_one_half_in_any_feature_order():
+    """Criterion 9's query counts, where in every fold the held-out members'
+    count rows are the held-out non-members' rows reordered: each fold's
+    training gradient at zero is 0 in exact arithmetic, so each fold keeps
+    weights 0 whatever the summation order, and scores every trial 0.5."""
+    labels = np.arange(64) % 2 == 1
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(_FOLD_DOMAIN,)))
+    fold_of = class_ranks(labels, rng) % N_FOLDS
+    counts = np.random.default_rng(1).integers(0, 8, size=(64, 12)).astype(np.float64)
+    for fold in range(N_FOLDS):
+        members = np.flatnonzero((fold_of == fold) & labels)
+        counts[np.flatnonzero((fold_of == fold) & ~labels)] = counts[members[::-1]]
+    for order in (np.arange(12), np.arange(12)[::-1], np.random.default_rng(2).permutation(12)):
+        scores = _cross_fit_scores(counts[:, order], labels, 9)
+        assert np.all(scores == 0.5)

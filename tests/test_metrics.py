@@ -507,6 +507,17 @@ def test_ml_efficiency_without_any_target_value_raises():
         ml_efficiency(table.subset([0, 1]), table.subset([2, 3]), table.subset([0, 1]), "label")
 
 
+@pytest.mark.parametrize("levels, kept", [(("lo", "hi"), ("hi",)), (("lo", "mid", "hi"), ("lo", "hi"))])
+def test_ml_efficiency_with_a_level_missing_from_the_synthetic_rows_stays_finite(rng, levels, kept):
+    x = rng.normal(size=300)
+    label = np.array(levels)[np.digitize(x, np.linspace(-0.5, 0.5, len(levels) - 1))]
+    table = make_table({"x": [f"{v:.4f}" for v in x], "label": list(label)}, kinds={"x": "numeric"})
+    train, test = table.subset(range(200)), table.subset(range(200, 300))
+    syn = train.subset(np.flatnonzero(np.isin(label[:200], kept)).tolist())
+    res = ml_efficiency(train, syn, test, "label")
+    assert all(np.isfinite(res[key]) for key in ("auc", "macro_f1", "baseline_auc", "baseline_macro_f1"))
+
+
 def test_macro_f1_perfect_balanced():
     y = np.array([0, 0, 1, 1])
     assert macro_f1(y, y, 2) == 1.0
