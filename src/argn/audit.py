@@ -300,7 +300,7 @@ def _cross_fit_scores(features: np.ndarray, labels: np.ndarray, seed: int) -> np
         return scores
     train = fold_of[None, :] != np.array(folds)[:, None]  # (folds, trials)
     xt = np.stack([feature_major(features, *standardizer(features[mask])) for mask in train])
-    w, b, _ = fit_logistic_stack(xt, one_hot(labels.astype(np.int64), 2)[None], train / train.sum(axis=1, keepdims=True))
+    w, b = fit_logistic_stack(xt, one_hot(labels.astype(np.int64), 2)[None], train / train.sum(axis=1, keepdims=True))
     proba = softmax_class_major(w, b, xt)
     for i, mask in enumerate(train):
         scores[~mask] = proba[i, 1, ~mask]

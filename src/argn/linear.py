@@ -1,7 +1,7 @@
 """Built-in classifiers/regressors used by the metric suite and the audit
 harness: multinomial logistic regression solved to a gradient tolerance by
 Newton's method (for more than two classes through conjugate gradients
-preconditioned by Böhning's bound; zero start, fully deterministic) and
+preconditioned by a scaled Böhning bound; zero start, fully deterministic) and
 closed-form ridge regression, their penalties, tolerance and step cap fixed
 as module constants. Also MixedFeatureMap, the one per-column view of a
 mixed table that the metrics and the audit read columns through.
@@ -19,6 +19,8 @@ from .tables import RawTable
 LOGISTIC_L2 = 1e-4  # penalty (l2 / 2)·|W|² on the weights; the biases are unpenalized
 LOGISTIC_TOL, LOGISTIC_CAP = 1e-10, 50  # a fit stops at this max |gradient| or after this many steps
 SCALINGS = 60  # halvings (or doublings) a step may take in its line search
+CONJUGATE_CAP = 200  # Hessian products a Newton step's conjugate-gradient solve may take
+CURVATURE_BLOCK = 2 ** 20  # entries of the design scaled at a time when a curvature matrix is formed
 RIDGE_L2 = 1e-6
 
 
@@ -69,28 +71,43 @@ def _cross_entropy(eta: np.ndarray, y: np.ndarray, weight: np.ndarray) -> np.nda
     return (weight * loss).sum(axis=1)
 
 
-def _curvature(z: np.ndarray, d: np.ndarray, mu: float) -> np.ndarray:
-    """``Zᵀ·diag(d)·Z + mu·P`` (B, m, m) of designs ``z`` (B, n, m) and row
-    curvatures ``d`` (B, n); P is the identity without the bias entry."""
-    a = np.sqrt(d)[:, :, None] * z
-    m = np.matmul(a.transpose(0, 2, 1), a)
-    diagonal = np.arange(m.shape[1] - 1)
-    m[:, diagonal, diagonal] += mu
-    return m
+def _curvature(xt: np.ndarray, d: np.ndarray, mu: float) -> np.ndarray:
+    """The (m+1)² matrix [[X·diag(d)·Xᵀ + mu·I, X·d], [dᵀ·Xᵀ, Σd]] (B, m+1,
+    m+1) of feature-major designs X = ``xt`` (B, m, n) and row curvatures
+    ``d`` (B, n): the curvature of weights and bias, the bias unpenalized.
+    X·diag(d)·Xᵀ sums A·Aᵀ over column blocks A of X·diag(√d) of at most
+    CURVATURE_BLOCK entries, so no scaled copy of a large design is held."""
+    stack, m, n = xt.shape
+    out = np.empty((stack, m + 1, m + 1))
+    gram, root, width = out[:, :m, :m], np.sqrt(d)[:, None, :], max(1, CURVATURE_BLOCK // m)
+    for j in range(0, n, width):
+        a = xt[:, :, j:j + width] * root[:, :, j:j + width]
+        if j:
+            gram += np.matmul(a, a.transpose(0, 2, 1))
+        else:
+            np.matmul(a, a.transpose(0, 2, 1), out=gram)
+    np.matmul(xt, d[:, :, None], out=out[:, :m, m:])
+    out[:, m, :m] = out[:, :m, m]
+    out[:, m, m] = d.sum(axis=1)
+    diagonal = np.arange(m)
+    out[:, diagonal, diagonal] += mu
+    return out
 
 
-def _conjugate_gradient(product, bound_t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The Newton step s of ``product(s) = -g`` (B, k, m) by conjugate
-    gradients preconditioned with the inverse bound ``bound_t`` (its
-    transpose, applied to each class row), until each problem's max
-    |residual| is at most min(½, √|g|)·|g| (max norms) or after
-    LOGISTIC_CAP products."""
+def _conjugate_gradient(product, inverse_t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton step s of ``product(s) = -g`` (B, k, m+1) by conjugate
+    gradients preconditioned with the inverse ``inverse_t`` (its transpose,
+    applied to each class row), until each problem's max |residual| is at
+    most max(min(½, |g|^¼)·|g|, LOGISTIC_TOL / 4) (max norms) or after
+    CONJUGATE_CAP products. The floor stops the last steps short of solving
+    into rounding: a residual below a quarter of the tolerance already
+    leaves the next gradient within it, up to second-order terms."""
     tol = np.abs(g).max(axis=(1, 2))
-    tol *= np.minimum(0.5, np.sqrt(tol))
+    tol = np.maximum(tol * np.minimum(0.5, tol ** 0.25), LOGISTIC_TOL / 4)
     s, res = np.zeros_like(g), -g
-    pres = np.matmul(res, bound_t)
+    pres = np.matmul(res, inverse_t)
     d, rz = pres, (res * pres).sum(axis=(1, 2))
-    for _ in range(LOGISTIC_CAP):
+    for _ in range(CONJUGATE_CAP):
         live = np.abs(res).max(axis=(1, 2)) > tol
         if not live.any():
             break
@@ -98,84 +115,91 @@ def _conjugate_gradient(product, bound_t: np.ndarray, g: np.ndarray) -> np.ndarr
         a = np.where(live, rz / np.where(live, (d * hd).sum(axis=(1, 2)), 1.0), 0.0)[:, None, None]
         s += a * d
         res = res - a * hd
-        pres = np.matmul(res, bound_t)
+        pres = np.matmul(res, inverse_t)
         rz, old = (res * pres).sum(axis=(1, 2)), rz
         d = pres + np.where(live, rz / np.where(live, old, 1.0), 0.0)[:, None, None] * d
     return s
 
 
-def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray,
-                       weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax regressions on a stack of B standardized feature-major designs
     ``xt`` (B, f, n) with class-major targets ``onehot`` (B or 1, k, n) and
     row weights ``weight`` (B, n) on each row's loss (1/n for a plain fit,
     0 for a row the fit must not see). Each minimizes the weighted
     cross-entropy plus (LOGISTIC_L2 / 2)·|W|², biases unpenalized, from zero,
     and stops once its largest absolute gradient entry (weights and biases)
-    is at most LOGISTIC_TOL or after LOGISTIC_CAP steps. Each step halves
-    until the objective does not rise (beyond a rounding slack of 1e-12 of
-    it), and is dropped if SCALINGS halvings do not get there; a full step
-    doubles while that lowers the objective by more than that slack (the
-    first steps on nearly separable rows, where each full step lowers the
-    gradient only about e-fold). A problem whose gradient at zero is within
-    the tolerance keeps weights and biases exactly 0.
+    is at most LOGISTIC_TOL or after LOGISTIC_CAP steps. A problem whose
+    gradient at zero is within the tolerance keeps weights and biases
+    exactly 0. Each step is a Newton step. It halves until the objective
+    does not rise (beyond a rounding slack of 1e-12 of it), and is dropped
+    if SCALINGS halvings do not get there; a full step doubles while that
+    lowers the objective by more than that slack (the first steps on nearly
+    separable rows, where each full step lowers the gradient only about
+    e-fold).
 
     Two classes: the symmetric softmax is a logistic regression on
     v = w₁ - w₀ with penalty (l2 / 4)·|v|², returned as w = (-v/2, v/2),
-    and each step is a Newton step. More classes: each step is a Newton step
-    solved by conjugate gradients, preconditioned by Böhning's fixed bound
-    ½·Zᵀ·diag(weight)·Z + l2·P on each class row, inverted once per design
-    (never a (k·f)² matrix). When f < n the coefficients are the weights
-    and the bias, over the design Z = [X, 1], and each matrix is (f+1)².
-    Otherwise they live in the rows' span: with Xᵀ = Q·R (Q orthonormal,
-    formed once per design) the design is [Rᵀ, 1], each matrix is (n+1)²,
-    and the weights are Q times the coefficients; the objective is the same,
-    since X·Q·c = X·w and |c| = |w|. Returns weights (B, k, f), biases
-    (B, k, 1) and each problem's step count (B,)."""
+    and each step solves its (m+1)² Hessian exactly, so the last step lands
+    far inside the tolerance and a fit does not depend on the order of its
+    sums (a stack of folds equals separate fits to rounding). More classes:
+    each step is solved by conjugate gradients (Hessian products only,
+    never a (k·f)² matrix), preconditioned on each class row by the fixed
+    matrix k⁻²·Xᵀ·diag(weight)·X + l2 (its bias unpenalized), inverted once
+    per design: the shape of Böhning's Hessian bound ½·Xᵀ·diag(weight)·X,
+    scaled towards the curvature of rows the fit already predicts well.
+
+    When f < n the coefficients are the weights and the bias, and each
+    matrix is (f+1)². Otherwise they live in the rows' span: with
+    Xᵀ = Q·R (Q orthonormal, formed once per design) the design is R, each
+    matrix is (n+1)², and the weights are Q times the coefficients; the
+    objective is the same, since Rᵀ·c = X·Q·c and |c| = |Q·c|. Returns
+    weights (B, k, f) and biases (B, k, 1)."""
     stack, f, n = xt.shape
     k = onehot.shape[1]
     binary = k == 2
     y, mu = (onehot[:, 1:], LOGISTIC_L2 / 2) if binary else (onehot, LOGISTIC_L2)
-    basis, design = None, xt.transpose(0, 2, 1)
+    basis, design = None, xt
     if f >= n:
-        basis, r = np.linalg.qr(xt)
-        design = r.transpose(0, 2, 1)
-    z = np.concatenate([design, np.ones((stack, n, 1))], axis=2)
-    zt = z.transpose(0, 2, 1)
-    theta = np.zeros((stack, y.shape[1], z.shape[2]))
+        basis, design = np.linalg.qr(xt)
+    design_t = design.transpose(0, 2, 1)
+    theta = np.zeros((stack, y.shape[1], design.shape[1] + 1))  # each class row: weights, then the bias
 
-    def weights(c: np.ndarray) -> np.ndarray:
-        return c[..., :-1] if basis is None else np.matmul(c[..., :-1], basis.transpose(0, 2, 1))
+    def logits(c: np.ndarray) -> np.ndarray:
+        return np.matmul(c[..., :-1], design) + c[..., -1:]
+
+    def pullback(r: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.matmul(r, design_t), r.sum(axis=2, keepdims=True)], axis=2)
 
     def objective(c: np.ndarray) -> np.ndarray:
-        return _cross_entropy(np.matmul(c, zt), y, weight) + mu / 2 * (c[..., :-1] ** 2).sum(axis=(1, 2))
+        return _cross_entropy(logits(c), y, weight) + mu / 2 * (c[..., :-1] ** 2).sum(axis=(1, 2))
 
-    bound_t = None if binary else np.linalg.inv(_curvature(z, weight / 2, mu)).transpose(0, 2, 1)
-    obj, steps = objective(theta), np.zeros(stack, dtype=np.int64)
+    inverse_t = None if binary else np.linalg.inv(_curvature(design, weight / k ** 2, mu)).transpose(0, 2, 1)
+    obj = objective(theta)
     for _ in range(LOGISTIC_CAP):
-        eta = np.matmul(theta, zt)
+        eta = logits(theta)
         if binary:
             p, q = np.exp(-np.logaddexp(0.0, -eta)), np.exp(-np.logaddexp(0.0, eta))  # p and 1 - p
         else:
             p = np.exp(eta - eta.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
-        g = np.matmul(weight[:, None, :] * (p - y), z)
+        g = pullback(weight[:, None, :] * (p - y))
         g[..., :-1] += mu * theta[..., :-1]
-        gradient = np.maximum(np.abs(weights(g)).max(axis=(1, 2), initial=0.0), np.abs(g[..., -1]).max(axis=1))
+        w_g = g[..., :-1] if basis is None else np.matmul(g[..., :-1], basis.transpose(0, 2, 1))
+        gradient = np.maximum(np.abs(w_g).max(axis=(1, 2), initial=0.0), np.abs(g[..., -1]).max(axis=1))
         active = gradient > LOGISTIC_TOL
         if not active.any():
             break
         g[~active] = 0.0
         if binary:
-            m = _curvature(z, weight * p[:, 0] * q[:, 0], mu)
-            step = -np.linalg.solve(m, g.transpose(0, 2, 1)).transpose(0, 2, 1)
+            step = -np.linalg.solve(_curvature(design, weight * p[:, 0] * q[:, 0], mu), g.transpose(0, 2, 1))
+            step = step.transpose(0, 2, 1)
         else:
-            def product(d: np.ndarray) -> np.ndarray:
-                e = np.matmul(d, zt)
-                out = np.matmul(weight[:, None, :] * p * (e - (p * e).sum(axis=1, keepdims=True)), z)
-                out[..., :-1] += mu * d[..., :-1]
+            def product(s: np.ndarray) -> np.ndarray:
+                e = logits(s)
+                out = pullback(weight[:, None, :] * p * (e - (p * e).sum(axis=1, keepdims=True)))
+                out[..., :-1] += mu * s[..., :-1]
                 return out
-            step = _conjugate_gradient(product, bound_t, g)
+            step = _conjugate_gradient(product, inverse_t, g)
         t = np.ones(stack)
         for _ in range(SCALINGS):
             new = objective(theta + t[:, None, None] * step)
@@ -194,17 +218,16 @@ def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray,
             new = np.where(grow, trial, new)
         theta += t[:, None, None] * step
         obj = np.where(active & ~rise, new, obj)
-        steps += active
-    v, c = weights(theta), theta[..., -1:]
+    v = theta[..., :-1] if basis is None else np.matmul(theta[..., :-1], basis.transpose(0, 2, 1))
+    c = theta[..., -1:]
     if binary:
-        return np.concatenate([-v / 2, v / 2], axis=1), np.concatenate([-c / 2, c / 2], axis=1), steps
-    return v, c, steps
+        return np.concatenate([-v / 2, v / 2], axis=1), np.concatenate([-c / 2, c / 2], axis=1)
+    return v, c
 
 
 class LogisticModel:
     """Softmax regression; binary problems are the 2-class special case.
-    ``fit`` is the one-problem case of ``fit_logistic_stack``; ``steps`` is
-    the number of solver steps it took."""
+    ``fit`` is the one-problem case of ``fit_logistic_stack``."""
 
     def __init__(self):
         self.w: Optional[np.ndarray] = None  # (classes, features)
@@ -212,7 +235,6 @@ class LogisticModel:
         self.mu: Optional[np.ndarray] = None
         self.sd: Optional[np.ndarray] = None
         self.n_classes = 0
-        self.steps = 0
 
     def fit(self, x: np.ndarray, y: np.ndarray, n_classes: Optional[int] = None) -> "LogisticModel":
         x = np.asarray(x, dtype=np.float64)
@@ -224,8 +246,8 @@ class LogisticModel:
         self.n_classes = k
         self.mu, self.sd = standardizer(x)
         xt = feature_major(x, self.mu, self.sd)[None]
-        w, b, steps = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n))
-        self.w, self.b, self.steps = w[0], b[0, :, 0], int(steps[0])
+        w, b = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n))
+        self.w, self.b = w[0], b[0, :, 0]
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
