@@ -79,7 +79,7 @@ def _curvature(xt: np.ndarray, d: np.ndarray, mu: float) -> np.ndarray:
     CURVATURE_BLOCK entries, so no scaled copy of a large design is held."""
     stack, m, n = xt.shape
     out = np.empty((stack, m + 1, m + 1))
-    gram, root, width = out[:, :m, :m], np.sqrt(d)[:, None, :], max(1, CURVATURE_BLOCK // m)
+    gram, root, width = out[:, :m, :m], np.sqrt(d)[:, None, :], max(1, CURVATURE_BLOCK // max(m, 1))
     for j in range(0, n, width):
         a = xt[:, :, j:j + width] * root[:, :, j:j + width]
         if j:

@@ -115,6 +115,8 @@ def test_the_fit_meets_the_tolerance_and_beats_400_adam_steps(problem):
     (np.random.default_rng(0).normal(size=(6, 20)), [0, 1, 2, 3, 1, 0], 4),  # separable, f > n
     (np.ones((6, 3)), [0, 1, 0, 1, 1, 1], 2),  # every feature constant
     (np.ones((6, 3)), [0, 1, 2, 1, 1, 1], 3),
+    (np.zeros((6, 0)), [0, 1, 1, 0, 1, 1], 2),  # no features at all
+    (np.zeros((6, 0)), [0, 1, 1, 0, 1, 2], 3),
 ])
 def test_degenerate_designs_end_within_the_cap_with_finite_fits(x, y, k):
     clf = LogisticModel().fit(x, y, n_classes=k)
