@@ -3,6 +3,7 @@ discretization, an any-order autoregressive network trained from scratch,
 fidelity metrics, DCR overfitting analysis, and a membership-inference audit
 harness."""
 
+from . import util  # pins numpy's bundled OpenBLAS to one thread (see util)
 from .encoders import EncodedTable, EncodingOptions, encode_table, decode_table, fit_encoders
 from .model import ArgnModel, TrainConfig, compute_layer_sizes, negative_log_likelihood, train
 from .nn import DpConfig

@@ -418,19 +418,20 @@ def argn_generator(train_cfg: TrainConfig, protection: Optional[ValueProtectionC
 
 
 def run_audit(data: RawTable, generator: Callable, cfg: AuditConfig,
-              auto_target: int = 0) -> dict:
-    """Full audit: pick targets (explicit indices or top Achilles scores),
-    build shadow trials per target, run every configured attack, and return a
-    JSON-ready report."""
+              auto_target: int = 1) -> dict:
+    """Full audit: pick targets (explicit indices, else the ``auto_target``
+    top Achilles scores), build shadow trials per target, run every
+    configured attack, and return a JSON-ready report."""
+    if auto_target < 1:
+        raise ValueError(f"auto_target must be >= 1, got {auto_target}")
     if cfg.target_indices:
         targets = list(cfg.target_indices)
         past = [i for i in targets if i >= data.row_count]
         if past:
             raise TargetIndexError(f"audit target index {past[0]} is past the last of {data.row_count} rows")
     else:
-        n_targets = max(1, auto_target)
         scores = achilles_score(data)
-        targets = [int(i) for i in np.argsort(-scores)[:n_targets]]
+        targets = [int(i) for i in np.argsort(-scores)[:auto_target]]
 
     report = {"n_shadow": cfg.n_shadow, "shadow_size": cfg.shadow_size,
               "seed": cfg.seed, "targets": []}

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .audit import AuditConfig, TargetIndexError, argn_generator, run_audit
 from .encoders import EncodingOptions, encode_table, fit_encoders
@@ -239,11 +239,15 @@ def _cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int, refused below ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -254,7 +258,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("generate", help="sample synthetic rows from a model file")
@@ -272,7 +276,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--syn", required=True)
     p.add_argument("--holdout", default=None)
     p.add_argument("--target", default=None)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -287,7 +291,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--report", required=True)
-    p.add_argument("--auto-target", type=int, default=1)
+    p.add_argument("--auto-target", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_audit)
     return parser
 

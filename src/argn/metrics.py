@@ -213,14 +213,14 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
 
 
 def _classification_auc(proba: np.ndarray, y: np.ndarray) -> float:
-    classes_present = np.unique(y)
+    """One-vs-rest AUC averaged over the classes that split the test rows
+    (class 1's AUC for a binary target), 0.5 when one class holds them all."""
+    split = [c for c in np.unique(y) if np.sum(y == c) < len(y)]
+    if not split:
+        return 0.5
     if proba.shape[1] == 2:
         return mann_whitney_auc(proba[:, 1], y == 1)
-    aucs = []
-    for c in classes_present:
-        if 0 < np.sum(y == c) < len(y):
-            aucs.append(mann_whitney_auc(proba[:, c], y == c))
-    return float(np.mean(aucs)) if aucs else 0.5
+    return float(np.mean([mann_whitney_auc(proba[:, c], y == c) for c in split]))
 
 
 def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable,

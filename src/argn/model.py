@@ -9,11 +9,11 @@ a batch of rows: ``embed_rows`` indexes the E_i, the training pass
 scatter-adds their gradients, and a sub-column's probabilities for a batch
 of contexts are ``nn.softmax`` of its ``column_logits``. A regressor reads
 only the slots of the sub-columns that precede its target in the current
-order: the training and validation passes lay a batch's embeddings out in
-that order, so each target's context is a prefix of the row, and its
-regressor's GEMMs run over the matching columns of W_i alone. The slots of
-later sub-columns never enter, so a sub-column's output does not depend on
-them.
+order: the training, validation and sampling passes lay a batch's
+embeddings out in that order, so each target's context is a prefix of the
+row, and its regressor's GEMMs run over the matching columns of W_i alone.
+The slots of later sub-columns never enter, so a sub-column's output does
+not depend on them.
 
 Training teacher-forces ground-truth embeddings, sums the cross-entropy over
 all sub-columns, and draws a fresh permutation per batch in any-order mode
@@ -228,7 +228,8 @@ def order_layout(model: ArgnModel, order: Sequence[int]) -> tuple[np.ndarray, li
     starts = np.concatenate([[0], np.cumsum([model.sizes.embed_dims[i] for i in order])])
     if tuple(order) == tuple(range(model.d_total)):
         return starts, [slice(0, int(w)) for w in starts[:-1]]
-    cols = np.concatenate([np.arange(model.offsets[i], model.offsets[i + 1]) for i in order])
+    canonical = np.arange(model.sizes.context_width)
+    cols = np.concatenate([canonical[model.slot(i)] for i in order])
     return starts, [cols[:w] for w in starts[:-1]]
 
 

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .encoders import EncodedTable, decode_table
-from .model import ArgnModel
+from .model import ArgnModel, order_layout
 from .tables import RawTable, TableSchema, concat
 
 _ROW_DOMAIN = 0
@@ -172,13 +172,16 @@ def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[
         return out
     uniforms = _row_rng(seed, row_indices, sum(i not in fixed_codes for i in order))
 
-    ctx = np.zeros((n, model.sizes.context_width), dtype=model.store.value.dtype)
+    # the embeddings laid out in ``order``, as training lays them out: each
+    # sub-column's context is the prefix of the slots drawn before it
+    starts, prefixes = order_layout(model, order)
+    ctx = np.empty((n, model.sizes.context_width), dtype=model.store.value.dtype)
     u_col = 0
-    for i in order:
+    for t, i in enumerate(order):
         if i in fixed_codes:
             codes = np.full(n, fixed_codes[i], dtype=np.int32)
         else:
-            logits, _ = model.column_logits(ctx, i)
+            logits, _ = model.column_logits(ctx[:, : starts[t]], i, cols=prefixes[t])
             logits /= temperature
             # unnormalized, summed in float64 and compared with u times the
             # row's total, so a zero-probability code is never drawn
@@ -188,7 +191,7 @@ def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[
             u_col += 1
             codes = (cum <= u[:, None]).sum(axis=1).astype(np.int32)
         out[:, i] = codes
-        ctx[:, model.slot(i)] = model.params[f"E{i}"].value[codes]
+        ctx[:, starts[t] : starts[t + 1]] = model.params[f"E{i}"].value[codes]
     return out
 
 

@@ -1,16 +1,32 @@
 """Small shared helpers: thread budgeting, blocked row scans and rank
-statistics."""
+statistics. Importing it pins numpy's bundled OpenBLAS to one thread, so
+the ``scan_rows`` pool, sized by ``ARGN_THREADS``, is argn's only parallelism."""
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 # Most rows per block of the DCR and Achilles scans.
 SCAN_BLOCK = 512
+
+
+def _pin_openblas() -> None:
+    """One thread for the OpenBLAS that numpy ships beside itself
+    (``numpy.libs/libscipy_openblas*``); any other BLAS is left alone."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
+_pin_openblas()
 
 
 def worker_count() -> int:

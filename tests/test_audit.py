@@ -507,3 +507,6 @@ def test_full_audit_deterministic(pool_and_target):
     a = run_audit(data, generator, cfg, auto_target=1)
     b = run_audit(data, generator, cfg, auto_target=1)
     assert a == b
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"auto_target must be >= 1, got {bad}"):
+            run_audit(data, generator, cfg, auto_target=bad)

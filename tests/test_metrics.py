@@ -518,6 +518,17 @@ def test_ml_efficiency_with_a_level_missing_from_the_synthetic_rows_stays_finite
     assert all(np.isfinite(res[key]) for key in ("auc", "macro_f1", "baseline_auc", "baseline_macro_f1"))
 
 
+@pytest.mark.parametrize("levels", [("lo", "hi"), ("lo", "mid", "hi")])
+def test_ml_efficiency_on_test_rows_of_one_class_scores_an_auc_of_one_half(rng, levels):
+    x = rng.normal(size=300)
+    label = np.array(levels)[np.digitize(x, np.linspace(-0.5, 0.5, len(levels) - 1))]
+    table = make_table({"x": [f"{v:.4f}" for v in x], "label": list(label)}, kinds={"x": "numeric"})
+    train = table.subset(range(200))
+    test = table.subset([i for i in range(200, 300) if label[i] == "hi"])
+    res = ml_efficiency(train, train, test, "label")
+    assert res["auc"] == res["baseline_auc"] == 0.5
+
+
 def test_macro_f1_perfect_balanced():
     y = np.array([0, 0, 1, 1])
     assert macro_f1(y, y, 2) == 1.0

@@ -705,6 +705,11 @@ def fixed_order_model(data_csv, tmp_path_factory):
      "--order names column 'cat_a' twice"),
     (["generate", "--model", "{fixed}", "-n", "5", "--out", "{out}", "--order", "cat_b"], {},
      "generate: model was trained with a fixed order"),
+    # used to audit one target
+    (["audit", "--data", "{data}", "--report", "{out}", "--auto-target", "0"], {},
+     "argument --auto-target: must be >= 1, got 0"),
+    (["audit", "--data", "{data}", "--report", "{out}", "--auto-target", "-3"], {},
+     "argument --auto-target: must be >= 1, got -3"),
     # used to run on the automatic thread count
     (["dcr", "--train", "{data}", "--syn", "{data}", "--test", "{data}", "--out-cdf", "{out}"],
      {"ARGN_THREADS": "abc"}, "ARGN_THREADS must be a thread count (0 = auto), got 'abc'"),
