@@ -196,18 +196,23 @@ class ArgnModel:
         by default; the regressor then reads the window W_i[:, cols], views
         for a slice and gathered copies of value and gradient for an index
         array. The cache's last entry is that window. ``dropout`` is None (off)
-        or (rate, rng): at a positive rate one (n, r_i) mask is drawn from rng."""
+        or (rate, rng): at a positive rate one (n, r_i) mask is drawn from rng.
+        The predictor runs class-major: V_i h^T + c_i is a (d_i, n) block, and
+        the logits are its (n, d_i) transpose view, so per-row reductions over
+        them run across whole rows of the block (see ``nn.softmax``)."""
         w, b = self.params[f"W{i}"], self.params[f"b{i}"]
-        v, c = self.params[f"V{i}"], self.params[f"c{i}"]
+        v, c = self.params[f"V{i}"].value, self.params[f"c{i}"].value
         if cols is not None:
             w = Param(w.name, w.value[:, cols], w.grad[:, cols])
         h, cache_r = nn.dense_forward(context, w, b, "relu")
         mask = None
         if dropout is not None and dropout[0] > 0:
             mask = nn.dropout_mask(h.shape, *dropout)
-            h = h * mask
-        logits, cache_p = nn.dense_forward(h, v, c, "none")
-        return logits, (cache_r, cache_p, mask, w)
+            h *= mask  # h is the forward's own output; the cache keeps pre
+        by_class = v @ h.T
+        by_class += c[:, None]
+        logits = by_class.T
+        return logits, (cache_r, (h, logits, "none"), mask, w)
 
     def backward_column(self, dlogits: np.ndarray, cache, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-row (dpre, dctx): the regressor's pre-activation gradient and
@@ -215,7 +220,7 @@ class ArgnModel:
         cache_r, cache_p, mask, w = cache
         _, dh = nn.dense_backward(dlogits, cache_p, self.params[f"V{i}"])
         if mask is not None:
-            dh = dh * mask
+            dh *= mask  # dh is the backward's own output
         return nn.dense_backward(dh, cache_r, w)
 
 
@@ -258,6 +263,15 @@ def negative_log_likelihood(model: ArgnModel, codes,
 
 def _row_sq(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a, dtype=np.float64)
+
+
+def _add_embedding_grads(grad: np.ndarray, codes: np.ndarray, demb: np.ndarray) -> None:
+    """Scatter-adds row r of ``demb`` to row codes[r] of the (cardinality, e)
+    table gradient ``grad``: one ``np.bincount`` over the (code, dim) pairs,
+    summed in float64."""
+    card, e = grad.shape
+    flat = (codes[:, None] * e + np.arange(e)).ravel()
+    grad += np.bincount(flat, weights=demb.ravel(), minlength=card * e).reshape(card, e)
 
 
 def _add_column_grads(model: ArgnModel, i: int, cols, w: Param, ctx: np.ndarray, h: np.ndarray,
@@ -319,7 +333,7 @@ def _per_example_grads(model: ArgnModel, codes: np.ndarray, order: Sequence[int]
             w, h, dlogits, dpre = saved[t]
             _add_column_grads(model, i, prefixes[t], w, emb[:, : starts[t]], h, dlogits * scale, dpre * scale)
     for t, i in enumerate(order):
-        np.add.at(model.params[f"E{i}"].grad, codes[:, i], demb[:, starts[t] : starts[t + 1]])
+        _add_embedding_grads(model.params[f"E{i}"].grad, codes[:, i], demb[:, starts[t] : starts[t + 1]])
     return total, norms
 
 

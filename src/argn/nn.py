@@ -7,8 +7,8 @@ batches only, one (rows, width) array, and any other shape is a ValueError.
 The dense backward returns per-row gradients and leaves their weighting and
 summing to the caller. A model's weights live in one flat ``Param`` store;
 the kernels get views into it, and Adam and DP-SGD update the whole store
-at once. Embedding lookups and their scatter-add are plain indexing in
-``argn.model``.
+at once. Embedding lookups and their scatter-add (one ``np.bincount``) are
+in ``argn.model``.
 
 Parameters default to float32. Tests run the same kernels in float64 to
 check analytic gradients against central finite differences.
@@ -70,7 +70,8 @@ def dense_forward(x, w: Param, b: Param, activation: str = "relu"):
         raise ValueError(
             f"dense {w.name}: input width {x.shape[1]} != weight width {w.value.shape[1]}"
         )
-    pre = x @ w.value.T + b.value
+    pre = x @ w.value.T
+    pre += b.value
     y = np.maximum(pre, 0) if activation == "relu" else pre
     return y, (x, pre, activation)
 
@@ -85,27 +86,37 @@ def dense_backward(dy, cache, w: Param):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (rows, classes) batch."""
+    """Row-wise softmax of a (rows, classes) batch, in a new array.
+
+    Computed class-major: the max and the sum run across the rows of the
+    (classes, rows) transpose, whole rows at a time, which is the cheap
+    direction when ``logits`` is the transpose view ``column_logits``
+    returns. The result is the (rows, classes) transpose of a C-ordered
+    (classes, rows) buffer; exp and divide run in that buffer.
+    """
     _check_batch(logits, "softmax")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    by_class = logits.T
+    p = np.subtract(by_class, by_class.max(axis=0), order="C")
+    np.exp(p, out=p)
+    p /= p.sum(axis=0)
+    return p.T
 
 
 def softmax_cross_entropy(logits, target):
     """Per-row losses and the grad matrix softmax(logits) - onehot(target)
-    of (rows, classes) logits and one target class per row."""
+    of (rows, classes) logits and one target class per row. The grad is the
+    softmax's own buffer, laid out as ``softmax`` returns it; ``logits`` is
+    never written."""
     _check_batch(logits, "softmax_cross_entropy")
     targets = np.asarray(target, dtype=np.int64)
     if targets.shape != logits.shape[:1]:
         raise ValueError("target count does not match logits batch")
     if targets.min() < 0 or targets.max() >= logits.shape[1]:
         raise ValueError("target class out of range")
-    p = softmax(logits)
+    grad = softmax(logits)
     rows = np.arange(logits.shape[0])
     # clip only guards the log; the gradient stays exact
-    losses = -np.log(np.maximum(p[rows, targets], np.finfo(p.dtype).tiny))
-    grad = p.copy()
+    losses = -np.log(np.maximum(grad[rows, targets], np.finfo(grad.dtype).tiny))
     grad[rows, targets] -= 1
     return losses, grad
 

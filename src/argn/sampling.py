@@ -161,6 +161,36 @@ def _effective_order(model: ArgnModel, requested: Optional[Sequence[int]],
     return effective
 
 
+def _inverse_cdf(logits: np.ndarray, u: np.ndarray, temperature: float) -> np.ndarray:
+    """One code per row of (rows, classes) ``logits``, drawn by inverse CDF
+    with that row's uniform in ``u``: the number of classes whose cumulative
+    weight is at most u times the row's total.
+
+    The weights exp((logit - row max) / temperature) are unnormalized and
+    summed in float64, so a zero-probability code is never drawn. The max is
+    subtracted before the division, and only the entries below it are
+    divided: the max keeps weight 1 and an entry that overflows to -inf gets
+    weight 0, so a near-zero temperature draws the argmax. The work runs on
+    the (classes, rows) transpose, one vector add per class, which for the
+    transpose view ``column_logits`` returns reads whole rows of its block.
+    """
+    by_class = logits.T
+    weights = np.subtract(by_class, by_class.max(axis=0), order="C")
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(weights, temperature, out=weights, where=weights < 0)
+    np.exp(weights, out=weights)
+    total = np.zeros(weights.shape[1])
+    for row in weights:
+        total += row
+    u = u * total
+    cum = np.zeros_like(total)
+    codes = np.zeros(weights.shape[1], dtype=np.int32)
+    for row in weights:
+        cum += row
+        codes += cum <= u
+    return codes
+
+
 def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[int],
                   fixed_codes: dict[int, int], temperature: float, seed: int) -> np.ndarray:
     """Inner sampling loop of generate(). ``fixed_codes`` maps a sub-column
@@ -182,14 +212,8 @@ def _sample_codes(model: ArgnModel, row_indices: Sequence[int], order: Sequence[
             codes = np.full(n, fixed_codes[i], dtype=np.int32)
         else:
             logits, _ = model.column_logits(ctx[:, : starts[t]], i, cols=prefixes[t])
-            logits /= temperature
-            # unnormalized, summed in float64 and compared with u times the
-            # row's total, so a zero-probability code is never drawn
-            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-            cum = np.cumsum(weights, axis=1, dtype=np.float64)
-            u = uniforms[:, u_col] * cum[:, -1]
+            codes = _inverse_cdf(logits, uniforms[:, u_col], temperature)
             u_col += 1
-            codes = (cum <= u[:, None]).sum(axis=1).astype(np.int32)
         out[:, i] = codes
         ctx[:, starts[t] : starts[t + 1]] = model.params[f"E{i}"].value[codes]
     return out

@@ -461,6 +461,27 @@ def test_validation_nll_equals_the_masked_reference(case):
         assert nll == pytest.approx(masked_reference_nll(model, codes, order), rel=1e-6)
 
 
+@pytest.mark.parametrize("rows", [1, 40])
+def test_column_logits_come_class_major_and_no_kernel_writes_into_what_the_pass_reuses(rows):
+    """The logits are the transpose view of a (classes, rows) block. Passed
+    back to the softmax kernel, then its gradient to ``backward_column``,
+    neither they nor the context, the dropout mask or the cached
+    activations change: the pass reads each of them again afterwards."""
+    model = fresh_model([31, 4, 101], seed=6)
+    codes = np.random.default_rng(7).integers(0, [31, 4, 101], size=(rows, 3)).astype(np.int32)
+    ctx = model.embed_rows(codes)
+    for i in range(3):
+        logits, cache = model.column_logits(ctx, i, (0.25, np.random.default_rng(i)))
+        assert logits.shape == (rows, model.sizes.cardinalities[i]) and logits.T.flags.c_contiguous
+        reused = {"ctx": ctx, "logits": logits, "pre": cache[0][1], "h": cache[1][0], "mask": cache[2]}
+        before = {name: a.copy() for name, a in reused.items()}
+        _, dlogits = nn.softmax_cross_entropy(logits, codes[:, i])
+        reused["dlogits"], before["dlogits"] = dlogits, dlogits.copy()
+        model.backward_column(dlogits, cache, i)
+        for name, a in reused.items():
+            np.testing.assert_array_equal(a, before[name], err_msg=name)
+
+
 # -- DP-SGD: per-example gradients from one batched pass ---------------------------
 
 

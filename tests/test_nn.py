@@ -141,6 +141,54 @@ def test_softmax_rows_sum_to_one(rng):
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
 
+def logits_in_layout(layout: str, rng) -> np.ndarray:
+    """float32 logits: a one-row batch, the (rows, classes) transpose view
+    of a class-major (classes, rows) block as the model returns it, or a
+    row-major batch."""
+    if layout == "one_row":
+        return rng.normal(size=(1, 7)).astype(np.float32)
+    if layout == "class_major":
+        return (3 * rng.normal(size=(7, 30))).astype(np.float32).T
+    return (3 * rng.normal(size=(30, 7))).astype(np.float32)
+
+
+@pytest.mark.parametrize("layout", ["one_row", "class_major", "row_major"])
+def test_softmax_kernels_never_write_into_their_logits(layout, rng):
+    logits = logits_in_layout(layout, rng)
+    if layout != "row_major":  # the transpose is contiguous: a kernel that took it
+        assert np.shares_memory(np.ascontiguousarray(logits.T), logits)  # would get a view
+    before = logits.copy()
+    target = rng.integers(logits.shape[1], size=logits.shape[0])
+    losses, grad = softmax_cross_entropy(logits, target)
+    p = softmax(logits)
+    np.testing.assert_array_equal(logits, before)
+    assert not np.shares_memory(grad, logits) and not np.shares_memory(p, logits)
+    exact = np.exp(before.astype(np.float64))
+    exact /= exact.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(p, exact, rtol=1e-5, atol=1e-7)
+    rows = np.arange(len(target))
+    np.testing.assert_allclose(losses, -np.log(exact[rows, target]), rtol=1e-5, atol=1e-6)
+    exact[rows, target] -= 1
+    np.testing.assert_allclose(grad, exact, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("activation", ["relu", "none"])
+@pytest.mark.parametrize("rows", [1, 9])
+def test_dense_kernels_never_write_into_their_arguments(rows, activation, rng):
+    x = rng.normal(size=(rows, 4)).astype(np.float32)
+    w = Param("w", rng.normal(size=(3, 4)).astype(np.float32))
+    b = Param("b", rng.normal(size=3).astype(np.float32))
+    dy = rng.normal(size=(rows, 3)).astype(np.float32)
+    arrays = (x, w.value, b.value, w.grad, b.grad, dy)
+    before = [a.copy() for a in arrays]
+    y, cache = dense_forward(x, w, b, activation)
+    cached = [a.copy() for a in cache[:2]]
+    kept_y = y.copy()
+    dense_backward(dy, cache, w)
+    for a, kept in zip((*arrays, *cache[:2], y), (*before, *cached, kept_y), strict=True):
+        np.testing.assert_array_equal(a, kept)
+
+
 # -- dropout -------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import math
 import os
@@ -611,6 +612,33 @@ def test_cli_generate_writes_what_synthesize_returns(cli_model, tmp_path):
               str(tmp_path / "lib.csv"))
     assert b"".join(lines) == (tmp_path / "lib.csv").read_bytes()
     assert _generated_lines(cli_model, 0, tmp_path / "empty.csv") == [lines[0]]
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "gnu_get_libc_version"), reason="glibc heap settings")
+def test_cli_keeps_freed_heap_so_a_repeated_step_faults_no_pages():
+    """A step that allocates about 1 MB in 96 KB arrays and frees them, as a
+    training step does: under the CLI's heap settings the freed pages stay
+    mapped, so repeating the step faults none in (glibc's defaults hand them
+    back and fault them in again, over a thousand times in 20 steps)."""
+    script = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "import argn.cli\n"
+        "argn.cli._keep_freed_heap()\n"
+        "def step():\n"
+        "    blocks = [np.ones(12_000) for _ in range(10)]\n"
+        "    del blocks\n"
+        "step()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    step()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(argn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50
 
 
 def test_cli_generate_memory_is_flat_in_the_row_count(cli_model, tmp_path):

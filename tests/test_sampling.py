@@ -1,14 +1,17 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from argn import sampling
 from argn.encoders import EncodingOptions, encode_table, fit_encoders
 from argn.model import ArgnModel, TrainConfig, train
 from argn.nn import softmax
-from argn.sampling import GenerationRequest, _row_rng, generate, synthesize
+from argn.sampling import GenerationRequest, _inverse_cdf, _row_rng, generate, synthesize
 from argn.tables import TableSchema
 from conftest import make_table, table_rows
 
@@ -32,6 +35,44 @@ def test_near_zero_temperature_recovers_lookup(lookup_model):
     out = generate(model, GenerationRequest(n_rows=500, temperature=1e-6, seed=1))
     x1, x2 = out.data[:, 0], out.data[:, 1]
     np.testing.assert_array_equal(x2, mapping[x1])
+
+
+@pytest.mark.parametrize("temperature", [1e-30, 1e-40, 5e-324])
+def test_a_temperature_whose_division_overflows_draws_the_argmax(lookup_model, temperature):
+    """Logits divided by such a temperature overflow float32 to -inf; the
+    draw still picks the most likely code, with no floating-point warning."""
+    model, mapping, _ = lookup_model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = generate(model, GenerationRequest(n_rows=500, temperature=temperature, seed=1))
+    x1, x2 = out.data[:, 0], out.data[:, 1]
+    np.testing.assert_array_equal(x2, mapping[x1])
+
+
+def row_major_cumsum_codes(logits: np.ndarray, u: np.ndarray, temperature: float) -> np.ndarray:
+    """The reference draw: the same weights, accumulated by ``np.cumsum``
+    along each row in float64."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(z, temperature, out=z, where=z < 0)
+    cum = np.cumsum(np.exp(z), axis=1, dtype=np.float64)
+    return (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([1, 2, 3, 7, 31, 101]),
+       st.sampled_from([1.0, 0.5, 0.9, 2.0, 1e-3, 1e-40, 1e30]), st.integers(0, 2**32 - 1))
+def test_the_class_major_draw_equals_the_row_major_cumsum(rows, classes, temperature, seed):
+    rng = np.random.default_rng(seed)
+    by_class = (4 * rng.normal(size=(classes, rows))).astype(np.float32)
+    by_class[rng.random((classes, rows)) < 0.3] = -1e4  # weight 0 at temperature 1
+    u = rng.random(rows)
+    u[rng.random(rows) < 0.2] = 0.0
+    u[rng.random(rows) < 0.2] = 1.0 - 2.0**-53
+    codes = _inverse_cdf(by_class.T, u, temperature)
+    assert codes.dtype == np.int32
+    np.testing.assert_array_equal(codes, row_major_cumsum_codes(np.ascontiguousarray(by_class.T), u, temperature))
+    assert ((codes >= 0) & (codes < classes)).all()
 
 
 def test_same_seed_identical_output(lookup_model):
