@@ -37,7 +37,6 @@ from __future__ import annotations
 import inspect
 import operator
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from typing import Optional, Sequence
 
 import numpy as np
@@ -198,6 +197,8 @@ class PercentileEncoder(Encoder):
 
 def _magnitudes(decs: Sequence[Decimal], decimals: int) -> list[int]:
     """|d| * 10**decimals of each value, rounded half up."""
+    from decimal import ROUND_HALF_UP, Decimal  # imported by the digit encoder only: it slows start-up
+
     scale = Decimal(10) ** decimals
     return [int((d.copy_abs() * scale).to_integral_value(ROUND_HALF_UP)) for d in decs]
 
@@ -236,6 +237,8 @@ class DigitEncoder(Encoder):
 
     @classmethod
     def fit(cls, spec: ColumnSpec, table: RawTable, options: EncodingOptions) -> "DigitEncoder":
+        from decimal import Decimal, InvalidOperation
+
         column = spec.name
         cells, missing = table.column_values(column), np.isnan(table.values(column, "numeric"))
         for v in (v for v, m in zip(cells, missing) if m and v is not None):
@@ -254,6 +257,8 @@ class DigitEncoder(Encoder):
         return cls(column, has_sign, n_digits, decimals)
 
     def encode(self, table: RawTable) -> np.ndarray:
+        from decimal import Decimal
+
         finite = ~np.isnan(table.values(self.column, "numeric"))
         decs = [Decimal(v.strip()) for v, ok in zip(table.column_values(self.column), finite) if ok]
         cap = 10**self.n_digits - 1
@@ -267,6 +272,8 @@ class DigitEncoder(Encoder):
         return codes
 
     def clamps(self, table: RawTable) -> Optional[str]:
+        from decimal import Decimal
+
         d = Decimal(table.column_values(self.column)[0].strip())
         cap = 10**self.n_digits - 1
         if _magnitudes([d], self.decimals)[0] > cap or (d < 0 and not self.has_sign):

@@ -152,8 +152,16 @@ def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray) -
     matrix is (f+1)². Otherwise they live in the rows' span: with
     Xᵀ = Q·R (Q orthonormal, formed once per design) the design is R, each
     matrix is (n+1)², and the weights are Q times the coefficients; the
-    objective is the same, since Rᵀ·c = X·Q·c and |c| = |Q·c|. Returns
-    weights (B, k, f) and biases (B, k, 1)."""
+    objective is the same, since Rᵀ·c = X·Q·c and |c| = |Q·c|.
+
+    A feature that is zero on every row of nonzero weight in every problem
+    (a one-hot OTHER or MISSING column that the reference table never
+    holds) has zero gradient and no curvature coupling, so its weights stay
+    exactly 0: the rest are fitted without it, and zeros fill its slots.
+    Returns weights (B, k, f) and biases (B, k, 1)."""
+    keep = ((xt != 0) & (weight != 0)[:, None, :]).any(axis=(0, 2))
+    if not keep.all():
+        xt = np.ascontiguousarray(xt[:, keep])  # a caller that keeps no reference frees the full design
     stack, f, n = xt.shape
     k = onehot.shape[1]
     binary = k == 2
@@ -218,7 +226,8 @@ def fit_logistic_stack(xt: np.ndarray, onehot: np.ndarray, weight: np.ndarray) -
             new = np.where(grow, trial, new)
         theta += t[:, None, None] * step
         obj = np.where(active & ~rise, new, obj)
-    v = theta[..., :-1] if basis is None else np.matmul(theta[..., :-1], basis.transpose(0, 2, 1))
+    v = np.zeros(theta.shape[:2] + keep.shape)
+    v[..., keep] = theta[..., :-1] if basis is None else np.matmul(theta[..., :-1], basis.transpose(0, 2, 1))
     c = theta[..., -1:]
     if binary:
         return np.concatenate([-v / 2, v / 2], axis=1), np.concatenate([-c / 2, c / 2], axis=1)
@@ -245,8 +254,9 @@ class LogisticModel:
             raise ValueError(f"labels must lie in [0, {k})")
         self.n_classes = k
         self.mu, self.sd = standardizer(x)
-        xt = feature_major(x, self.mu, self.sd)[None]
-        w, b = fit_logistic_stack(xt, one_hot(y, k)[None], np.full((1, n), 1.0 / n))
+        # the design is passed on without a name here, so a fit that drops features can free it
+        w, b = fit_logistic_stack(feature_major(x, self.mu, self.sd)[None], one_hot(y, k)[None],
+                                  np.full((1, n), 1.0 / n))
         self.w, self.b = w[0], b[0, :, 0]
         return self
 

@@ -4,17 +4,28 @@ Columns are compared on their empirical distributions: JSD (base 2) for
 categoricals, 1-Wasserstein on min-max scaled values for numerics, and the
 Frobenius norm of mixed association-matrix differences. Detection and
 ML-efficiency use the built-in logistic/ridge models. DCR is an exact
-nearest-record scan in tiles of query rows x train rows under a mixed
-per-column distance (an l1 sum over columns); the CDF-difference
-integral up to the holdout curve's 0.98 quantile flags generative
-overfitting (positive = risk). An exact-match pre-pass first scans each
-query row against its own categorical group alone, the train rows with
-equal codes in every categorical column. That is exact: a distance is
-never smaller than its number of categorical mismatches (each adds
-exactly 1.0 to a float sum of non-negative terms, which never
-decreases), so a group minimum <= 1 is the global minimum, bit for bit.
-Only groups of at most n_train // 16 rows enter it, so when nothing
-resolves it adds at most 1/16 of the full scan's pairs.
+nearest-record search under a mixed per-column distance (an l1 sum over
+columns); the CDF-difference integral up to the holdout curve's 0.98
+quantile flags generative overfitting (positive = risk).
+
+DCR rests on one bound: a distance is never smaller than its number of
+categorical mismatches C, since each mismatch adds exactly 1.0 to a float
+sum of non-negative terms, which never decreases. Both of its passes
+compute every exact distance they need with the dense scan's arithmetic,
+column by column in schema order, so each DCR equals the dense scan's bit
+for bit. Pass 1, the exact-match pre-pass, measures each query row against
+its categorical group alone, the train rows with equal codes in every
+categorical column, gathered pair by pair in a few batched calls: every
+other train row has C >= 1, so a group minimum <= 1 is the global minimum.
+Only groups of at most n_train // 16 rows (and a quarter tile) enter it,
+so when nothing resolves it adds at most 1/16 of the full scan's pairs. Pass 2 bounds and
+verifies the rows left, one tile of query rows x train rows at a time: it
+counts C in a uint8 tile (uint16 from 256 categorical columns), bounds each
+row by its pass-1 minimum or else by the exact distance of the tile's
+fewest-mismatch train row, and computes exact distances only for the pairs
+with C below the bound. A tile where more than a quarter of the pairs stay
+candidates is scanned densely instead (a gathered pair costs about two
+dense ones), as is every tile of a table without a categorical column.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ from .linear import LogisticModel, MixedFeatureMap, finite_span, fit_ridge, ridg
 from .tables import RawTable, concat, factorize
 from .util import SCAN_BLOCK, class_ranks, mann_whitney_auc, scan_rows
 
-SCAN_BYTES = 1 << 20  # per DCR or Achilles tile buffer; a DCR worker's three fit one L2: 512 x 256 to 1 x 131,072
+SCAN_BYTES = 1 << 20  # per DCR or Achilles tile buffer: 512 x 256 to 1 x 131,072 cells; a DCR worker's
+# three (two float64, one bool) take about 2.1 MiB, a little over one core's 2 MiB L2 on the 2-vCPU bench host
 PREPASS_SHARE = 16  # DCR's pre-pass takes a group of at most n_train // 16 train rows: at most 1/16 extra pairs
 MOMENT_BYTES = 8 << 20  # per row-block buffer of the association's pairwise moments; sets their rounding
 
@@ -279,9 +291,11 @@ def ml_efficiency(real_train: RawTable, syn_train: RawTable, real_test: RawTable
 
 
 def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
-    """Per column (kind, train side, other side, span, missing train rows,
-    missing other rows): category codes in the smallest unsigned dtype that
-    holds MISSING, or values with non-finite cells 0."""
+    """Per column (kind, train side, other side, span, missing train cells,
+    missing other cells): category codes in the smallest unsigned dtype that
+    holds MISSING, or values with non-finite cells 0 and a boolean mask of
+    those cells per side (None for a categorical, or for a side without
+    one)."""
     blocks = []
     for name, kind in fmap.kinds.items():
         if kind == "categorical":
@@ -291,36 +305,26 @@ def _dcr_columns(fmap: MixedFeatureMap, train: RawTable, other: RawTable):
             continue
         _, span, a, b = finite_span(*fmap.ranges[name], train.values(name, kind), other.values(name, kind))
         ok_a, ok_b = np.isfinite(a), np.isfinite(b)
-        blocks.append(("num", np.where(ok_a, a, 0.0), np.where(ok_b, b, 0.0),
-                       span if span > 0 else 1.0, np.flatnonzero(~ok_a), ~ok_b))
+        blocks.append(("num", np.where(ok_a, a, 0.0), np.where(ok_b, b, 0.0), span if span > 0 else 1.0,
+                       None if ok_a.all() else ~ok_a, None if ok_b.all() else ~ok_b))
     return blocks
 
 
-def _dcr_take(blocks, train_rows, other_rows):
-    """``blocks`` over the train rows ``train_rows`` and the other rows
-    ``other_rows``, in those orders (a slice takes views)."""
-    taken = []
-    for kind, a, b, span, miss_a, miss_b in blocks:
-        if kind == "num":
-            missing = np.zeros(len(a), dtype=bool)
-            missing[miss_a] = True
-            miss_a, miss_b = np.flatnonzero(missing[train_rows]), miss_b[other_rows]
-        taken.append((kind, a[train_rows], b[other_rows], span, miss_a, miss_b))
-    return taken
+def _dcr_rows(blocks, rows: np.ndarray):
+    """``blocks`` with their other side taken at ``rows``, in that order."""
+    return [(kind, a, b[rows], span, miss_a, None if miss_b is None else miss_b[rows])
+            for kind, a, b, span, miss_a, miss_b in blocks]
 
 
-def _dcr_prepass(blocks, n_train: int):
+def _dcr_prepass(blocks, n_train: int, limit: int):
     """The exact-match pre-pass plan. One int64 mixed-radix key per row over
     its category codes (OTHER and MISSING are codes like any other) is
     re-densified before it could overflow. Sorting the train rows by key
     (``order``) puts each group, the train rows with one key, in a range
-    [lo, hi). Returns ``order``; the other rows whose group is non-empty and
-    holds at most n_train // PREPASS_SHARE rows, in runs of one key; and per
-    run its lo, hi and length. None when no other row qualifies or when no
-    column is categorical."""
+    [lo, hi) of it. Returns ``order``, the other rows whose group is
+    non-empty and holds at most ``limit`` rows, and their lo and hi; None
+    when no other row qualifies."""
     cats = [(a, b) for kind, a, b, *_ in blocks if kind == "cat"]
-    if not cats or not len(cats[0][1]):
-        return None
     keys, radix = np.zeros(n_train + len(cats[0][1]), dtype=np.int64), 1
     for a, b in cats:
         base = int(max(a.max(), b.max())) + 1
@@ -331,15 +335,9 @@ def _dcr_prepass(blocks, n_train: int):
         keys[n_train:] += b
         radix *= base
     order = np.argsort(keys[:n_train], kind="stable")
-    other = np.argsort(keys[n_train:], kind="stable")
-    other_keys = keys[n_train:][other]
-    starts = np.flatnonzero(np.concatenate([[True], other_keys[1:] != other_keys[:-1]]))
-    lengths = np.diff(starts, append=len(other))
-    lo, hi = (np.searchsorted(keys[:n_train][order], other_keys[starts], side=side) for side in ("left", "right"))
-    keep = (lo < hi) & (hi - lo <= n_train // PREPASS_SHARE)
-    if not keep.any():
-        return None
-    return order, other[np.repeat(keep, lengths)], lo[keep], hi[keep], lengths[keep]
+    lo, hi = (np.searchsorted(keys[:n_train][order], keys[n_train:], side=side) for side in ("left", "right"))
+    pre = np.flatnonzero((lo < hi) & (hi - lo <= limit))
+    return (order, pre, lo[pre], hi[pre]) if pre.size else None
 
 
 def _dcr_chunk(blocks, rows: slice, train: slice,
@@ -353,14 +351,11 @@ def _dcr_chunk(blocks, rows: slice, train: slice,
     on either side skips the missing-cell fix-ups."""
     n_rows = rows.stop - rows.start
     width = min(train.stop - train.start, buffers[0].size // n_rows)
-    fixes = []
-    for kind, _, _, _, miss_a, miss_b in blocks:
-        if kind == "num":
-            miss_rows = np.flatnonzero(miss_b[rows])
-            miss_cols = miss_a[np.searchsorted(miss_a, train.start) : np.searchsorted(miss_a, train.stop)]
-            fixes.append((miss_rows, miss_cols) if miss_rows.size or miss_cols.size else None)
-        else:
-            fixes.append(None)
+    fixes, none = [], np.zeros(0, dtype=np.intp)
+    for *_, miss_a, miss_b in blocks:
+        miss_rows = none if miss_b is None else np.flatnonzero(miss_b[rows])
+        miss_cols = none if miss_a is None else np.flatnonzero(miss_a[train]) + train.start
+        fixes.append((miss_rows, miss_cols) if miss_rows.size or miss_cols.size else None)
     best = None
     for c0 in range(train.start, train.stop, width):
         c1 = min(c0 + width, train.stop)
@@ -385,6 +380,38 @@ def _dcr_chunk(blocks, rows: slice, train: slice,
     return best
 
 
+def _dcr_pairs(blocks, other_rows: np.ndarray, repeats, train_rows: np.ndarray, work: np.ndarray,
+               unequal: np.ndarray) -> np.ndarray:
+    """The distance of each pair of an other row, ``other_rows`` each
+    repeated ``repeats`` times, and a train row, ``train_rows`` in step:
+    the cells of both rows are gathered one column at a time, in schema
+    order, and meet ``_dcr_chunk``'s arithmetic, so each distance equals its
+    dense value bit for bit (a cell missing on both sides costs |0 - 0| /
+    span = 0). Works in the first 2 x pairs entries of the flat float buffer
+    ``work`` and the first pairs entries of the flat bool buffer
+    ``unequal``, and returns a view of ``work``."""
+    p = len(train_rows)
+    acc, y, u = work[:p], work[p : 2 * p], unequal[:p]
+    acc.fill(0.0)
+    for kind, a, b, span, miss_a, miss_b in blocks:
+        if kind == "cat":
+            acc += np.not_equal(np.take(a, train_rows, out=y.view(a.dtype)[:p], mode="clip"),
+                                b[other_rows].repeat(repeats), out=u)
+            continue
+        x = b[other_rows].repeat(repeats)
+        np.subtract(x, np.take(a, train_rows, out=y, mode="clip"), out=x)
+        np.abs(x, out=x)
+        np.divide(x, span, out=x)
+        one_missing = None if miss_b is None else miss_b[other_rows].repeat(repeats)
+        if miss_a is not None:
+            train_missing = np.take(miss_a, train_rows, out=u, mode="clip")
+            one_missing = train_missing if one_missing is None else np.not_equal(one_missing, train_missing, out=u)
+        if one_missing is not None:
+            np.copyto(x, 1.0, where=one_missing)
+        acc += x
+    return acc
+
+
 def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     """For each row of ``other``, the exact minimum mixed distance to any
     ``train`` row: the sum over columns of a 0/1 mismatch for categoricals
@@ -393,13 +420,16 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     to SCAN_BLOCK other rows by SCAN_BYTES / 8 train rows whose buffers stay
     within SCAN_BYTES each, whatever the table sizes; a worker that finds no
     free set of buffers allocates one, so there is at most one set per
-    worker.
+    worker, and a gathered call's index arrays hold at most a quarter tile
+    of pairs.
 
-    Pass 1, the exact-match pre-pass (module docstring), scans each other
-    row against its categorical group alone, in tiles that end at key
-    boundaries; pass 2 scans the rows it leaves above 1, or that have no
+    With a categorical column (module docstring): pass 1, the exact-match
+    pre-pass, sends every pair of an other row and its categorical group
+    through ``_dcr_pairs``, in calls of at most a quarter tile of pairs;
+    pass 2 bounds and verifies the rows it leaves above 1, or that have no
     group of at most n_train // PREPASS_SHARE rows, against every train
-    row."""
+    row. Without one, or with a single train row per tile, every row takes
+    the dense scan of ``_dcr_chunk``."""
     if train.schema.names != other.schema.names:
         raise ValueError("tables must share a schema")
     if train.row_count == 0:
@@ -408,43 +438,77 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     blocks = _dcr_columns(MixedFeatureMap(train), train, other)
     cols = min(n_train, SCAN_BYTES // 8)
     rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * cols), n_other))
+    quarter = rows * cols // 4  # pairs a gathered call may take; its two float arrays fit in one buffer
     free: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # buffer sets no worker is using
 
-    def scan(columns, n_rows: int, block: int, train_range, breaks=()) -> np.ndarray:
+    def scan(n_rows: int, block: int, fn) -> np.ndarray:
         def chunk(sl: slice) -> np.ndarray:
             try:
                 mine = free.pop()
             except IndexError:
                 mine = (np.empty(rows * cols), np.empty(rows * cols), np.empty(rows * cols, dtype=bool))
             try:
-                return _dcr_chunk(columns, sl, train_range(sl), mine)
+                return fn(sl, *mine)
             finally:
                 free.append(mine)
 
-        return scan_rows(n_rows, chunk, block, breaks)
+        return scan_rows(n_rows, chunk, block)
 
-    everything = slice(0, n_train)
-    prepass = _dcr_prepass(blocks, n_train)
-    if prepass is None:
-        return scan(blocks, n_other, rows, lambda sl: everything)
-    order, pre, lo, hi, lengths = prepass
-    ends = np.cumsum(lengths)
+    kc = sum(kind == "cat" for kind, *_ in blocks)
+    if not kc or cols < 2 or not n_other:  # a seed call's pairs fill half a tile at most when cols >= 2
+        return scan(n_other, rows, lambda sl, *bufs: _dcr_chunk(blocks, sl, slice(0, n_train), bufs))
 
-    def group(sl: slice) -> slice:
-        run = np.searchsorted(ends, sl.start, side="right")
-        return slice(int(lo[run]), int(hi[run]))
+    best = np.full(n_other, np.inf)
+    prepass = _dcr_prepass(blocks, n_train, min(n_train // PREPASS_SHARE, quarter))
+    if prepass is not None:
+        order, pre, lo, hi = prepass
 
-    near = scan(_dcr_take(blocks, order, pre), pre.size,
-                max(1, min(SCAN_BLOCK, rows * cols // int((hi - lo).max()))), group, ends[:-1].tolist())
-    out = np.empty(n_other)
-    resolved = pre[near <= 1.0]
-    out[resolved] = near[near <= 1.0]
-    rest = np.ones(n_other, dtype=bool)
-    rest[resolved] = False
-    rest = np.flatnonzero(rest)
+        def group_minima(sl: slice, _, work: np.ndarray, unequal: np.ndarray) -> np.ndarray:
+            size = hi[sl] - lo[sl]
+            first = np.cumsum(size) - size
+            train_rows = order[np.repeat(lo[sl] - first, size) + np.arange(first[-1] + size[-1])]
+            return np.minimum.reduceat(_dcr_pairs(blocks, pre[sl], size, train_rows, work, unequal), first)
+
+        best[pre] = scan(pre.size, max(1, quarter // int((hi - lo).max())), group_minima)
+
+    rest = np.flatnonzero(best > 1.0)
+    taken, seed = _dcr_rows(blocks, rest), best[rest]
+    cats = [(a, b) for kind, a, b, *_ in taken if kind == "cat"]
+    count_type = np.min_scalar_type(kc)
+
+    def verify(sl: slice, acc: np.ndarray, work: np.ndarray, unequal: np.ndarray) -> np.ndarray:
+        n_rows, bound = sl.stop - sl.start, seed[sl].copy()
+        for c0 in range(0, n_train, cols):
+            tile = slice(c0, min(c0 + cols, n_train))
+            width = tile.stop - c0
+            count = acc.view(count_type)[: n_rows * width].reshape(n_rows, width)
+            mask = unequal[: count.size].reshape(count.shape)
+            count.fill(0)
+            for a, b in cats:
+                count += np.not_equal(a[None, tile], b[sl, None], out=mask)
+            fresh = np.flatnonzero(bound == np.inf)
+            if fresh.size:  # seed from the pair with the fewest mismatches
+                near = count.argmin(axis=1)[fresh] + c0
+                bound[fresh] = _dcr_pairs(taken, fresh + sl.start, 1, near, work, unequal)
+            # a pair whose mismatch count is at least the bound is never nearer
+            np.less_equal(count, np.clip(np.ceil(bound) - 1, 0, kc).astype(count_type)[:, None], out=mask)
+            pairs = np.count_nonzero(mask)
+            if 4 * pairs > count.size:
+                np.minimum(bound, _dcr_chunk(taken, sl, tile, (acc, work, unequal)), out=bound)
+            elif pairs:
+                train_rows = np.flatnonzero(mask)
+                per_row = np.diff(np.searchsorted(train_rows, np.arange(0, count.size + 1, width)))
+                np.remainder(train_rows, width, out=train_rows)
+                train_rows += c0
+                hit = np.flatnonzero(per_row)
+                distances = _dcr_pairs(taken, hit + sl.start, per_row[hit], train_rows, work, unequal)
+                nearest = np.minimum.reduceat(distances, np.cumsum(per_row)[hit] - per_row[hit])
+                bound[hit] = np.minimum(bound[hit], nearest)
+        return bound
+
     if rest.size:
-        out[rest] = scan(_dcr_take(blocks, slice(None), rest), rest.size, rows, lambda sl: everything)
-    return out
+        best[rest] = scan(rest.size, rows, verify)
+    return best
 
 
 def _empirical_cdf(sample: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -56,6 +55,8 @@ def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int,
     workers = min(worker_count(), len(slices))
     if workers <= 1:
         return np.concatenate([block_fn(sl) for sl in slices])
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it: it slows start-up
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(block_fn, slices)))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argn.audit import _FOLD_DOMAIN, N_FOLDS, _cross_fit_scores
-from argn.linear import LOGISTIC_L2, LOGISTIC_TOL, LogisticModel
+from argn.linear import LOGISTIC_L2, LOGISTIC_TOL, LogisticModel, fit_logistic_stack, one_hot, softmax_class_major
 from argn.nn import Param, adam_step
 from argn.util import class_ranks
 
@@ -105,6 +105,43 @@ def test_the_fit_meets_the_tolerance_and_beats_400_adam_steps(problem):
     assert gradient <= LOGISTIC_TOL
     w, b, mu, sd = row_major_fit(x, y, k)
     assert objective <= row_major_terms(x, y, w, b, mu, sd)[0] + 1e-12
+
+
+@pytest.mark.parametrize("k, f, n", [(2, 6, 40), (3, 6, 40), (2, 30, 12), (4, 30, 12)])
+def test_features_zero_on_every_weighted_row_are_dropped_exactly(k, f, n):
+    """A stack of two problems with some rows weighted 0. Inserting features
+    that are zero everywhere, or nonzero only on rows of weight 0, leaves the
+    other weights and the biases unchanged bit for bit and the probabilities
+    unchanged to rounding, and leaves exact zeros in their slots."""
+    rng = np.random.default_rng(k * f + n)
+    xt = rng.normal(size=(2, f, n))
+    y = one_hot(rng.integers(0, k, size=n), k)[None]
+    weight = np.where(rng.random((2, n)) < 0.25, 0.0, 1.0 / n)
+    weight[:, :2] = 0.0  # rows 0 and 1 weigh 0 in both problems
+    extra = np.zeros((2, 5, n))
+    extra[:, 2:, :2] = rng.normal(size=(2, 3, 2))  # nonzero only where both problems weigh 0
+    slots = np.sort(rng.choice(f + 5, size=5, replace=False))
+    kept = np.setdiff1d(np.arange(f + 5), slots)
+    wide = np.empty((2, f + 5, n))
+    wide[:, kept], wide[:, slots] = xt, extra
+    w, b = fit_logistic_stack(xt, y, weight)
+    w_wide, b_wide = fit_logistic_stack(wide, y, weight)
+    assert np.array_equal(w_wide[..., kept], w) and np.array_equal(b_wide, b)
+    assert np.all(w_wide[..., slots] == 0.0)
+    # the same probabilities, up to the order in which the product sums the inserted zero terms
+    np.testing.assert_allclose(softmax_class_major(w_wide, b_wide, wide), softmax_class_major(w, b, xt),
+                               rtol=1e-14, atol=0)
+
+
+def test_a_feature_nonzero_on_a_weighted_row_of_one_problem_is_fitted():
+    rng = np.random.default_rng(3)
+    xt = rng.normal(size=(2, 3, 20))
+    weight = np.full((2, 20), 1 / 20)
+    weight[0, :5] = 0.0
+    xt[:, 2] = 0.0
+    xt[1, 2, 0] = 1.0  # weighted in problem 1 only
+    w, _ = fit_logistic_stack(xt, one_hot(np.arange(20) % 2, 2)[None], weight)
+    assert np.all(w[1, :, 2] != 0.0) and np.all(w[0, :, 2] == 0.0)
 
 
 @pytest.mark.parametrize("x, y, k", [

@@ -714,18 +714,28 @@ def test_dcr_train_tiles_split_mid_table_match_the_parent_kernel_bitwise(rng, mo
     _with_infinities(monkeypatch)
     train, other = nonfinite_mixed(rng, 300), nonfinite_mixed(rng, 120)
     monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 37)  # 1 x 37 tiles: 9 train tiles, the last 4 wide
-    chunk, widths = argn.metrics._dcr_chunk, set()
+    chunk, pairs, dense, gathered = argn.metrics._dcr_chunk, argn.metrics._dcr_pairs, set(), set()
 
-    def record(columns, sl, train_rows, buffers):
-        widths.add((sl.stop - sl.start, buffers[0].size))
+    def record_chunk(columns, sl, train_rows, buffers):
+        dense.add((sl.stop - sl.start, buffers[0].size, train_rows.stop - train_rows.start))
         return chunk(columns, sl, train_rows, buffers)
 
-    monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
+    def record_pairs(columns, other_rows, repeats, train_rows, work, unequal):
+        gathered.add((len(train_rows), work.size, unequal.size))
+        return pairs(columns, other_rows, repeats, train_rows, work, unequal)
+
+    monkeypatch.setattr(argn.metrics, "_dcr_chunk", record_chunk)
+    monkeypatch.setattr(argn.metrics, "_dcr_pairs", record_pairs)
     for name in ("n1", "n2"):
         tiles = set(np.flatnonzero(~np.isfinite(train.values(name, "numeric"))) // 37)
         assert len(tiles) > 3 and max(tiles) == 8  # missing and infinite train cells in most tiles
     assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
-    assert widths == {(1, 37), (3, 37)}  # 37-cell buffers: pass 2 in 1-row tiles, the pre-pass in 3-row ones
+    # 37-cell buffers and 1-row blocks: dense tiles 37 wide and the last one 4 wide, and gathered calls of
+    # at most a quarter tile, 9 pairs
+    assert {(rows, size) for rows, size, _ in dense} == {(1, 37)}
+    assert {width for *_, width in dense} == {37, 4}
+    assert {(size, flags) for _, size, flags in gathered} == {(37, 37)}
+    assert 1 in {p for p, *_ in gathered} and max(p for p, *_ in gathered) <= 9
 
 
 @pytest.mark.parametrize("n_categories, code_dtype", [(300, np.uint16), (70_000, np.uint32)])
@@ -776,29 +786,38 @@ def test_dcr_worker_threads_reuse_one_set_of_buffers(rng, monkeypatch, threads):
     expected = dcr(train, other)
     monkeypatch.setenv("ARGN_THREADS", str(threads))
     monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 300 * 7)  # 7-row blocks
-    chunk, sets, calls = argn.metrics._dcr_chunk, set(), []
+    chunk, pairs, sets, calls = argn.metrics._dcr_chunk, argn.metrics._dcr_pairs, set(), []
 
-    def record(columns, sl, train_rows, buffers):
-        sets.add(tuple(id(buf) for buf in buffers))
-        near = chunk(columns, sl, train_rows, buffers)
-        calls.append((sl.stop - sl.start, train_rows.stop - train_rows.start, int(np.sum(near <= 1.0))))
-        return near
+    def record_chunk(columns, sl, train_rows, buffers):
+        sets.add(tuple(id(buf) for buf in buffers[1:]))
+        calls.append(("dense", sl.stop - sl.start, (sl.stop - sl.start) * (train_rows.stop - train_rows.start)))
+        return chunk(columns, sl, train_rows, buffers)
 
-    monkeypatch.setattr(argn.metrics, "_dcr_chunk", record)
+    def record_pairs(columns, other_rows, repeats, train_rows, work, unequal):
+        sets.add((id(work), id(unequal)))
+        calls.append(("seed" if np.ndim(repeats) == 0 else "pairs", len(other_rows), len(train_rows)))
+        return pairs(columns, other_rows, repeats, train_rows, work, unequal)
+
+    monkeypatch.setattr(argn.metrics, "_dcr_chunk", record_chunk)
+    monkeypatch.setattr(argn.metrics, "_dcr_pairs", record_pairs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads that shared a buffer would overwrite each other's blocks
     try:
         assert np.array_equal(dcr(train, other), expected)
     finally:
         sys.setswitchinterval(interval)
-    prepass = [(rows, resolved) for rows, width, resolved in calls if width < 300]
-    full = [rows for rows, width, _ in calls if width == 300]
-    assert len(prepass) + len(full) == len(calls)
-    # pass 1: two groups within 300 // 16 train rows, one call each, resolving all 78 of their rows;
-    # pass 2: the other 322 rows in 46 blocks of 7 rows
-    assert len(prepass) == 2 and sum(rows for rows, _ in prepass) == 78
-    assert len(full) == 46 and sum(full) == 322
-    assert sum(resolved for _, resolved in prepass) + sum(full) == 400  # each row's result comes from one pass
+    first = next(i for i, (kind, *_) in enumerate(calls) if kind != "pairs")
+    prepass, verified = calls[:first], calls[first:]
+    # pass 1: the 78 rows of two groups within 300 // 16 train rows, in blocks of 525 // 18 = 29 rows (a
+    # quarter tile of pairs over the largest group), all resolved
+    assert sorted(rows for _, rows, _ in prepass) == [20, 29, 29]
+    # pass 2: the other 322 rows in 46 blocks of 7, each seeded by one pair per row, then verified in one
+    # tile: gathered when at most a quarter of its 2,100 pairs are candidates, else dense
+    seeds = [rows for kind, rows, pair_count in verified if kind == "seed" and rows == pair_count]
+    tiles = [(kind, pair_count) for kind, _, pair_count in verified if kind != "seed"]
+    assert len(seeds) == 46 and sum(seeds) == 322
+    assert len(tiles) <= 46 and {kind for kind, _ in tiles} == {"pairs", "dense"}
+    assert all(pair_count <= 525 if kind == "pairs" else pair_count == 2100 for kind, pair_count in tiles)
     assert 1 <= len(sets) <= threads
 
 
@@ -817,8 +836,15 @@ def dcr_peak_bytes(train, other):
 def test_dcr_peak_memory_does_not_grow_with_the_row_blocks(rng, monkeypatch):
     monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 2000 * 16)  # 16-row blocks
     train, other = random_mixed(rng, 2000), random_mixed(rng, 1024)
-    block_set = 16 * 2000 * (8 + 8 + 1)  # the accumulator, the work buffer and the mismatch mask
+    # the accumulator (or the mismatch counts), the work buffer (or a gathered call's arrays) and the mask
+    block_set = 16 * 2000 * (8 + 8 + 1)
     monkeypatch.setenv("ARGN_THREADS", "1")
+    pairs, chunk, paths = argn.metrics._dcr_pairs, argn.metrics._dcr_chunk, set()
+    with monkeypatch.context() as patch:  # both pass-2 paths run on these tables
+        patch.setattr(argn.metrics, "_dcr_pairs", lambda *args: paths.add("gathered") or pairs(*args))
+        patch.setattr(argn.metrics, "_dcr_chunk", lambda *args: paths.add("dense") or chunk(*args))
+        dcr(train, other)
+    assert paths == {"gathered", "dense"}
     two_blocks = dcr_peak_bytes(train, other.subset(range(32)))
     many_blocks = dcr_peak_bytes(train, other)  # 64 blocks
     assert block_set <= two_blocks < 2 * block_set
@@ -909,6 +935,65 @@ def test_dcr_prepass_matches_the_full_scan_bitwise(rng, monkeypatch, case, scan_
     assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
 
 
+@st.composite
+def dcr_table_pairs(draw):
+    """A (train, other) pair of one DCR table shape, with ties: numerics on a
+    grid of quarters, categoricals of few levels. Shapes: numerics only; one
+    2-level categorical and 20 numerics, whose weak bound leaves most pairs
+    as candidates; 300 2-level categoricals (with missing cells) and one
+    numeric, which need 2-byte mismatch counts, some other rows copying a
+    train row's categories so that they have a group; and two numerics with
+    missing and infinite cells beside an 8- and a 4-level categorical."""
+    shape = draw(st.sampled_from(["numeric", "weak", "wide", "nonfinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_train, n_other = draw(st.integers(1, 80)), draw(st.integers(0, 40))
+
+    def num(n):
+        cells = [f"{v / 4}" for v in rng.integers(-4, 5, size=n)]
+        if shape == "nonfinite":
+            cells = [None if r < 0.1 else "inf" if r < 0.15 else "-inf" if r < 0.2 else c
+                     for r, c in zip(rng.uniform(size=n), cells)]
+        return cells
+
+    def cat(n, levels, prefix):
+        return [None if v == levels else f"{prefix}{v}" for v in rng.integers(0, levels + 1, size=n)]
+
+    def table(n):
+        if shape == "numeric":
+            return make_table({f"x{j}": num(n) for j in range(3)}, kinds={f"x{j}": "numeric" for j in range(3)})
+        if shape == "weak":
+            columns = {"c": cat(n, 2, "k"), **{f"x{j}": num(n) for j in range(20)}}
+            return make_table(columns, kinds={f"x{j}": "numeric" for j in range(20)})
+        if shape == "wide":
+            return make_table({"x": num(n), **{f"c{j}": cat(n, 1, "k") for j in range(300)}}, kinds={"x": "numeric"})
+        return make_table({"n1": num(n), "c1": cat(n, 7, "k"), "n2": num(n), "c2": cat(n, 3, "m")},
+                          kinds={"n1": "numeric", "n2": "numeric"})
+
+    train, other = table(n_train), table(n_other)
+    if shape == "wide" and n_other:
+        copies = rng.integers(0, n_train, size=n_other)
+        own = rng.uniform(size=n_other) < 0.5
+        columns = {name: [train.column_values(name)[j] if keep and name != "x" else cell
+                          for keep, j, cell in zip(own, copies, other.column_values(name))]
+                   for name in other.column_names}
+        other = make_table(columns, kinds={"x": "numeric"})
+    return train, other
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(dcr_table_pairs())
+def test_dcr_passes_match_the_oracle_bitwise_across_shapes_threads_and_tiles(tables):
+    train, other = tables
+    with pytest.MonkeyPatch.context() as patch:
+        _with_infinities(patch)
+        expected = oracle_dcr(train, other)
+        for scan_bytes in (argn.metrics.SCAN_BYTES, 8 * 37):  # 8 * 37: train tiles split mid-table
+            patch.setattr(argn.metrics, "SCAN_BYTES", scan_bytes)
+            for threads in ("1", "2", "8"):
+                patch.setenv("ARGN_THREADS", threads)
+                assert np.array_equal(dcr(train, other), expected)
+
+
 def test_dcr_halves_an_overflowing_span():
     """A column whose range overflows (-1e308 to 1e308) has its values and
     span halved, which is exact: no distance is NaN (inf / inf) any more, so
@@ -956,24 +1041,32 @@ def worst_case(levels, n=4000):
 
 @pytest.mark.parametrize("tables", ["grouped", "worst_2", "worst_10", "worst_40"])
 def test_dcr_prepass_examines_at_most_one_sixteenth_more_pairs(rng, monkeypatch, tables):
-    """Pairs examined when no row resolves in its group: each row's own group
-    in pass 1 (only groups within n_train // 16), then every train row."""
+    """Pairs examined when no row resolves in its group and no bound prunes a
+    pair (every gathered distance reads infinite): each row's own group in
+    pass 1 (only groups within n_train // 16), one seed pair per row, then
+    every train row in dense tiles."""
     if tables == "grouped":
         train, other = grouped_mixed(rng, 400), grouped_mixed(rng, 300, query=True)
     else:
         train = worst_case(int(tables.split("_")[1]))
         other = worst_case(int(tables.split("_")[1]) + 1000).subset(range(3000))
     n, m = other.row_count, train.row_count
-    pairs = []
+    gathered, dense = [], []
 
-    def unresolved(columns, sl, train_rows, buffers):
-        pairs.append((sl.stop - sl.start) * (train_rows.stop - train_rows.start))
+    def unresolved(columns, other_rows, repeats, train_rows, work, unequal):
+        gathered.append(len(train_rows))
+        return np.full(len(train_rows), np.inf)
+
+    def full(columns, sl, train_rows, buffers):
+        dense.append((sl.stop - sl.start) * (train_rows.stop - train_rows.start))
         return np.full(sl.stop - sl.start, 2.0)
 
-    monkeypatch.setattr(argn.metrics, "_dcr_chunk", unresolved)
+    monkeypatch.setattr(argn.metrics, "_dcr_pairs", unresolved)
+    monkeypatch.setattr(argn.metrics, "_dcr_chunk", full)
     dcr(train, other)
     group_pairs = sum(len(g) for g in dcr_groups(train, other) if len(g) <= m // 16)
-    assert sum(pairs) == group_pairs + n * m <= (1 + 1 / 16) * n * m
+    assert sum(gathered) == group_pairs + n and sum(dense) == n * m
+    assert sum(gathered) + sum(dense) <= (1 + 1 / 16) * n * m
     assert group_pairs > 0 or tables in ("worst_2", "worst_10")
 
 

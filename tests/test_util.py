@@ -37,3 +37,15 @@ def test_importing_argn_pins_the_bundled_openblas_to_one_thread_whatever_the_env
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_importing_the_cli_leaves_the_thread_pool_and_decimal_modules_unloaded():
+    """``scan_rows`` imports its pool and the digit encoder ``decimal`` when
+    they first run, so a fresh ``import argn.cli`` loads neither."""
+    script = "import sys\nimport argn.cli\nprint(sorted({'concurrent.futures', 'decimal'} & set(sys.modules)))\n"
+    src = str(Path(argn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
