@@ -11,7 +11,6 @@ synthetic set directly against the target.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -99,10 +98,11 @@ def achilles_score(table: RawTable, k: int = 5) -> np.ndarray:
     encoding; larger = more distinct = more attackable. If any encoded row is
     all-zero, a constant bias coordinate is appended so cosine stays defined.
     Panels of at least 64 rows (so the GEMM stays efficient) are scanned
-    against tiles of other rows whose cosines fit in metrics.SCAN_BYTES,
-    keeping each row's running k largest cosines, so memory does not grow
-    with n^2. Distance 1 - clip(cos) falls as cos grows, so the k largest
-    cosines give exactly the k smallest distances; only they are converted.
+    against tiles of other rows whose cosines fit in one metrics.SCAN_BYTES
+    buffer, which every tile reuses, keeping each row's running k largest
+    cosines, so memory does not grow with n^2. Distance 1 - clip(cos) falls
+    as cos grows, so the k largest cosines give exactly the k smallest
+    distances; only they are converted.
     """
     if not 0 < k < table.row_count:
         raise ValueError("need 0 < k < row_count")
@@ -115,7 +115,7 @@ def achilles_score(table: RawTable, k: int = 5) -> np.ndarray:
     n = table.row_count
     rows = min(n, max(64, min(SCAN_BLOCK, metrics.SCAN_BYTES // (8 * n))))
     cols = min(n, metrics.SCAN_BYTES // (8 * rows))
-    buffers: dict[int, np.ndarray] = {}  # one tile per worker thread
+    tile = np.empty(rows * cols)
 
     def largest(cos: np.ndarray) -> np.ndarray:  # each row's k largest, unordered
         width = cos.shape[1]
@@ -124,9 +124,6 @@ def achilles_score(table: RawTable, k: int = 5) -> np.ndarray:
         return cos[:, max(0, width - k):]
 
     def block(panel: slice) -> np.ndarray:
-        tile = buffers.get(threading.get_ident())
-        if tile is None:
-            tile = buffers[threading.get_ident()] = np.empty(rows * cols)
         height = panel.stop - panel.start
         best = np.empty((height, 0))
         for c0 in range(0, n, cols):

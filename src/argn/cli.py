@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -26,7 +27,6 @@ from .protect import ValueProtectionConfig, protect_table
 from .sampling import GenerationRequest, generate, synthesize_blocks
 from .tables import (ColumnSpec, OverrideError, RawTable, TableSchema, infer_schema, read_csv, value_column,
                      write_csv)
-from .util import worker_count
 
 
 class UsageError(Exception):
@@ -301,10 +301,6 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        try:
-            worker_count()  # a malformed ARGN_THREADS fails before any work
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
@@ -341,7 +337,9 @@ def _keep_freed_heap() -> None:
 
 def main() -> None:
     _keep_freed_heap()
-    sys.exit(cli())
+    code = cli()
+    gc.freeze()  # the interpreter's final collections then skip every live object, which exit frees anyway
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -38,8 +38,8 @@ from .linear import LogisticModel, MixedFeatureMap, finite_span, fit_ridge, ridg
 from .tables import RawTable, concat, factorize
 from .util import SCAN_BLOCK, class_ranks, mann_whitney_auc, scan_rows
 
-SCAN_BYTES = 1 << 20  # per DCR or Achilles tile buffer: 512 x 256 to 1 x 131,072 cells; a DCR worker's
-# three (two float64, one bool) take about 2.1 MiB, a little over one core's 2 MiB L2 on the 2-vCPU bench host
+SCAN_BYTES = 1 << 20  # per DCR or Achilles tile buffer: 512 x 256 to 1 x 131,072 cells; DCR's three
+# (two float64, one bool) take about 2.1 MiB, a little over one core's 2 MiB L2 on the 2-vCPU bench host
 PREPASS_SHARE = 16  # DCR's pre-pass takes a group of at most n_train // 16 train rows: at most 1/16 extra pairs
 MOMENT_BYTES = 8 << 20  # per row-block buffer of the association's pairwise moments; sets their rounding
 
@@ -416,12 +416,10 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     """For each row of ``other``, the exact minimum mixed distance to any
     ``train`` row: the sum over columns of a 0/1 mismatch for categoricals
     and |a-b| scaled by the train range for numerics (a missing side costs
-    1, both missing 0). An O(n*m) scan across worker threads, in tiles of up
-    to SCAN_BLOCK other rows by SCAN_BYTES / 8 train rows whose buffers stay
-    within SCAN_BYTES each, whatever the table sizes; a worker that finds no
-    free set of buffers allocates one, so there is at most one set per
-    worker, and a gathered call's index arrays hold at most a quarter tile
-    of pairs.
+    1, both missing 0). An O(n*m) scan in tiles of up to SCAN_BLOCK other
+    rows by SCAN_BYTES / 8 train rows, through one set of three buffers
+    that stay within SCAN_BYTES each, whatever the table sizes; a gathered
+    call's index arrays hold at most a quarter tile of pairs.
 
     With a categorical column (module docstring): pass 1, the exact-match
     pre-pass, sends every pair of an other row and its categorical group
@@ -439,44 +437,31 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
     cols = min(n_train, SCAN_BYTES // 8)
     rows = max(1, min(SCAN_BLOCK, SCAN_BYTES // (8 * cols), n_other))
     quarter = rows * cols // 4  # pairs a gathered call may take; its two float arrays fit in one buffer
-    free: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # buffer sets no worker is using
-
-    def scan(n_rows: int, block: int, fn) -> np.ndarray:
-        def chunk(sl: slice) -> np.ndarray:
-            try:
-                mine = free.pop()
-            except IndexError:
-                mine = (np.empty(rows * cols), np.empty(rows * cols), np.empty(rows * cols, dtype=bool))
-            try:
-                return fn(sl, *mine)
-            finally:
-                free.append(mine)
-
-        return scan_rows(n_rows, chunk, block)
+    buffers = acc, work, unequal = np.empty(rows * cols), np.empty(rows * cols), np.empty(rows * cols, dtype=bool)
 
     kc = sum(kind == "cat" for kind, *_ in blocks)
     if not kc or cols < 2 or not n_other:  # a seed call's pairs fill half a tile at most when cols >= 2
-        return scan(n_other, rows, lambda sl, *bufs: _dcr_chunk(blocks, sl, slice(0, n_train), bufs))
+        return scan_rows(n_other, lambda sl: _dcr_chunk(blocks, sl, slice(0, n_train), buffers), rows)
 
     best = np.full(n_other, np.inf)
     prepass = _dcr_prepass(blocks, n_train, min(n_train // PREPASS_SHARE, quarter))
     if prepass is not None:
         order, pre, lo, hi = prepass
 
-        def group_minima(sl: slice, _, work: np.ndarray, unequal: np.ndarray) -> np.ndarray:
+        def group_minima(sl: slice) -> np.ndarray:
             size = hi[sl] - lo[sl]
             first = np.cumsum(size) - size
             train_rows = order[np.repeat(lo[sl] - first, size) + np.arange(first[-1] + size[-1])]
             return np.minimum.reduceat(_dcr_pairs(blocks, pre[sl], size, train_rows, work, unequal), first)
 
-        best[pre] = scan(pre.size, max(1, quarter // int((hi - lo).max())), group_minima)
+        best[pre] = scan_rows(pre.size, group_minima, max(1, quarter // int((hi - lo).max())))
 
     rest = np.flatnonzero(best > 1.0)
     taken, seed = _dcr_rows(blocks, rest), best[rest]
     cats = [(a, b) for kind, a, b, *_ in taken if kind == "cat"]
     count_type = np.min_scalar_type(kc)
 
-    def verify(sl: slice, acc: np.ndarray, work: np.ndarray, unequal: np.ndarray) -> np.ndarray:
+    def verify(sl: slice) -> np.ndarray:
         n_rows, bound = sl.stop - sl.start, seed[sl].copy()
         for c0 in range(0, n_train, cols):
             tile = slice(c0, min(c0 + cols, n_train))
@@ -494,7 +479,7 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
             np.less_equal(count, np.clip(np.ceil(bound) - 1, 0, kc).astype(count_type)[:, None], out=mask)
             pairs = np.count_nonzero(mask)
             if 4 * pairs > count.size:
-                np.minimum(bound, _dcr_chunk(taken, sl, tile, (acc, work, unequal)), out=bound)
+                np.minimum(bound, _dcr_chunk(taken, sl, tile, buffers), out=bound)
             elif pairs:
                 train_rows = np.flatnonzero(mask)
                 per_row = np.diff(np.searchsorted(train_rows, np.arange(0, count.size + 1, width)))
@@ -507,7 +492,7 @@ def dcr(train: RawTable, other: RawTable) -> np.ndarray:
         return bound
 
     if rest.size:
-        best[rest] = scan(rest.size, rows, verify)
+        best[rest] = scan_rows(rest.size, verify, rows)
     return best
 
 

@@ -1,13 +1,12 @@
-"""Small shared helpers: thread budgeting, blocked row scans and rank
-statistics. Importing it pins numpy's bundled OpenBLAS to one thread, so
-the ``scan_rows`` pool, sized by ``ARGN_THREADS``, is argn's only parallelism."""
+"""Small shared helpers: blocked row scans and rank statistics. Importing
+it pins numpy's bundled OpenBLAS to one thread, so argn runs on the
+calling thread alone and has no thread setting."""
 
 from __future__ import annotations
 
 import ctypes
-import os
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,37 +27,12 @@ def _pin_openblas() -> None:
 _pin_openblas()
 
 
-def worker_count() -> int:
-    """Worker-thread cap, controlled by the ARGN_THREADS env var (0, empty or
-    unset = auto); any other value that is not a count is refused."""
-    raw = os.environ.get("ARGN_THREADS") or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ValueError(f"ARGN_THREADS must be a thread count (0 = auto), got {raw!r}")
-    return n or min(os.cpu_count() or 1, 8)
-
-
-def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int,
-              breaks: Sequence[int] = ()) -> np.ndarray:
+def scan_rows(n_rows: int, block_fn: Callable[[slice], np.ndarray], block: int) -> np.ndarray:
     """Concatenated ``block_fn(rows)`` over consecutive blocks of at most
-    ``block`` rows, none of which spans one of the ascending row indices
-    ``breaks``, run on up to worker_count() threads. Blocks are
-    independent, so the result does not depend on the thread count."""
-    edges = [0, *breaks, n_rows]
-    slices = [slice(s, min(s + block, end)) for start, end in zip(edges, edges[1:])
-              for s in range(start, end, block)]
-    if not slices:
+    ``block`` rows."""
+    if not n_rows:
         return np.zeros(0)
-    workers = min(worker_count(), len(slices))
-    if workers <= 1:
-        return np.concatenate([block_fn(sl) for sl in slices])
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it: it slows start-up
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(block_fn, slices)))
+    return np.concatenate([block_fn(slice(s, min(s + block, n_rows))) for s in range(0, n_rows, block)])
 
 
 def class_ranks(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -159,21 +159,18 @@ def dense_achilles(table, k):
     return np.sort(dist, axis=1)[:, :k].mean(axis=1)
 
 
-def test_achilles_blocked_scan_matches_dense_formula(monkeypatch):
+def test_achilles_blocked_scan_matches_dense_formula():
     table = mixed_sample_table(1100, seed=3)  # ten 119-row panels
-    scores = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("ARGN_THREADS", threads)
-        scores[threads] = achilles_score(table, k=5)
-    np.testing.assert_array_equal(scores["1"], scores["4"])
     # a row block's GEMM may round a product's last bit unlike the n x n one
-    np.testing.assert_allclose(scores["1"], dense_achilles(table, 5), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(achilles_score(table, k=5), dense_achilles(table, 5), rtol=0, atol=1e-15)
 
 
-def test_achilles_merges_k_nearest_across_column_tiles(monkeypatch):
-    """64-row panels by 90-row tiles (90, 90, 90, 3): every row's nearest
-    neighbours lie in several tiles, the last tile is narrower than k, and
-    each panel meets its own rows in one or two of them."""
+@pytest.mark.parametrize("cols", [3, 90, 137])
+def test_achilles_merges_k_nearest_across_column_tiles(monkeypatch, cols):
+    """64-row panels by ``cols``-row tiles: every row's nearest neighbours
+    lie in several tiles, and each panel meets its own rows in one or two of
+    them. At 90 (90, 90, 90, 3) the last tile is narrower than k; at 3 every
+    tile is; at 137 (137, 136) the panel of rows 128-191 spans both."""
     import argn.metrics
 
     rng = np.random.default_rng(4)
@@ -182,17 +179,12 @@ def test_achilles_merges_k_nearest_across_column_tiles(monkeypatch):
     values = base[rng.permutation(np.repeat(np.arange(91), 3))]  # three copies: ties at distance 0
     table = make_table({f"x{j}": [f"{v:.4f}" for v in values[:, j]] for j in range(3)},
                        kinds={f"x{j}": "numeric" for j in range(3)})
-    monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 64 * 90)
-    scores = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("ARGN_THREADS", threads)
-        scores[threads] = achilles_score(table, k=5)
-    np.testing.assert_array_equal(scores["1"], scores["4"])
-    np.testing.assert_allclose(scores["1"], dense_achilles(table, 5), rtol=0, atol=1e-15)
+    monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 64 * cols)
+    np.testing.assert_allclose(achilles_score(table, k=5), dense_achilles(table, 5), rtol=0, atol=1e-15)
 
 
-def test_achilles_memory_stays_below_one_dense_matrix(monkeypatch):
-    """Each worker holds one SCAN_BYTES tile; the rest is the encoded
+def test_achilles_memory_stays_below_one_dense_matrix():
+    """The scan holds one SCAN_BYTES tile; the rest is the encoded
     features, whatever n^2 is (one dense matrix here is 122 MiB)."""
     import tracemalloc
 
@@ -201,14 +193,13 @@ def test_achilles_memory_stays_below_one_dense_matrix(monkeypatch):
 
     table = mixed_sample_table(4000, seed=2)
     features = MixedFeatureMap(table).transform(table)
-    monkeypatch.setenv("ARGN_THREADS", "4")
     tracemalloc.start()
     try:
         achilles_score(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 4 * argn.metrics.SCAN_BYTES + 4 * features.nbytes
+    assert peak < argn.metrics.SCAN_BYTES + 4 * features.nbytes
 
 
 def test_achilles_k_validation():

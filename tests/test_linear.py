@@ -1,6 +1,3 @@
-import contextlib
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,29 +231,13 @@ def test_cross_fit_with_every_fold_one_class_scores_one_half():
     assert np.array_equal(_cross_fit_scores(np.eye(2), labels, 0), [0.5, 0.5])
 
 
-@contextlib.contextmanager
-def argn_threads(count):
-    saved = os.environ.get("ARGN_THREADS")
-    os.environ["ARGN_THREADS"] = str(count)
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["ARGN_THREADS"]
-        else:
-            os.environ["ARGN_THREADS"] = saved
-
-
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.integers(8, 40), st.integers(1, 50), st.integers(0, 2**32 - 1))
-def test_lockstep_folds_equal_separate_fits_at_any_thread_count(trials, features, seed):
+def test_lockstep_folds_equal_separate_fits(trials, features, seed):
     rng = np.random.default_rng(seed)
     labels = rng.permutation(trials) % 2 == 0
     x = rng.normal(size=(trials, features)) + 0.8 * labels[:, None] * rng.normal(size=features)
-    with argn_threads(1):
-        scores = _cross_fit_scores(x, labels, seed)
-    with argn_threads(2):
-        assert _cross_fit_scores(x, labels, seed).tobytes() == scores.tobytes()
+    scores = _cross_fit_scores(x, labels, seed)
     np.testing.assert_allclose(scores, per_fold_scores(x, labels, seed), rtol=0, atol=1e-9)
 
 

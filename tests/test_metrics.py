@@ -609,16 +609,6 @@ def test_dcr_matches_naive_cross_check(rng, mode):
     np.testing.assert_allclose(got, naive_dcr(train, other), atol=1e-12)
 
 
-def test_dcr_thread_count_does_not_change_result(rng, monkeypatch):
-    train = random_mixed(rng, 60)
-    other = random_mixed(rng, 60)
-    monkeypatch.setenv("ARGN_THREADS", "1")
-    a = dcr(train, other)
-    monkeypatch.setenv("ARGN_THREADS", "4")
-    b = dcr(train, other)
-    np.testing.assert_array_equal(a, b)
-
-
 def oracle_feature_map_codes(fmap, table, name):
     """One-hot index of each cell, one cell at a time: the sorted reference
     vocabulary, then OTHER for an unseen text, then MISSING."""
@@ -780,11 +770,9 @@ def test_dcr_does_not_depend_on_the_byte_budget(rng, monkeypatch):
 
 
 
-@pytest.mark.parametrize("threads", [2, 8])
-def test_dcr_worker_threads_reuse_one_set_of_buffers(rng, monkeypatch, threads):
+def test_one_dcr_call_uses_one_set_of_buffers(rng, monkeypatch):
     train, other = random_mixed(rng, 300), random_mixed(rng, 400)
     expected = dcr(train, other)
-    monkeypatch.setenv("ARGN_THREADS", str(threads))
     monkeypatch.setattr(argn.metrics, "SCAN_BYTES", 8 * 300 * 7)  # 7-row blocks
     chunk, pairs, sets, calls = argn.metrics._dcr_chunk, argn.metrics._dcr_pairs, set(), []
 
@@ -800,12 +788,7 @@ def test_dcr_worker_threads_reuse_one_set_of_buffers(rng, monkeypatch, threads):
 
     monkeypatch.setattr(argn.metrics, "_dcr_chunk", record_chunk)
     monkeypatch.setattr(argn.metrics, "_dcr_pairs", record_pairs)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads that shared a buffer would overwrite each other's blocks
-    try:
-        assert np.array_equal(dcr(train, other), expected)
-    finally:
-        sys.setswitchinterval(interval)
+    assert np.array_equal(dcr(train, other), expected)
     first = next(i for i, (kind, *_) in enumerate(calls) if kind != "pairs")
     prepass, verified = calls[:first], calls[first:]
     # pass 1: the 78 rows of two groups within 300 // 16 train rows, in blocks of 525 // 18 = 29 rows (a
@@ -818,7 +801,7 @@ def test_dcr_worker_threads_reuse_one_set_of_buffers(rng, monkeypatch, threads):
     assert len(seeds) == 46 and sum(seeds) == 322
     assert len(tiles) <= 46 and {kind for kind, _ in tiles} == {"pairs", "dense"}
     assert all(pair_count <= 525 if kind == "pairs" else pair_count == 2100 for kind, pair_count in tiles)
-    assert 1 <= len(sets) <= threads
+    assert len(sets) == 1
 
 
 def dcr_peak_bytes(train, other):
@@ -838,7 +821,6 @@ def test_dcr_peak_memory_does_not_grow_with_the_row_blocks(rng, monkeypatch):
     train, other = random_mixed(rng, 2000), random_mixed(rng, 1024)
     # the accumulator (or the mismatch counts), the work buffer (or a gathered call's arrays) and the mask
     block_set = 16 * 2000 * (8 + 8 + 1)
-    monkeypatch.setenv("ARGN_THREADS", "1")
     pairs, chunk, paths = argn.metrics._dcr_pairs, argn.metrics._dcr_chunk, set()
     with monkeypatch.context() as patch:  # both pass-2 paths run on these tables
         patch.setattr(argn.metrics, "_dcr_pairs", lambda *args: paths.add("gathered") or pairs(*args))
@@ -849,8 +831,6 @@ def test_dcr_peak_memory_does_not_grow_with_the_row_blocks(rng, monkeypatch):
     many_blocks = dcr_peak_bytes(train, other)  # 64 blocks
     assert block_set <= two_blocks < 2 * block_set
     assert many_blocks <= two_blocks + block_set // 4  # only the per-row arrays grow
-    monkeypatch.setenv("ARGN_THREADS", "2")
-    assert dcr_peak_bytes(train, other) <= many_blocks + block_set + block_set // 2  # one more worker's set
 
 
 def grouped_mixed(rng, n, query=False, nonfinite=False):
@@ -894,26 +874,25 @@ def dcr_groups(train, other):
     return [rows.get(key, []) for key in other_keys]
 
 
-def dcr_branches(train, other):
+def dcr_branches(train, other, share=16):
     """The pre-pass branch of each other row, from the oracle distances:
-    "none" (no group), "large" (its group exceeds n_train // 16 rows),
+    "none" (no group), "large" (its group exceeds n_train // share rows),
     "resolved" (its group's minimum is at most 1) or "left" (above 1)."""
     d = oracle_distances(train, other)
     out = []
     for i, group in enumerate(dcr_groups(train, other)):
         if not group:
             out.append("none")
-        elif len(group) > train.row_count // 16:
+        elif len(group) > train.row_count // share:
             out.append("large")
         else:
             out.append("resolved" if d[i, group].min() <= 1.0 else "left")
     return out
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
 @pytest.mark.parametrize("scan_bytes", [None, 8 * 37, 8 * 400 * 5])
 @pytest.mark.parametrize("case", ["grouped", "nonfinite", "unique_keys", "numeric_only"])
-def test_dcr_prepass_matches_the_full_scan_bitwise(rng, monkeypatch, case, scan_bytes, threads):
+def test_dcr_prepass_matches_the_full_scan_bitwise(rng, monkeypatch, case, scan_bytes):
     _with_infinities(monkeypatch)
     if case == "unique_keys":
         train, other = unique_keys(400), unique_keys(300, query=True)
@@ -931,8 +910,26 @@ def test_dcr_prepass_matches_the_full_scan_bitwise(rng, monkeypatch, case, scan_
         assert no_group == {None, "unseen"}  # missing as a category, and an unseen one
     if scan_bytes:
         monkeypatch.setattr(argn.metrics, "SCAN_BYTES", scan_bytes)
-    monkeypatch.setenv("ARGN_THREADS", threads)
     assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
+
+
+@pytest.mark.parametrize("share", [1, 64])
+@pytest.mark.parametrize("case", ["grouped", "nonfinite"])
+def test_dcr_prepass_cap_moves_groups_between_the_passes_bitwise(rng, monkeypatch, case, share):
+    """A cap of n_train // 1 rows sends every group through pass 1; one of
+    n_train // 64 = 6 rows leaves the larger of the ~10-row groups to pass
+    2 with no seed bound. Either way the distances match the oracle bit for
+    bit."""
+    _with_infinities(monkeypatch)
+    nonfinite = case == "nonfinite"
+    train, other = grouped_mixed(rng, 400, nonfinite=nonfinite), grouped_mixed(rng, 300, True, nonfinite)
+    branches = dcr_branches(train, other, share)
+    assert ("large" in branches) == (share == 64) and "resolved" in branches
+    prepass, grouped = argn.metrics._dcr_prepass, []
+    monkeypatch.setattr(argn.metrics, "_dcr_prepass", lambda *args: grouped.append(prepass(*args)) or grouped[0])
+    monkeypatch.setattr(argn.metrics, "PREPASS_SHARE", share)
+    assert np.array_equal(dcr(train, other), oracle_dcr(train, other))
+    assert grouped[0][1].size == sum(b in ("resolved", "left") for b in branches)
 
 
 @st.composite
@@ -982,16 +979,14 @@ def dcr_table_pairs(draw):
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(dcr_table_pairs())
-def test_dcr_passes_match_the_oracle_bitwise_across_shapes_threads_and_tiles(tables):
+def test_dcr_passes_match_the_oracle_bitwise_across_shapes_and_tiles(tables):
     train, other = tables
     with pytest.MonkeyPatch.context() as patch:
         _with_infinities(patch)
         expected = oracle_dcr(train, other)
         for scan_bytes in (argn.metrics.SCAN_BYTES, 8 * 37):  # 8 * 37: train tiles split mid-table
             patch.setattr(argn.metrics, "SCAN_BYTES", scan_bytes)
-            for threads in ("1", "2", "8"):
-                patch.setenv("ARGN_THREADS", threads)
-                assert np.array_equal(dcr(train, other), expected)
+            assert np.array_equal(dcr(train, other), expected)
 
 
 def test_dcr_halves_an_overflowing_span():

@@ -723,31 +723,26 @@ def fixed_order_model(data_csv, tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("argv,env,detail", [  # each used to exit 2
-    (["train", "--data", "{data}", "--out", "{out}", "--seed", "-1"], {}, "argument --seed: must be >= 0"),
-    (["evaluate", "--real", "{data}", "--syn", "{data}", "--report", "{out}", "--seed", "-1"], {},
+@pytest.mark.parametrize("argv,detail", [  # each used to exit 2
+    (["train", "--data", "{data}", "--out", "{out}", "--seed", "-1"], "argument --seed: must be >= 0"),
+    (["evaluate", "--real", "{data}", "--syn", "{data}", "--report", "{out}", "--seed", "-1"],
      "argument --seed: must be >= 0"),
-    (["evaluate", "--real", "{data}", "--syn", "{data}", "--report", "{out}", "--target", "nosuch"], {},
+    (["evaluate", "--real", "{data}", "--syn", "{data}", "--report", "{out}", "--target", "nosuch"],
      "evaluate: --target names unknown column 'nosuch'"),
-    (["generate", "--model", "{model}", "-n", "5", "--out", "{out}", "--order", "cat_a,cat_a"], {},
+    (["generate", "--model", "{model}", "-n", "5", "--out", "{out}", "--order", "cat_a,cat_a"],
      "--order names column 'cat_a' twice"),
-    (["generate", "--model", "{fixed}", "-n", "5", "--out", "{out}", "--order", "cat_b"], {},
+    (["generate", "--model", "{fixed}", "-n", "5", "--out", "{out}", "--order", "cat_b"],
      "generate: model was trained with a fixed order"),
     # used to audit one target
-    (["audit", "--data", "{data}", "--report", "{out}", "--auto-target", "0"], {},
+    (["audit", "--data", "{data}", "--report", "{out}", "--auto-target", "0"],
      "argument --auto-target: must be >= 1, got 0"),
-    (["audit", "--data", "{data}", "--report", "{out}", "--auto-target", "-3"], {},
+    (["audit", "--data", "{data}", "--report", "{out}", "--auto-target", "-3"],
      "argument --auto-target: must be >= 1, got -3"),
-    # used to run on the automatic thread count
-    (["dcr", "--train", "{data}", "--syn", "{data}", "--test", "{data}", "--out-cdf", "{out}"],
-     {"ARGN_THREADS": "abc"}, "ARGN_THREADS must be a thread count (0 = auto), got 'abc'"),
 ])
 def test_cli_an_argument_the_verb_refuses_is_a_usage_error(data_csv, cli_model, fixed_order_model, tmp_path,
-                                                            capsys, monkeypatch, argv, env, detail):
+                                                            capsys, argv, detail):
     out = tmp_path / "out"
     paths = {"data": data_csv, "model": cli_model, "fixed": fixed_order_model, "out": str(out)}
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     assert cli([arg.format(**paths) for arg in argv]) == 1
     assert detail in capsys.readouterr().err
     assert not out.exists()
@@ -1026,15 +1021,39 @@ def test_cli_evaluate_and_dcr_parse_each_cell_list_once_per_kind(tmp_path, monke
     assert seen and max(seen.values()) == 1
 
 
-def test_python_m_argn_cli_train_writes_the_model(data_csv, quick_config, tmp_path):
-    model_path = tmp_path / "m.argn"
+def python_m_argn_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m argn.cli`` in a fresh process, stdout and stderr on pipes."""
     src = str(Path(argn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "argn.cli", "train", "--data", data_csv,
-         "--config", quick_config, "--out", str(model_path), "--seed", "7"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    return subprocess.run([sys.executable, "-m", "argn.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_python_m_argn_cli_train_writes_the_model(data_csv, quick_config, tmp_path):
+    model_path = tmp_path / "m.argn"
+    proc = python_m_argn_cli("train", "--data", data_csv, "--config", quick_config, "--out", str(model_path),
+                             "--seed", "7")
     assert proc.returncode == 0, proc.stderr
     assert load_model(str(model_path)).training_meta
+
+
+def test_python_m_argn_cli_a_refused_flag_exits_1(data_csv, tmp_path):
+    out = tmp_path / "out"
+    proc = python_m_argn_cli("train", "--data", data_csv, "--out", str(out), "--seed", "-1")
+    assert proc.returncode == 1 and "argument --seed: must be >= 0" in proc.stderr
+    assert not out.exists()
+
+
+def test_python_m_argn_cli_a_missing_data_file_exits_2(tmp_path):
+    out = tmp_path / "out"
+    proc = python_m_argn_cli("train", "--data", str(tmp_path / "nosuch.csv"), "--out", str(out))
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+    assert not out.exists()
+
+
+def test_python_m_argn_cli_prints_the_summary_line_to_a_pipe(data_csv, tmp_path):
+    proc = python_m_argn_cli("dcr", "--train", data_csv, "--syn", data_csv, "--test", data_csv,
+                             "--out-cdf", str(tmp_path / "cdf.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["dcr_integral=0.0 risk=0"]
